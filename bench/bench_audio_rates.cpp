@@ -10,19 +10,14 @@
 // on runner::ExperimentRunner; the serial and 8-thread aggregate reports
 // must be bit-identical.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "capture/rate_analyzer.h"
-#include "client/media_feeder.h"
-#include "client/vca_client.h"
+#include "core/session_world.h"
 #include "media/audio.h"
-#include "platform/base_platform.h"
 #include "runner/experiment_runner.h"
-#include "testbed/cloud_testbed.h"
-#include "testbed/orchestrator.h"
 
 namespace {
 
@@ -30,34 +25,31 @@ using namespace vc;
 
 /// One audio-only two-party session; returns the receiver's L7 download rate.
 double run_audio_session(platform::PlatformId id, std::uint64_t seed, SimDuration duration) {
-  testbed::CloudTestbed bed{seed};
-  auto plat = platform::make_platform(id, bed.network());
-  net::Host& host_vm = bed.create_vm(testbed::site_by_name("US-East"), 0);
-  net::Host& rx_vm = bed.create_vm(testbed::site_by_name("US-East"), 1);
+  core::SessionWorld world{seed};
+  world.add_platform(id, {});
+  net::Host& host_vm = world.vm("US-East", 0);
+  net::Host& rx_vm = world.vm("US-East", 1);
 
   client::VcaClient::Config host_cfg;
   host_cfg.send_video = false;  // audio-only stream
   host_cfg.send_audio = true;
   host_cfg.decode_video = false;
-  client::VcaClient host{host_vm, *plat, host_cfg};
+  testbed::SessionOrchestrator::Plan plan;
+  plan.host = &world.client(host_vm, host_cfg);
   auto rx_cfg = host_cfg;
   rx_cfg.send_audio = false;
-  client::VcaClient rx{rx_vm, *plat, rx_cfg};
-  client::MediaFeeder feeder{bed.loop(), host.video_device(), host.audio_device()};
+  plan.participants = {&world.client(rx_vm, rx_cfg)};
+  client::MediaFeeder& feeder = world.feeder(*plan.host);
   capture::PacketCapture rx_cap{rx_vm};
 
   SimTime media_start{};
-  testbed::SessionOrchestrator::Plan plan;
-  plan.host = &host;
-  plan.participants = {&rx};
   plan.media_duration = duration;
   plan.on_all_joined = [&] {
-    media_start = bed.network().now();
+    media_start = world.network().now();
     feeder.play_audio(media::synthesize_voice(duration.seconds(), 0xA0D10));
   };
-  testbed::SessionOrchestrator orch{std::move(plan)};
-  orch.start();
-  bed.run_all();
+  world.orchestrate(std::move(plan));
+  world.run();
 
   return capture::RateAnalyzer{rx_cap.trace()}.average(media_start).download.as_kbps();
 }

@@ -15,8 +15,8 @@
 //      time average; adaptation lag makes oscillation strictly worse.
 //
 // All nine conditions run as independent session tasks on the parallel
-// experiment runner; the E3 token-bucket shapers report through the
-// per-session MetricsRegistry.
+// experiment runner; the network, relays, codecs and the E3 token-bucket
+// shapers report through the per-session MetricsRegistry.
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -25,17 +25,10 @@
 
 #include "bench/bench_util.h"
 #include "capture/rate_analyzer.h"
-#include "client/media_feeder.h"
 #include "client/recorder.h"
-#include "client/vca_client.h"
-#include "media/align.h"
-#include "media/feeds.h"
-#include "media/qoe/video_metrics.h"
+#include "core/session_world.h"
 #include "net/loss.h"
-#include "platform/base_platform.h"
 #include "runner/experiment_runner.h"
-#include "testbed/cloud_testbed.h"
-#include "testbed/orchestrator.h"
 
 namespace {
 
@@ -48,7 +41,7 @@ struct RunResult {
   double down_kbps = 0;
 };
 
-using Impair = std::function<void(testbed::CloudTestbed&, net::Host&, MetricsRegistry&)>;
+using Impair = std::function<void(net::EventLoop&, net::Host&, MetricsRegistry&)>;
 
 // One two-party Zoom session, host US-East → receiver US-East, with optional
 // receiver-side impairments.
@@ -57,12 +50,12 @@ RunResult run_session(std::unique_ptr<net::LossModel> ingress_loss, double jitte
   testbed::CloudTestbed::Config bed_cfg;
   bed_cfg.seed = seed;
   bed_cfg.latency.jitter_mean_ms = jitter_mean_ms;
-  testbed::CloudTestbed bed{bed_cfg};
-  auto zoom = platform::make_platform(platform::PlatformId::kZoom, bed.network(), seed ^ 0xE);
-  net::Host& host_vm = bed.create_vm(testbed::site_by_name("US-East"), 0);
-  net::Host& rx_vm = bed.create_vm(testbed::site_by_name("US-East"), 1);
+  core::SessionWorld world{bed_cfg, {.metrics = &metrics}};
+  world.add_platform(platform::PlatformId::kZoom, {.seed = seed ^ 0xE});
+  net::Host& host_vm = world.vm("US-East", 0);
+  net::Host& rx_vm = world.vm("US-East", 1);
   if (ingress_loss) rx_vm.set_ingress_loss(std::move(ingress_loss));
-  if (impair) impair(bed, rx_vm, metrics);
+  if (impair) impair(world.loop(), rx_vm, metrics);
 
   const int content_w = 128;
   const int content_h = 96;
@@ -71,57 +64,34 @@ RunResult run_session(std::unique_ptr<net::LossModel> ingress_loss, double jitte
       media::FeedParams{content_w, content_h, 10.0, seed ^ 0xF00D});
   auto padded = std::make_shared<media::PaddedFeed>(content, pad);
 
-  client::VcaClient::Config host_cfg;
-  host_cfg.send_audio = false;
-  host_cfg.decode_video = false;
-  host_cfg.video_width = content_w + 2 * pad;
-  host_cfg.video_height = content_h + 2 * pad;
-  host_cfg.fps = 10.0;
-  host_cfg.ui_border = 8;
+  client::VcaClient::Config host_cfg = core::padded_config(content_w, content_h, pad, 10.0, seed);
   host_cfg.motion = platform::MotionClass::kLowMotion;
-  host_cfg.seed = seed;
-  client::VcaClient host{host_vm, *zoom, host_cfg};
+  client::VcaClient& host = world.client(host_vm, host_cfg);
   auto rx_cfg = host_cfg;
   rx_cfg.send_video = false;
   rx_cfg.decode_video = true;
-  client::VcaClient rx{rx_vm, *zoom, rx_cfg};
-  client::MediaFeeder feeder{bed.loop(), host.video_device(), host.audio_device()};
+  client::VcaClient& rx = world.client(rx_vm, rx_cfg);
+  client::MediaFeeder& feeder = world.feeder(host);
   client::DesktopRecorder recorder{rx, 10.0};
-  capture::PacketCapture rx_cap{rx_vm, bed.clock_offset(rx_vm)};
+  capture::PacketCapture rx_cap{rx_vm, world.clock_offset(rx_vm)};
 
   const auto duration = seconds(15);
   testbed::SessionOrchestrator::Plan plan;
   plan.host = &host;
   plan.participants = {&rx};
   plan.media_duration = duration;
-  plan.metrics = &metrics;
   plan.on_all_joined = [&] {
     feeder.play_video(padded, duration);
     recorder.start(duration);
   };
-  testbed::SessionOrchestrator orch{std::move(plan)};
-  orch.start();
-  bed.run_all();
+  world.orchestrate(std::move(plan));
+  world.run();
 
   RunResult out;
-  const auto cropped = media::crop_and_resize(recorder.video(), pad, content_w, content_h);
-  if (cropped.frames.size() >= 12) {
-    std::vector<media::Frame> reference;
-    for (std::size_t k = 0; k < cropped.frames.size(); ++k) {
-      reference.push_back(content->frame_at(static_cast<std::int64_t>(k)));
-    }
-    const auto shift = media::best_temporal_shift(reference, cropped.frames, 10);
-    const auto aligned = media::align_sequences(reference, cropped.frames, shift);
-    double psnr = 0;
-    double ssim = 0;
-    int n = 0;
-    for (std::size_t k = 0; k < aligned.reference.size(); k += 5) {
-      psnr += media::qoe::psnr(aligned.reference[k], aligned.recording[k]);
-      ssim += media::qoe::ssim(aligned.reference[k], aligned.recording[k]);
-      ++n;
-    }
-    out.psnr = psnr / n;
-    out.ssim = ssim / n;
+  const core::VideoScorer scorer{pad, content_w, content_h, /*metric_stride=*/5};
+  if (const auto qoe = scorer.score(recorder.video(), *content)) {
+    out.psnr = qoe->psnr;
+    out.ssim = qoe->ssim;
   }
   if (host.stats().video_frames_sent > 0) {
     out.delivery = static_cast<double>(rx.stats().video_frames_completed) /
@@ -140,25 +110,26 @@ struct Condition {
   std::string key() const { return section + "/" + label; }
 };
 
+// Shaper instruments attach after install: the network re-wires an installed
+// shaper to its per-link prefix, and these report under `shaper.*`.
 Impair static_shaper(int kbps) {
-  return [kbps](testbed::CloudTestbed& bed, net::Host& rx, MetricsRegistry& metrics) {
-    auto shaper = std::make_unique<net::TokenBucketShaper>(bed.loop(), DataRate::kbps(kbps),
-                                                           24'000, 100);
-    shaper->attach_metrics(metrics);
-    rx.set_ingress_shaper(std::move(shaper));
+  return [kbps](net::EventLoop& loop, net::Host& rx, MetricsRegistry& metrics) {
+    rx.set_ingress_shaper(
+        std::make_unique<net::TokenBucketShaper>(loop, DataRate::kbps(kbps), 24'000, 100));
+    rx.ingress_shaper()->attach_metrics(metrics);
   };
 }
 
 Impair oscillating_shaper(int hi_kbps, int lo_kbps) {
-  return [hi_kbps, lo_kbps](testbed::CloudTestbed& bed, net::Host& rx, MetricsRegistry& metrics) {
-    auto shaper =
-        std::make_unique<net::TokenBucketShaper>(bed.loop(), DataRate::kbps(hi_kbps), 24'000, 100);
-    shaper->attach_metrics(metrics);
-    net::TokenBucketShaper* raw = shaper.get();
-    rx.set_ingress_shaper(std::move(shaper));
+  return [hi_kbps, lo_kbps](net::EventLoop& event_loop, net::Host& rx,
+                            MetricsRegistry& metrics) {
+    rx.set_ingress_shaper(std::make_unique<net::TokenBucketShaper>(
+        event_loop, DataRate::kbps(hi_kbps), 24'000, 100));
+    net::TokenBucketShaper* raw = rx.ingress_shaper();
+    raw->attach_metrics(metrics);
     // tc-style periodic rate changes, bounded so the loop drains.
     auto flip = std::make_shared<std::function<void(bool, int)>>();
-    net::EventLoop* loop = &bed.loop();
+    net::EventLoop* loop = &event_loop;
     *flip = [loop, raw, flip, hi_kbps, lo_kbps](bool high, int remaining) {
       raw->set_rate(DataRate::kbps(high ? hi_kbps : lo_kbps));
       if (remaining > 0) {

@@ -10,20 +10,16 @@
 // receivers), which is the infrastructure-side scaling cost.
 //
 // Each (view, platform, N) point is one session task on the parallel
-// experiment runner; relay and session metrics flow through the per-session
-// MetricsRegistry and are merged into the run report.
+// experiment runner; network, relay, codec and session metrics flow through
+// the per-session MetricsRegistry and are merged into the run report.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "capture/rate_analyzer.h"
-#include "client/vca_client.h"
-#include "platform/base_platform.h"
+#include "core/session_world.h"
 #include "runner/experiment_runner.h"
-#include "testbed/cloud_testbed.h"
-#include "testbed/orchestrator.h"
 
 namespace {
 
@@ -37,9 +33,8 @@ struct ScaleResult {
 
 ScaleResult run_scale(platform::PlatformId id, int n_total, platform::ViewMode view,
                       std::uint64_t seed, MetricsRegistry* metrics) {
-  testbed::CloudTestbed bed{seed};
-  auto plat = platform::make_platform(id, bed.network(), seed ^ 0x5CA1E);
-  if (metrics) plat->set_metrics(metrics);
+  core::SessionWorld world{seed, {.metrics = metrics}};
+  platform::BasePlatform& plat = world.add_platform(id, {.seed = seed ^ 0x5CA1E});
   const auto us = testbed::us_sites();
 
   auto make_sender = [&](net::Host& vm, std::uint64_t s) {
@@ -49,14 +44,13 @@ ScaleResult run_scale(platform::PlatformId id, int n_total, platform::ViewMode v
     cfg.synthetic_video = true;
     cfg.motion = platform::MotionClass::kHighMotion;
     cfg.seed = s;
-    return std::make_unique<client::VcaClient>(vm, *plat, cfg);
+    return &world.client(vm, cfg);
   };
 
-  net::Host& host_vm = bed.create_vm(testbed::site_by_name("US-East"), 30);
-  auto host = make_sender(host_vm, seed);
+  client::VcaClient* host = make_sender(world.vm("US-East", 30), seed);
 
   // The observer participant we measure (also streaming, like everyone).
-  net::Host& obs_vm = bed.create_vm(testbed::site_by_name("US-West"), 31);
+  net::Host& obs_vm = world.vm("US-West", 31);
   client::VcaClient::Config obs_cfg;
   obs_cfg.send_audio = false;
   obs_cfg.decode_video = false;
@@ -64,34 +58,29 @@ ScaleResult run_scale(platform::PlatformId id, int n_total, platform::ViewMode v
   obs_cfg.view = view;
   obs_cfg.motion = platform::MotionClass::kHighMotion;
   obs_cfg.seed = seed + 1;
-  client::VcaClient observer{obs_vm, *plat, obs_cfg};
-  capture::PacketCapture obs_cap{obs_vm, bed.clock_offset(obs_vm)};
+  testbed::SessionOrchestrator::Plan plan;
+  plan.host = host;
+  plan.participants = {&world.client(obs_vm, obs_cfg)};
+  capture::PacketCapture obs_cap{obs_vm, world.clock_offset(obs_vm)};
 
-  std::vector<std::unique_ptr<client::VcaClient>> others;
   for (int i = 0; i < n_total - 2; ++i) {
-    net::Host& vm = bed.create_vm(us[static_cast<std::size_t>(i) % us.size()], 40 + i);
-    others.push_back(make_sender(vm, seed + 10 + static_cast<std::uint64_t>(i)));
+    net::Host& vm = world.vm(us[static_cast<std::size_t>(i) % us.size()], 40 + i);
+    plan.participants.push_back(make_sender(vm, seed + 10 + static_cast<std::uint64_t>(i)));
   }
 
   SimTime media_start{};
-  testbed::SessionOrchestrator::Plan plan;
-  plan.host = host.get();
-  plan.participants = {&observer};
-  for (auto& o : others) plan.participants.push_back(o.get());
   plan.media_duration = seconds(20);
-  plan.metrics = metrics;
-  plan.on_all_joined = [&] { media_start = bed.network().now(); };
-  testbed::SessionOrchestrator orch{std::move(plan)};
-  orch.start();
-  bed.run_all();
+  plan.on_all_joined = [&] { media_start = world.network().now(); };
+  world.orchestrate(std::move(plan));
+  world.run();
 
   ScaleResult out;
   out.observer_down_kbps =
       capture::RateAnalyzer{obs_cap.trace()}.average(media_start).download.as_kbps();
-  out.relays_used = plat->allocator().relays_created();
+  out.relays_used = plat.allocator().relays_created();
   // Infrastructure-side work: total packets the network carried (client
   // uplinks plus every relay-forwarded copy).
-  out.network_pkts = bed.network().stats().packets_sent;
+  out.network_pkts = world.network().stats().packets_sent;
   return out;
 }
 

@@ -18,16 +18,9 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "client/media_feeder.h"
 #include "client/recorder.h"
-#include "client/vca_client.h"
-#include "media/align.h"
-#include "media/feeds.h"
-#include "media/qoe/video_metrics.h"
-#include "platform/base_platform.h"
+#include "core/session_world.h"
 #include "runner/experiment_runner.h"
-#include "testbed/cloud_testbed.h"
-#include "testbed/orchestrator.h"
 
 namespace {
 
@@ -57,10 +50,10 @@ media::qoe::VideoQoe mean_qoe(const media::AlignedPair& pair) {
 }
 
 PaddingResult run_padding_session(std::uint64_t seed, SimDuration duration) {
-  testbed::CloudTestbed bed{seed};
-  auto zoom = platform::make_platform(platform::PlatformId::kZoom, bed.network());
-  net::Host& host_vm = bed.create_vm(testbed::site_by_name("US-East"), 0);
-  net::Host& rx_vm = bed.create_vm(testbed::site_by_name("US-East"), 1);
+  core::SessionWorld world{seed};
+  world.add_platform(platform::PlatformId::kZoom, {});
+  net::Host& host_vm = world.vm("US-East", 0);
+  net::Host& rx_vm = world.vm("US-East", 1);
 
   auto content = std::make_shared<media::TalkingHeadFeed>(
       media::FeedParams{kContentW, kContentH, 10.0, 5});
@@ -74,25 +67,22 @@ PaddingResult run_padding_session(std::uint64_t seed, SimDuration duration) {
   host_cfg.fps = 10.0;
   host_cfg.ui_border = kUiBorder;
   host_cfg.motion = platform::MotionClass::kLowMotion;
-  client::VcaClient host{host_vm, *zoom, host_cfg};
+  testbed::SessionOrchestrator::Plan plan;
+  plan.host = &world.client(host_vm, host_cfg);
   auto rx_cfg = host_cfg;
   rx_cfg.send_video = false;
   rx_cfg.decode_video = true;
-  client::VcaClient rx{rx_vm, *zoom, rx_cfg};
-  client::MediaFeeder feeder{bed.loop(), host.video_device(), host.audio_device()};
-  client::DesktopRecorder recorder{rx, 10.0};
+  plan.participants = {&world.client(rx_vm, rx_cfg)};
+  client::MediaFeeder& feeder = world.feeder(*plan.host);
+  client::DesktopRecorder recorder{*plan.participants[0], 10.0};
 
-  testbed::SessionOrchestrator::Plan plan;
-  plan.host = &host;
-  plan.participants = {&rx};
   plan.media_duration = duration;
   plan.on_all_joined = [&] {
     feeder.play_video(padded, duration);
     recorder.start(duration);
   };
-  testbed::SessionOrchestrator orch{std::move(plan)};
-  orch.start();
-  bed.run_all();
+  world.orchestrate(std::move(plan));
+  world.run();
 
   // (a) The paper's pipeline: crop the padding (removing the occluded
   // border with it), score content vs content.

@@ -1,37 +1,42 @@
 #include "core/bwcap_benchmark.h"
 
 #include <memory>
+#include <utility>
 
 #include "capture/rate_analyzer.h"
-#include "client/media_feeder.h"
 #include "client/recorder.h"
-#include "client/vca_client.h"
-#include "media/align.h"
-#include "media/feeds.h"
+#include "core/session_world.h"
 #include "media/qoe/mos_lqo.h"
-#include "media/qoe/video_metrics.h"
-#include "platform/base_platform.h"
-#include "testbed/cloud_testbed.h"
-#include "testbed/orchestrator.h"
 
 namespace vc::core {
 namespace {
 
+/// The long-lived testbed both entry points share: the platform, the host
+/// VM and the receiver VM.
+std::pair<net::Host*, net::Host*> provision(SessionWorld& world,
+                                            const BwCapBenchmarkConfig& config,
+                                            std::uint64_t seed) {
+  world.add_platform(config.platform,
+                     {.seed = seed ^ 0xCAB, .fan_out_shards = config.fan_out_shards});
+  net::Host& host_vm = world.vm(config.host_site, 8);
+  return {&host_vm, &world.vm(config.receiver_site, 9)};
+}
+
 /// One capped two-party session against an existing world. Shared by the
 /// aggregate benchmark (persistent bed/VMs across sessions, like the paper's
 /// long-lived testbed) and the self-contained per-seed entry point.
-BwCapSessionResult run_one_session(const BwCapBenchmarkConfig& config, testbed::CloudTestbed& bed,
-                                   platform::BasePlatform& platform, net::Host& host_vm,
-                                   net::Host& rx_vm, std::uint64_t feed_seed,
-                                   std::uint64_t session_seed) {
-  const int padded_w = config.content_width + 2 * config.padding;
-  const int padded_h = config.content_height + 2 * config.padding;
+BwCapSessionResult run_one_session(const BwCapBenchmarkConfig& config, SessionWorld& world,
+                                   net::Host& host_vm, net::Host& rx_vm,
+                                   std::uint64_t feed_seed, std::uint64_t session_seed) {
+  // Built first, so a bad metric_stride throws before anything is simulated.
+  const VideoScorer scorer{config.padding, config.content_width, config.content_height,
+                           config.metric_stride};
   BwCapSessionResult out;
 
   // Arm the ingress shaper for this session (tc qdisc on ifb).
   net::TokenBucketShaper* shaper = nullptr;
   if (!config.cap.is_unlimited()) {
-    auto owned = std::make_unique<net::TokenBucketShaper>(bed.loop(), config.cap,
+    auto owned = std::make_unique<net::TokenBucketShaper>(world.loop(), config.cap,
                                                           /*burst=*/24'000,
                                                           /*queue_limit_packets=*/100);
     shaper = owned.get();
@@ -40,43 +45,26 @@ BwCapSessionResult run_one_session(const BwCapBenchmarkConfig& config, testbed::
     rx_vm.set_ingress_shaper(nullptr);
   }
 
-  std::shared_ptr<const media::VideoFeed> content;
-  {
-    media::FeedParams params{config.content_width, config.content_height, config.fps, feed_seed};
-    if (config.motion == platform::MotionClass::kHighMotion) {
-      content = std::make_shared<media::TourGuideFeed>(params);
-    } else {
-      content = std::make_shared<media::TalkingHeadFeed>(params);
-    }
-  }
+  const auto content = motion_feed(
+      config.motion, {config.content_width, config.content_height, config.fps, feed_seed});
   const auto padded = std::make_shared<media::PaddedFeed>(content, config.padding);
   const auto voice = media::synthesize_voice(config.media_duration.seconds() + 1.0,
                                              session_seed ^ 0x701CE);
 
-  client::VcaClient::Config host_cfg;
-  host_cfg.send_video = true;
+  client::VcaClient::Config host_cfg = padded_config(
+      config.content_width, config.content_height, config.padding, config.fps, session_seed);
   host_cfg.send_audio = true;
-  host_cfg.decode_video = false;
   host_cfg.motion = config.motion;
-  host_cfg.video_width = padded_w;
-  host_cfg.video_height = padded_h;
-  host_cfg.fps = config.fps;
-  host_cfg.ui_border = config.padding > 8 ? config.padding - 8 : 0;
-  host_cfg.seed = session_seed;
-  client::VcaClient host_client{host_vm, platform, host_cfg};
-  client::MediaFeeder feeder{bed.loop(), host_client.video_device(), host_client.audio_device()};
+  client::VcaClient& host_client = world.client(host_vm, host_cfg);
+  client::MediaFeeder& feeder = world.feeder(host_client);
 
-  client::VcaClient::Config rx_cfg;
+  client::VcaClient::Config rx_cfg = padded_config(
+      config.content_width, config.content_height, config.padding, config.fps, session_seed + 77);
   rx_cfg.send_video = false;
-  rx_cfg.send_audio = false;
-  rx_cfg.video_width = padded_w;
-  rx_cfg.video_height = padded_h;
-  rx_cfg.fps = config.fps;
-  rx_cfg.ui_border = host_cfg.ui_border;
-  rx_cfg.seed = session_seed + 77;
-  client::VcaClient receiver{rx_vm, platform, rx_cfg};
+  rx_cfg.decode_video = true;
+  client::VcaClient& receiver = world.client(rx_vm, rx_cfg);
   client::DesktopRecorder recorder{receiver, config.fps};
-  capture::PacketCapture rx_capture{rx_vm, bed.clock_offset(rx_vm)};
+  capture::PacketCapture rx_capture{rx_vm, world.clock_offset(rx_vm)};
 
   SimTime media_start{};
   testbed::SessionOrchestrator::Plan plan;
@@ -84,37 +72,20 @@ BwCapSessionResult run_one_session(const BwCapBenchmarkConfig& config, testbed::
   plan.participants = {&receiver};
   plan.media_duration = config.media_duration;
   plan.on_all_joined = [&] {
-    media_start = bed.network().now();
+    media_start = world.network().now();
     feeder.play_video(padded, config.media_duration);
     feeder.play_audio(voice);
     recorder.start(config.media_duration);
   };
-  testbed::SessionOrchestrator orchestrator{std::move(plan)};
-  orchestrator.start();
-  bed.run_all();
+  world.orchestrate(std::move(plan));
+  world.run();
 
   // --- video QoE ---
-  const media::RecordedVideo cropped = media::crop_and_resize(
-      recorder.video(), config.padding, config.content_width, config.content_height);
-  if (cropped.frames.size() >= 12) {
-    std::vector<media::Frame> reference;
-    for (std::size_t k = 0; k < cropped.frames.size(); ++k) {
-      reference.push_back(content->frame_at(static_cast<std::int64_t>(k)));
-    }
-    const auto shift = media::best_temporal_shift(reference, cropped.frames, 10);
-    const auto aligned = media::align_sequences(reference, cropped.frames, shift);
-    std::vector<media::Frame> ref_sample;
-    std::vector<media::Frame> rec_sample;
-    for (std::size_t k = 0; k < aligned.reference.size();
-         k += static_cast<std::size_t>(config.metric_stride)) {
-      ref_sample.push_back(aligned.reference[k]);
-      rec_sample.push_back(aligned.recording[k]);
-    }
-    const auto qoe = media::qoe::mean_video_qoe(ref_sample, rec_sample);
+  if (const auto qoe = scorer.score(recorder.video(), *content)) {
     out.has_video_qoe = true;
-    out.psnr = qoe.psnr;
-    out.ssim = qoe.ssim;
-    out.vifp = qoe.vifp;
+    out.psnr = qoe->psnr;
+    out.ssim = qoe->ssim;
+    out.vifp = qoe->vifp;
   }
 
   // --- audio QoE (EBU-style normalization → offset alignment → MOS) ---
@@ -151,14 +122,8 @@ BwCapSessionResult run_one_session(const BwCapBenchmarkConfig& config, testbed::
 }  // namespace
 
 BwCapBenchmarkResult run_bwcap_benchmark(const BwCapBenchmarkConfig& config) {
-  testbed::CloudTestbed bed{config.seed};
-  auto platform = platform::make_platform(
-      config.platform, bed.network(),
-      platform::PlatformConfig{.seed = config.seed ^ 0xCAB,
-                               .fan_out_shards = config.fan_out_shards});
-
-  net::Host& host_vm = bed.create_vm(testbed::site_by_name(config.host_site), 8);
-  net::Host& rx_vm = bed.create_vm(testbed::site_by_name(config.receiver_site), 9);
+  SessionWorld world{config.seed};
+  const auto [host_vm, rx_vm] = provision(world, config, config.seed);
 
   BwCapBenchmarkResult result;
   result.platform = config.platform;
@@ -166,8 +131,9 @@ BwCapBenchmarkResult run_bwcap_benchmark(const BwCapBenchmarkConfig& config) {
 
   for (int s = 0; s < config.sessions; ++s) {
     const std::uint64_t session_seed = config.seed + static_cast<std::uint64_t>(s) * 4447;
-    const BwCapSessionResult session = run_one_session(
-        config, bed, *platform, host_vm, rx_vm, config.seed ^ 0xFEED, session_seed);
+    const BwCapSessionResult session =
+        run_one_session(config, world, *host_vm, *rx_vm, config.seed ^ 0xFEED, session_seed);
+    world.end_session();
     if (session.has_video_qoe) {
       result.psnr.add(session.psnr);
       result.ssim.add(session.ssim);
@@ -182,13 +148,9 @@ BwCapBenchmarkResult run_bwcap_benchmark(const BwCapBenchmarkConfig& config) {
 }
 
 BwCapSessionResult run_bwcap_session(const BwCapBenchmarkConfig& config, std::uint64_t seed) {
-  testbed::CloudTestbed bed{seed};
-  auto platform = platform::make_platform(
-      config.platform, bed.network(),
-      platform::PlatformConfig{.seed = seed ^ 0xCAB, .fan_out_shards = config.fan_out_shards});
-  net::Host& host_vm = bed.create_vm(testbed::site_by_name(config.host_site), 8);
-  net::Host& rx_vm = bed.create_vm(testbed::site_by_name(config.receiver_site), 9);
-  return run_one_session(config, bed, *platform, host_vm, rx_vm, seed ^ 0xFEED, seed);
+  SessionWorld world{seed};
+  const auto [host_vm, rx_vm] = provision(world, config, seed);
+  return run_one_session(config, world, *host_vm, *rx_vm, seed ^ 0xFEED, seed);
 }
 
 }  // namespace vc::core

@@ -5,12 +5,7 @@
 #include <memory>
 #include <stdexcept>
 
-#include "client/media_feeder.h"
-#include "client/vca_client.h"
-#include "media/feeds.h"
-#include "platform/base_platform.h"
-#include "testbed/cloud_testbed.h"
-#include "testbed/orchestrator.h"
+#include "core/session_world.h"
 
 namespace vc::core {
 namespace {
@@ -66,13 +61,13 @@ FairnessBenchmarkResult run_fairness_session(const FairnessBenchmarkConfig& conf
     throw std::invalid_argument{"fairness benchmark wants 2-8 flows"};
   }
   const int n = static_cast<int>(config.flows.size());
-  testbed::CloudTestbed bed{seed};
+  SessionWorld world{seed};
 
   // The shared bottleneck: every flow's receiver lives on this VM, behind
   // one ingress shaper. Named after its site so fault plans can target it.
-  net::Host& gateway = bed.create_vm(testbed::site_by_name(config.gateway_site), 0);
+  net::Host& gateway = world.vm(config.gateway_site, 0);
   auto owned_shaper = std::make_unique<net::TokenBucketShaper>(
-      bed.loop(), config.bottleneck, config.burst_bytes,
+      world.loop(), config.bottleneck, config.burst_bytes,
       static_cast<std::size_t>(config.queue_limit_packets));
   net::TokenBucketShaper* shaper = owned_shaper.get();
   MetricsRegistry shaper_metrics;
@@ -96,20 +91,14 @@ FairnessBenchmarkResult run_fairness_session(const FairnessBenchmarkConfig& conf
 
   // Build the flows: per-flow platform instance, sender VM, receiver client
   // on the gateway (distinct media port), scripted session orchestration.
+  // All sessions run concurrently; each flow starts media the moment its own
+  // roster completes.
   struct Flow {
-    std::unique_ptr<platform::BasePlatform> platform;
-    std::unique_ptr<client::VcaClient> sender;
-    std::unique_ptr<client::VcaClient> receiver;
-    std::unique_ptr<client::MediaFeeder> feeder;
-    std::shared_ptr<const media::VideoFeed> feed;
-    std::unique_ptr<testbed::SessionOrchestrator> orchestrator;
+    client::VcaClient* sender = nullptr;
     SimTime media_start{};
     bool started = false;
   };
   std::vector<Flow> flows(static_cast<std::size_t>(n));
-  const int padded_w = config.feed_width + 2 * config.padding;
-  const int padded_h = config.feed_height + 2 * config.padding;
-
   for (int i = 0; i < n; ++i) {
     const FairnessFlowConfig& fc = config.flows[static_cast<std::size_t>(i)];
     Flow& flow = flows[static_cast<std::size_t>(i)];
@@ -118,68 +107,44 @@ FairnessBenchmarkResult run_fairness_session(const FairnessBenchmarkConfig& conf
     platform::PlatformConfig pc;
     pc.seed = seed ^ (0xCABu + static_cast<std::uint64_t>(i) * 0x9E37u);
     pc.fan_out_shards = config.fan_out_shards;
-    flow.platform = platform::make_platform(fc.platform, bed.network(), pc);
+    platform::BasePlatform& flow_platform = world.add_platform(fc.platform, pc);
 
-    net::Host& sender_vm = bed.create_vm(testbed::site_by_name(fc.sender_site), 10 + i);
+    net::Host& sender_vm = world.vm(fc.sender_site, 10 + i);
 
-    client::VcaClient::Config tx_cfg;
-    tx_cfg.send_video = true;
-    tx_cfg.send_audio = false;
-    tx_cfg.decode_video = false;
+    client::VcaClient::Config tx_cfg = padded_config(config.feed_width, config.feed_height,
+                                                     config.padding, config.fps, flow_seed);
     tx_cfg.motion = platform::MotionClass::kHighMotion;
-    tx_cfg.video_width = padded_w;
-    tx_cfg.video_height = padded_h;
-    tx_cfg.fps = config.fps;
-    tx_cfg.ui_border = config.padding > 8 ? config.padding - 8 : 0;
     tx_cfg.abr.kind = fc.abr;
     tx_cfg.abr.shadow = config.abr_shadow;
-    tx_cfg.seed = flow_seed;
-    flow.sender = std::make_unique<client::VcaClient>(sender_vm, *flow.platform, tx_cfg);
-    flow.feeder = std::make_unique<client::MediaFeeder>(bed.loop(), flow.sender->video_device(),
-                                                        flow.sender->audio_device());
-    flow.feed = std::make_shared<media::TourGuideFeed>(media::FeedParams{
+    flow.sender = &world.client(sender_vm, flow_platform, tx_cfg);
+    client::MediaFeeder& feeder = world.feeder(*flow.sender);
+    const auto feed = std::make_shared<media::TourGuideFeed>(media::FeedParams{
         config.feed_width, config.feed_height, config.fps, flow_seed ^ 0xFEED});
 
-    client::VcaClient::Config rx_cfg;
+    client::VcaClient::Config rx_cfg = padded_config(config.feed_width, config.feed_height,
+                                                     config.padding, config.fps, flow_seed + 77);
     rx_cfg.send_video = false;
-    rx_cfg.send_audio = false;
-    rx_cfg.decode_video = false;
-    rx_cfg.video_width = padded_w;
-    rx_cfg.video_height = padded_h;
-    rx_cfg.fps = config.fps;
-    rx_cfg.ui_border = tx_cfg.ui_border;
     rx_cfg.media_port = static_cast<std::uint16_t>(base_port + i);
     // Delivery feedback riding the receiver's loss reports is what feeds the
     // sender's adapter; plain (kNone) flows skip the bookkeeping entirely.
     rx_cfg.abr_feedback = fc.abr != abr::AbrKind::kNone;
-    rx_cfg.seed = flow_seed + 77;
-    flow.receiver = std::make_unique<client::VcaClient>(gateway, *flow.platform, rx_cfg);
-  }
 
-  // Orchestrate all sessions concurrently; each flow starts media the moment
-  // its own roster completes. The padded feed plays for the media duration.
-  for (int i = 0; i < n; ++i) {
-    Flow& flow = flows[static_cast<std::size_t>(i)];
     testbed::SessionOrchestrator::Plan plan;
-    plan.host = flow.sender.get();
-    plan.participants = {flow.receiver.get()};
+    plan.host = flow.sender;
+    plan.participants = {&world.client(gateway, flow_platform, rx_cfg)};
     plan.media_duration = config.media_duration;
-    plan.on_all_joined = [&flow, &bed, &config, i, &flows]() {
-      flow.media_start = bed.network().now();
+    plan.on_all_joined = [&flow, &feeder, feed, &world, &config, i]() {
+      flow.media_start = world.network().now();
       flow.started = true;
-      flow.feeder->play_video(std::make_shared<media::PaddedFeed>(flow.feed, config.padding),
-                              config.media_duration);
+      feeder.play_video(std::make_shared<media::PaddedFeed>(feed, config.padding),
+                        config.media_duration);
       if (i == 0 && config.use_fault_plan && !config.fault_plan.empty()) {
-        fault::FaultPlan::Bindings bindings;
-        bindings.network = &bed.network();
-        bindings.platform = flows[0].platform.get();
-        config.fault_plan.arm(bindings, bed.network().now());
+        config.fault_plan.arm(world.bindings(), world.network().now());
       }
     };
-    flow.orchestrator = std::make_unique<testbed::SessionOrchestrator>(std::move(plan));
-    flow.orchestrator->start();
+    world.orchestrate(std::move(plan));
   }
-  bed.run_all();
+  world.run();
 
   // --- measurement window: all flows streaming ---
   SimTime window_start = SimTime::zero();

@@ -3,25 +3,14 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "capture/lag_detector.h"
-#include "client/media_feeder.h"
-#include "client/vca_client.h"
-#include "net/network.h"
-#include "testbed/cloud_testbed.h"
-#include "testbed/orchestrator.h"
+#include "core/session_world.h"
 
 namespace vc::core {
 
 FaultRecoveryResult run_fault_recovery_benchmark(const FaultRecoveryConfig& config) {
   if (config.participant_sites.empty()) throw std::invalid_argument{"no participants"};
-  testbed::CloudTestbed bed{config.seed};
-  std::unique_ptr<platform::BasePlatform> platform =
-      platform::make_platform(config.platform, bed.network(),
-                              platform::PlatformConfig{.seed = config.seed ^ 0xABC,
-                                                       .fan_out_shards = config.fan_out_shards});
-
   // Reconnect instruments (client.disconnects / client.reconnects /
   // client.time_to_reconnect_ms) are harvested from a registry; when the
   // caller brings none, a local one keeps the result self-contained. Callers
@@ -29,50 +18,28 @@ FaultRecoveryResult run_fault_recovery_benchmark(const FaultRecoveryConfig& conf
   // counters are read as absolute values.
   MetricsRegistry local_metrics;
   MetricsRegistry& reg = config.metrics != nullptr ? *config.metrics : local_metrics;
-  bed.network().attach_metrics(reg);
-  platform->set_metrics(&reg);
-  if (config.tracer != nullptr) {
-    bed.network().set_tracer(config.tracer);
-    platform->set_tracer(config.tracer);
-  }
+  SessionWorld world{config.seed, {&reg, config.tracer, config.timeline}};
+  world.add_platform(config.platform,
+                     {.seed = config.seed ^ 0xABC, .fan_out_shards = config.fan_out_shards});
 
-  net::Host& host_vm = bed.create_vm(testbed::site_by_name(config.host_site), 8);
-  std::vector<net::Host*> part_vms;
-  std::unordered_map<std::string, int> site_use;
-  for (const auto& site : config.participant_sites) {
-    part_vms.push_back(&bed.create_vm(testbed::site_by_name(site), site_use[site]++));
-  }
+  net::Host& host_vm = world.vm(config.host_site, 8);
+  const std::vector<net::Host*> part_vms = world.vms(config.participant_sites);
 
   const auto feed = std::make_shared<media::FlashFeed>(
       media::FeedParams{config.feed_width, config.feed_height, config.fps, config.seed ^ 0xF1A5});
 
-  client::VcaClient::Config host_cfg;
-  host_cfg.send_video = true;
-  host_cfg.send_audio = false;
-  host_cfg.decode_video = false;
-  host_cfg.video_width = config.feed_width;
-  host_cfg.video_height = config.feed_height;
-  host_cfg.fps = config.fps;
-  host_cfg.seed = config.seed;
-  client::VcaClient host_client{host_vm, *platform, host_cfg};
-  host_client.attach_metrics(reg);
-  if (config.tracer != nullptr) host_client.set_tracer(config.tracer);
-  client::MediaFeeder feeder{bed.loop(), host_client.video_device(), host_client.audio_device()};
-  capture::PacketCapture host_capture{host_vm, bed.clock_offset(host_vm)};
+  client::VcaClient& host_client = world.client(
+      host_vm, video_config(config.feed_width, config.feed_height, config.fps, config.seed));
+  client::MediaFeeder& feeder = world.feeder(host_client);
+  capture::PacketCapture host_capture{host_vm, world.clock_offset(host_vm)};
 
-  std::vector<std::unique_ptr<client::VcaClient>> participants;
+  testbed::SessionOrchestrator::Plan plan;
+  plan.host = &host_client;
   std::vector<std::unique_ptr<capture::PacketCapture>> captures;
   for (std::size_t i = 0; i < part_vms.size(); ++i) {
-    client::VcaClient::Config cfg;
-    cfg.send_video = false;
-    cfg.send_audio = false;
-    cfg.decode_video = false;
-    cfg.seed = config.seed + 31 * i;
-    participants.push_back(std::make_unique<client::VcaClient>(*part_vms[i], *platform, cfg));
-    participants.back()->attach_metrics(reg);
-    if (config.tracer != nullptr) participants.back()->set_tracer(config.tracer);
+    plan.participants.push_back(&world.client(*part_vms[i], listener_config(config.seed + 31 * i)));
     captures.push_back(
-        std::make_unique<capture::PacketCapture>(*part_vms[i], bed.clock_offset(*part_vms[i])));
+        std::make_unique<capture::PacketCapture>(*part_vms[i], world.clock_offset(*part_vms[i])));
   }
 
   fault::FaultPlan timeline;
@@ -95,38 +62,21 @@ FaultRecoveryResult run_fault_recovery_benchmark(const FaultRecoveryConfig& conf
   SimTime outage_begin_abs{};
   SimTime recovery_end_abs{};
 
-  testbed::SessionOrchestrator::Plan plan;
-  plan.host = &host_client;
-  for (auto& p : participants) plan.participants.push_back(p.get());
   plan.media_duration = config.session_duration;
-  plan.metrics = &reg;
-  plan.tracer = config.tracer;
   plan.reconnect = config.reconnect;
   plan.reconnect_seed = config.seed ^ 0xFA117;
   plan.on_all_joined = [&] {
     feeder.play_video(feed, config.session_duration);
-    const SimTime origin = bed.loop().now();
+    const SimTime origin = world.loop().now();
     outage_begin_abs = origin + config.outage_start;
     recovery_end_abs = outage_begin_abs + config.outage_duration + config.recovery_grace;
-    if (config.inject) {
-      fault::FaultPlan::Bindings bindings;
-      bindings.network = &bed.network();
-      bindings.platform = platform.get();
-      bindings.metrics = &reg;
-      bindings.tracer = config.tracer;
-      timeline.arm(bindings, origin);
-    }
+    if (config.inject) timeline.arm(world.bindings(), origin);
   };
-  testbed::SessionOrchestrator orchestrator{std::move(plan)};
-  if (config.timeline != nullptr) {
-    // The bound (join + media + reconnect-tail headroom) is what lets the
-    // self-rescheduling tick chain end and run_all() drain.
-    config.timeline->arm(bed.loop(), reg, SimTime::zero(),
-                         SimTime::zero() + config.session_duration + config.outage_duration +
-                             config.recovery_grace + seconds(30));
-  }
-  orchestrator.start();
-  bed.run_all();
+  world.orchestrate(std::move(plan));
+  // The timeline bound (join + media + reconnect-tail headroom) is what lets
+  // the self-rescheduling tick chain end and the run drain.
+  world.run(config.session_duration + config.outage_duration + config.recovery_grace +
+            seconds(30));
 
   FaultRecoveryResult result;
   result.platform = config.platform;
@@ -172,11 +122,7 @@ FaultRecoveryResult run_fault_recovery_benchmark(const FaultRecoveryConfig& conf
   }
   reg.gauge("fault.lag_spike_hwm_ms").set(result.lag_spike_hwm_ms);
 
-  platform::RelayAllocator& alloc = platform->allocator();
-  for (std::size_t i = 0; i < alloc.relays_created(); ++i) {
-    result.packets_lost_in_outage +=
-        static_cast<std::int64_t>(alloc.relay_at(i)->stats().crash_dropped);
-  }
+  result.packets_lost_in_outage = world.crash_dropped();
 
   result.disconnects = reg.counter("client.disconnects").value();
   result.reconnects = reg.counter("client.reconnects").value();

@@ -28,11 +28,11 @@ struct LagBenchmarkConfig {
   std::vector<std::string> participant_sites;
   int sessions = 20;
   SimDuration session_duration = seconds(120);
-  /// Flash-feed geometry (small frames keep the codec cheap; the signal on
-  /// the wire is what matters).
   /// Webex subscription tier (Section 6: the paid tier provisions relays
   /// near the meeting, collapsing the detour lags of the free tier).
   platform::WebexTier webex_tier = platform::WebexTier::kFree;
+  /// Flash-feed geometry (small frames keep the codec cheap; the signal on
+  /// the wire is what matters).
   int feed_width = 128;
   int feed_height = 96;
   double fps = 10.0;

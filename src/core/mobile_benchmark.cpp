@@ -1,26 +1,23 @@
 #include "core/mobile_benchmark.h"
 
+#include <array>
 #include <memory>
 
-#include "client/media_feeder.h"
+#include "core/session_world.h"
 #include "media/audio.h"
-#include "client/vca_client.h"
 #include "mobile/resource_monitor.h"
-#include "platform/base_platform.h"
-#include "testbed/cloud_testbed.h"
-#include "testbed/orchestrator.h"
 
 namespace vc::core {
 namespace {
 
 struct PhoneRun {
-  std::unique_ptr<client::VcaClient> client;
+  client::VcaClient* client;
   std::unique_ptr<mobile::ResourceMonitor> monitor;
 };
 
-PhoneRun make_phone(net::Host& host, platform::BasePlatform& platform,
-                    const mobile::DeviceProfile& device, mobile::MobileScenario scenario,
-                    platform::ViewMode view_override, bool use_override, std::uint64_t seed) {
+PhoneRun make_phone(SessionWorld& world, net::Host& host, const mobile::DeviceProfile& device,
+                    mobile::MobileScenario scenario, platform::ViewMode view_override,
+                    bool use_override, std::uint64_t seed) {
   const mobile::ScenarioSettings s = mobile::scenario_settings(scenario);
   client::VcaClient::Config cfg;
   cfg.device = device.device_class;
@@ -31,10 +28,36 @@ PhoneRun make_phone(net::Host& host, platform::BasePlatform& platform,
   cfg.synthetic_video = true;
   cfg.rate_override = device.camera_rate;
   cfg.seed = seed;
-  PhoneRun run;
-  run.client = std::make_unique<client::VcaClient>(host, platform, cfg);
-  run.monitor = std::make_unique<mobile::ResourceMonitor>(*run.client, device, scenario, seed ^ 0xC9F7);
-  return run;
+  client::VcaClient& phone = world.client(host, cfg);
+  return PhoneRun{&phone, std::make_unique<mobile::ResourceMonitor>(phone, device, scenario,
+                                                                    seed ^ 0xC9F7)};
+}
+
+/// The phone testbed both mobile entry points share: the platform, the
+/// US-East host VM, then the S10 and J3 on the residential network.
+std::array<net::Host*, 3> provision(SessionWorld& world, platform::PlatformId id,
+                                    std::uint64_t platform_seed, int fan_out_shards) {
+  world.add_platform(id, {.seed = platform_seed, .fan_out_shards = fan_out_shards});
+  net::Host* host_vm = &world.vm("US-East", 8);
+  net::Host* s10 = &world.vm(testbed::residential_us_east(), 0);
+  return {host_vm, s10, &world.vm(testbed::residential_us_east(), 1)};
+}
+
+/// A VM streaming modeled (synthetic) video without audio. Meet serves
+/// mobile receivers its high simulcast layer regardless of the target device
+/// (Fig 19b), while Zoom/Webex stay on their multi-party policy rates.
+client::VcaClient::Config vm_sender(platform::PlatformId id, platform::MotionClass motion,
+                                    std::uint64_t seed) {
+  client::VcaClient::Config cfg;
+  cfg.send_audio = false;
+  cfg.decode_video = false;
+  cfg.synthetic_video = true;
+  cfg.motion = motion;
+  if (id == platform::PlatformId::kMeet) {
+    cfg.rate_override = platform::rate_profile(id).mobile_main_rate;
+  }
+  cfg.seed = seed;
+  return cfg;
 }
 
 }  // namespace
@@ -42,50 +65,35 @@ PhoneRun make_phone(net::Host& host, platform::BasePlatform& platform,
 MobileSessionResult run_mobile_session(const MobileBenchmarkConfig& config, std::uint64_t seed) {
   const mobile::ScenarioSettings settings = mobile::scenario_settings(config.scenario);
 
-  testbed::CloudTestbed bed{seed};
-  auto platform = platform::make_platform(
-      config.platform, bed.network(),
-      platform::PlatformConfig{.seed = seed ^ 0x303, .fan_out_shards = config.fan_out_shards});
+  SessionWorld world{seed};
+  const auto [host_vm, s10_vm, j3_vm] =
+      provision(world, config.platform, seed ^ 0x303, config.fan_out_shards);
 
-  net::Host& host_vm = bed.create_vm(testbed::site_by_name("US-East"), 8);
-  net::Host& s10_host = bed.create_vm(testbed::residential_us_east(), 0);
-  net::Host& j3_host = bed.create_vm(testbed::residential_us_east(), 1);
-
-  // The host streams the LM/HM feed; Meet serves mobile receivers its high
-  // simulcast layer regardless of the target device (Fig 19b), while
-  // Zoom/Webex stay on their multi-party policy rates.
-  client::VcaClient::Config host_cfg;
-  host_cfg.send_video = true;
+  // The host streams the LM/HM feed, with audio.
+  client::VcaClient::Config host_cfg = vm_sender(
+      config.platform,
+      settings.high_motion ? platform::MotionClass::kHighMotion : platform::MotionClass::kLowMotion,
+      seed);
   host_cfg.send_audio = true;
-  host_cfg.decode_video = false;
-  host_cfg.synthetic_video = true;
-  host_cfg.motion = settings.high_motion ? platform::MotionClass::kHighMotion
-                                         : platform::MotionClass::kLowMotion;
-  if (config.platform == platform::PlatformId::kMeet) {
-    host_cfg.rate_override = platform::rate_profile(config.platform).mobile_main_rate;
-  }
-  host_cfg.seed = seed;
-  client::VcaClient host_client{host_vm, *platform, host_cfg};
-  client::MediaFeeder feeder{bed.loop(), host_client.video_device(),
-                             host_client.audio_device()};
+  client::VcaClient& host_client = world.client(*host_vm, host_cfg);
+  client::MediaFeeder& feeder = world.feeder(host_client);
 
-  PhoneRun s10 = make_phone(s10_host, *platform, mobile::galaxy_s10(), config.scenario,
+  PhoneRun s10 = make_phone(world, *s10_vm, mobile::galaxy_s10(), config.scenario,
                             platform::ViewMode::kFullScreen, false, seed + 1);
-  PhoneRun j3 = make_phone(j3_host, *platform, mobile::galaxy_j3(), config.scenario,
+  PhoneRun j3 = make_phone(world, *j3_vm, mobile::galaxy_j3(), config.scenario,
                            platform::ViewMode::kFullScreen, false, seed + 2);
 
   testbed::SessionOrchestrator::Plan plan;
   plan.host = &host_client;
-  plan.participants = {s10.client.get(), j3.client.get()};
+  plan.participants = {s10.client, j3.client};
   plan.media_duration = config.duration;
   plan.on_all_joined = [&] {
     feeder.play_audio(media::synthesize_voice(config.duration.seconds(), seed ^ 0xA0D10));
     s10.monitor->start(config.duration);
     j3.monitor->start(config.duration);
   };
-  testbed::SessionOrchestrator orchestrator{std::move(plan)};
-  orchestrator.start();
-  bed.run_all();
+  world.orchestrate(std::move(plan));
+  world.run();
 
   MobileSessionResult out;
   out.s10_cpu = s10.monitor->cpu_samples();
@@ -129,63 +137,42 @@ MobileBenchmarkResult run_mobile_benchmark(const MobileBenchmarkConfig& config) 
 ScaleSessionResult run_scale_session(const ScaleBenchmarkConfig& config, std::uint64_t seed) {
   const int extra_vms = std::max(0, config.n_total - 3);
 
-  testbed::CloudTestbed bed{seed};
-  auto platform = platform::make_platform(
-      config.platform, bed.network(),
-      platform::PlatformConfig{.seed = seed ^ 0x404, .fan_out_shards = config.fan_out_shards});
-  if (config.tracer != nullptr) {
-    bed.network().set_tracer(config.tracer);
-    platform->set_tracer(config.tracer);
-  }
-
-  net::Host& host_vm = bed.create_vm(testbed::site_by_name("US-East"), 8);
-  net::Host& s10_host = bed.create_vm(testbed::residential_us_east(), 0);
-  net::Host& j3_host = bed.create_vm(testbed::residential_us_east(), 1);
+  SessionWorld world{seed, {.tracer = config.tracer}};
+  const auto [host_vm, s10_vm, j3_vm] =
+      provision(world, config.platform, seed ^ 0x404, config.fan_out_shards);
 
   // Everyone streams high-motion simultaneously (Section 5, Table 4).
   auto make_vm_sender = [&](net::Host& vm, std::uint64_t s) {
-    client::VcaClient::Config cfg;
-    cfg.send_video = true;
-    cfg.send_audio = false;
-    cfg.decode_video = false;
-    cfg.synthetic_video = true;
-    cfg.motion = platform::MotionClass::kHighMotion;
-    if (config.platform == platform::PlatformId::kMeet) {
-      cfg.rate_override = platform::rate_profile(config.platform).mobile_main_rate;
-    }
-    cfg.seed = s;
-    return std::make_unique<client::VcaClient>(vm, *platform, cfg);
+    return &world.client(vm, vm_sender(config.platform, platform::MotionClass::kHighMotion, s));
   };
 
-  auto host_client = make_vm_sender(host_vm, seed);
-  client::MediaFeeder feeder{bed.loop(), host_client->video_device(),
-                             host_client->audio_device()};
-  std::vector<std::unique_ptr<client::VcaClient>> extras;
+  client::VcaClient* host_client = make_vm_sender(*host_vm, seed);
+  client::MediaFeeder& feeder = world.feeder(*host_client);
+  std::vector<client::VcaClient*> extras;
   const auto us = testbed::us_sites();
   for (int i = 0; i < extra_vms; ++i) {
-    net::Host& vm = bed.create_vm(us[static_cast<std::size_t>(i) % us.size()], 20 + i);
+    net::Host& vm = world.vm(us[static_cast<std::size_t>(i) % us.size()], 20 + i);
     extras.push_back(make_vm_sender(vm, seed + 100 + static_cast<std::uint64_t>(i)));
   }
 
   // Phones use the HM scenario settings with the requested view.
-  PhoneRun s10 = make_phone(s10_host, *platform, mobile::galaxy_s10(),
-                            mobile::MobileScenario::kHM, config.phone_view, true, seed + 1);
-  PhoneRun j3 = make_phone(j3_host, *platform, mobile::galaxy_j3(),
-                           mobile::MobileScenario::kHM, config.phone_view, true, seed + 2);
+  PhoneRun s10 = make_phone(world, *s10_vm, mobile::galaxy_s10(), mobile::MobileScenario::kHM,
+                            config.phone_view, true, seed + 1);
+  PhoneRun j3 = make_phone(world, *j3_vm, mobile::galaxy_j3(), mobile::MobileScenario::kHM,
+                           config.phone_view, true, seed + 2);
 
   testbed::SessionOrchestrator::Plan plan;
-  plan.host = host_client.get();
-  plan.participants = {s10.client.get(), j3.client.get()};
-  for (auto& e : extras) plan.participants.push_back(e.get());
+  plan.host = host_client;
+  plan.participants = {s10.client, j3.client};
+  plan.participants.insert(plan.participants.end(), extras.begin(), extras.end());
   plan.media_duration = config.duration;
   plan.on_all_joined = [&] {
     feeder.play_audio(media::synthesize_voice(config.duration.seconds(), seed ^ 0xA0D11));
     s10.monitor->start(config.duration);
     j3.monitor->start(config.duration);
   };
-  testbed::SessionOrchestrator orchestrator{std::move(plan)};
-  orchestrator.start();
-  bed.run_all();
+  world.orchestrate(std::move(plan));
+  world.run();
 
   ScaleSessionResult out;
   out.s10_cpu = s10.monitor->cpu_samples();

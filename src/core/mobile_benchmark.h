@@ -76,8 +76,8 @@ struct ScaleBenchmarkConfig {
   /// Intra-session relay fan-out sharding (PlatformConfig::fan_out_shards);
   /// 0 = serial, any K is byte-identical.
   int fan_out_shards = 0;
-  /// Optional flight recorder wired into the event loop, links/shapers and
-  /// relays (see LagBenchmarkConfig::tracer).
+  /// Optional flight recorder wired into the event loop, links/shapers,
+  /// relays and clients (see LagBenchmarkConfig::tracer).
   Tracer* tracer = nullptr;
 };
 

@@ -2,86 +2,72 @@
 
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "capture/rate_analyzer.h"
-#include "client/media_feeder.h"
 #include "client/recorder.h"
-#include "client/vca_client.h"
-#include "media/align.h"
-#include "media/feeds.h"
-#include "platform/base_platform.h"
-#include "testbed/cloud_testbed.h"
-#include "testbed/orchestrator.h"
+#include "core/session_world.h"
 
 namespace vc::core {
 namespace {
 
-std::shared_ptr<const media::VideoFeed> make_content_feed(const QoeBenchmarkConfig& cfg,
-                                                          std::uint64_t seed) {
-  media::FeedParams params{cfg.content_width, cfg.content_height, cfg.fps, seed};
-  if (cfg.motion == platform::MotionClass::kHighMotion) {
-    return std::make_shared<media::TourGuideFeed>(params);
-  }
-  return std::make_shared<media::TalkingHeadFeed>(params);
+/// The long-lived testbed both entry points share: the platform, then the
+/// host VM followed by one VM per receiver site.
+std::vector<net::Host*> provision(SessionWorld& world, const QoeBenchmarkConfig& config,
+                                  std::uint64_t seed) {
+  world.add_platform(config.platform, {.seed = seed ^ 0xBEEF});
+  std::vector<net::Host*> vms{&world.vm(config.host_site, 8)};
+  for (net::Host* vm : world.vms(config.receiver_sites)) vms.push_back(vm);
+  return vms;
 }
 
-/// One broadcast session against an existing world. Shared by the aggregate
-/// benchmark (persistent bed/VMs across sessions, like the paper's
-/// long-lived testbed) and the self-contained per-seed entry point.
-QoeSessionResult run_one_session(const QoeBenchmarkConfig& config, testbed::CloudTestbed& bed,
-                                 platform::BasePlatform& platform, net::Host& host_vm,
-                                 const std::vector<net::Host*>& rx_vms, std::uint64_t feed_seed,
+/// One broadcast session from vms[0] to the rest of the provisioned VMs.
+/// Shared by the aggregate benchmark (persistent bed/VMs across sessions,
+/// like the paper's long-lived testbed) and the self-contained per-seed
+/// entry point.
+QoeSessionResult run_one_session(const QoeBenchmarkConfig& config, SessionWorld& world,
+                                 const std::vector<net::Host*>& vms, std::uint64_t feed_seed,
                                  std::uint64_t session_seed) {
-  const int padded_w = config.content_width + 2 * config.padding;
-  const int padded_h = config.content_height + 2 * config.padding;
-  const auto content = make_content_feed(config, feed_seed);
+  // Built first, so a bad metric_stride throws before anything is simulated.
+  const VideoScorer scorer{config.padding, config.content_width, config.content_height,
+                           config.score_video ? config.metric_stride : 1};
+  const auto content = motion_feed(
+      config.motion, {config.content_width, config.content_height, config.fps, feed_seed});
   const auto padded = std::make_shared<media::PaddedFeed>(content, config.padding);
+  net::Host& host_vm = *vms[0];
 
-  client::VcaClient::Config host_cfg;
-  host_cfg.send_video = true;
+  client::VcaClient::Config host_cfg = padded_config(
+      config.content_width, config.content_height, config.padding, config.fps, session_seed);
   host_cfg.send_audio = true;
-  host_cfg.decode_video = false;
   host_cfg.motion = config.motion;
-  host_cfg.video_width = padded_w;
-  host_cfg.video_height = padded_h;
-  host_cfg.fps = config.fps;
-  host_cfg.ui_border = config.padding > 8 ? config.padding - 8 : 0;
   // Rates-only runs skip the pixel codec: frame sizes follow the same
   // policy targets either way, and nobody scores pixels.
   host_cfg.synthetic_video = !config.score_video;
-  host_cfg.seed = session_seed;
-  client::VcaClient host_client{host_vm, platform, host_cfg};
-  client::MediaFeeder feeder{bed.loop(), host_client.video_device(), host_client.audio_device()};
-  capture::PacketCapture host_capture{host_vm, bed.clock_offset(host_vm)};
+  client::VcaClient& host_client = world.client(host_vm, host_cfg);
+  client::MediaFeeder& feeder = world.feeder(host_client);
+  capture::PacketCapture host_capture{host_vm, world.clock_offset(host_vm)};
 
-  std::vector<std::unique_ptr<client::VcaClient>> receivers;
+  std::vector<client::VcaClient*> receivers;
   std::vector<std::unique_ptr<client::DesktopRecorder>> recorders;
   std::vector<std::unique_ptr<capture::PacketCapture>> captures;
-  for (std::size_t i = 0; i < rx_vms.size(); ++i) {
-    client::VcaClient::Config cfg;
+  for (std::size_t i = 1; i < vms.size(); ++i) {
+    client::VcaClient::Config cfg = padded_config(config.content_width, config.content_height,
+                                                  config.padding, config.fps,
+                                                  session_seed + 17 * i);
     cfg.send_video = false;
-    cfg.send_audio = false;
-    cfg.decode_video = true;
-    cfg.video_width = padded_w;
-    cfg.video_height = padded_h;
-    cfg.fps = config.fps;
-    cfg.ui_border = host_cfg.ui_border;
-    cfg.seed = session_seed + 17 * (i + 1);
     cfg.decode_video = config.score_video;
-    receivers.push_back(std::make_unique<client::VcaClient>(*rx_vms[i], platform, cfg));
+    receivers.push_back(&world.client(*vms[i], cfg));
     recorders.push_back(std::make_unique<client::DesktopRecorder>(*receivers.back(), config.fps));
     captures.push_back(
-        std::make_unique<capture::PacketCapture>(*rx_vms[i], bed.clock_offset(*rx_vms[i])));
+        std::make_unique<capture::PacketCapture>(*vms[i], world.clock_offset(*vms[i])));
   }
 
   SimTime media_start{};
   testbed::SessionOrchestrator::Plan plan;
   plan.host = &host_client;
-  for (auto& r : receivers) plan.participants.push_back(r.get());
+  plan.participants = receivers;
   plan.media_duration = config.media_duration;
   plan.on_all_joined = [&] {
-    media_start = bed.network().now();
+    media_start = world.network().now();
     feeder.play_video(padded, config.media_duration);
     const double audio_sec = config.media_duration.seconds();
     feeder.play_audio(media::synthesize_voice(audio_sec, session_seed ^ 0xA0D10));
@@ -89,9 +75,8 @@ QoeSessionResult run_one_session(const QoeBenchmarkConfig& config, testbed::Clou
       for (auto& rec : recorders) rec->start(config.media_duration);
     }
   };
-  testbed::SessionOrchestrator orchestrator{std::move(plan)};
-  orchestrator.start();
-  bed.run_all();
+  world.orchestrate(std::move(plan));
+  world.run();
 
   // ---- scoring ----
   QoeSessionResult out;
@@ -117,34 +102,11 @@ QoeSessionResult run_one_session(const QoeBenchmarkConfig& config, testbed::Clou
     }
 
     if (config.score_video) {
-      // Recording post-processing: crop padding (which also removes the UI
-      // border), then temporal alignment to the injected feed.
-      const media::RecordedVideo cropped = media::crop_and_resize(
-          recorders[i]->video(), config.padding, config.content_width, config.content_height);
-      if (cropped.frames.size() >= 12) {  // shorter recordings can't be scored
-        std::vector<media::Frame> reference;
-        reference.reserve(cropped.frames.size());
-        for (std::size_t k = 0; k < cropped.frames.size(); ++k) {
-          reference.push_back(content->frame_at(static_cast<std::int64_t>(k)));
-        }
-        const std::int64_t shift =
-            media::best_temporal_shift(reference, cropped.frames, /*max_shift=*/10);
-        const auto aligned = media::align_sequences(reference, cropped.frames, shift);
-
-        std::vector<media::Frame> ref_sample;
-        std::vector<media::Frame> rec_sample;
-        for (std::size_t k = 0; k < aligned.reference.size();
-             k += static_cast<std::size_t>(config.metric_stride)) {
-          ref_sample.push_back(aligned.reference[k]);
-          rec_sample.push_back(aligned.recording[k]);
-        }
-        if (!ref_sample.empty()) {
-          const auto qoe = media::qoe::mean_video_qoe(ref_sample, rec_sample);
-          rx.has_video_qoe = true;
-          rx.psnr = qoe.psnr;
-          rx.ssim = qoe.ssim;
-          rx.vifp = qoe.vifp;
-        }
+      if (const auto qoe = scorer.score(recorders[i]->video(), *content)) {
+        rx.has_video_qoe = true;
+        rx.psnr = qoe->psnr;
+        rx.ssim = qoe->ssim;
+        rx.vifp = qoe->vifp;
       }
     }
     out.receivers.push_back(rx);
@@ -180,26 +142,19 @@ std::vector<std::string> europe_qoe_receiver_sites(int n) {
 
 QoeBenchmarkResult run_qoe_benchmark(const QoeBenchmarkConfig& config) {
   validate_geometry(config);
-
-  testbed::CloudTestbed bed{config.seed};
-  auto platform = platform::make_platform(config.platform, bed.network(), config.seed ^ 0xBEEF);
-
-  net::Host& host_vm = bed.create_vm(testbed::site_by_name(config.host_site), 8);
-  std::vector<net::Host*> rx_vms;
-  std::unordered_map<std::string, int> site_use;
-  for (const auto& site : config.receiver_sites) {
-    rx_vms.push_back(&bed.create_vm(testbed::site_by_name(site), site_use[site]++));
-  }
+  SessionWorld world{config.seed};
+  const std::vector<net::Host*> vms = provision(world, config, config.seed);
 
   QoeBenchmarkResult result;
   result.platform = config.platform;
   result.motion = config.motion;
-  result.receivers = static_cast<int>(rx_vms.size());
+  result.receivers = static_cast<int>(vms.size()) - 1;
 
   for (int s = 0; s < config.sessions; ++s) {
     const std::uint64_t session_seed = config.seed + static_cast<std::uint64_t>(s) * 6151;
-    const QoeSessionResult session = run_one_session(config, bed, *platform, host_vm, rx_vms,
-                                                     config.seed ^ 0xC0FFEE, session_seed);
+    const QoeSessionResult session =
+        run_one_session(config, world, vms, config.seed ^ 0xC0FFEE, session_seed);
+    world.end_session();
     result.upload_kbps.add(session.upload_kbps);
     for (const QoeReceiverResult& rx : session.receivers) {
       result.download_kbps.add(rx.download_kbps);
@@ -217,15 +172,9 @@ QoeBenchmarkResult run_qoe_benchmark(const QoeBenchmarkConfig& config) {
 
 QoeSessionResult run_qoe_session(const QoeBenchmarkConfig& config, std::uint64_t seed) {
   validate_geometry(config);
-  testbed::CloudTestbed bed{seed};
-  auto platform = platform::make_platform(config.platform, bed.network(), seed ^ 0xBEEF);
-  net::Host& host_vm = bed.create_vm(testbed::site_by_name(config.host_site), 8);
-  std::vector<net::Host*> rx_vms;
-  std::unordered_map<std::string, int> site_use;
-  for (const auto& site : config.receiver_sites) {
-    rx_vms.push_back(&bed.create_vm(testbed::site_by_name(site), site_use[site]++));
-  }
-  return run_one_session(config, bed, *platform, host_vm, rx_vms, seed ^ 0xC0FFEE, seed);
+  SessionWorld world{seed};
+  const std::vector<net::Host*> vms = provision(world, config, seed);
+  return run_one_session(config, world, vms, seed ^ 0xC0FFEE, seed);
 }
 
 }  // namespace vc::core

@@ -5,13 +5,7 @@
 #include <memory>
 #include <stdexcept>
 
-#include "client/media_feeder.h"
-#include "client/vca_client.h"
-#include "fault/fault_plan.h"
-#include "media/feeds.h"
-#include "platform/base_platform.h"
-#include "testbed/cloud_testbed.h"
-#include "testbed/orchestrator.h"
+#include "core/session_world.h"
 
 namespace vc::core {
 namespace {
@@ -64,18 +58,17 @@ QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& c
     }
   }
 
-  testbed::CloudTestbed bed{seed};
-  auto platform = platform::make_platform(
-      config.platform, bed.network(),
-      platform::PlatformConfig{.seed = seed ^ 0x1FE2, .fan_out_shards = config.fan_out_shards});
-  net::Host& host_vm = bed.create_vm(testbed::site_by_name(config.host_site), 8);
-  net::Host& rx_vm = bed.create_vm(testbed::site_by_name(config.receiver_site), 9);
+  SessionWorld world{seed, {config.metrics, config.tracer}};
+  world.add_platform(config.platform,
+                     {.seed = seed ^ 0x1FE2, .fan_out_shards = config.fan_out_shards});
+  net::Host& host_vm = world.vm(config.host_site, 8);
+  net::Host& rx_vm = world.vm(config.receiver_site, 9);
 
   // Last-mile profile on the receiver's ingress (the tc/ifb analog).
   const DataRate cap = shaper_rate(config.shaper);
   if (!cap.is_unlimited()) {
     rx_vm.set_ingress_shaper(std::make_unique<net::TokenBucketShaper>(
-        bed.loop(), cap, /*burst=*/24'000, /*queue_limit_packets=*/100));
+        world.loop(), cap, /*burst=*/24'000, /*queue_limit_packets=*/100));
   }
 
   // The scripted impairment timeline — and, for outages, the freeze truth.
@@ -92,19 +85,13 @@ QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& c
       media::FeedParams{config.content_width, config.content_height, config.fps, seed ^ 0xFACE});
   const auto padded = std::make_shared<media::PaddedFeed>(content, config.padding);
 
-  client::VcaClient::Config host_cfg;
-  host_cfg.send_video = true;
+  client::VcaClient::Config host_cfg = padded_config(
+      config.content_width, config.content_height, config.padding, config.fps, seed);
   host_cfg.send_audio = true;  // audio interleaves on the wire: the
                                // classifier must reject it by size alone
-  host_cfg.decode_video = false;
   host_cfg.motion = platform::MotionClass::kLowMotion;
-  host_cfg.video_width = padded_w;
-  host_cfg.video_height = padded_h;
-  host_cfg.fps = config.fps;
-  host_cfg.ui_border = config.padding > 8 ? config.padding - 8 : 0;
-  host_cfg.seed = seed;
-  client::VcaClient host_client{host_vm, *platform, host_cfg};
-  client::MediaFeeder feeder{bed.loop(), host_client.video_device(), host_client.audio_device()};
+  client::VcaClient& host_client = world.client(host_vm, host_cfg);
+  client::MediaFeeder& feeder = world.feeder(host_client);
 
   // Ground-truth encode-target timeline (truth side only; the inferencer
   // never sees it).
@@ -112,17 +99,12 @@ QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& c
   host_client.set_on_target_change(
       [&target_timeline](SimTime at, DataRate rate) { target_timeline.emplace_back(at, rate); });
 
-  client::VcaClient::Config rx_cfg;
+  // Completed-frame accounting needs no decoded pixels.
+  client::VcaClient::Config rx_cfg = padded_config(
+      config.content_width, config.content_height, config.padding, config.fps, seed + 53);
   rx_cfg.send_video = false;
-  rx_cfg.send_audio = false;
-  rx_cfg.decode_video = false;  // completed-frame accounting needs no pixels
-  rx_cfg.video_width = padded_w;
-  rx_cfg.video_height = padded_h;
-  rx_cfg.fps = config.fps;
-  rx_cfg.ui_border = host_cfg.ui_border;
-  rx_cfg.seed = seed + 53;
-  client::VcaClient receiver{rx_vm, *platform, rx_cfg};
-  capture::PacketCapture rx_capture{rx_vm, bed.clock_offset(rx_vm)};
+  client::VcaClient& receiver = world.client(rx_vm, rx_cfg);
+  capture::PacketCapture rx_capture{rx_vm, world.clock_offset(rx_vm)};
 
   SimTime media_start{};
   testbed::SessionOrchestrator::Plan orch_plan;
@@ -130,20 +112,13 @@ QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& c
   orch_plan.participants = {&receiver};
   orch_plan.media_duration = config.media_duration;
   orch_plan.on_all_joined = [&] {
-    media_start = bed.network().now();
+    media_start = world.network().now();
     feeder.play_video(padded, config.media_duration);
     feeder.play_audio(media::synthesize_voice(config.media_duration.seconds(), seed ^ 0xA0D10));
-    if (!plan.empty()) {
-      plan.arm(fault::FaultPlan::Bindings{.network = &bed.network(),
-                                          .platform = platform.get(),
-                                          .metrics = config.metrics,
-                                          .tracer = config.tracer},
-               media_start);
-    }
+    if (!plan.empty()) plan.arm(world.bindings(), media_start);
   };
-  testbed::SessionOrchestrator orchestrator{std::move(orch_plan)};
-  orchestrator.start();
-  bed.run_all();
+  world.orchestrate(std::move(orch_plan));
+  world.run();
 
   // ---- the header-free estimate: trace in, report out.
   const SimTime media_end = media_start + config.media_duration;

@@ -18,9 +18,12 @@
 //               << vc::median(p.lags_ms) << " ms\n";
 #pragma once
 
-#include "core/bwcap_benchmark.h"   // Figs 17–18: QoE under bandwidth caps
+#include "core/bwcap_benchmark.h"           // Figs 17–18: QoE under bandwidth caps
+#include "core/city_benchmark.h"            // relay fleets at city scale
+#include "core/fairness_benchmark.h"        // competing flows on one bottleneck
 #include "core/fault_recovery_benchmark.h"  // mid-call faults and recovery
-#include "core/lag_benchmark.h"     // Figs 2, 4–11: streaming lag and RTTs
-#include "core/mobile_benchmark.h"  // Fig 19, Table 4: mobile resources
-#include "core/qoe_benchmark.h"     // Figs 12, 14–16: video QoE and rates
-#include "core/qoe_infer_benchmark.h"  // header-free QoE inference vs truth
+#include "core/lag_benchmark.h"             // Figs 2, 4–11: streaming lag and RTTs
+#include "core/mobile_benchmark.h"          // Fig 19, Table 4: mobile resources
+#include "core/qoe_benchmark.h"             // Figs 12, 14–16: video QoE and rates
+#include "core/qoe_infer_benchmark.h"       // header-free QoE inference vs truth
+#include "core/session_world.h"             // the testbed every scenario builds on

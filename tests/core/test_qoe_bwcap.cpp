@@ -53,6 +53,14 @@ TEST(QoeBenchmark, HighMotionDegradesQoE) {
   EXPECT_GT(lm.psnr.mean(), hm.psnr.mean());
 }
 
+TEST(QoeBenchmark, NonPositiveMetricStrideThrowsBeforeSimulating) {
+  // A stride below 1 used to spin the scoring loop forever.
+  QoeBenchmarkConfig cfg =
+      tiny_qoe(platform::PlatformId::kZoom, platform::MotionClass::kLowMotion, 1);
+  cfg.metric_stride = 0;
+  EXPECT_THROW(run_qoe_session(cfg, 3), std::invalid_argument);
+}
+
 TEST(QoeBenchmark, RatesMatchPolicyScale) {
   const auto r = run_qoe_benchmark(
       tiny_qoe(platform::PlatformId::kWebex, platform::MotionClass::kHighMotion, 2));
@@ -84,6 +92,12 @@ TEST(BwCapBenchmark, UnlimitedBaselineHealthy) {
   EXPECT_GT(r.psnr.mean(), 24.0);
   EXPECT_GT(r.mos_lqo.mean(), 3.8);
   EXPECT_LT(r.drop_fraction.mean(), 0.01);
+}
+
+TEST(BwCapBenchmark, NonPositiveMetricStrideThrowsBeforeSimulating) {
+  BwCapBenchmarkConfig cfg;
+  cfg.metric_stride = -1;
+  EXPECT_THROW(run_bwcap_session(cfg, 3), std::invalid_argument);
 }
 
 TEST(BwCapBenchmark, TightCapDegradesVideo) {

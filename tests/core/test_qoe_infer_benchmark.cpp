@@ -88,6 +88,19 @@ TEST(QoeInferSession, DeterministicAcrossReplicas) {
   EXPECT_EQ(a.inferred_frames, b.inferred_frames);
 }
 
+TEST(QoeInferSession, RegistryRecordsNetworkRelayAndCodec) {
+  // Zoom's two-party calls go peer to peer; Webex always relays.
+  QoeInferBenchmarkConfig cfg = base_config();
+  cfg.platform = platform::PlatformId::kWebex;
+  MetricsRegistry metrics;
+  cfg.metrics = &metrics;
+  run_qoe_inference_session(cfg, 7);
+  EXPECT_GT(metrics.counter("net.loop.events_executed").value(), 0);
+  EXPECT_GT(metrics.counter("net.link.packets_sent").value(), 0);
+  EXPECT_GT(metrics.counter("relay.media_in").value(), 0);
+  EXPECT_GT(metrics.counter("codec.video.frames_encoded").value(), 0);
+}
+
 TEST(QoeInferSession, RejectsOutageOutsideMediaWindow) {
   QoeInferBenchmarkConfig cfg = base_config();
   cfg.outages = {{seconds(15), seconds(5)}};  // runs past media end

@@ -64,6 +64,16 @@ std::string run_city(std::size_t threads, int fan_out_shards, int fleet_size, bo
   return report.aggregate_json();
 }
 
+TEST(FleetDeterminism, CityRegistryRecordsNetworkAndCodec) {
+  MetricsRegistry metrics;
+  core::CityScaleConfig cfg = small_city(3, 2, 0, false);
+  cfg.metrics = &metrics;
+  core::run_city_scale_benchmark(cfg);
+  EXPECT_GT(metrics.counter("net.loop.events_executed").value(), 0);
+  EXPECT_GT(metrics.counter("net.link.packets_sent").value(), 0);
+  EXPECT_GT(metrics.counter("codec.video.frames_encoded").value(), 0);
+}
+
 TEST(FleetDeterminism, IdenticalAcrossThreadsShardsAndFleetSizes) {
   for (const int fleet_size : {1, 2, 4}) {
     SCOPED_TRACE("fleet_size=" + std::to_string(fleet_size));
