@@ -15,10 +15,12 @@ build:
 test: build
 	ctest --test-dir $(BUILD) --output-on-failure
 
-# Runs the event-core microbenchmarks and the sharded relay fan-out A/B
-# (Release recommended), writing the perf-trajectory reports to
-# $(BUILD)/BENCH_PR2.json and $(BUILD)/BENCH_PR3.json; compare against the
-# checked-in BENCH_PR2.json / BENCH_PR3.json medians at the repo root.
+# Runs the CMake bench-report target (Release recommended): the event-core
+# and codec microbenchmarks, the sharded relay fan-out A/B, the codec
+# scalar-vs-SIMD A/B and a short soak, writing $(BUILD)/BENCH_PR2.json,
+# BENCH_PR3.json, BENCH_PR7.json, BENCH_PR7_micro.json and BENCH_SOAK.json.
+# Compare against the checked-in BENCH_PR*.json medians and
+# BENCH_SOAK_BASELINE.json digests at the repo root.
 bench-report: build
 	cmake --build $(BUILD) --target bench-report
 

@@ -130,10 +130,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 99;
   rc.label = "ablation";
-  rc.threads = 1;
-  const auto serial = runner::ExperimentRunner{rc}.run(cells.size(), task);
-  rc.threads = 8;
-  const auto report = runner::ExperimentRunner{rc}.run(cells.size(), task);
+  const auto run = vcb::run_checked(rc, cells.size(), task);
+  const auto& report = run.report;
 
   std::printf("--- A1: big-packet lag vs ground-truth path delay ---\n");
   TextTable a1{{"participant", "median measured lag (ms)", "samples"}};
@@ -176,13 +174,5 @@ int main(int argc, char** argv) {
   std::printf("(the big-packet method needs <200 B between flashes; noisy sensor input or a\n"
               "codec without SKIP would keep the wire loud and hide the flashes)\n\n");
 
-  const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("sessions: %zu  failures: %zu\n", report.sessions, report.failures.size());
-  std::printf("aggregate reports bit-identical across thread counts: %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-  const std::string out_path = "bench_ablation.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return identical ? 0 : 1;
+  return run.finish("bench_ablation.report.json");
 }

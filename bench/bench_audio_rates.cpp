@@ -81,10 +81,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 55;
   rc.label = "audio_rates";
-  rc.threads = 1;
-  const auto serial = runner::ExperimentRunner{rc}.run(cells.size(), task);
-  rc.threads = 8;
-  const auto report = runner::ExperimentRunner{rc}.run(cells.size(), task);
+  const auto run = vcb::run_checked(rc, cells.size(), task);
+  const auto& report = run.report;
 
   TextTable table{{"platform", "measured audio rate (Kbps)", "paper (Kbps)"}};
   for (const auto id : vcb::all_platforms()) {
@@ -101,13 +99,5 @@ int main(int argc, char** argv) {
   std::printf("\n(voice has pauses: measured long-run average sits below the codec's\n"
               "nominal rate, as with real VAD/DTX-capable audio codecs)\n");
 
-  const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("\nsessions: %zu  failures: %zu\n", report.sessions, report.failures.size());
-  std::printf("aggregate reports bit-identical across thread counts: %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-  const std::string out_path = "bench_audio_rates.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return identical ? 0 : 1;
+  return run.finish("bench_audio_rates.report.json");
 }

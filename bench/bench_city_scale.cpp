@@ -27,7 +27,6 @@
 // --gate 0.98 = "the armed balancer costs <= 2%", exit 3).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -38,20 +37,6 @@
 namespace {
 
 using namespace vc;
-
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
 
 std::vector<std::string> split_csv(const std::string& s) {
   std::vector<std::string> out;
@@ -76,16 +61,6 @@ platform::PlatformId parse_platform(const std::string& name) {
   std::exit(2);
 }
 
-void sample_quantiles(runner::SessionContext& ctx, const std::string& base,
-                      const std::vector<double>& values) {
-  if (values.empty()) return;
-  for (double q : {0.1, 0.25, 0.5, 0.75, 0.9}) {
-    char suffix[8];
-    std::snprintf(suffix, sizeof(suffix), ".p%d", static_cast<int>(q * 100 + 0.5));
-    ctx.sample(base + suffix, quantile(std::vector<double>(values), q));
-  }
-}
-
 struct Cell {
   int fleet_size = 1;
   fleet::PlacementPolicy policy = fleet::PlacementPolicy::kRoundRobin;
@@ -93,81 +68,30 @@ struct Cell {
   std::string key;  // e.g. "f2/least" or "f2/least/crash"
 };
 
-/// Fleet-of-1 equivalence gate (CI perf-smoke): A = native relay steering,
-/// B = fleet of size 1 with the balancer armed. Returns the process exit
-/// code.
-int run_gate(double gate, int rounds, int shards, const std::string& out_path) {
-  const auto make_task = [shards](bool fleet_on) {
-    return [shards, fleet_on](runner::SessionContext& ctx) {
-      core::CityScaleConfig cfg;
-      // Single-meeting Webex: the one workload whose native steering a
-      // fleet of 1 reproduces move for move (one relay at webex-us-east,
-      // allocated at meeting creation, no P2P short-circuit, no allocator
-      // RNG draw) — which is what makes byte-identity a fair demand.
-      cfg.platform = platform::PlatformId::kWebex;
-      cfg.meetings = 1;
-      cfg.participants_per_meeting = 7;
-      cfg.media_duration = seconds(10);
-      cfg.use_fleet = fleet_on;
-      cfg.fleet_size = 1;
-      cfg.attach_fleet_metrics = false;  // match the native instrument set
-      cfg.fan_out_shards = shards;
-      cfg.seed = ctx.seed;
-      cfg.metrics = &ctx.metrics;
-      const auto r = core::run_city_scale_benchmark(cfg);
-      ctx.sample("gate.completed", static_cast<double>(r.meetings_completed));
-      ctx.sample("gate.lag_samples", static_cast<double>(r.lag_ms.size()));
-      sample_quantiles(ctx, "gate.lag", r.lag_ms);
-    };
+/// Fleet-of-1 equivalence gate session (CI perf-smoke): off = native relay
+/// steering, armed = a fleet of size 1 with the balancer armed.
+runner::ExperimentRunner::Task gate_task(int shards, bool fleet_on) {
+  return [shards, fleet_on](runner::SessionContext& ctx) {
+    core::CityScaleConfig cfg;
+    // Single-meeting Webex: the one workload whose native steering a
+    // fleet of 1 reproduces move for move (one relay at webex-us-east,
+    // allocated at meeting creation, no P2P short-circuit, no allocator
+    // RNG draw) — which is what makes byte-identity a fair demand.
+    cfg.platform = platform::PlatformId::kWebex;
+    cfg.meetings = 1;
+    cfg.participants_per_meeting = 7;
+    cfg.media_duration = seconds(10);
+    cfg.use_fleet = fleet_on;
+    cfg.fleet_size = 1;
+    cfg.attach_fleet_metrics = false;  // match the native instrument set
+    cfg.fan_out_shards = shards;
+    cfg.seed = ctx.seed;
+    cfg.metrics = &ctx.metrics;
+    const auto r = core::run_city_scale_benchmark(cfg);
+    ctx.sample("gate.completed", static_cast<double>(r.meetings_completed));
+    ctx.sample("gate.lag_samples", static_cast<double>(r.lag_ms.size()));
+    vcb::sample_quantiles(ctx, "gate.lag", r.lag_ms);
   };
-
-  runner::ExperimentRunner::Config rc;
-  rc.base_seed = 10101;
-  rc.label = "city_gate";
-  rc.threads = 1;
-  rc.rate_counters = {"city.sim_events", "city.sim_bytes"};
-
-  std::string baseline_json;
-  double best_native = 0.0, best_fleet = 0.0;
-  for (int r = 0; r < rounds; ++r) {
-    for (const bool fleet_on : {false, true}) {
-      const auto report = runner::ExperimentRunner{rc}.run(3, make_task(fleet_on));
-      if (!report.failures.empty()) {
-        std::printf("FAIL: gate session threw (%zu failures)\n", report.failures.size());
-        return 1;
-      }
-      if (baseline_json.empty()) {
-        baseline_json = report.aggregate_json();
-      } else if (report.aggregate_json() != baseline_json) {
-        std::printf("FAIL: %s aggregate differs from native baseline — a fleet of 1 "
-                    "must reproduce the single-relay path byte for byte\n",
-                    fleet_on ? "fleet-of-1" : "native");
-        return 1;
-      }
-      double& best = fleet_on ? best_fleet : best_native;
-      if (best == 0.0 || report.wall_seconds < best) best = report.wall_seconds;
-    }
-  }
-  const double ratio = best_fleet > 0.0 ? best_native / best_fleet : 0.0;
-  std::printf("fleet-of-1 gate: best native %.3f s, best fleet %.3f s, ratio %.3fx "
-              "(gate %.2fx), aggregates byte-identical: yes\n",
-              best_native, best_fleet, ratio, gate);
-
-  char json[512];
-  std::snprintf(json, sizeof(json),
-                "{\n  \"benchmark\": \"city_scale_fleet_gate\",\n  \"rounds\": %d,\n"
-                "  \"best_native_seconds\": %.6f,\n  \"best_fleet_seconds\": %.6f,\n"
-                "  \"fleet_speed_ratio\": %.4f,\n  \"gate\": %.2f,\n"
-                "  \"aggregates_byte_identical\": true\n}\n",
-                rounds, best_native, best_fleet, ratio, gate);
-  if (runner::write_text_file(out_path, json)) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  if (ratio < gate) {
-    std::printf("FAIL: fleet-of-1 overhead ratio %.3fx below gate %.2fx\n", ratio, gate);
-    return 3;
-  }
-  return 0;
 }
 
 }  // namespace
@@ -175,25 +99,30 @@ int run_gate(double gate, int rounds, int shards, const std::string& out_path) {
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
   const int shards = vcb::int_flag(argc, argv, "--shards", 0);
-  const double gate = flag_double(argc, argv, "--gate", 0.0);
+  const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
   const int rounds = std::max(3, vcb::int_flag(argc, argv, "--rounds", 5));
-  const std::string out_path = flag_string(argc, argv, "--out", "bench_city_scale.report.json");
-  if (gate > 0.0) return run_gate(gate, rounds, shards, out_path);
+  const std::string out_path =
+      vcb::flag_string(argc, argv, "--out", "bench_city_scale.report.json");
+  if (gate > 0.0) {
+    const auto make_task = [shards](bool armed) { return gate_task(shards, armed); };
+    return vcb::invisibility_gate("city_scale_fleet_gate", make_task, /*n=*/3, /*base_seed=*/10101,
+                                  rounds, gate, out_path);
+  }
 
   vcb::banner("City scale — relay federation fleet sweep", paper);
 
   const platform::PlatformId plat =
-      parse_platform(flag_string(argc, argv, "--platform", "zoom"));
+      parse_platform(vcb::flag_string(argc, argv, "--platform", "zoom"));
   const int cities = vcb::int_flag(argc, argv, "--cities", paper ? 8 : 4);
   const int meetings = vcb::int_flag(argc, argv, "--meetings", paper ? 24 : 13);
   const int participants = vcb::int_flag(argc, argv, "--participants", 7);
   const int overflow = vcb::int_flag(argc, argv, "--overflow", 6);
   std::vector<int> fleet_sizes;
-  for (const auto& s : split_csv(flag_string(argc, argv, "--fleets", "1,2,4"))) {
-    fleet_sizes.push_back(std::atoi(s.c_str()));
+  for (const auto& s : split_csv(vcb::flag_string(argc, argv, "--fleets", "1,2,4"))) {
+    fleet_sizes.push_back(vcb::parse_int("--fleets", s.c_str()));
   }
   std::vector<fleet::PlacementPolicy> policies;
-  for (const auto& s : split_csv(flag_string(argc, argv, "--policies", "rr,least,locality"))) {
+  for (const auto& s : split_csv(vcb::flag_string(argc, argv, "--policies", "rr,least,locality"))) {
     policies.push_back(fleet::parse_policy(s));
   }
 
@@ -244,19 +173,18 @@ int main(int argc, char** argv) {
       ctx.sample(c.key + ".lost_in_outage", static_cast<double>(r.packets_lost_in_outage));
       ctx.sample(c.key + ".reconnects", static_cast<double>(r.reconnects));
     }
-    sample_quantiles(ctx, c.key + ".lag", r.lag_ms);
+    vcb::sample_quantiles(ctx, c.key + ".lag", r.lag_ms);
   };
 
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 9090;
   rc.label = "city_scale";
-  rc.threads = 1;
   rc.rate_counters = {"city.sim_events", "city.sim_bytes"};
-  const auto serial = runner::ExperimentRunner{rc}.run(cells.size(), task);
+  const auto run = vcb::run_checked(rc, cells.size(), task);
+  const auto& report = run.report;
+  // Placement-replica check: the identical 8-thread sweep again — fleet
+  // decisions must be a pure function of (seed, config), never of scheduling.
   rc.threads = 8;
-  const auto report = runner::ExperimentRunner{rc}.run(cells.size(), task);
-  // Placement-replica check: the identical sweep again — fleet decisions
-  // must be a pure function of (seed, config), never of scheduling.
   const auto replica = runner::ExperimentRunner{rc}.run(cells.size(), task);
 
   TextTable table{{"cell", "clients", "done", "relays", "trunk pkts", "trunk drop",
@@ -289,18 +217,10 @@ int main(int argc, char** argv) {
     std::printf("rate %s: %.0f\n", name.c_str(), value);
   }
 
-  const bool identical = serial.aggregate_json() == report.aggregate_json() &&
-                         report.aggregate_json() == replica.aggregate_json();
-  std::printf("sessions: %zu  failures: %zu  fan_out_shards: %d\n", report.sessions,
-              report.failures.size(), shards);
-  std::printf("wall clock: %.2f s at 1 thread, %.2f s at 8 threads — speedup %.2fx\n",
-              serial.wall_seconds, report.wall_seconds,
-              report.wall_seconds > 0 ? serial.wall_seconds / report.wall_seconds : 0.0);
-  std::printf("aggregate reports bit-identical across thread counts and replicas: %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return identical && report.failures.empty() ? 0 : 1;
+  const bool replica_identical = report.aggregate_json() == replica.aggregate_json();
+  std::printf("fan_out_shards: %d\n", shards);
+  std::printf("placement replica bit-identical to the 8-thread pass: %s\n",
+              replica_identical ? "yes" : "NO — determinism regression!");
+  const int status = run.finish(out_path);
+  return replica_identical ? status : 1;
 }

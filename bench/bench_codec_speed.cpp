@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -40,11 +39,8 @@ namespace {
 
 using namespace vc;
 using namespace vc::media;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ULL;
-}
+using vcb::fnv_mix;
+using vcb::kFnvBasis;
 
 struct TrialResult {
   double encode_seconds = 0.0;
@@ -68,7 +64,7 @@ TrialResult run_trial(const std::vector<Frame>& feed_frames, int frames, int wid
   VideoDecoder dec{width, height};
 
   TrialResult out{};
-  out.digest = 14695981039346656037ULL;  // FNV offset basis
+  out.digest = kFnvBasis;
   std::vector<std::shared_ptr<EncodedFrame>> encoded;
   encoded.reserve(static_cast<std::size_t>(frames));
 
@@ -95,20 +91,6 @@ TrialResult run_trial(const std::vector<Frame>& feed_frames, int frames, int wid
   return out;
 }
 
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -116,8 +98,8 @@ int main(int argc, char** argv) {
   const int height = vcb::int_flag(argc, argv, "--height", 96);
   const int frames = std::max(8, vcb::int_flag(argc, argv, "--frames", 120));
   const int rounds = std::max(3, vcb::int_flag(argc, argv, "--rounds", 7));
-  const double gate = flag_double(argc, argv, "--gate", 0.0);
-  const std::string out_path = flag_string(argc, argv, "--out", "BENCH_PR7.json");
+  const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
+  const std::string out_path = vcb::flag_string(argc, argv, "--out", "BENCH_PR7.json");
 
   const DctBackend best = best_dct_backend();
   std::printf("codec transform A/B: %dx%d, %d frames/trial, %d rounds, simd backend=%s, gate=%.2f\n",

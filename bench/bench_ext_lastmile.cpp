@@ -16,7 +16,8 @@
 //
 // All nine conditions run as independent session tasks on the parallel
 // experiment runner; the network, relays, codecs and the E3 token-bucket
-// shapers report through the per-session MetricsRegistry.
+// shapers report through the per-session MetricsRegistry. The run executes
+// at 1 thread and at 8; the two aggregate reports must be bit-identical.
 #include <cstdio>
 #include <functional>
 #include <memory>
@@ -186,7 +187,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 211;
   rc.label = "ext_lastmile";
-  const auto report = runner::ExperimentRunner{rc}.run(conditions.size(), task);
+  const auto run = vcb::run_checked(rc, conditions.size(), task);
+  const auto& report = run.report;
 
   auto value = [&report](const Condition& c, const char* metric) {
     const auto* s = report.find_sample(c.key() + "." + metric);
@@ -226,8 +228,6 @@ int main(int argc, char** argv) {
     std::printf("%s\n", table.render().c_str());
   }
 
-  std::printf("run: %zu sessions, %zu failures, %.2f s wall on %zu threads\n", report.sessions,
-              report.failures.size(), report.wall_seconds, report.threads);
   const auto dropped = report.counters.find("shaper.dropped_packets");
   const auto forwarded = report.counters.find("shaper.forwarded_packets");
   if (dropped != report.counters.end() && forwarded != report.counters.end()) {
@@ -235,9 +235,5 @@ int main(int argc, char** argv) {
                 static_cast<long long>(forwarded->second),
                 static_cast<long long>(dropped->second));
   }
-  const std::string out_path = "bench_ext_lastmile.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return 0;
+  return run.finish("bench_ext_lastmile.report.json");
 }

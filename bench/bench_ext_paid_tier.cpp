@@ -74,10 +74,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 71;
   rc.label = "ext_paid_tier";
-  rc.threads = 1;
-  const auto serial = runner::ExperimentRunner{rc}.run(std::size(tiers), task);
-  rc.threads = 8;
-  const auto report = runner::ExperimentRunner{rc}.run(std::size(tiers), task);
+  const auto run = vcb::run_checked(rc, std::size(tiers), task);
+  const auto& report = run.report;
 
   const auto labels = participant_labels();
   for (const auto& t : tiers) {
@@ -96,13 +94,5 @@ int main(int argc, char** argv) {
               "stream from close-by servers with RTTs < 20 ms — the trans-Atlantic\n"
               "detour (and its ~100 ms lag floor) disappears.\n");
 
-  const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("\nsessions: %zu  failures: %zu\n", report.sessions, report.failures.size());
-  std::printf("aggregate reports bit-identical across thread counts: %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-  const std::string out_path = "bench_ext_paid_tier.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return identical ? 0 : 1;
+  return run.finish("bench_ext_paid_tier.report.json");
 }

@@ -11,7 +11,8 @@
 //
 // Each (view, platform, N) point is one session task on the parallel
 // experiment runner; network, relay, codec and session metrics flow through
-// the per-session MetricsRegistry and are merged into the run report.
+// the per-session MetricsRegistry and are merged into the run report. The
+// run executes at 1 thread and at 8; the aggregates must be bit-identical.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -124,7 +125,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 997;
   rc.label = "ext_scalability";
-  const auto report = runner::ExperimentRunner{rc}.run(points.size(), task);
+  const auto run = vcb::run_checked(rc, points.size(), task);
+  const auto& report = run.report;
 
   for (const auto view : {platform::ViewMode::kFullScreen, platform::ViewMode::kGallery}) {
     std::printf("--- observer in %s ---\n",
@@ -146,11 +148,6 @@ int main(int argc, char** argv) {
   std::printf("per-client download flattens at the 4-tile UI cap; total network load\n"
               "(and relay fan-out) keeps growing with every additional sender.\n\n");
 
-  std::printf("run: %zu sessions, %zu failures, %.2f s wall on %zu threads\n", report.sessions,
-              report.failures.size(), report.wall_seconds, report.threads);
-  for (const auto& [idx, what] : report.failures) {
-    std::printf("  task %zu (%s) failed: %s\n", idx, points[idx].key.c_str(), what.c_str());
-  }
   const auto media_in = report.counters.find("relay.media_in");
   const auto forwarded = report.counters.find("relay.media_forwarded");
   if (media_in != report.counters.end() && forwarded != report.counters.end()) {
@@ -158,9 +155,5 @@ int main(int argc, char** argv) {
                 static_cast<long long>(media_in->second),
                 static_cast<long long>(forwarded->second));
   }
-  const std::string out_path = "bench_ext_scalability.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return 0;
+  return run.finish("bench_ext_scalability.report.json");
 }

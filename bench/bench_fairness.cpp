@@ -21,7 +21,6 @@
 // --gate 0.98 = "armed shadow machinery costs <= 2%", exit 3).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -32,20 +31,6 @@
 namespace {
 
 using namespace vc;
-
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
 
 struct Cell {
   int flows = 2;
@@ -90,71 +75,22 @@ void sample_session(runner::SessionContext& ctx, const std::string& key,
   }
 }
 
-/// ABR-off invisibility gate (CI perf-smoke): A = ABR fully disabled,
-/// B = shadow-armed adapters + feedback accounting. Returns the exit code.
-int run_gate(double gate, int rounds, int shards, const std::string& out_path) {
-  const auto make_task = [shards](bool armed) {
-    return [shards, armed](runner::SessionContext& ctx) {
-      Cell cell{3, armed, "gate"};
-      core::FairnessBenchmarkConfig cfg = cell_config(cell, seconds(10), shards);
-      cfg.abr_shadow = true;  // armed adapters never apply their decisions
-      const auto r = core::run_fairness_session(cfg, ctx.seed);
-      ctx.sample("gate.jain", r.jain_index);
-      ctx.sample("gate.utilization", r.utilization);
-      ctx.sample("gate.queue_ms", r.queue_delay_mean_ms);
-      ctx.sample("gate.drop", r.drop_fraction);
-      for (std::size_t i = 0; i < r.flows.size(); ++i) {
-        ctx.sample("gate.flow" + std::to_string(i) + ".kbps", r.flows[i].achieved_kbps);
-      }
-    };
-  };
-
-  runner::ExperimentRunner::Config rc;
-  rc.base_seed = 6161;
-  rc.label = "fairness_gate";
-  rc.threads = 1;
-
-  std::string baseline_json;
-  double best_off = 0.0, best_shadow = 0.0;
-  for (int r = 0; r < rounds; ++r) {
-    for (const bool armed : {false, true}) {
-      const auto report = runner::ExperimentRunner{rc}.run(3, make_task(armed));
-      if (!report.failures.empty()) {
-        std::printf("FAIL: gate session threw (%zu failures)\n", report.failures.size());
-        return 1;
-      }
-      if (baseline_json.empty()) {
-        baseline_json = report.aggregate_json();
-      } else if (report.aggregate_json() != baseline_json) {
-        std::printf("FAIL: %s aggregate differs from ABR-off baseline — shadow-armed "
-                    "ABR must be byte-invisible\n",
-                    armed ? "shadow-armed" : "ABR-off");
-        return 1;
-      }
-      double& best = armed ? best_shadow : best_off;
-      if (best == 0.0 || report.wall_seconds < best) best = report.wall_seconds;
+/// ABR-off invisibility gate session (CI perf-smoke): off = ABR fully
+/// disabled, armed = shadow-armed adapters + feedback accounting.
+runner::ExperimentRunner::Task gate_task(int shards, bool armed) {
+  return [shards, armed](runner::SessionContext& ctx) {
+    Cell cell{3, armed, "gate"};
+    core::FairnessBenchmarkConfig cfg = cell_config(cell, seconds(10), shards);
+    cfg.abr_shadow = true;  // armed adapters never apply their decisions
+    const auto r = core::run_fairness_session(cfg, ctx.seed);
+    ctx.sample("gate.jain", r.jain_index);
+    ctx.sample("gate.utilization", r.utilization);
+    ctx.sample("gate.queue_ms", r.queue_delay_mean_ms);
+    ctx.sample("gate.drop", r.drop_fraction);
+    for (std::size_t i = 0; i < r.flows.size(); ++i) {
+      ctx.sample("gate.flow" + std::to_string(i) + ".kbps", r.flows[i].achieved_kbps);
     }
-  }
-  const double ratio = best_shadow > 0.0 ? best_off / best_shadow : 0.0;
-  std::printf("ABR-off gate: best off %.3f s, best shadow-armed %.3f s, ratio %.3fx "
-              "(gate %.2fx), aggregates byte-identical: yes\n",
-              best_off, best_shadow, ratio, gate);
-
-  char json[512];
-  std::snprintf(json, sizeof(json),
-                "{\n  \"benchmark\": \"fairness_gate\",\n  \"rounds\": %d,\n"
-                "  \"best_abr_off_seconds\": %.6f,\n  \"best_shadow_armed_seconds\": %.6f,\n"
-                "  \"shadow_speed_ratio\": %.4f,\n  \"gate\": %.2f,\n"
-                "  \"aggregates_byte_identical\": true\n}\n",
-                rounds, best_off, best_shadow, ratio, gate);
-  if (runner::write_text_file(out_path, json)) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  if (ratio < gate) {
-    std::printf("FAIL: shadow-armed overhead ratio %.3fx below gate %.2fx\n", ratio, gate);
-    return 3;
-  }
-  return 0;
+  };
 }
 
 }  // namespace
@@ -162,10 +98,15 @@ int run_gate(double gate, int rounds, int shards, const std::string& out_path) {
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
   const int shards = vcb::int_flag(argc, argv, "--shards", 0);
-  const double gate = flag_double(argc, argv, "--gate", 0.0);
+  const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
   const int rounds = std::max(3, vcb::int_flag(argc, argv, "--rounds", 5));
-  const std::string out_path = flag_string(argc, argv, "--out", "bench_fairness.report.json");
-  if (gate > 0.0) return run_gate(gate, rounds, shards, out_path);
+  const std::string out_path =
+      vcb::flag_string(argc, argv, "--out", "bench_fairness.report.json");
+  if (gate > 0.0) {
+    const auto make_task = [shards](bool armed) { return gate_task(shards, armed); };
+    return vcb::invisibility_gate("fairness_gate", make_task, /*n=*/3, /*base_seed=*/6161,
+                                  rounds, gate, out_path);
+  }
 
   vcb::banner("Competing-flow fairness — shared bottleneck, client ABR vs platform policy",
               paper);
@@ -196,10 +137,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 6006;
   rc.label = "fairness";
-  rc.threads = 1;
-  const auto serial = runner::ExperimentRunner{rc}.run(cells.size(), task);
-  rc.threads = 8;
-  const auto report = runner::ExperimentRunner{rc}.run(cells.size(), task);
+  const auto run = vcb::run_checked(rc, cells.size(), task);
+  const auto& report = run.report;
 
   TextTable table{{"flows", "abr", "Jain", "util", "queue (ms)", "drop", "conv (s)",
                    "min flow (kbps)", "max flow (kbps)"}};
@@ -232,17 +171,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("sessions: %zu  failures: %zu  fan_out_shards: %d\n", report.sessions,
-              report.failures.size(), shards);
-  std::printf("wall clock: %.2f s at 1 thread, %.2f s at 8 threads — speedup %.2fx\n",
-              serial.wall_seconds, report.wall_seconds,
-              report.wall_seconds > 0 ? serial.wall_seconds / report.wall_seconds : 0.0);
-  std::printf("aggregate reports bit-identical across thread counts (ABR active): %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return identical && report.failures.empty() ? 0 : 1;
+  std::printf("fan_out_shards: %d (ABR active)\n", shards);
+  return run.finish(out_path);
 }

@@ -24,8 +24,6 @@
 // trace gate: scheduler noise only ever adds time.
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -44,20 +42,6 @@ struct Cell {
   std::uint64_t platform_seed = 0;
   std::string key;  // e.g. "Zoom/out3s"
 };
-
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
 
 core::FaultRecoveryConfig base_config(SimDuration session_duration) {
   core::FaultRecoveryConfig cfg;
@@ -91,81 +75,21 @@ std::vector<health::SloRule> default_slo_rules() {
   return rules;
 }
 
-void sample_quantiles(runner::SessionContext& ctx, const std::string& base,
-                      const std::vector<double>& values) {
-  if (values.empty()) return;
-  for (double q : {0.1, 0.25, 0.5, 0.75, 0.9}) {
-    char suffix[8];
-    std::snprintf(suffix, sizeof(suffix), ".p%d", static_cast<int>(q * 100 + 0.5));
-    ctx.sample(base + suffix, quantile(std::vector<double>(values), q));
-  }
-}
-
-/// Empty-plan overhead gate (CI perf-smoke): A = no plan installed at all,
-/// B = armed-but-empty plan. Returns the process exit code.
-int run_gate(double gate, int rounds, int shards, const std::string& out_path) {
-  const SimDuration session_duration = seconds(12);
-  const auto make_task = [shards, session_duration](bool inject) {
-    return [shards, session_duration, inject](runner::SessionContext& ctx) {
-      core::FaultRecoveryConfig cfg = base_config(session_duration);
-      cfg.platform = vcb::all_platforms()[ctx.task_index % 3];
-      cfg.fan_out_shards = shards;
-      cfg.seed = ctx.seed;
-      cfg.inject = inject;
-      cfg.use_custom_plan = true;  // empty custom plan: arms, schedules nothing
-      const auto r = core::run_fault_recovery_benchmark(cfg);
-      ctx.sample("gate.lags_before", static_cast<double>(r.lags_before_ms.size()));
-      sample_quantiles(ctx, "gate.lag", r.lags_before_ms);
-      ctx.sample("gate.disconnects", static_cast<double>(r.disconnects));
-    };
+/// Empty-plan overhead gate session (CI perf-smoke): off = no plan installed
+/// at all, armed = an armed-but-empty plan.
+runner::ExperimentRunner::Task gate_task(int shards, bool inject) {
+  return [shards, inject](runner::SessionContext& ctx) {
+    core::FaultRecoveryConfig cfg = base_config(seconds(12));
+    cfg.platform = vcb::all_platforms()[ctx.task_index % 3];
+    cfg.fan_out_shards = shards;
+    cfg.seed = ctx.seed;
+    cfg.inject = inject;
+    cfg.use_custom_plan = true;  // empty custom plan: arms, schedules nothing
+    const auto r = core::run_fault_recovery_benchmark(cfg);
+    ctx.sample("gate.lags_before", static_cast<double>(r.lags_before_ms.size()));
+    vcb::sample_quantiles(ctx, "gate.lag", r.lags_before_ms);
+    ctx.sample("gate.disconnects", static_cast<double>(r.disconnects));
   };
-
-  runner::ExperimentRunner::Config rc;
-  rc.base_seed = 4242;
-  rc.label = "fault_gate";
-  rc.threads = 1;
-
-  std::string baseline_json;
-  double best_none = 0.0, best_empty = 0.0;
-  for (int r = 0; r < rounds; ++r) {
-    for (const bool inject : {false, true}) {
-      const auto report = runner::ExperimentRunner{rc}.run(3, make_task(inject));
-      if (!report.failures.empty()) {
-        std::printf("FAIL: gate session threw (%zu failures)\n", report.failures.size());
-        return 1;
-      }
-      if (baseline_json.empty()) {
-        baseline_json = report.aggregate_json();
-      } else if (report.aggregate_json() != baseline_json) {
-        std::printf("FAIL: %s-plan aggregate differs from no-plan baseline — an armed "
-                    "empty FaultPlan must be invisible\n",
-                    inject ? "empty" : "no");
-        return 1;
-      }
-      double& best = inject ? best_empty : best_none;
-      if (best == 0.0 || report.wall_seconds < best) best = report.wall_seconds;
-    }
-  }
-  const double ratio = best_empty > 0.0 ? best_none / best_empty : 0.0;
-  std::printf("empty-plan gate: best no-plan %.3f s, best empty-plan %.3f s, ratio %.3fx "
-              "(gate %.2fx), aggregates byte-identical: yes\n",
-              best_none, best_empty, ratio, gate);
-
-  char json[512];
-  std::snprintf(json, sizeof(json),
-                "{\n  \"benchmark\": \"fault_recovery_gate\",\n  \"rounds\": %d,\n"
-                "  \"best_no_plan_seconds\": %.6f,\n  \"best_empty_plan_seconds\": %.6f,\n"
-                "  \"empty_plan_speed_ratio\": %.4f,\n  \"gate\": %.2f,\n"
-                "  \"aggregates_byte_identical\": true\n}\n",
-                rounds, best_none, best_empty, ratio, gate);
-  if (runner::write_text_file(out_path, json)) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  if (ratio < gate) {
-    std::printf("FAIL: empty-plan overhead ratio %.3fx below gate %.2fx\n", ratio, gate);
-    return 3;
-  }
-  return 0;
 }
 
 }  // namespace
@@ -173,11 +97,15 @@ int run_gate(double gate, int rounds, int shards, const std::string& out_path) {
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
   const int shards = vcb::int_flag(argc, argv, "--shards", 0);
-  const double gate = flag_double(argc, argv, "--gate", 0.0);
+  const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
   const int rounds = std::max(3, vcb::int_flag(argc, argv, "--rounds", 5));
   const std::string out_path =
-      flag_string(argc, argv, "--out", "bench_fault_recovery.report.json");
-  if (gate > 0.0) return run_gate(gate, rounds, shards, out_path);
+      vcb::flag_string(argc, argv, "--out", "bench_fault_recovery.report.json");
+  if (gate > 0.0) {
+    const auto make_task = [shards](bool armed) { return gate_task(shards, armed); };
+    return vcb::invisibility_gate("fault_recovery_gate", make_task, /*n=*/3, /*base_seed=*/4242,
+                                  rounds, gate, out_path);
+  }
 
   vcb::banner("Fault recovery — relay crash mid-call, outage sweep", paper);
 
@@ -185,17 +113,15 @@ int main(int argc, char** argv) {
   // with a scripted FaultPlan (see FaultPlan::from_json for the schema).
   fault::FaultPlan custom_plan;
   bool use_custom_plan = false;
-  const std::string plan_path = flag_string(argc, argv, "--plan", "");
+  const std::string plan_path = vcb::flag_string(argc, argv, "--plan", "");
   if (!plan_path.empty()) {
-    std::ifstream in{plan_path, std::ios::binary};
-    if (!in) {
+    std::string text;
+    if (!vcb::read_file(plan_path, &text)) {
       std::fprintf(stderr, "cannot read fault plan %s\n", plan_path.c_str());
       return 2;
     }
-    std::ostringstream ss;
-    ss << in.rdbuf();
     try {
-      custom_plan = fault::FaultPlan::from_json(ss.str());
+      custom_plan = fault::FaultPlan::from_json(text);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s: %s\n", plan_path.c_str(), e.what());
       return 2;
@@ -210,20 +136,18 @@ int main(int argc, char** argv) {
   // replaces the default rules. The serial and 8-thread sweeps write to
   // DIR/t1 and DIR/t8, and every timeline file must be byte-identical
   // between them — same contract as the aggregate reports.
-  const std::string timeline_dir = flag_string(argc, argv, "--timeline", "");
+  const std::string timeline_dir = vcb::flag_string(argc, argv, "--timeline", "");
   std::vector<health::SloRule> slo_rules;
   if (!timeline_dir.empty()) slo_rules = default_slo_rules();
-  const std::string slo_path = flag_string(argc, argv, "--slo", "");
+  const std::string slo_path = vcb::flag_string(argc, argv, "--slo", "");
   if (!slo_path.empty()) {
-    std::ifstream in{slo_path, std::ios::binary};
-    if (!in) {
+    std::string text;
+    if (!vcb::read_file(slo_path, &text)) {
       std::fprintf(stderr, "cannot read SLO rules %s\n", slo_path.c_str());
       return 2;
     }
-    std::ostringstream ss;
-    ss << in.rdbuf();
     try {
-      slo_rules = health::HealthMonitor::rules_from_json(ss.str());
+      slo_rules = health::HealthMonitor::rules_from_json(text);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "%s: %s\n", slo_path.c_str(), e.what());
       return 2;
@@ -292,24 +216,21 @@ int main(int argc, char** argv) {
     }
     ctx.sample(c.key + ".packets_lost", static_cast<double>(r.packets_lost_in_outage));
     ctx.sample(c.key + ".lag_spike_hwm_ms", r.lag_spike_hwm_ms);
-    sample_quantiles(ctx, c.key + ".lag_before", r.lags_before_ms);
-    sample_quantiles(ctx, c.key + ".lag_during", r.lags_during_ms);
-    sample_quantiles(ctx, c.key + ".lag_after", r.lags_after_ms);
+    vcb::sample_quantiles(ctx, c.key + ".lag_before", r.lags_before_ms);
+    vcb::sample_quantiles(ctx, c.key + ".lag_during", r.lags_during_ms);
+    vcb::sample_quantiles(ctx, c.key + ".lag_after", r.lags_after_ms);
   };
 
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 3301;
   rc.label = "fault_recovery";
-  rc.threads = 1;
   if (!timeline_dir.empty()) {
     rc.timeline_interval = millis(500);
     rc.health_rules = slo_rules;
-    rc.timeline_dir = timeline_dir + "/t1";
+    rc.timeline_dir = timeline_dir;
   }
-  const auto serial = runner::ExperimentRunner{rc}.run(cells.size(), task);
-  rc.threads = 8;
-  if (!timeline_dir.empty()) rc.timeline_dir = timeline_dir + "/t8";
-  const auto report = runner::ExperimentRunner{rc}.run(cells.size(), task);
+  const auto run = vcb::run_checked(rc, cells.size(), task);
+  const auto& report = run.report;
 
   TextTable table{{"platform", "outage", "reconn", "TTR (ms)", "worst TTR", "lost pkts",
                    "during p50 (ms)", "after p50 (ms)", "HWM (ms)", "SLO b/d/a"}};
@@ -342,7 +263,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  bool identical = serial.aggregate_json() == report.aggregate_json();
   if (!timeline_dir.empty()) {
     std::printf("timeline: %llu sample(s) over %llu column(s); health: %llu rule(s), "
                 "%llu event(s), %llu breach(es)\n",
@@ -351,39 +271,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(report.timeline.health_rules),
                 static_cast<unsigned long long>(report.timeline.health_events),
                 static_cast<unsigned long long>(report.timeline.health_breaches));
-    // Same contract as the aggregates: every exported timeline file must be
-    // byte-identical between the 1-thread and 8-thread sweeps.
-    auto read_file = [](const std::string& p, std::string* out) {
-      std::ifstream in{p, std::ios::binary};
-      if (!in) return false;
-      std::ostringstream ss;
-      ss << in.rdbuf();
-      *out = ss.str();
-      return true;
-    };
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const std::string name = "/" + std::to_string(i) + ".timeline.json";
-      std::string a, b;
-      if (!read_file(timeline_dir + "/t1" + name, &a) ||
-          !read_file(timeline_dir + "/t8" + name, &b) || a != b) {
-        ++mismatches;
-      }
-    }
-    std::printf("timeline files byte-identical across thread counts: %s\n",
-                mismatches == 0 ? "yes" : "NO — determinism regression!");
-    if (mismatches > 0) identical = false;
   }
-  std::printf("sessions: %zu  failures: %zu  fan_out_shards: %d\n", report.sessions,
-              report.failures.size(), shards);
-  std::printf("wall clock: %.2f s at 1 thread, %.2f s at 8 threads — speedup %.2fx\n",
-              serial.wall_seconds, report.wall_seconds,
-              report.wall_seconds > 0 ? serial.wall_seconds / report.wall_seconds : 0.0);
-  std::printf("aggregate reports bit-identical across thread counts: %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return identical && report.failures.empty() ? 0 : 1;
+  std::printf("fan_out_shards: %d\n", shards);
+  return run.finish(out_path);
 }

@@ -129,10 +129,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 77;
   rc.label = "fig13_padding";
-  rc.threads = 1;
-  const auto serial = runner::ExperimentRunner{rc}.run(reps, task);
-  rc.threads = 8;
-  const auto report = runner::ExperimentRunner{rc}.run(reps, task);
+  const auto run = vcb::run_checked(rc, reps, task);
+  const auto& report = run.report;
 
   auto mean = [&report](const std::string& key) {
     const auto* s = report.find_sample(key);
@@ -151,13 +149,5 @@ int main(int argc, char** argv) {
               "naively attributes the occlusion to the platform: %.1f dB of phantom loss.\n",
               kUiBorder, kPad, mean("fig13.phantom_loss_db"));
 
-  const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("\nsessions: %zu  failures: %zu\n", report.sessions, report.failures.size());
-  std::printf("aggregate reports bit-identical across thread counts: %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-  const std::string out_path = "bench_fig13_padding.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return identical ? 0 : 1;
+  return run.finish("bench_fig13_padding.report.json");
 }

@@ -82,10 +82,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 401;
   rc.label = "fig14_qoe_drop";
-  rc.threads = 1;
-  const auto serial = runner::ExperimentRunner{rc}.run(cells.size(), task);
-  rc.threads = 8;
-  const auto report = runner::ExperimentRunner{rc}.run(cells.size(), task);
+  const auto run = vcb::run_checked(rc, cells.size(), task);
+  const auto& report = run.report;
 
   TextTable table{{"platform", "N", "dPSNR (dB)", "dSSIM", "dVIFp"}};
   for (const auto id : vcb::all_platforms()) {
@@ -106,13 +104,5 @@ int main(int argc, char** argv) {
   std::printf("paper: reductions are significant on all platforms (enough to drop one MOS\n"
               "level); Webex's high-motion degradation worsens with more users.\n");
 
-  const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("\nsessions: %zu  failures: %zu\n", report.sessions, report.failures.size());
-  std::printf("aggregate reports bit-identical across thread counts: %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-  const std::string out_path = "bench_fig14_qoe_drop.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return identical ? 0 : 1;
+  return run.finish("bench_fig14_qoe_drop.report.json");
 }

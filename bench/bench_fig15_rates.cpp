@@ -85,10 +85,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 601;
   rc.label = "fig15_rates";
-  rc.threads = 1;
-  const auto serial = runner::ExperimentRunner{rc}.run(cells.size(), task);
-  rc.threads = 8;
-  const auto report = runner::ExperimentRunner{rc}.run(cells.size(), task);
+  const auto run = vcb::run_checked(rc, cells.size(), task);
+  const auto& report = run.report;
 
   for (const auto motion :
        {platform::MotionClass::kLowMotion, platform::MotionClass::kHighMotion}) {
@@ -116,13 +114,5 @@ int main(int argc, char** argv) {
     std::printf("%s\n", table.render().c_str());
   }
 
-  const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("sessions: %zu  failures: %zu\n", report.sessions, report.failures.size());
-  std::printf("aggregate reports bit-identical across thread counts: %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-  const std::string out_path = "bench_fig15_rates.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return identical ? 0 : 1;
+  return run.finish("bench_fig15_rates.report.json");
 }

@@ -75,10 +75,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 801;
   rc.label = "fig19_mobile";
-  rc.threads = 1;
-  const auto serial = runner::ExperimentRunner{rc}.run(cells.size(), task);
-  rc.threads = 8;
-  const auto report = runner::ExperimentRunner{rc}.run(cells.size(), task);
+  const auto run = vcb::run_checked(rc, cells.size(), task);
+  const auto& report = run.report;
 
   TextTable table{{"platform", "scenario", "S10 CPU mean±sd (%)", "J3 CPU mean±sd (%)",
                    "S10 down (Kbps)", "J3 down (Kbps)", "J3 battery (%/h)", "MB/hour (J3)"}};
@@ -106,18 +104,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("sessions: %zu  failures: %zu  fan_out_shards: %d\n", report.sessions,
-              report.failures.size(), shards);
-  std::printf("wall clock: %.2f s at 1 thread, %.2f s at 8 threads — speedup %.2fx\n",
-              serial.wall_seconds, report.wall_seconds,
-              report.wall_seconds > 0 ? serial.wall_seconds / report.wall_seconds : 0.0);
-  std::printf("aggregate reports bit-identical across thread counts: %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-
-  const std::string out_path = "bench_fig19_mobile.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return identical ? 0 : 1;
+  std::printf("fan_out_shards: %d\n", shards);
+  return run.finish("bench_fig19_mobile.report.json");
 }

@@ -69,33 +69,19 @@ int main(int argc, char** argv) {
     const auto& p = r.participants.front();
     ctx.sample("lag.US-West.flashes", static_cast<double>(p.lags_ms.size()));
     for (double lag : p.lags_ms) ctx.sample("lag.US-West.ms", lag);
-    for (const double q : {0.1, 0.25, 0.5, 0.75, 0.9}) {
-      if (p.lags_ms.empty()) break;
-      ctx.sample("lag.US-West.p" + std::to_string(static_cast<int>(q * 100)),
-                 quantile(std::vector<double>(p.lags_ms), q));
-    }
+    vcb::sample_quantiles(ctx, "lag.US-West", p.lags_ms);
   };
 
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 42;
   rc.label = "fig2_lag_method";
-  rc.threads = 1;
-  const auto serial = runner::ExperimentRunner{rc}.run(reps, task);
-  rc.threads = 8;
-  const auto report = runner::ExperimentRunner{rc}.run(reps, task);
+  const auto run = vcb::run_checked(rc, reps, task);
 
-  const auto* med = report.find_sample("lag.US-West.p50");
+  const auto* med = run.report.find_sample("lag.US-West.p50");
   std::printf("median lag US-East -> US-West over %zu repetitions: %.1f ms "
               "(paper: ~50 ms upper range of 20-50)\n",
               reps, med != nullptr ? med->mean() : 0.0);
-
-  const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("aggregate reports bit-identical across thread counts: %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-  const std::string out_path = "bench_fig2_lag_method.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s (render: vcbench_cli report %s --cdf lag.US-West)\n",
-                out_path.c_str(), out_path.c_str());
-  }
-  return identical ? 0 : 1;
+  std::printf("render the lag CDF: vcbench_cli report bench_fig2_lag_method.report.json "
+              "--cdf lag.US-West\n");
+  return run.finish("bench_fig2_lag_method.report.json");
 }

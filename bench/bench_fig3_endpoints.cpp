@@ -41,10 +41,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 101;
   rc.label = "fig3_endpoints";
-  rc.threads = 1;
-  const auto serial = runner::ExperimentRunner{rc}.run(platforms.size(), task);
-  rc.threads = 8;
-  const auto report = runner::ExperimentRunner{rc}.run(platforms.size(), task);
+  const auto run = vcb::run_checked(rc, platforms.size(), task);
+  const auto& report = run.report;
 
   TextTable table{{"platform", "media port", "paper port", "endpoints/client",
                    "paper endpoints", "topology"}};
@@ -77,13 +75,5 @@ int main(int argc, char** argv) {
   std::printf("Zoom/Webex churn a fresh endpoint almost every session; Meet clients\n"
               "stick to one or two nearby endpoints across sessions.\n");
 
-  const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("aggregate reports bit-identical across thread counts: %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-  const std::string out_path = "bench_fig3_endpoints.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s (render: vcbench_cli report %s)\n", out_path.c_str(),
-                out_path.c_str());
-  }
-  return identical ? 0 : 1;
+  return run.finish("bench_fig3_endpoints.report.json");
 }

@@ -9,7 +9,8 @@
 // Each (figure, platform) pair is one task on the parallel experiment
 // runner; a task runs its whole multi-session lag benchmark (the VMs must
 // persist across that config's sessions for Meet's endpoint stickiness) and
-// samples per-participant lag percentiles into the run report.
+// samples per-participant lag percentiles into the run report. The run
+// executes at 1 thread and at 8; the aggregates must be bit-identical.
 #include <cstdio>
 #include <string>
 #include <unordered_map>
@@ -99,7 +100,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 7;
   rc.label = "fig4_7_lag_cdf";
-  const auto report = runner::ExperimentRunner{rc}.run(points.size(), task);
+  const auto run = vcb::run_checked(rc, points.size(), task);
+  const auto& report = run.report;
 
   for (const auto& sc : kScenarios) {
     std::printf("--- %s: meeting host in %s ---\n", sc.figure, sc.host);
@@ -129,14 +131,5 @@ int main(int argc, char** argv) {
       "Webex relays everything via US-East (west-coast sessions detour); Meet is uniform\n"
       "and lowest in Europe thanks to its distributed endpoints, but highest in the US.\n\n");
 
-  std::printf("run: %zu tasks, %zu failures, %.2f s wall on %zu threads\n", report.sessions,
-              report.failures.size(), report.wall_seconds, report.threads);
-  for (const auto& [idx, what] : report.failures) {
-    std::printf("  task %zu (%s) failed: %s\n", idx, points[idx].key.c_str(), what.c_str());
-  }
-  const std::string out_path = "bench_fig4_7_lag_cdf.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return 0;
+  return run.finish("bench_fig4_7_lag_cdf.report.json");
 }

@@ -11,7 +11,8 @@
 // runner; a task runs its whole multi-session lag benchmark (VMs persist
 // across that config's sessions for Meet's endpoint stickiness) and samples
 // every per-session mean probe RTT into the run report, so the table shows
-// each participant's RTT spread across sessions.
+// each participant's RTT spread across sessions. The run executes at 1
+// thread and at 8; the aggregates must be bit-identical.
 #include <cstdio>
 #include <string>
 #include <unordered_map>
@@ -94,7 +95,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 11;
   rc.label = "fig8_11_rtt";
-  const auto report = runner::ExperimentRunner{rc}.run(points.size(), task);
+  const auto run = vcb::run_checked(rc, points.size(), task);
+  const auto& report = run.report;
 
   for (const auto& sc : kScenarios) {
     std::printf("--- %s: meeting host in %s ---\n", sc.figure, sc.host);
@@ -118,14 +120,5 @@ int main(int argc, char** argv) {
     std::printf("%s\n", table.render().c_str());
   }
 
-  std::printf("run: %zu tasks, %zu failures, %.2f s wall on %zu threads\n", report.sessions,
-              report.failures.size(), report.wall_seconds, report.threads);
-  for (const auto& [idx, what] : report.failures) {
-    std::printf("  task %zu (%s) failed: %s\n", idx, points[idx].key.c_str(), what.c_str());
-  }
-  const std::string out_path = "bench_fig8_11_rtt.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return 0;
+  return run.finish("bench_fig8_11_rtt.report.json");
 }

@@ -20,7 +20,6 @@
 // exit 3 on an accuracy miss, exit 1 on a determinism regression.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -45,20 +44,6 @@ struct Cell {
   std::uint64_t cell_seed = 0;
   std::string key;  // e.g. "Zoom/dsl3m/out6s2s"
 };
-
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
 
 core::QoeInferBenchmarkConfig cell_config(const Cell& c, SimDuration media_duration,
                                           int shards) {
@@ -87,7 +72,7 @@ void sample_cell(runner::SessionContext& ctx, const std::string& key,
 /// Accuracy gate (CI perf-smoke): scripted-outage scenes on every platform,
 /// pooled MAE / precision / recall against hard thresholds, plus the usual
 /// 1-vs-8-thread byte identity. Returns the process exit code.
-int run_gate(double mae_gate, int shards, const std::string& out_path) {
+int accuracy_gate(double mae_gate, int shards, const std::string& out_path) {
   const SimDuration media_duration = seconds(16);
   static const Scene kGateScene{"out6s2s", {{seconds(6), seconds(2)}}};
 
@@ -115,18 +100,12 @@ int run_gate(double mae_gate, int shards, const std::string& out_path) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 7100;
   rc.label = "qoe_infer_gate";
-  rc.threads = 1;
-  const auto serial = runner::ExperimentRunner{rc}.run(cells.size(), task);
-  rc.threads = 8;
-  const auto report = runner::ExperimentRunner{rc}.run(cells.size(), task);
-
-  if (!report.failures.empty()) {
-    std::printf("FAIL: %zu gate session(s) threw\n", report.failures.size());
-    return 1;
-  }
-  if (serial.aggregate_json() != report.aggregate_json()) {
-    std::printf("FAIL: aggregate reports differ across thread counts — "
-                "determinism regression\n");
+  const auto run = vcb::run_checked(rc, cells.size(), task);
+  const auto& report = run.report;
+  if (!run.ok()) {
+    std::printf("FAIL: %zu gate session(s) threw, or the aggregate reports differ across "
+                "thread counts — determinism regression\n",
+                report.failures.size());
     return 1;
   }
 
@@ -166,10 +145,10 @@ int run_gate(double mae_gate, int shards, const std::string& out_path) {
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
   const int shards = vcb::int_flag(argc, argv, "--shards", 0);
-  const double gate = flag_double(argc, argv, "--gate", 0.0);
+  const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
   const std::string out_path =
-      flag_string(argc, argv, "--out", "bench_qoe_inference.report.json");
-  if (gate > 0.0) return run_gate(gate, shards, out_path);
+      vcb::flag_string(argc, argv, "--out", "bench_qoe_inference.report.json");
+  if (gate > 0.0) return accuracy_gate(gate, shards, out_path);
 
   vcb::banner("Header-free QoE inference — estimate vs ground truth", paper);
 
@@ -217,10 +196,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 7001;
   rc.label = "qoe_inference";
-  rc.threads = 1;
-  const auto serial = runner::ExperimentRunner{rc}.run(cells.size(), task);
-  rc.threads = 8;
-  const auto report = runner::ExperimentRunner{rc}.run(cells.size(), task);
+  const auto run = vcb::run_checked(rc, cells.size(), task);
+  const auto& report = run.report;
 
   TextTable table{{"platform", "shaper", "scene", "truth fps", "est fps", "|err|",
                    "tier acc", "frz P", "frz R"}};
@@ -244,17 +221,6 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("sessions: %zu  failures: %zu  fan_out_shards: %d\n", report.sessions,
-              report.failures.size(), shards);
-  std::printf("wall clock: %.2f s at 1 thread, %.2f s at 8 threads — speedup %.2fx\n",
-              serial.wall_seconds, report.wall_seconds,
-              report.wall_seconds > 0 ? serial.wall_seconds / report.wall_seconds : 0.0);
-  std::printf("aggregate reports bit-identical across thread counts: %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return identical && report.failures.empty() ? 0 : 1;
+  std::printf("fan_out_shards: %d\n", shards);
+  return run.finish(out_path);
 }

@@ -38,10 +38,6 @@
 // zero-rule HealthMonitor observing an *enabled* sampling timeline leaves
 // the exported timeline bytes identical to an unobserved run (exit 5) —
 // the armed-but-empty monitor contract.
-//
-// Compiling with -DVC_BENCH_SERIAL_ONLY builds only the serial mode against
-// a tree that predates the sharding API — that is how the "before" column of
-// the checked-in BENCH_PR3.json was measured at the parent commit.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -51,19 +47,19 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "platform/relay.h"
-#include "runner/experiment_runner.h"
-#ifndef VC_BENCH_SERIAL_ONLY
 #include "common/metrics.h"
 #include "common/metrics_timeline.h"
 #include "common/shard_pool.h"
 #include "common/tracer.h"
 #include "health/health_monitor.h"
-#endif
+#include "platform/relay.h"
+#include "runner/experiment_runner.h"
 
 namespace {
 
 using namespace vc;
+using vcb::fnv_mix;
+using vcb::kFnvBasis;
 
 struct TrialResult {
   double seconds = 0.0;
@@ -83,12 +79,6 @@ struct Mode {
   std::int64_t media_forwarded = 0;
 };
 
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ULL;
-}
-
-#ifndef VC_BENCH_SERIAL_ONLY
 /// Observability side-channel for a trial. attach_metrics alone is the A
 /// side of the timeline gate; arm_disabled adds an armed-but-disabled
 /// sampler (the B side, which must schedule nothing); sample arms an
@@ -104,14 +94,9 @@ struct TimelineProbe {
 
 TrialResult run_trial(int n, int frames, int shards, ShardPool* pool, Tracer* tracer,
                       TimelineProbe* probe = nullptr) {
-#else
-TrialResult run_trial(int n, int frames, int /*shards*/, void* /*pool*/, void* /*tracer*/,
-                      void* /*probe*/ = nullptr) {
-#endif
   net::Network net{std::make_unique<net::FixedLatencyModel>(millis(3)), 99};
   platform::RelayServer relay{net, "relay", GeoPoint{38.9, -77.4}, 8801,
                               platform::RelayServer::ForwardingDelay{millis(2), 2.0}};
-#ifndef VC_BENCH_SERIAL_ONLY
   relay.set_fan_out_sharding(pool, shards);
   if (tracer != nullptr) {
     // Attached-but-disabled: the exact state the <=2% overhead gate measures.
@@ -134,10 +119,9 @@ TrialResult run_trial(int n, int frames, int /*shards*/, void* /*pool*/, void* /
     // for the byte-identity probe.
     timeline.arm(net.loop(), registry, SimTime::zero(), SimTime::zero() + seconds(10));
   }
-#endif
 
   TrialResult out{};
-  out.digest = 14695981039346656037ULL;  // FNV offset basis
+  out.digest = kFnvBasis;
   std::vector<net::Host*> hosts;
   hosts.reserve(static_cast<std::size_t>(n));
   auto* digest = &out.digest;
@@ -192,27 +176,11 @@ TrialResult run_trial(int n, int frames, int /*shards*/, void* /*pool*/, void* /
   const auto t1 = std::chrono::steady_clock::now();
   out.seconds = std::chrono::duration<double>(t1 - t0).count();
   out.media_forwarded = relay.stats().media_forwarded;
-#ifndef VC_BENCH_SERIAL_ONLY
   if (probe != nullptr && probe->sample) {
     timeline.finalize();
     probe->timeline_json = timeline.to_json();
   }
-#endif
   return out;
-}
-
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
 }
 
 }  // namespace
@@ -222,12 +190,12 @@ int main(int argc, char** argv) {
   const int frames = vcb::int_flag(argc, argv, "--packets", 40);
   const int rounds = std::max(3, vcb::int_flag(argc, argv, "--rounds", 7));
   const int shards = std::max(1, vcb::int_flag(argc, argv, "--shards", 4));
-  const double gate = flag_double(argc, argv, "--gate", 0.0);
-  const double trace_gate = flag_double(argc, argv, "--trace-gate", 0.0);
-  const double timeline_gate = flag_double(argc, argv, "--timeline-gate", 0.0);
-  const std::string out_path = flag_string(argc, argv, "--out", "BENCH_PR3.json");
+  const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
+  const double trace_gate = vcb::flag_double(argc, argv, "--trace-gate", 0.0);
+  const double timeline_gate = vcb::flag_double(argc, argv, "--timeline-gate", 0.0);
+  const std::string out_path = vcb::flag_string(argc, argv, "--out", "BENCH_PR3.json");
   const std::string timeline_out =
-      flag_string(argc, argv, "--timeline-out", "BENCH_PR9_timeline_gate.json");
+      vcb::flag_string(argc, argv, "--timeline-out", "BENCH_PR9_timeline_gate.json");
 
   std::printf("relay fan-out A/B: n=%d frames=%d rounds=%d shards=%d gate=%.2f trace-gate=%.2f "
               "timeline-gate=%.2f\n",
@@ -246,7 +214,6 @@ int main(int argc, char** argv) {
   };
   std::vector<Mode> modes;
   modes.push_back(make_mode("serial", 0, false, false, false, false));
-#ifndef VC_BENCH_SERIAL_ONLY
   modes.push_back(make_mode("traced-off", 0, false, true, false, false));
   modes.push_back(make_mode("metrics", 0, false, false, true, false));
   modes.push_back(make_mode("timeline-off", 0, false, false, true, true));
@@ -257,33 +224,24 @@ int main(int argc, char** argv) {
   Tracer tracer;  // never enabled: measures the compiled-in-but-off cost
   std::printf("pooled mode: %d worker thread(s) (auto for %d shards on this machine)\n", workers,
               shards);
-#endif
 
   // One untimed warm-up per mode, then interleaved timed rounds.
   for (auto& m : modes) {
-#ifndef VC_BENCH_SERIAL_ONLY
     TimelineProbe probe;
     probe.attach_metrics = m.metered;
     probe.arm_disabled = m.timeline;
     const TrialResult warm = run_trial(n, frames, m.shards, m.use_pool ? &pool : nullptr,
                                        m.traced ? &tracer : nullptr, &probe);
-#else
-    const TrialResult warm = run_trial(n, frames, m.shards, nullptr, nullptr);
-#endif
     m.digest = warm.digest;
     m.media_forwarded = warm.media_forwarded;
   }
   for (int r = 0; r < rounds; ++r) {
     for (auto& m : modes) {
-#ifndef VC_BENCH_SERIAL_ONLY
       TimelineProbe probe;
       probe.attach_metrics = m.metered;
       probe.arm_disabled = m.timeline;
       const TrialResult t = run_trial(n, frames, m.shards, m.use_pool ? &pool : nullptr,
                                       m.traced ? &tracer : nullptr, &probe);
-#else
-      const TrialResult t = run_trial(n, frames, m.shards, nullptr, nullptr);
-#endif
       m.seconds.push_back(t.seconds);
       if (t.digest != m.digest) {
         std::printf("FAIL: %s digest unstable across rounds\n", m.name.c_str());
@@ -292,7 +250,6 @@ int main(int argc, char** argv) {
     }
   }
 
-#ifndef VC_BENCH_SERIAL_ONLY
   // Armed-empty HealthMonitor byte-identity: an enabled sampling timeline
   // exports the same bytes whether or not a zero-rule monitor is observing
   // it (and the deliveries stay identical too, via the digest check below).
@@ -308,9 +265,6 @@ int main(int argc, char** argv) {
                                  !plain.timeline_json.empty() &&
                                  sampled_plain.digest == sampled_observed.digest &&
                                  sampled_plain.digest == modes[0].digest;
-#else
-  const bool monitor_invisible = true;
-#endif
 
   bool identical = true;
   for (const auto& m : modes) {

@@ -38,7 +38,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -66,13 +65,8 @@ namespace {
 
 using namespace vc;
 using namespace vc::media;
-
-void fnv_mix(std::uint64_t& h, std::uint64_t v) {
-  h ^= v;
-  h *= 1099511628211ULL;
-}
-
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+using vcb::fnv_mix;
+using vcb::kFnvBasis;
 
 struct LegResult {
   double seconds = 0.0;
@@ -487,20 +481,6 @@ void append_stats(std::string& out, const char* name, const RunningStats& s, boo
   out += last ? "\n" : ",\n";
 }
 
-double flag_double(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return std::atof(argv[i + 1]);
-  }
-  return fallback;
-}
-
-std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
-  }
-  return fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -508,9 +488,9 @@ int main(int argc, char** argv) {
   const int codec_frames = std::max(8, vcb::int_flag(argc, argv, "--codec-frames", 60));
   const int audio_frames = std::max(8, vcb::int_flag(argc, argv, "--audio-frames", 200));
   const int relay_n = std::max(8, vcb::int_flag(argc, argv, "--relay-n", 24));
-  const double gate = flag_double(argc, argv, "--gate", 0.0);
-  const std::string baseline_path = flag_string(argc, argv, "--baseline", "");
-  const std::string out_path = flag_string(argc, argv, "--out", "BENCH_SOAK.json");
+  const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
+  const std::string baseline_path = vcb::flag_string(argc, argv, "--baseline", "");
+  const std::string out_path = vcb::flag_string(argc, argv, "--out", "BENCH_SOAK.json");
 
   std::printf("soak: %d epochs (codec %d frames, audio %d frames, relay n=%d), backend=%s, "
               "gate=%.2f\n",

@@ -79,10 +79,8 @@ int main(int argc, char** argv) {
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 1001;
   rc.label = "table1_min_bandwidth";
-  rc.threads = 1;
-  const auto serial = runner::ExperimentRunner{rc}.run(cells.size(), task);
-  rc.threads = 8;
-  const auto report = runner::ExperimentRunner{rc}.run(cells.size(), task);
+  const auto run = vcb::run_checked(rc, cells.size(), task);
+  const auto& report = run.report;
 
   TextTable table{{"platform", "usable floor (Kbps)", "full-quality floor (Kbps)",
                    "paper low / high quality"}};
@@ -117,17 +115,5 @@ int main(int argc, char** argv) {
   std::printf("'usable': >70%% of frames delivered and MOS-LQO > 3;\n"
               "'full quality': SSIM within 0.03 of the uncapped baseline.\n");
 
-  const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("sessions: %zu  failures: %zu\n", report.sessions, report.failures.size());
-  std::printf("wall clock: %.2f s at 1 thread, %.2f s at 8 threads — speedup %.2fx\n",
-              serial.wall_seconds, report.wall_seconds,
-              report.wall_seconds > 0 ? serial.wall_seconds / report.wall_seconds : 0.0);
-  std::printf("aggregate reports bit-identical across thread counts: %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-
-  const std::string out_path = "bench_table1_min_bandwidth.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return identical ? 0 : 1;
+  return run.finish("bench_table1_min_bandwidth.report.json");
 }

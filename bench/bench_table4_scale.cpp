@@ -13,8 +13,6 @@
 // (the runner's determinism contract); the wall-clock ratio is the measured
 // parallel speedup on this machine.
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -35,13 +33,6 @@ struct Cell {
 
 double median_or_zero(const std::vector<double>& v) {
   return v.empty() ? 0.0 : median(v);
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
 }
 
 }  // namespace
@@ -83,24 +74,14 @@ int main(int argc, char** argv) {
     ctx.sample(c.key + ".j3_cpu_median", median_or_zero(s.j3_cpu));
   };
 
-  // Both runs flight-record every task: the trace files, like the reports,
-  // must be byte-identical at any thread count.
+  // Both runs flight-record every task (into table4_traces/t1 and /t8): the
+  // trace files, like the reports, must be byte-identical at any thread count.
   runner::ExperimentRunner::Config rc;
   rc.base_seed = 901;
   rc.label = "table4_scale";
-  rc.threads = 1;
-  rc.trace_dir = "table4_traces_t1";
-  const auto serial = runner::ExperimentRunner{rc}.run(cells.size(), task);
-  rc.threads = 8;
-  rc.trace_dir = "table4_traces_t8";
-  const auto report = runner::ExperimentRunner{rc}.run(cells.size(), task);
-
-  std::size_t trace_mismatches = 0;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const std::string name = "/" + std::to_string(i) + ".trace.json";
-    const std::string a = slurp("table4_traces_t1" + name);
-    if (a.empty() || a != slurp("table4_traces_t8" + name)) ++trace_mismatches;
-  }
+  rc.trace_dir = "table4_traces";
+  const auto run = vcb::run_checked(rc, cells.size(), task);
+  const auto& report = run.report;
 
   TextTable table{{"N", "client", "full rate (Mbps)", "full CPU (%)", "gallery rate (Mbps)",
                    "gallery CPU (%)"}};
@@ -122,22 +103,8 @@ int main(int argc, char** argv) {
   std::printf("%s\n", table.render().c_str());
   std::printf("cells are S10/J3, as in the paper's Table 4.\n\n");
 
-  const bool identical = serial.aggregate_json() == report.aggregate_json();
-  std::printf("sessions: %zu  failures: %zu\n", report.sessions, report.failures.size());
-  std::printf("wall clock: %.2f s at 1 thread, %.2f s at 8 threads — speedup %.2fx\n",
-              serial.wall_seconds, report.wall_seconds,
-              report.wall_seconds > 0 ? serial.wall_seconds / report.wall_seconds : 0.0);
-  std::printf("aggregate reports bit-identical across thread counts: %s\n",
-              identical ? "yes" : "NO — determinism regression!");
-  std::printf("trace: %llu records (%llu dropped) across %zu tasks; "
-              "per-task trace files bit-identical across thread counts: %s\n",
+  std::printf("trace: %llu records (%llu dropped) across %zu tasks\n",
               static_cast<unsigned long long>(report.trace.records),
-              static_cast<unsigned long long>(report.trace.dropped), cells.size(),
-              trace_mismatches == 0 ? "yes" : "NO — determinism regression!");
-
-  const std::string out_path = "bench_table4_scale.report.json";
-  if (runner::write_text_file(out_path, report.to_json())) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
-  return identical && trace_mismatches == 0 ? 0 : 1;
+              static_cast<unsigned long long>(report.trace.dropped), cells.size());
+  return run.finish("bench_table4_scale.report.json");
 }
