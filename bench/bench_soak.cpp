@@ -584,24 +584,17 @@ int main(int argc, char** argv) {
   // Baseline check: digests and work counts must match exactly.
   bool baseline_ok = true;
   if (!baseline_path.empty()) {
+    std::string text;
+    if (!vcb::read_file(baseline_path, &text)) {
+      std::printf("FAIL: cannot read baseline %s\n", baseline_path.c_str());
+      return 4;
+    }
     json::Value root;
-    {
-      std::FILE* f = std::fopen(baseline_path.c_str(), "rb");
-      if (f == nullptr) {
-        std::printf("FAIL: cannot read baseline %s\n", baseline_path.c_str());
-        return 4;
-      }
-      std::string text;
-      char chunk[4096];
-      std::size_t n = 0;
-      while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) text.append(chunk, n);
-      std::fclose(f);
-      try {
-        root = json::parse(text);
-      } catch (const std::exception& e) {
-        std::printf("FAIL: baseline %s: %s\n", baseline_path.c_str(), e.what());
-        return 4;
-      }
+    try {
+      root = json::parse(text);
+    } catch (const std::exception& e) {
+      std::printf("FAIL: baseline %s: %s\n", baseline_path.c_str(), e.what());
+      return 4;
     }
     const json::Value* digests = root.find("digests");
     const json::Value* items = root.find("items_per_epoch");

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/stats.h"
 #include "common/table.h"
 #include "core/vcbench.h"
 
@@ -31,14 +32,13 @@ int main(int argc, char** argv) {
       cfg.platform = id;
       cfg.motion = motion;
       cfg.cap = DataRate::kbps(cap_kbps);
-      cfg.sessions = 1;
       cfg.media_duration = seconds(12);
-      const auto r = core::run_bwcap_benchmark(cfg);
-      table.add_row({std::string(platform_name(id)), TextTable::num(r.psnr.mean(), 1),
-                     TextTable::num(r.ssim.mean(), 3), TextTable::num(r.vifp.mean(), 3),
-                     TextTable::num(r.mos_lqo.mean(), 2),
-                     TextTable::num(r.delivery_ratio.mean(), 2),
-                     TextTable::num(r.download_kbps.mean(), 0)});
+      const auto r = core::run_bwcap_session(cfg, 5);
+      // A score the session could not measure stays 0.
+      table.add_row({std::string(platform_name(id)), TextTable::num(r.psnr, 1),
+                     TextTable::num(r.ssim, 3), TextTable::num(r.vifp, 3),
+                     TextTable::num(r.mos_lqo, 2), TextTable::num(r.delivery_ratio, 2),
+                     TextTable::num(r.download_kbps, 0)});
     }
     std::printf("%s", table.render().c_str());
     return 0;
@@ -53,13 +53,19 @@ int main(int argc, char** argv) {
     cfg.platform = id;
     cfg.motion = motion;
     cfg.receiver_sites = core::us_qoe_receiver_sites(n);
-    cfg.sessions = 1;
     cfg.media_duration = seconds(12);
-    const auto r = core::run_qoe_benchmark(cfg);
-    table.add_row({std::string(platform_name(id)), TextTable::num(r.psnr.mean(), 1),
-                   TextTable::num(r.ssim.mean(), 3), TextTable::num(r.vifp.mean(), 3),
-                   TextTable::num(r.upload_kbps.mean(), 0),
-                   TextTable::num(r.download_kbps.mean(), 0)});
+    const auto r = core::run_qoe_session(cfg, 1);
+    RunningStats psnr, ssim, vifp, download;
+    for (const auto& rx : r.receivers) {
+      download.add(rx.download_kbps);
+      if (!rx.has_video_qoe) continue;
+      psnr.add(rx.psnr);
+      ssim.add(rx.ssim);
+      vifp.add(rx.vifp);
+    }
+    table.add_row({std::string(platform_name(id)), TextTable::num(psnr.mean(), 1),
+                   TextTable::num(ssim.mean(), 3), TextTable::num(vifp.mean(), 3),
+                   TextTable::num(r.upload_kbps, 0), TextTable::num(download.mean(), 0)});
   }
   std::printf("%s", table.render().c_str());
   return 0;

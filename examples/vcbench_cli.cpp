@@ -3,8 +3,8 @@
 //
 //   vcbench_cli lag    --platform zoom --host US-East [--sessions 5] [--csv out.csv]
 //   vcbench_cli qoe    --platform meet --receivers 3 --motion high [--csv out.csv]
-//   vcbench_cli bwcap  --platform webex --cap-kbps 500 [--csv out.csv]
-//   vcbench_cli mobile --platform zoom --scenario LM-View
+//   vcbench_cli bwcap  --platform webex --cap-kbps 500 [--sessions 2]
+//   vcbench_cli mobile --platform zoom --scenario LM-View [--repetitions 2]
 //   vcbench_cli dump   --trace file.vctr [--max 50]
 //   vcbench_cli infer  --trace file.vctr [--platform zoom] [--json]
 //   vcbench_cli report run.json [--filter SUBSTR] [--cdf BASE]
@@ -13,12 +13,15 @@
 //   vcbench_cli timeline 0.timeline.json [--metric SUBSTR] [--json]
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -52,24 +55,53 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv, int start)
   return flags;
 }
 
-platform::PlatformId parse_platform(const std::map<std::string, std::string>& flags) {
-  const auto it = flags.find("platform");
-  const std::string name = it == flags.end() ? "zoom" : it->second;
-  if (name == "webex") return platform::PlatformId::kWebex;
-  if (name == "meet") return platform::PlatformId::kMeet;
-  return platform::PlatformId::kZoom;
-}
-
-int flag_int(const std::map<std::string, std::string>& flags, const std::string& key,
-             int fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : std::atoi(it->second.c_str());
-}
-
 std::string flag_str(const std::map<std::string, std::string>& flags, const std::string& key,
                      const std::string& fallback) {
   const auto it = flags.find(key);
   return it == flags.end() ? fallback : it->second;
+}
+
+// A malformed value, or one below `min`, throws std::invalid_argument, which
+// main reports with exit 2.
+int flag_int(const std::map<std::string, std::string>& flags, const std::string& key,
+             int fallback, int min = INT_MIN) {
+  const auto it = flags.find(key);
+  if (it == flags.end()) return fallback;
+  const std::string& text = it->second;
+  int value = 0;
+  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc{} || end != text.data() + text.size()) {
+    throw std::invalid_argument{"--" + key + " wants an integer, got '" + text + "'"};
+  }
+  if (value < min) {
+    throw std::invalid_argument{"--" + key + " must be at least " + std::to_string(min)};
+  }
+  return value;
+}
+
+platform::PlatformId parse_platform(const std::map<std::string, std::string>& flags) {
+  const std::string name = flag_str(flags, "platform", "zoom");
+  if (name == "zoom") return platform::PlatformId::kZoom;
+  if (name == "webex") return platform::PlatformId::kWebex;
+  if (name == "meet") return platform::PlatformId::kMeet;
+  throw std::invalid_argument{"unknown --platform '" + name + "' (zoom|webex|meet)"};
+}
+
+platform::MotionClass parse_motion(const std::map<std::string, std::string>& flags) {
+  const std::string name = flag_str(flags, "motion", "low");
+  if (name == "low") return platform::MotionClass::kLowMotion;
+  if (name == "high") return platform::MotionClass::kHighMotion;
+  throw std::invalid_argument{"unknown --motion '" + name + "' (low|high)"};
+}
+
+mobile::MobileScenario parse_scenario(const std::map<std::string, std::string>& flags) {
+  const std::string name = flag_str(flags, "scenario", "LM");
+  using S = mobile::MobileScenario;
+  for (const S s : {S::kLM, S::kHM, S::kLMView, S::kLMVideoView, S::kLMOff}) {
+    if (scenario_name(s) == name) return s;
+  }
+  throw std::invalid_argument{"unknown --scenario '" + name +
+                              "' (LM|HM|LM-View|LM-Video-View|LM-Off)"};
 }
 
 int run_lag(const std::map<std::string, std::string>& flags) {
@@ -79,7 +111,7 @@ int run_lag(const std::map<std::string, std::string>& flags) {
   cfg.participant_sites = cfg.host_site == "CH" || cfg.host_site == "UK-West"
                               ? core::europe_participant_sites(cfg.host_site)
                               : core::us_participant_sites(cfg.host_site);
-  cfg.sessions = flag_int(flags, "sessions", 5);
+  cfg.sessions = flag_int(flags, "sessions", 5, /*min=*/1);
   cfg.session_duration = seconds(flag_int(flags, "duration", 40));
   if (flags.contains("paid")) cfg.webex_tier = platform::WebexTier::kPaid;
   const auto result = core::run_lag_benchmark(cfg);
@@ -108,30 +140,42 @@ int run_lag(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
+// qoe, bwcap and mobile run each session as its own world on a fixed
+// per-scenario seed stream, and pool the sessions here.
 int run_qoe(const std::map<std::string, std::string>& flags) {
   core::QoeBenchmarkConfig cfg;
   cfg.platform = parse_platform(flags);
-  cfg.motion = flag_str(flags, "motion", "low") == "high" ? platform::MotionClass::kHighMotion
-                                                          : platform::MotionClass::kLowMotion;
+  cfg.motion = parse_motion(flags);
   cfg.receiver_sites = core::us_qoe_receiver_sites(flag_int(flags, "receivers", 2));
-  cfg.sessions = flag_int(flags, "sessions", 1);
+  const int sessions = flag_int(flags, "sessions", 1, /*min=*/1);
   cfg.media_duration = seconds(flag_int(flags, "duration", 12));
-  const auto r = core::run_qoe_benchmark(cfg);
-  std::printf("PSNR %.1f dB  SSIM %.3f  VIFp %.3f  delivery %.2f\n", r.psnr.mean(), r.ssim.mean(),
-              r.vifp.mean(), r.delivery_ratio.mean());
-  std::printf("host upload %.0f Kbps, receiver download %.0f Kbps\n", r.upload_kbps.mean(),
-              r.download_kbps.mean());
+  RunningStats psnr, ssim, vifp, delivery, upload, download;
+  for (int s = 0; s < sessions; ++s) {
+    const auto r = core::run_qoe_session(cfg, 1 + static_cast<std::uint64_t>(s) * 6151);
+    upload.add(r.upload_kbps);
+    for (const core::QoeReceiverResult& rx : r.receivers) {
+      download.add(rx.download_kbps);
+      if (rx.has_delivery_ratio) delivery.add(rx.delivery_ratio);
+      if (!rx.has_video_qoe) continue;
+      psnr.add(rx.psnr);
+      ssim.add(rx.ssim);
+      vifp.add(rx.vifp);
+    }
+  }
+  std::printf("PSNR %.1f dB  SSIM %.3f  VIFp %.3f  delivery %.2f\n", psnr.mean(), ssim.mean(),
+              vifp.mean(), delivery.mean());
+  std::printf("host upload %.0f Kbps, receiver download %.0f Kbps\n", upload.mean(),
+              download.mean());
   if (flags.contains("csv")) {
     std::ofstream out{flags.at("csv")};
     CsvWriter csv{out};
     csv.row({"metric", "mean", "stddev"});
-    csv.row({"psnr", CsvWriter::num(r.psnr.mean()), CsvWriter::num(r.psnr.stddev())});
-    csv.row({"ssim", CsvWriter::num(r.ssim.mean()), CsvWriter::num(r.ssim.stddev())});
-    csv.row({"vifp", CsvWriter::num(r.vifp.mean()), CsvWriter::num(r.vifp.stddev())});
-    csv.row({"upload_kbps", CsvWriter::num(r.upload_kbps.mean()),
-             CsvWriter::num(r.upload_kbps.stddev())});
-    csv.row({"download_kbps", CsvWriter::num(r.download_kbps.mean()),
-             CsvWriter::num(r.download_kbps.stddev())});
+    csv.row({"psnr", CsvWriter::num(psnr.mean()), CsvWriter::num(psnr.stddev())});
+    csv.row({"ssim", CsvWriter::num(ssim.mean()), CsvWriter::num(ssim.stddev())});
+    csv.row({"vifp", CsvWriter::num(vifp.mean()), CsvWriter::num(vifp.stddev())});
+    csv.row({"upload_kbps", CsvWriter::num(upload.mean()), CsvWriter::num(upload.stddev())});
+    csv.row({"download_kbps", CsvWriter::num(download.mean()),
+             CsvWriter::num(download.stddev())});
   }
   return 0;
 }
@@ -141,34 +185,47 @@ int run_bwcap(const std::map<std::string, std::string>& flags) {
   cfg.platform = parse_platform(flags);
   const int cap = flag_int(flags, "cap-kbps", 0);
   cfg.cap = cap > 0 ? DataRate::kbps(cap) : DataRate::unlimited();
-  cfg.sessions = flag_int(flags, "sessions", 1);
+  const int sessions = flag_int(flags, "sessions", 1, /*min=*/1);
   cfg.media_duration = seconds(flag_int(flags, "duration", 12));
-  const auto r = core::run_bwcap_benchmark(cfg);
+  RunningStats psnr, ssim, mos, delivery, drops;
+  for (int s = 0; s < sessions; ++s) {
+    const auto r = core::run_bwcap_session(cfg, 5 + static_cast<std::uint64_t>(s) * 4447);
+    if (r.has_video_qoe) {
+      psnr.add(r.psnr);
+      ssim.add(r.ssim);
+    }
+    if (r.has_audio_qoe) mos.add(r.mos_lqo);
+    if (r.has_delivery_ratio) delivery.add(r.delivery_ratio);
+    drops.add(r.drop_fraction);
+  }
   std::printf("cap %s: PSNR %.1f dB  SSIM %.3f  MOS-LQO %.2f  delivery %.2f  drops %.1f%%\n",
-              cfg.cap.to_string().c_str(), r.psnr.mean(), r.ssim.mean(), r.mos_lqo.mean(),
-              r.delivery_ratio.mean(), 100.0 * r.drop_fraction.mean());
+              cfg.cap.to_string().c_str(), psnr.mean(), ssim.mean(), mos.mean(), delivery.mean(),
+              100.0 * drops.mean());
   return 0;
 }
 
 int run_mobile(const std::map<std::string, std::string>& flags) {
   core::MobileBenchmarkConfig cfg;
   cfg.platform = parse_platform(flags);
-  const std::string scenario = flag_str(flags, "scenario", "LM");
-  using S = mobile::MobileScenario;
-  cfg.scenario = scenario == "HM"              ? S::kHM
-                 : scenario == "LM-View"       ? S::kLMView
-                 : scenario == "LM-Video-View" ? S::kLMVideoView
-                 : scenario == "LM-Off"        ? S::kLMOff
-                                               : S::kLM;
-  cfg.repetitions = flag_int(flags, "repetitions", 2);
+  cfg.scenario = parse_scenario(flags);
+  const int repetitions = flag_int(flags, "repetitions", 2, /*min=*/1);
   cfg.duration = seconds(flag_int(flags, "duration", 45));
-  const auto r = core::run_mobile_benchmark(cfg);
+  std::vector<double> s10_cpu, j3_cpu;
+  RunningStats s10_download, j3_download, j3_battery;
+  for (int rep = 0; rep < repetitions; ++rep) {
+    const auto r = core::run_mobile_session(cfg, 9 + static_cast<std::uint64_t>(rep) * 2917);
+    s10_cpu.insert(s10_cpu.end(), r.s10_cpu.begin(), r.s10_cpu.end());
+    j3_cpu.insert(j3_cpu.end(), r.j3_cpu.begin(), r.j3_cpu.end());
+    s10_download.add(r.s10_download_kbps);
+    j3_download.add(r.j3_download_kbps);
+    j3_battery.add(r.j3_battery_pct_per_hour);
+  }
   std::printf("%s / %s:\n", std::string(platform_name(cfg.platform)).c_str(),
               std::string(scenario_name(cfg.scenario)).c_str());
-  std::printf("  S10: CPU median %.0f%%, download %.0f Kbps\n", r.s10.cpu.median,
-              r.s10.download_kbps.mean());
+  std::printf("  S10: CPU median %.0f%%, download %.0f Kbps\n", median(s10_cpu),
+              s10_download.mean());
   std::printf("  J3:  CPU median %.0f%%, download %.0f Kbps, battery %.1f %%/h\n",
-              r.j3.cpu.median, r.j3.download_kbps.mean(), r.j3.battery_pct_per_hour.mean());
+              median(j3_cpu), j3_download.mean(), j3_battery.mean());
   return 0;
 }
 
@@ -406,10 +463,14 @@ int run_trace_summary(const std::string& path, const std::map<std::string, std::
 void usage() {
   std::fprintf(stderr,
                "usage: vcbench_cli <lag|qoe|bwcap|mobile|dump|infer|report|trace|profile|timeline>\n"
-               "  lag    --host SITE [--sessions N] [--duration S] [--paid] [--csv FILE]\n"
-               "  qoe    --receivers N --motion low|high [--sessions N] [--csv FILE]\n"
-               "  bwcap  --cap-kbps K [--sessions N]\n"
-               "  mobile --scenario LM|HM|LM-View|LM-Video-View|LM-Off\n"
+               "  lag    [--platform P] [--host SITE] [--sessions N] [--duration S] [--paid]\n"
+               "         [--csv FILE]\n"
+               "  qoe    [--platform P] [--receivers N] [--motion low|high] [--sessions N]\n"
+               "         [--duration S] [--csv FILE]\n"
+               "  bwcap  [--platform P] [--cap-kbps K] [--sessions N] [--duration S]\n"
+               "  mobile [--platform P] [--scenario LM|HM|LM-View|LM-Video-View|LM-Off]\n"
+               "         [--repetitions N] [--duration S]\n"
+               "         P is zoom|webex|meet (default zoom); N >= 1\n"
                "  dump   --trace FILE [--max N]\n"
                "  infer  --trace FILE.vctr [--platform P] [--freeze-ms N] [--window-ms N]\n"
                "         [--min-payload B] [--json]   header-free QoE estimate from a capture\n"

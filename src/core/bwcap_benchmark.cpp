@@ -9,29 +9,19 @@
 #include "media/qoe/mos_lqo.h"
 
 namespace vc::core {
-namespace {
 
-/// The long-lived testbed both entry points share: the platform, the host
-/// VM and the receiver VM.
-std::pair<net::Host*, net::Host*> provision(SessionWorld& world,
-                                            const BwCapBenchmarkConfig& config,
-                                            std::uint64_t seed) {
-  world.add_platform(config.platform,
-                     {.seed = seed ^ 0xCAB, .fan_out_shards = config.fan_out_shards});
-  net::Host& host_vm = world.vm(config.host_site, 8);
-  return {&host_vm, &world.vm(config.receiver_site, 9)};
-}
-
-/// One capped two-party session against an existing world. Shared by the
-/// aggregate benchmark (persistent bed/VMs across sessions, like the paper's
-/// long-lived testbed) and the self-contained per-seed entry point.
-BwCapSessionResult run_one_session(const BwCapBenchmarkConfig& config, SessionWorld& world,
-                                   net::Host& host_vm, net::Host& rx_vm,
-                                   std::uint64_t feed_seed, std::uint64_t session_seed) {
+BwCapSessionResult run_bwcap_session(const BwCapBenchmarkConfig& config, std::uint64_t seed) {
   // Built first, so a bad metric_stride throws before anything is simulated.
   const VideoScorer scorer{config.padding, config.content_width, config.content_height,
                            config.metric_stride};
   BwCapSessionResult out;
+
+  // The platform, the host VM and the receiver VM.
+  SessionWorld world{seed};
+  world.add_platform(config.platform,
+                     {.seed = seed ^ 0xCAB, .fan_out_shards = config.fan_out_shards});
+  net::Host& host_vm = world.vm(config.host_site, 8);
+  net::Host& rx_vm = world.vm(config.receiver_site, 9);
 
   // Arm the ingress shaper for this session (tc qdisc on ifb).
   net::TokenBucketShaper* shaper = nullptr;
@@ -41,25 +31,23 @@ BwCapSessionResult run_one_session(const BwCapBenchmarkConfig& config, SessionWo
                                                           /*queue_limit_packets=*/100);
     shaper = owned.get();
     rx_vm.set_ingress_shaper(std::move(owned));
-  } else {
-    rx_vm.set_ingress_shaper(nullptr);
   }
 
   const auto content = motion_feed(
-      config.motion, {config.content_width, config.content_height, config.fps, feed_seed});
+      config.motion, {config.content_width, config.content_height, config.fps, seed ^ 0xFEED});
   const auto padded = std::make_shared<media::PaddedFeed>(content, config.padding);
   const auto voice = media::synthesize_voice(config.media_duration.seconds() + 1.0,
-                                             session_seed ^ 0x701CE);
+                                             seed ^ 0x701CE);
 
   client::VcaClient::Config host_cfg = padded_config(
-      config.content_width, config.content_height, config.padding, config.fps, session_seed);
+      config.content_width, config.content_height, config.padding, config.fps, seed);
   host_cfg.send_audio = true;
   host_cfg.motion = config.motion;
   client::VcaClient& host_client = world.client(host_vm, host_cfg);
   client::MediaFeeder& feeder = world.feeder(host_client);
 
   client::VcaClient::Config rx_cfg = padded_config(
-      config.content_width, config.content_height, config.padding, config.fps, session_seed + 77);
+      config.content_width, config.content_height, config.padding, config.fps, seed + 77);
   rx_cfg.send_video = false;
   rx_cfg.decode_video = true;
   client::VcaClient& receiver = world.client(rx_vm, rx_cfg);
@@ -115,42 +103,7 @@ BwCapSessionResult run_one_session(const BwCapBenchmarkConfig& config, SessionWo
     out.delivery_ratio = static_cast<double>(receiver.stats().video_frames_completed) /
                          static_cast<double>(host_client.stats().video_frames_sent);
   }
-  rx_vm.set_ingress_shaper(nullptr);  // disarm before the next session
   return out;
-}
-
-}  // namespace
-
-BwCapBenchmarkResult run_bwcap_benchmark(const BwCapBenchmarkConfig& config) {
-  SessionWorld world{config.seed};
-  const auto [host_vm, rx_vm] = provision(world, config, config.seed);
-
-  BwCapBenchmarkResult result;
-  result.platform = config.platform;
-  result.cap = config.cap;
-
-  for (int s = 0; s < config.sessions; ++s) {
-    const std::uint64_t session_seed = config.seed + static_cast<std::uint64_t>(s) * 4447;
-    const BwCapSessionResult session =
-        run_one_session(config, world, *host_vm, *rx_vm, config.seed ^ 0xFEED, session_seed);
-    world.end_session();
-    if (session.has_video_qoe) {
-      result.psnr.add(session.psnr);
-      result.ssim.add(session.ssim);
-      result.vifp.add(session.vifp);
-    }
-    if (session.has_audio_qoe) result.mos_lqo.add(session.mos_lqo);
-    result.download_kbps.add(session.download_kbps);
-    result.drop_fraction.add(session.drop_fraction);
-    if (session.has_delivery_ratio) result.delivery_ratio.add(session.delivery_ratio);
-  }
-  return result;
-}
-
-BwCapSessionResult run_bwcap_session(const BwCapBenchmarkConfig& config, std::uint64_t seed) {
-  SessionWorld world{seed};
-  const auto [host_vm, rx_vm] = provision(world, config, seed);
-  return run_one_session(config, world, *host_vm, *rx_vm, seed ^ 0xFEED, seed);
 }
 
 }  // namespace vc::core

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <string>
 
-#include "common/stats.h"
 #include "common/units.h"
 #include "platform/rate_policy.h"
 
@@ -22,40 +21,22 @@ struct BwCapBenchmarkConfig {
   DataRate cap = DataRate::unlimited();
   std::string host_site = "US-East";
   std::string receiver_site = "US-East";
-  int sessions = 2;
   SimDuration media_duration = seconds(15);
   int content_width = 256;
   int content_height = 192;
   int padding = 24;
   double fps = 10.0;
   int metric_stride = 4;
-  std::uint64_t seed = 5;
   /// Intra-session relay fan-out sharding (PlatformConfig::fan_out_shards);
   /// 0 = serial, any K is byte-identical.
   int fan_out_shards = 0;
 };
 
-struct BwCapBenchmarkResult {
-  platform::PlatformId platform{};
-  DataRate cap{};
-  RunningStats psnr;
-  RunningStats ssim;
-  RunningStats vifp;
-  RunningStats mos_lqo;
-  /// Realized receiver download (post-shaper) and shaper drop fraction.
-  RunningStats download_kbps;
-  RunningStats drop_fraction;
-  RunningStats delivery_ratio;
-};
-
-BwCapBenchmarkResult run_bwcap_benchmark(const BwCapBenchmarkConfig& config);
-
-/// One capped session as a self-contained world: builds its own
-/// testbed/platform from `seed` (ignoring config.seed / config.sessions), so
-/// parallel experiment runners can drive it with per-task seed streams —
-/// the Fig 17–18 sweep runs these through runner::ExperimentRunner.
-/// The `has_*` flags mirror run_bwcap_benchmark's conditional adds (video
-/// QoE needs enough recorded frames; audio QoE needs received samples).
+/// One capped session as a self-contained world built from `seed`, the only
+/// entry point of the scenario: repeated sessions are independent worlds at
+/// per-session seeds (the Fig 17–18 sweep runs these through
+/// runner::ExperimentRunner). Video QoE needs enough recorded frames; audio
+/// QoE needs received samples.
 struct BwCapSessionResult {
   bool has_video_qoe = false;
   double psnr = 0.0;

@@ -65,7 +65,6 @@ struct FairnessBenchmarkConfig {
   fault::FaultPlan fault_plan;
   bool use_fault_plan = false;
   int fan_out_shards = 0;
-  std::uint64_t seed = 5;
 };
 
 /// Per-flow outcome over the measurement window (all flows streaming).
@@ -100,8 +99,8 @@ struct FairnessBenchmarkResult {
   std::vector<FairnessFlowResult> flows;
 };
 
-/// One self-contained fairness session built entirely from `seed` (ignores
-/// config.seed, like run_bwcap_session) — the unit ExperimentRunner fans out.
+/// One self-contained fairness session built entirely from `seed` — the unit
+/// ExperimentRunner fans out.
 FairnessBenchmarkResult run_fairness_session(const FairnessBenchmarkConfig& config,
                                              std::uint64_t seed);
 

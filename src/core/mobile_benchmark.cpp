@@ -107,33 +107,6 @@ MobileSessionResult run_mobile_session(const MobileBenchmarkConfig& config, std:
   return out;
 }
 
-MobileBenchmarkResult run_mobile_benchmark(const MobileBenchmarkConfig& config) {
-  MobileBenchmarkResult result;
-  result.platform = config.platform;
-  result.scenario = config.scenario;
-  result.s10.device = "S10";
-  result.j3.device = "J3";
-
-  for (int rep = 0; rep < config.repetitions; ++rep) {
-    const std::uint64_t seed = config.seed + static_cast<std::uint64_t>(rep) * 2917;
-    const MobileSessionResult session = run_mobile_session(config, seed);
-    auto harvest = [](MobileDeviceResult& out, const std::vector<double>& cpu, double down,
-                      double up, double battery) {
-      out.cpu_samples.insert(out.cpu_samples.end(), cpu.begin(), cpu.end());
-      out.download_kbps.add(down);
-      out.upload_kbps.add(up);
-      out.battery_pct_per_hour.add(battery);
-    };
-    harvest(result.s10, session.s10_cpu, session.s10_download_kbps, session.s10_upload_kbps,
-            session.s10_battery_pct_per_hour);
-    harvest(result.j3, session.j3_cpu, session.j3_download_kbps, session.j3_upload_kbps,
-            session.j3_battery_pct_per_hour);
-  }
-  result.s10.cpu = boxplot(result.s10.cpu_samples);
-  result.j3.cpu = boxplot(result.j3.cpu_samples);
-  return result;
-}
-
 ScaleSessionResult run_scale_session(const ScaleBenchmarkConfig& config, std::uint64_t seed) {
   const int extra_vms = std::max(0, config.n_total - 3);
 
@@ -180,33 +153,6 @@ ScaleSessionResult run_scale_session(const ScaleBenchmarkConfig& config, std::ui
   out.s10_rate_mbps = s10.monitor->download_rate().as_mbps();
   out.j3_rate_mbps = j3.monitor->download_rate().as_mbps();
   return out;
-}
-
-ScaleBenchmarkResult run_scale_benchmark(const ScaleBenchmarkConfig& config) {
-  ScaleBenchmarkResult result;
-  result.platform = config.platform;
-  result.n_total = config.n_total;
-  result.phone_view = config.phone_view;
-
-  std::vector<double> s10_cpu;
-  std::vector<double> j3_cpu;
-  RunningStats s10_rate;
-  RunningStats j3_rate;
-
-  for (int rep = 0; rep < config.repetitions; ++rep) {
-    const std::uint64_t seed = config.seed + static_cast<std::uint64_t>(rep) * 5801;
-    const ScaleSessionResult session = run_scale_session(config, seed);
-    s10_cpu.insert(s10_cpu.end(), session.s10_cpu.begin(), session.s10_cpu.end());
-    j3_cpu.insert(j3_cpu.end(), session.j3_cpu.begin(), session.j3_cpu.end());
-    s10_rate.add(session.s10_rate_mbps);
-    j3_rate.add(session.j3_rate_mbps);
-  }
-
-  result.s10_rate_mbps = s10_rate.mean();
-  result.j3_rate_mbps = j3_rate.mean();
-  result.s10_cpu_median = median(s10_cpu);
-  result.j3_cpu_median = median(j3_cpu);
-  return result;
 }
 
 }  // namespace vc::core

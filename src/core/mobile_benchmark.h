@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/stats.h"
 #include "common/tracer.h"
 #include "common/units.h"
 #include "mobile/device.h"
@@ -21,36 +20,16 @@ namespace vc::core {
 struct MobileBenchmarkConfig {
   platform::PlatformId platform = platform::PlatformId::kZoom;
   mobile::MobileScenario scenario = mobile::MobileScenario::kLM;
-  int repetitions = 3;
   SimDuration duration = seconds(60);
-  std::uint64_t seed = 9;
   /// Intra-session relay fan-out sharding (PlatformConfig::fan_out_shards);
   /// 0 = serial, any K is byte-identical.
   int fan_out_shards = 0;
 };
 
-struct MobileDeviceResult {
-  std::string device;
-  std::vector<double> cpu_samples;     // pooled over repetitions
-  BoxplotSummary cpu;
-  RunningStats download_kbps;
-  RunningStats upload_kbps;
-  RunningStats battery_pct_per_hour;   // meaningful for the J3 (power meter)
-};
-
-struct MobileBenchmarkResult {
-  platform::PlatformId platform{};
-  mobile::MobileScenario scenario{};
-  MobileDeviceResult s10;
-  MobileDeviceResult j3;
-};
-
-MobileBenchmarkResult run_mobile_benchmark(const MobileBenchmarkConfig& config);
-
-/// One repetition of the mobile scenario as a self-contained session (its
-/// own testbed/platform world from `seed`, ignoring config.seed /
-/// config.repetitions) — the per-task unit parallel experiment runners
-/// drive; run_mobile_benchmark is the serial aggregation of these.
+/// One repetition of the mobile scenario as a self-contained world built
+/// from `seed`, the only entry point of the scenario: repetitions are
+/// independent worlds at per-repetition seeds (the Fig 19 sweep runs these
+/// through runner::ExperimentRunner).
 struct MobileSessionResult {
   std::vector<double> s10_cpu;
   std::vector<double> j3_cpu;
@@ -70,9 +49,7 @@ struct ScaleBenchmarkConfig {
   platform::PlatformId platform = platform::PlatformId::kZoom;
   int n_total = 3;  // 3, 6 or 11
   platform::ViewMode phone_view = platform::ViewMode::kFullScreen;
-  int repetitions = 2;
   SimDuration duration = seconds(45);
-  std::uint64_t seed = 13;
   /// Intra-session relay fan-out sharding (PlatformConfig::fan_out_shards);
   /// 0 = serial, any K is byte-identical.
   int fan_out_shards = 0;
@@ -81,23 +58,9 @@ struct ScaleBenchmarkConfig {
   Tracer* tracer = nullptr;
 };
 
-struct ScaleBenchmarkResult {
-  platform::PlatformId platform{};
-  int n_total = 0;
-  platform::ViewMode phone_view{};
-  /// Mean data rate (Mbps) and median CPU (%) per device, as in Table 4.
-  double s10_rate_mbps = 0.0;
-  double j3_rate_mbps = 0.0;
-  double s10_cpu_median = 0.0;
-  double j3_cpu_median = 0.0;
-};
-
-ScaleBenchmarkResult run_scale_benchmark(const ScaleBenchmarkConfig& config);
-
-/// One repetition of the scale scenario as a self-contained session: builds
-/// its own testbed/platform world from `seed` (ignoring config.seed /
-/// config.repetitions), so parallel experiment runners can drive it with
-/// per-task seed streams.
+/// One repetition of the scale scenario as a self-contained world built
+/// from `seed`, the only entry point of the scenario (Table 4 runs these
+/// through runner::ExperimentRunner).
 struct ScaleSessionResult {
   std::vector<double> s10_cpu;
   std::vector<double> j3_cpu;

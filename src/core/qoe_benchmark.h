@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.h"
 #include "media/qoe/video_metrics.h"
 #include "platform/rate_policy.h"
 
@@ -23,7 +22,6 @@ struct QoeBenchmarkConfig {
   std::string host_site = "US-East";
   /// Receiver sites; size determines N (the paper sweeps 1..5 receivers).
   std::vector<std::string> receiver_sites = {"US-West"};
-  int sessions = 2;
   SimDuration media_duration = seconds(15);
   // Feed geometry: content + protective padding (Fig 13). Padded dimensions
   // must be multiples of 8.
@@ -37,31 +35,10 @@ struct QoeBenchmarkConfig {
   /// When false, skip desktop recording and pixel scoring entirely and
   /// report traffic rates only (Fig 15 mode).
   bool score_video = true;
-  std::uint64_t seed = 1;
 };
 
-struct QoeBenchmarkResult {
-  platform::PlatformId platform{};
-  platform::MotionClass motion{};
-  int receivers = 0;
-  /// Pooled over receivers and sessions.
-  RunningStats psnr;
-  RunningStats ssim;
-  RunningStats vifp;
-  /// Data rates (Kbps): host upload, receiver download; pooled per session.
-  RunningStats upload_kbps;
-  RunningStats download_kbps;
-  /// Mean download per session (exposes across-session rate variability).
-  std::vector<double> session_download_kbps;
-  /// Fraction of sent video frames each receiver completed (freeze metric).
-  RunningStats delivery_ratio;
-};
-
-QoeBenchmarkResult run_qoe_benchmark(const QoeBenchmarkConfig& config);
-
-/// One receiver's scores from a single session. `has_video_qoe` mirrors
-/// run_qoe_benchmark's conditional adds (scoring needs a long-enough
-/// recording); delivery ratio needs the host to have sent frames.
+/// One receiver's scores from a single session. Video QoE needs a
+/// long-enough recording; delivery ratio needs the host to have sent frames.
 struct QoeReceiverResult {
   double download_kbps = 0.0;
   bool has_delivery_ratio = false;
@@ -74,16 +51,18 @@ struct QoeReceiverResult {
 
 struct QoeSessionResult {
   double upload_kbps = 0.0;
-  /// Mean receiver download (the session_download_kbps entry of a pooled run).
+  /// Mean receiver download.
   double session_download_kbps = 0.0;
   /// Index-aligned with config.receiver_sites.
   std::vector<QoeReceiverResult> receivers;
 };
 
-/// One QoE session as a self-contained world: builds its own testbed and
-/// platform from `seed` (ignoring config.seed / config.sessions), so
-/// parallel experiment runners can drive it with per-task seed streams —
-/// the Fig 12/16 sweep runs these through runner::ExperimentRunner.
+/// One QoE session as a self-contained world built from `seed`, the only
+/// entry point of the scenario: repeated sessions are independent worlds at
+/// per-session seeds (the Fig 12/16 sweep runs these through
+/// runner::ExperimentRunner). Throws std::invalid_argument for an empty
+/// receiver list, padded dimensions that are not multiples of 8 or a
+/// metric_stride below 1, before anything is simulated.
 QoeSessionResult run_qoe_session(const QoeBenchmarkConfig& config, std::uint64_t seed);
 
 /// Receiver site lists used by the paper's US and Europe QoE experiments.

@@ -53,7 +53,6 @@ struct QoeInferBenchmarkConfig {
   int padding = 8;  // padded dims must be multiples of 8
   double fps = 10.0;
   int fan_out_shards = 0;
-  std::uint64_t seed = 1;
   /// Windows intersecting an outage (plus this grace for backlog drain) are
   /// excluded from the tier-accuracy join — delivery there reflects the
   /// outage, not the encode tier.
@@ -87,8 +86,8 @@ struct QoeInferSessionResult {
   std::string report_json;
 };
 
-/// One inference session as a self-contained world built from `seed`
-/// (config.seed is ignored), runnable from ExperimentRunner task lambdas.
+/// One inference session as a self-contained world built from `seed`,
+/// runnable from ExperimentRunner task lambdas.
 QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& config,
                                                 std::uint64_t seed);
 
