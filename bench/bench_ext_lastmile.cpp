@@ -42,7 +42,7 @@ struct RunResult {
   double down_kbps = 0;
 };
 
-using Impair = std::function<void(net::EventLoop&, net::Host&, MetricsRegistry&)>;
+using Impair = std::function<void(net::EventLoop&, net::Host&)>;
 
 // One two-party Zoom session, host US-East → receiver US-East, with optional
 // receiver-side impairments.
@@ -56,7 +56,7 @@ RunResult run_session(std::unique_ptr<net::LossModel> ingress_loss, double jitte
   net::Host& host_vm = world.vm("US-East", 0);
   net::Host& rx_vm = world.vm("US-East", 1);
   if (ingress_loss) rx_vm.set_ingress_loss(std::move(ingress_loss));
-  if (impair) impair(world.loop(), rx_vm, metrics);
+  if (impair) impair(world.loop(), rx_vm);
 
   const int content_w = 128;
   const int content_h = 96;
@@ -111,23 +111,20 @@ struct Condition {
   std::string key() const { return section + "/" + label; }
 };
 
-// Shaper instruments attach after install: the network re-wires an installed
-// shaper to its per-link prefix, and these report under `shaper.*`.
+// Installed shapers report under the receiver's per-link prefix,
+// `net.link.<rx>.*`.
 Impair static_shaper(int kbps) {
-  return [kbps](net::EventLoop& loop, net::Host& rx, MetricsRegistry& metrics) {
+  return [kbps](net::EventLoop& loop, net::Host& rx) {
     rx.set_ingress_shaper(
         std::make_unique<net::TokenBucketShaper>(loop, DataRate::kbps(kbps), 24'000, 100));
-    rx.ingress_shaper()->attach_metrics(metrics);
   };
 }
 
 Impair oscillating_shaper(int hi_kbps, int lo_kbps) {
-  return [hi_kbps, lo_kbps](net::EventLoop& event_loop, net::Host& rx,
-                            MetricsRegistry& metrics) {
+  return [hi_kbps, lo_kbps](net::EventLoop& event_loop, net::Host& rx) {
     rx.set_ingress_shaper(std::make_unique<net::TokenBucketShaper>(
         event_loop, DataRate::kbps(hi_kbps), 24'000, 100));
     net::TokenBucketShaper* raw = rx.ingress_shaper();
-    raw->attach_metrics(metrics);
     // tc-style periodic rate changes, bounded so the loop drains.
     auto flip = std::make_shared<std::function<void(bool, int)>>();
     net::EventLoop* loop = &event_loop;
@@ -228,8 +225,9 @@ int main(int argc, char** argv) {
     std::printf("%s\n", table.render().c_str());
   }
 
-  const auto dropped = report.counters.find("shaper.dropped_packets");
-  const auto forwarded = report.counters.find("shaper.forwarded_packets");
+  // Only the E3 receivers (the second US-East VM) are shaped.
+  const auto dropped = report.counters.find("net.link.US-East-2.dropped_packets");
+  const auto forwarded = report.counters.find("net.link.US-East-2.forwarded_packets");
   if (dropped != report.counters.end() && forwarded != report.counters.end()) {
     std::printf("E3 shapers: %lld packets forwarded, %lld dropped at the token bucket\n",
                 static_cast<long long>(forwarded->second),

@@ -94,21 +94,17 @@ struct TimelineProbe {
 
 TrialResult run_trial(int n, int frames, int shards, ShardPool* pool, Tracer* tracer,
                       TimelineProbe* probe = nullptr) {
-  net::Network net{std::make_unique<net::FixedLatencyModel>(millis(3)), 99};
+  MetricsRegistry registry;
+  MetricsTimeline timeline{MetricsTimeline::Config{millis(50), 256}};
+  const bool metered =
+      probe != nullptr && (probe->attach_metrics || probe->arm_disabled || probe->sample);
+  // A non-null tracer is attached-but-disabled: the exact state the <=2%
+  // overhead gate measures.
+  net::Network net{std::make_unique<net::FixedLatencyModel>(millis(3)), 99,
+                   {.metrics = metered ? &registry : nullptr, .tracer = tracer}};
   platform::RelayServer relay{net, "relay", GeoPoint{38.9, -77.4}, 8801,
                               platform::RelayServer::ForwardingDelay{millis(2), 2.0}};
   relay.set_fan_out_sharding(pool, shards);
-  if (tracer != nullptr) {
-    // Attached-but-disabled: the exact state the <=2% overhead gate measures.
-    net.set_tracer(tracer);
-    relay.set_tracer(tracer);
-  }
-  MetricsRegistry registry;
-  MetricsTimeline timeline{MetricsTimeline::Config{millis(50), 256}};
-  if (probe != nullptr && (probe->attach_metrics || probe->arm_disabled || probe->sample)) {
-    net.attach_metrics(registry);
-    relay.attach_metrics(registry);
-  }
   if (probe != nullptr && (probe->arm_disabled || probe->sample)) {
     timeline.set_enabled(probe->sample);
     if (probe->monitor != nullptr) {

@@ -19,7 +19,10 @@ ClientController::Script default_script(platform::PlatformId id) {
 }
 
 ClientController::ClientController(VcaClient& client, Script script)
-    : client_(client), script_(script) {}
+    : client_(client),
+      script_(script),
+      metrics_(client.host().network().instruments().metrics),
+      tracer_(client.host().network().instruments().tracer) {}
 
 ClientController::ClientController(VcaClient& client)
     : ClientController(client, default_script(client.platform().traits().id)) {}

@@ -39,21 +39,18 @@ class ClientController {
     int max_attempts = 20;
   };
 
+  /// On an instrumented network, records workflow events:
+  /// `client.meetings_created` / `client.joins` counters and a
+  /// `client.join_latency_ms` histogram (start_join call to in-meeting, i.e.
+  /// the scripted launch+login+join path). On a traced one, records the
+  /// reconnection lifecycle instants `client.connection_lost`,
+  /// `client.reconnected` (value = ms from loss to recovery) and
+  /// `client.reconnect_giveup`.
   ClientController(VcaClient& client, Script script);
   /// Uses per-platform default timings.
   explicit ClientController(VcaClient& client);
 
   State state() const { return state_; }
-
-  /// Records workflow events: `client.meetings_created` / `client.joins`
-  /// counters and a `client.join_latency_ms` histogram (start_join call to
-  /// in-meeting, i.e. the scripted launch+login+join path).
-  void set_metrics(MetricsRegistry* registry) { metrics_ = registry; }
-
-  /// Flight-recorder hook (borrowed; nullptr detaches): reconnection
-  /// lifecycle instants `client.connection_lost`, `client.reconnected`
-  /// (value = ms from loss to recovery) and `client.reconnect_giveup`.
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   /// Arms automatic reconnection: when the in-meeting client loses its route
   /// the controller enters kReconnecting and drives the backoff loop above.
@@ -61,7 +58,7 @@ class ClientController {
   /// RNG stream never sees them, which keeps faulted runs deterministic.
   /// Emits `client.disconnects` / `client.reconnect_attempts` /
   /// `client.reconnects` / `client.reconnect_giveups` counters and a
-  /// `client.time_to_reconnect_ms` histogram via set_metrics.
+  /// `client.time_to_reconnect_ms` histogram on an instrumented network.
   void enable_reconnect(ReconnectPolicy policy, std::uint64_t seed);
 
   /// Arms client-side ABR on the underlying client (the workflow analogue of

@@ -25,22 +25,13 @@ class ClientMonitor {
     int probe_count = 100;
   };
 
+  /// The prober reports into the network's instruments (`rtt.probe.*`).
   explicit ClientMonitor(net::Host& host);  // default config
   ClientMonitor(net::Host& host, Config config);
 
   /// Starts the active-probing pipeline: after discovery_delay, discovers
   /// the heaviest streaming endpoint in the capture so far and probes it.
   void start_active_probing();
-
-  /// Forwards to the prober's metrics under `<prefix>.probe.*`. The default
-  /// prefix puts run-report instruments in the `rtt.*` family
-  /// (rtt.probe.sent / rtt.probe.answered / rtt.probe.rtt_ms).
-  void attach_metrics(MetricsRegistry& registry, const std::string& prefix = "rtt") {
-    prober_.attach_metrics(registry, prefix + ".probe");
-  }
-
-  /// Forwards the flight-recorder hook to the prober (`rtt.probe` spans).
-  void set_tracer(Tracer* tracer) { prober_.set_tracer(tracer); }
 
   /// The capture so far (the paper dumps this to a file for offline
   /// analysis; see capture::write_trace_file).

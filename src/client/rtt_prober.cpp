@@ -4,7 +4,13 @@
 
 namespace vc::client {
 
-RttProber::RttProber(net::Host& host) : host_(host) {
+RttProber::RttProber(net::Host& host)
+    : host_(host), tracer_(host.network().instruments().tracer) {
+  if (MetricsRegistry* registry = host.network().instruments().metrics) {
+    m_sent_ = &registry->counter("rtt.probe.sent");
+    m_answered_ = &registry->counter("rtt.probe.answered");
+    m_rtt_ms_ = &registry->histogram("rtt.probe.rtt_ms");
+  }
   socket_ = &host_.udp_bind(0);  // ephemeral probing port
   socket_->on_receive([this](const net::Packet& pkt) {
     if (pkt.kind != net::StreamKind::kProbeReply) return;
@@ -19,12 +25,6 @@ RttProber::RttProber(net::Host& host) : host_(host) {
     if (tracer_ != nullptr) tracer_->span("rtt.probe", it->second, host_.network().now(), rtt_ms);
     outstanding_.erase(it);
   });
-}
-
-void RttProber::attach_metrics(MetricsRegistry& registry, const std::string& prefix) {
-  m_sent_ = &registry.counter(prefix + ".sent");
-  m_answered_ = &registry.counter(prefix + ".answered");
-  m_rtt_ms_ = &registry.histogram(prefix + ".rtt_ms");
 }
 
 RttProber::~RttProber() { host_.udp_close(socket_->port()); }

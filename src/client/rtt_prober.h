@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -17,6 +16,10 @@ namespace vc::client {
 
 class RttProber {
  public:
+  /// On an instrumented network, mirrors probing into `rtt.probe.sent` /
+  /// `rtt.probe.answered` counters and an `rtt.probe.rtt_ms` histogram; on a
+  /// traced one, each answered probe becomes an `rtt.probe` span from send
+  /// to reply (value = RTT in ms).
   explicit RttProber(net::Host& host);
   ~RttProber();
   RttProber(const RttProber&) = delete;
@@ -25,14 +28,6 @@ class RttProber {
   /// Sends `count` probes to `target`, one every `interval`.
   void start(net::Endpoint target, SimDuration interval, int count);
   void stop();
-
-  /// Mirrors probing into `<prefix>.sent` / `<prefix>.answered` counters and
-  /// a `<prefix>.rtt_ms` histogram (ROADMAP: RTT prober metrics).
-  void attach_metrics(MetricsRegistry& registry, const std::string& prefix = "probe");
-
-  /// Flight-recorder hook (borrowed; nullptr detaches): each answered probe
-  /// becomes an `rtt.probe` span from send to reply (value = RTT in ms).
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   const std::vector<double>& rtts_ms() const { return rtts_ms_; }
   double average_ms() const;

@@ -30,6 +30,26 @@ VcaClient::VcaClient(net::Host& host, platform::BasePlatform& platform, Config c
                                       ? config_.abr
                                       : platform_.config().default_client_abr;
   if (abr_cfg.kind != abr::AbrKind::kNone) set_abr(abr_cfg);
+
+  const Instruments& instruments = host_.network().instruments();
+  tracer_ = instruments.tracer;
+  if (MetricsRegistry* registry = instruments.metrics) {
+    m_video_encoded_ = &registry->counter("codec.video.frames_encoded");
+    m_video_decoded_ = &registry->counter("codec.video.frames_decoded");
+    m_video_encoded_bytes_ = &registry->counter("codec.video.encoded_bytes");
+    m_audio_encoded_ = &registry->counter("codec.audio.frames_encoded");
+    m_skip_ratio_ = &registry->histogram("codec.video.skip_ratio");
+    m_qstep_ = &registry->histogram("codec.video.qstep");
+    // ABR observability only when an adapter is armed for real at
+    // construction: a shadow or disarmed client must leave the registry —
+    // and thus any serialized report built from it — byte-identical to a
+    // plain client.
+    if (abr_ && !config_.abr.shadow) {
+      m_abr_decisions_ = &registry->counter("codec.abr.decisions");
+      m_abr_switches_ = &registry->counter("codec.abr.tier_switches");
+      m_abr_tier_ = &registry->histogram("codec.abr.tier");
+    }
+  }
 }
 
 void VcaClient::set_abr(const abr::AbrConfig& config) {
@@ -120,23 +140,6 @@ void VcaClient::on_route(platform::RouteInfo route) {
   if (has_route_ && config_.send_audio && !audio_encoder_) {
     audio_encoder_ = std::make_unique<media::AudioEncoder>(media::AudioEncoder::Config{
         .bitrate = platform_.traits().audio_rate, .sample_rate = audio_dev_.sample_rate()});
-  }
-}
-
-void VcaClient::attach_metrics(MetricsRegistry& registry, const std::string& prefix) {
-  m_video_encoded_ = &registry.counter(prefix + ".video.frames_encoded");
-  m_video_decoded_ = &registry.counter(prefix + ".video.frames_decoded");
-  m_video_encoded_bytes_ = &registry.counter(prefix + ".video.encoded_bytes");
-  m_audio_encoded_ = &registry.counter(prefix + ".audio.frames_encoded");
-  m_skip_ratio_ = &registry.histogram(prefix + ".video.skip_ratio");
-  m_qstep_ = &registry.histogram(prefix + ".video.qstep");
-  // ABR observability only when an adapter is armed for real: a shadow or
-  // disarmed client must leave the registry — and thus any serialized report
-  // built from it — byte-identical to a plain client.
-  if (abr_ && !config_.abr.shadow) {
-    m_abr_decisions_ = &registry.counter(prefix + ".abr.decisions");
-    m_abr_switches_ = &registry.counter(prefix + ".abr.tier_switches");
-    m_abr_tier_ = &registry.histogram(prefix + ".abr.tier");
   }
 }
 

@@ -101,21 +101,17 @@ class VcaClient {
     std::int64_t abr_tier_switches = 0;  // decisions that changed the tier
   };
 
+  /// On an instrumented network, mirrors codec activity into
+  /// `codec.video.frames_encoded`, `codec.video.frames_decoded`,
+  /// `codec.video.encoded_bytes` and `codec.audio.frames_encoded` counters
+  /// plus `codec.video.skip_ratio` (per-frame SKIP-block fraction) and
+  /// `codec.video.qstep` histograms. Only real pixel encodes count —
+  /// synthetic_video runs no codec. On a traced network, video encodes
+  /// become `codec.encode` spans (value = encoded bytes), completed-frame
+  /// decodes `codec.decode` spans (value = wire bytes), audio encodes
+  /// `codec.audio_encode` instants (value = encoded bytes).
   VcaClient(net::Host& host, platform::BasePlatform& platform, Config config);
   ~VcaClient();
-
-  /// Mirrors codec activity into `<prefix>.video.frames_encoded`,
-  /// `<prefix>.video.frames_decoded`, `<prefix>.video.encoded_bytes` and
-  /// `<prefix>.audio.frames_encoded` counters plus `<prefix>.video.skip_ratio`
-  /// (per-frame SKIP-block fraction) and `<prefix>.video.qstep` histograms.
-  /// Only real pixel encodes count — synthetic_video runs no codec.
-  void attach_metrics(MetricsRegistry& registry, const std::string& prefix = "codec");
-
-  /// Flight-recorder hook (borrowed; nullptr detaches): video encodes become
-  /// `codec.encode` spans (value = encoded bytes), completed-frame decodes
-  /// `codec.decode` spans (value = wire bytes), audio encodes
-  /// `codec.audio_encode` instants (value = encoded bytes).
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
   VcaClient(const VcaClient&) = delete;
   VcaClient& operator=(const VcaClient&) = delete;
 

@@ -24,9 +24,8 @@ CityScaleResult run_city_scale_benchmark(const CityScaleConfig& config) {
     fc.size = config.fleet_size;
     fc.policy = config.policy;
     fc.overflow_shard_size = config.overflow_shard_size;
+    fc.metrics = config.attach_fleet_metrics;
     fleet = std::make_unique<fleet::RelayFleet>(world.network(), platform, fc);
-    if (config.attach_fleet_metrics) fleet->attach_metrics(reg);
-    fleet->set_tracer(config.tracer);
   }
 
   // One VM per client, cycled across the US measurement sites (Table 3's

@@ -5,15 +5,10 @@
 namespace vc::core {
 
 SessionWorld::SessionWorld(const testbed::CloudTestbed::Config& bed, Instruments instruments)
-    : instruments_(instruments), bed_(std::make_unique<testbed::CloudTestbed>(bed)) {
-  if (instruments_.metrics != nullptr) network().attach_metrics(*instruments_.metrics);
-  if (instruments_.tracer != nullptr) network().set_tracer(instruments_.tracer);
-}
+    : bed_(std::make_unique<testbed::CloudTestbed>(bed, instruments)) {}
 
 platform::BasePlatform& SessionWorld::adopt_platform(
     std::unique_ptr<platform::BasePlatform> platform) {
-  platform->set_metrics(instruments_.metrics);
-  platform->set_tracer(instruments_.tracer);
   return *platforms_.emplace_back(std::move(platform));
 }
 
@@ -25,10 +20,7 @@ std::vector<net::Host*> SessionWorld::vms(const std::vector<std::string>& sites)
 
 client::VcaClient& SessionWorld::client(net::Host& vm, platform::BasePlatform& platform,
                                         const client::VcaClient::Config& config) {
-  auto& c = *clients_.emplace_back(std::make_unique<client::VcaClient>(vm, platform, config));
-  if (instruments_.metrics != nullptr) c.attach_metrics(*instruments_.metrics);
-  c.set_tracer(instruments_.tracer);
-  return c;
+  return *clients_.emplace_back(std::make_unique<client::VcaClient>(vm, platform, config));
 }
 
 client::MediaFeeder& SessionWorld::feeder(client::VcaClient& client) {
@@ -38,15 +30,10 @@ client::MediaFeeder& SessionWorld::feeder(client::VcaClient& client) {
 
 client::ClientMonitor& SessionWorld::monitor(net::Host& vm, client::ClientMonitor::Config config) {
   config.clock_offset = clock_offset(vm);
-  auto& m = *monitors_.emplace_back(std::make_unique<client::ClientMonitor>(vm, config));
-  if (instruments_.metrics != nullptr) m.attach_metrics(*instruments_.metrics);
-  m.set_tracer(instruments_.tracer);
-  return m;
+  return *monitors_.emplace_back(std::make_unique<client::ClientMonitor>(vm, config));
 }
 
 testbed::SessionOrchestrator& SessionWorld::orchestrate(testbed::SessionOrchestrator::Plan plan) {
-  plan.metrics = instruments_.metrics;
-  plan.tracer = instruments_.tracer;
   auto& o = *orchestrators_.emplace_back(
       std::make_unique<testbed::SessionOrchestrator>(std::move(plan)));
   pending_starts_.push_back(&o);
@@ -62,9 +49,10 @@ testbed::SessionOrchestrator& SessionWorld::orchestrate(testbed::SessionOrchestr
 }
 
 void SessionWorld::run(SimDuration timeline_horizon) {
-  if (instruments_.timeline != nullptr && instruments_.metrics != nullptr) {
+  const Instruments& instruments = network().instruments();
+  if (instruments.timeline != nullptr && instruments.metrics != nullptr) {
     const SimTime origin = loop().now();
-    instruments_.timeline->arm(loop(), *instruments_.metrics, origin, origin + timeline_horizon);
+    instruments.timeline->arm(loop(), *instruments.metrics, origin, origin + timeline_horizon);
   }
   for (testbed::SessionOrchestrator* o : pending_starts_) o->start();
   pending_starts_.clear();

@@ -2,11 +2,13 @@
 // (Section 3.1): the simulated internet, its platforms, VMs, clients,
 // monitors and orchestrators, owned and destroyed in a safe order.
 //
-// Wiring rule: the world connects everything it builds to its Instruments —
-// network, relays, codecs, probers, orchestrator plans, fault bindings and
-// the timeline — with no per-component opt-out. Empty Instruments wire
-// nothing. Each VM draws a clock offset and takes the next address, so
-// callers keep creation order and seed constants fixed at the call site.
+// Wiring rule: instruments enter at net::Network construction, and
+// components take them when built. The world hands its Instruments to the
+// bed's network once; relays, codecs, probers, controllers, orchestrators
+// and fault plans built on that network resolve theirs from it, and run()
+// arms the timeline. Empty Instruments wire nothing. Each VM draws a clock
+// offset and takes the next address, so callers keep creation order and
+// seed constants fixed at the call site.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +30,6 @@
 #include "testbed/orchestrator.h"
 
 namespace vc::core {
-
-/// Optional observability sinks, all borrowed.
-struct Instruments {
-  MetricsRegistry* metrics = nullptr;
-  Tracer* tracer = nullptr;
-  /// Armed by SessionWorld::run against `metrics`; ignored without it.
-  MetricsTimeline* timeline = nullptr;
-};
 
 class SessionWorld {
  public:
@@ -84,10 +78,8 @@ class SessionWorld {
   testbed::SessionOrchestrator& orchestrate(testbed::SessionOrchestrator::Plan plan,
                                             SimDuration start_after);
 
-  /// What a fault plan acts on: the network, the first platform, the instruments.
-  fault::FaultPlan::Bindings bindings() {
-    return {&network(), &platform(), instruments_.metrics, instruments_.tracer};
-  }
+  /// What a fault plan acts on: the network and the first platform.
+  fault::FaultPlan::Bindings bindings() { return {&network(), &platform()}; }
 
   /// Arms the timeline over [now, now + timeline_horizon], starts pending
   /// orchestrators in creation order, and runs the loop until it drains.
@@ -101,7 +93,6 @@ class SessionWorld {
   std::int64_t crash_dropped();
 
  private:
-  Instruments instruments_;
   // Destroyed bottom-up: orchestrators, feeders and monitors reference
   // clients or VMs, clients reference platforms, everything the bed.
   std::unique_ptr<testbed::CloudTestbed> bed_;

@@ -111,8 +111,8 @@ void FaultPlan::arm(const Bindings& b, SimTime origin) const {
   if (events_.empty()) return;  // an empty plan compiles to nothing at all
   if (b.network == nullptr) throw std::invalid_argument{"fault plan: no network bound"};
   net::EventLoop& loop = b.network->loop();
-  MetricsRegistry* metrics = b.metrics;
-  Tracer* tracer = b.tracer;
+  MetricsRegistry* metrics = b.network->instruments().metrics;
+  Tracer* tracer = b.network->instruments().tracer;
 
   for (const FaultEvent& e : events_) {
     const SimTime when = origin + e.at;

@@ -20,9 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "common/time.h"
-#include "common/tracer.h"
 #include "common/units.h"
 
 namespace vc::net {
@@ -77,13 +75,11 @@ struct FaultEvent {
 class FaultPlan {
  public:
   /// What a plan acts on when armed. `platform` is only needed for
-  /// kRelayCrash (relay lookup + crashed-route notification); metrics and
-  /// tracer are optional observability hooks.
+  /// kRelayCrash (relay lookup + crashed-route notification); the plan
+  /// reports into the network's instruments.
   struct Bindings {
     net::Network* network = nullptr;
     platform::BasePlatform* platform = nullptr;
-    MetricsRegistry* metrics = nullptr;
-    Tracer* tracer = nullptr;
   };
 
   // ---- builders (fluent; events fire in timeline order regardless of the

@@ -27,12 +27,20 @@ RelayFleet::RelayFleet(net::Network& network, platform::BasePlatform& platform, 
     : network_(network), platform_(platform), config_(config) {
   if (config_.size < 1) throw std::invalid_argument{"fleet size must be >= 1"};
   const auto& sites = platform::platform_sites(platform_.traits().id);
+  MetricsRegistry* registry = config_.metrics ? network.instruments().metrics : nullptr;
   slots_.resize(static_cast<std::size_t>(config_.size));
   for (int i = 0; i < config_.size; ++i) {
+    Slot& s = slots_[static_cast<std::size_t>(i)];
     // Slots cycle through the platform's modeled sites: a fleet larger than
     // the footprint co-locates extra slots (zero-distance trunks between
     // them still pay the configured propagation floor).
-    slots_[static_cast<std::size_t>(i)].site = &sites[static_cast<std::size_t>(i) % sites.size()];
+    s.site = &sites[static_cast<std::size_t>(i) % sites.size()];
+    if (registry == nullptr) continue;
+    const std::string base = "fleet.relay" + std::to_string(i);
+    s.g_meetings = &registry->gauge(base + ".meetings");
+    s.g_participants = &registry->gauge(base + ".participants");
+    s.c_trunk_bytes = &registry->counter(base + ".trunk_bytes");
+    update_gauges(i);
   }
   platform_.set_placer(this);
 }
@@ -118,13 +126,15 @@ void RelayFleet::ensure_trunk_pair(int a, int b) {
     tc.burst_bytes = config_.trunk_burst_bytes;
     tc.queue_limit_packets = config_.trunk_queue_limit_packets;
     tc.propagation = prop;
-    auto trunk = std::make_unique<Trunk>(network_, *ensure_relay(from), *ensure_relay(to), tc);
-    if (metrics_ != nullptr) {
-      trunk->attach_metrics(*metrics_, metrics_prefix_ + ".trunk" + std::to_string(from) + "_" +
-                                           std::to_string(to));
-      trunk->set_origin_bytes_counter(slots_[static_cast<std::size_t>(from)].c_trunk_bytes);
+    // Slots carry instruments exactly when the fleet reports metrics.
+    MetricsRegistry::Counter* origin_bytes = slots_[static_cast<std::size_t>(from)].c_trunk_bytes;
+    std::string prefix;
+    if (origin_bytes != nullptr) {
+      prefix = "fleet.trunk" + std::to_string(from) + "_" + std::to_string(to);
     }
-    trunk->set_tracer(tracer_);
+    auto trunk =
+        std::make_unique<Trunk>(network_, *ensure_relay(from), *ensure_relay(to), tc, prefix);
+    trunk->set_origin_bytes_counter(origin_bytes);
     trunks_.emplace(std::pair{from, to}, std::move(trunk));
   }
 }
@@ -265,24 +275,6 @@ platform::RelayServer* RelayFleet::rehome(platform::MeetingId meeting,
   if (mit == hit->second.member_slot.end()) return nullptr;
   if (!slot_alive(mit->second)) return nullptr;  // target down too: back off
   return ensure_relay(mit->second);
-}
-
-void RelayFleet::attach_metrics(MetricsRegistry& registry, const std::string& prefix) {
-  metrics_ = &registry;
-  metrics_prefix_ = prefix;
-  for (int i = 0; i < config_.size; ++i) {
-    Slot& s = slots_[static_cast<std::size_t>(i)];
-    const std::string base = prefix + ".relay" + std::to_string(i);
-    s.g_meetings = &registry.gauge(base + ".meetings");
-    s.g_participants = &registry.gauge(base + ".participants");
-    s.c_trunk_bytes = &registry.counter(base + ".trunk_bytes");
-    update_gauges(i);
-  }
-  for (auto& [key, trunk] : trunks_) {
-    trunk->attach_metrics(registry, prefix + ".trunk" + std::to_string(key.first) + "_" +
-                                       std::to_string(key.second));
-    trunk->set_origin_bytes_counter(slots_[static_cast<std::size_t>(key.first)].c_trunk_bytes);
-  }
 }
 
 void RelayFleet::update_gauges(int slot) {

@@ -69,6 +69,14 @@ class RelayFleet : public platform::MeetingPlacer {
     /// Propagation: ~5 us per great-circle km (fiber), floored at 1 ms.
     double trunk_us_per_km = 5.0;
     SimDuration trunk_min_propagation = millis(1);
+    /// On an instrumented network, register per-slot load gauges
+    /// `fleet.relay<i>.meetings` / `.relay<i>.participants` plus a
+    /// `.relay<i>.trunk_bytes` counter (wire bytes this slot pushed onto
+    /// trunks) for every slot up front, so reports have stable columns at any
+    /// load, and report each trunk under `fleet.trunk<i>_<j>` (shaper
+    /// counters + delivered_packets). Part of the determinism contract.
+    /// Trunks are traced whenever the network is.
+    bool metrics = true;
   };
 
   /// Installs itself as `platform`'s placer; the destructor uninstalls.
@@ -84,17 +92,6 @@ class RelayFleet : public platform::MeetingPlacer {
   void on_relay_crashed(platform::RelayServer* relay) override;
   platform::RelayServer* rehome(platform::MeetingId meeting,
                                 platform::ParticipantId member) override;
-
-  /// Per-slot load gauges `<prefix>.relay<i>.meetings` /
-  /// `.relay<i>.participants` plus a `.relay<i>.trunk_bytes` counter
-  /// (wire bytes this slot pushed onto trunks), registered for every slot up
-  /// front so reports have stable columns at any load. Trunks created from
-  /// now on report under `<prefix>.trunk<i>_<j>` (shaper counters +
-  /// delivered_packets). Part of the determinism contract.
-  void attach_metrics(MetricsRegistry& registry, const std::string& prefix = "fleet");
-
-  /// Traces trunks created from now on (fleet.trunk spans + shaper records).
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   int size() const { return config_.size; }
   /// Slot's relay, nullptr while never provisioned (no meeting touched it).
@@ -149,9 +146,6 @@ class RelayFleet : public platform::MeetingPlacer {
   /// deterministic teardown and inspection order.
   std::map<std::pair<int, int>, std::unique_ptr<Trunk>> trunks_;
   int rr_cursor_ = 0;
-  MetricsRegistry* metrics_ = nullptr;
-  std::string metrics_prefix_;
-  Tracer* tracer_ = nullptr;
 };
 
 }  // namespace vc::fleet

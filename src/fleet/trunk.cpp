@@ -3,26 +3,22 @@
 namespace vc::fleet {
 
 Trunk::Trunk(net::Network& network, platform::RelayServer& from, platform::RelayServer& to,
-             Config config)
+             Config config, const std::string& metrics_prefix)
     : network_(network),
       from_(from),
       to_(to),
       config_(config),
-      shaper_(network.loop(), config.rate, config.burst_bytes, config.queue_limit_packets) {
+      shaper_(network.loop(), config.rate, config.burst_bytes, config.queue_limit_packets),
+      tracer_(network.instruments().tracer) {
+  MetricsRegistry* registry = network.instruments().metrics;
+  if (registry != nullptr && !metrics_prefix.empty()) {
+    shaper_.attach_metrics(*registry, metrics_prefix);
+    m_delivered_ = &registry->counter(metrics_prefix + ".delivered_packets");
+  }
   from_.set_trunk_egress(to_.endpoint(), [this](net::Packet pkt) { send(std::move(pkt)); });
 }
 
 Trunk::~Trunk() { from_.set_trunk_egress(to_.endpoint(), nullptr); }
-
-void Trunk::attach_metrics(MetricsRegistry& registry, const std::string& prefix) {
-  shaper_.attach_metrics(registry, prefix);
-  m_delivered_ = &registry.counter(prefix + ".delivered_packets");
-}
-
-void Trunk::set_tracer(Tracer* tracer) {
-  tracer_ = tracer;
-  shaper_.set_tracer(tracer);
-}
 
 void Trunk::send(net::Packet pkt) {
   // The trunk is the link between the two relay processes, so the copy's

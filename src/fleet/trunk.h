@@ -49,21 +49,19 @@ class Trunk {
 
   /// Registers itself as `from`'s egress toward `to` (and deregisters in the
   /// destructor). Both relays are borrowed and must outlive the trunk.
+  ///
+  /// On an instrumented network and given a `metrics_prefix`, reports shaper
+  /// forward/drop accounting under `<metrics_prefix>.forwarded_packets` etc.
+  /// plus a `<metrics_prefix>.delivered_packets` counter (packets that
+  /// cleared both the shaper and propagation into the far relay) — part of
+  /// the determinism contract, like relay metrics. On a traced network,
+  /// records per-packet `fleet.trunk` spans (shaper-exit → far-relay ingest,
+  /// value = wire bytes) plus the shaper's own backlog/queue records.
   Trunk(net::Network& network, platform::RelayServer& from, platform::RelayServer& to,
-        Config config);
+        Config config, const std::string& metrics_prefix = {});
   ~Trunk();
   Trunk(const Trunk&) = delete;
   Trunk& operator=(const Trunk&) = delete;
-
-  /// Shaper forward/drop accounting under `<prefix>.forwarded_packets` etc.
-  /// plus a `<prefix>.delivered_packets` counter (packets that cleared both
-  /// the shaper and propagation into the far relay). Part of the determinism
-  /// contract, like relay metrics.
-  void attach_metrics(MetricsRegistry& registry, const std::string& prefix);
-
-  /// Per-packet `fleet.trunk` spans (shaper-exit → far-relay ingest, value =
-  /// wire bytes) plus the shaper's own backlog/queue records.
-  void set_tracer(Tracer* tracer);
 
   /// Counter credited with every submitted packet's wire bytes (borrowed;
   /// the fleet points this at the origin slot's `.trunk_bytes` counter).

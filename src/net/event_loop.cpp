@@ -16,6 +16,13 @@ bool fires_before(const auto& a, const auto& b) {
 
 }  // namespace
 
+EventLoop::EventLoop(const Instruments& instruments) : tracer_(instruments.tracer) {
+  if (instruments.metrics != nullptr) {
+    m_executed_ = &instruments.metrics->counter("net.loop.events_executed");
+    m_depth_hwm_ = &instruments.metrics->gauge("net.loop.queue_depth_hwm");
+  }
+}
+
 // Hand-rolled binary min-heap. Layout: children of i are 2i+1, 2i+2.
 
 void EventLoop::push_heap_entry() {
@@ -118,16 +125,6 @@ void EventLoop::run() { execute_ready(SimTime::infinity()); }
 void EventLoop::run_until(SimTime until) {
   execute_ready(until);
   if (now_ < until) now_ = until;
-}
-
-void EventLoop::attach_metrics(MetricsRegistry& registry, const std::string& prefix) {
-  m_executed_ = &registry.counter(prefix + ".events_executed");
-  m_depth_hwm_ = &registry.gauge(prefix + ".queue_depth_hwm");
-  // Backfill both instruments so a late attach reports the same totals as an
-  // attach-before-run: the gauge is overwritten, the counter is advanced by
-  // the executions it missed.
-  m_executed_->add(static_cast<std::int64_t>(executed_));
-  m_depth_hwm_->set(static_cast<double>(depth_high_water_));
 }
 
 }  // namespace vc::net

@@ -29,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/instruments.h"
 #include "common/metrics.h"
 #include "common/time.h"
 #include "common/tracer.h"
@@ -156,7 +157,12 @@ class EventCallback {
 
 class EventLoop {
  public:
-  EventLoop() = default;
+  /// With `instruments.metrics`, mirrors loop activity into
+  /// `net.loop.events_executed` (counter) and `net.loop.queue_depth_hwm`
+  /// (gauge). With `instruments.tracer`, each executed event becomes a
+  /// `loop.exec` span (zero sim-duration, value = events still pending) and
+  /// every 64th execution samples a `loop.queue_depth` counter track.
+  explicit EventLoop(const Instruments& instruments = {});
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
 
@@ -232,19 +238,8 @@ class EventLoop {
   /// Largest number of simultaneously pending events seen so far.
   std::size_t queue_depth_high_water() const { return depth_high_water_; }
 
-  /// Mirrors loop activity into `<prefix>.events_executed` (counter) and
-  /// `<prefix>.queue_depth_hwm` (gauge). Both are backfilled with activity
-  /// that happened before the attach, so a late attach reports full totals.
-  /// Per-session registries attach once at session setup (re-attaching the
-  /// same registry would double-count the backfill); the pointers are
-  /// hot-path cheap.
-  void attach_metrics(MetricsRegistry& registry, const std::string& prefix = "event_loop");
-
-  /// Flight-recorder hook: each executed event becomes a `loop.exec` span
-  /// (zero sim-duration, value = events still pending) and every 64th
-  /// execution samples a `loop.queue_depth` counter track. Borrowed pointer;
-  /// nullptr (the default) detaches.
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
+  /// The flight recorder this loop was built with (nullptr when untraced);
+  /// shapers running on the loop record into it too.
   Tracer* tracer() const { return tracer_; }
 
  private:

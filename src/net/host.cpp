@@ -26,7 +26,13 @@ void UdpSocket::send_to(const Endpoint& dst, std::int64_t l7_len, StreamKind kin
 }
 
 Host::Host(Network& network, std::string name, GeoPoint location, IpAddr ip)
-    : network_(network), name_(std::move(name)), location_(location), ip_(ip) {}
+    : network_(network), name_(std::move(name)), location_(location), ip_(ip) {
+  // Every host's inbound link gets a queue-depth gauge; shaper instruments
+  // only exist where an ingress cap is installed.
+  if (MetricsRegistry* registry = network_.instruments().metrics) {
+    m_in_flight_pkts_ = &registry->gauge("net.link." + name_ + ".in_flight_pkts");
+  }
+}
 
 UdpSocket& Host::udp_bind(std::uint16_t port) {
   if (port == 0) {
@@ -45,14 +51,12 @@ UdpSocket* Host::udp_socket(std::uint16_t port) {
   return it == sockets_.end() ? nullptr : it->second.get();
 }
 
-void Host::attach_link_metrics(MetricsRegistry& registry, const std::string& prefix) {
-  m_in_flight_pkts_ = &registry.gauge(prefix + ".in_flight_pkts");
-  m_in_flight_pkts_->set(static_cast<double>(in_flight_));
-}
-
 void Host::set_ingress_shaper(std::unique_ptr<TokenBucketShaper> shaper) {
   ingress_shaper_ = std::move(shaper);
-  if (ingress_shaper_) network_.wire_link_observability(*this);
+  MetricsRegistry* registry = network_.instruments().metrics;
+  if (ingress_shaper_ && registry != nullptr) {
+    ingress_shaper_->attach_metrics(*registry, "net.link." + name_);
+  }
 }
 
 std::uint64_t Host::add_tap(PacketTap tap) {

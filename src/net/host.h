@@ -88,6 +88,7 @@ class Host {
 
   /// Installs/clears the ingress shaper (tc/ifb analog). Shaped packets are
   /// tapped *after* shaping: analysis sees what the client actually receives.
+  /// On an instrumented network the shaper reports under `net.link.<host>`.
   void set_ingress_shaper(std::unique_ptr<TokenBucketShaper> shaper);
   TokenBucketShaper* ingress_shaper() { return ingress_shaper_.get(); }
 
@@ -106,10 +107,6 @@ class Host {
   /// the propagation-pipe queue depth of the host's inbound link. The
   /// ingress shaper's backlog (if any) sits behind this.
   std::int64_t in_flight_packets() const { return in_flight_; }
-
-  /// Registers the `<prefix>.in_flight_pkts` queue-depth gauge. Called by
-  /// Network::wire_link_observability; every host gets one, shaped or not.
-  void attach_link_metrics(MetricsRegistry& registry, const std::string& prefix);
 
   // --- used by Network ---
   void notify_sent(const Packet& pkt);

@@ -6,9 +6,20 @@
 
 namespace vc::net {
 
-Network::Network(std::unique_ptr<LatencyModel> latency, std::uint64_t seed)
-    : latency_(std::move(latency)), rng_(seed) {
+Network::Network(std::unique_ptr<LatencyModel> latency, std::uint64_t seed,
+                 Instruments instruments)
+    : instruments_(instruments),
+      loop_(instruments),
+      latency_(std::move(latency)),
+      rng_(seed) {
   if (!latency_) throw std::invalid_argument{"network needs a latency model"};
+  if (MetricsRegistry* registry = instruments.metrics) {
+    m_batch_pkts_ = &registry->histogram("net.delivery_batch_pkts");
+    m_link_sent_ = &registry->counter("net.link.packets_sent");
+    m_link_delivered_ = &registry->counter("net.link.packets_delivered");
+    m_link_lost_ = &registry->counter("net.link.packets_lost");
+    m_link_unroutable_ = &registry->counter("net.link.packets_unroutable");
+  }
 }
 
 Host& Network::add_host(std::string name, GeoPoint location) {
@@ -17,7 +28,6 @@ Host& Network::add_host(std::string name, GeoPoint location) {
   Host& ref = *host;
   by_ip_.push_back(host.get());  // index = ip − kFirstIp by construction
   hosts_.push_back(std::move(host));
-  wire_link_observability(ref);  // no-op until metrics/tracer are attached
   return ref;
 }
 
@@ -26,44 +36,13 @@ Host* Network::host(IpAddr ip) {
   return index < by_ip_.size() ? by_ip_[index] : nullptr;
 }
 
-void Network::attach_metrics(MetricsRegistry& registry, const std::string& prefix) {
-  loop_.attach_metrics(registry, prefix + ".loop");
-  m_batch_pkts_ = &registry.histogram(prefix + ".delivery_batch_pkts");
-  m_link_sent_ = &registry.counter(prefix + ".link.packets_sent");
-  m_link_delivered_ = &registry.counter(prefix + ".link.packets_delivered");
-  m_link_lost_ = &registry.counter(prefix + ".link.packets_lost");
-  m_link_unroutable_ = &registry.counter(prefix + ".link.packets_unroutable");
-  registry_ = &registry;
-  metrics_prefix_ = prefix;
-  for (auto& host : hosts_) wire_link_observability(*host);
-}
-
-void Network::set_tracer(Tracer* tracer) {
-  tracer_ = tracer;
-  loop_.set_tracer(tracer);
-  for (auto& host : hosts_) {
-    if (host->ingress_shaper() != nullptr) host->ingress_shaper()->set_tracer(tracer);
-  }
-}
-
-void Network::wire_link_observability(Host& host) {
-  if (registry_ != nullptr) {
-    const std::string prefix = metrics_prefix_ + ".link." + host.name();
-    // Every host's inbound link gets a queue-depth gauge; shaper instruments
-    // only exist where an ingress cap is installed.
-    host.attach_link_metrics(*registry_, prefix);
-    if (host.ingress_shaper() != nullptr) host.ingress_shaper()->attach_metrics(*registry_, prefix);
-  }
-  if (host.ingress_shaper() != nullptr) host.ingress_shaper()->set_tracer(tracer_);
-}
-
 void Network::send(Host& from, Packet pkt) {
   pkt.sent_at = now();
   ++stats_.packets_sent;
   stats_.bytes_sent += pkt.wire_len();
   if (m_link_sent_ != nullptr) m_link_sent_->inc();
-  if (tracer_ != nullptr) {
-    tracer_->instant("net.link.send", now(), static_cast<double>(pkt.wire_len()));
+  if (instruments_.tracer != nullptr) {
+    instruments_.tracer->instant("net.link.send", now(), static_cast<double>(pkt.wire_len()));
   }
   from.notify_sent(pkt);
 
@@ -77,8 +56,8 @@ void Network::send(Host& from, Packet pkt) {
   if (loss_ && loss_->should_drop(rng_)) {
     ++stats_.packets_lost;
     if (m_link_lost_ != nullptr) m_link_lost_->inc();
-    if (tracer_ != nullptr) {
-      tracer_->instant("net.link.drop", now(), static_cast<double>(pkt.wire_len()));
+    if (instruments_.tracer != nullptr) {
+      instruments_.tracer->instant("net.link.drop", now(), static_cast<double>(pkt.wire_len()));
     }
     return;
   }
@@ -121,10 +100,10 @@ void Network::deliver_batch(Host& dst, DeliveryBatch& batch) {
   if (m_link_delivered_ != nullptr) {
     m_link_delivered_->add(static_cast<std::int64_t>(batch.packets.size()));
   }
-  if (tracer_ != nullptr) {
+  if (instruments_.tracer != nullptr) {
     // One span per batch: from the first packet's send time to arrival — the
     // propagation (plus coalescing) window of this link hop.
-    tracer_->span("net.link.deliver", batch.packets.front().sent_at, now(),
+    instruments_.tracer->span("net.link.deliver", batch.packets.front().sent_at, now(),
                   static_cast<double>(batch.packets.size()));
   }
   for (Packet& p : batch.packets) {

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/instruments.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "net/event_loop.h"
@@ -39,7 +40,23 @@ class Network {
     std::int64_t delivery_batches = 0;
   };
 
-  Network(std::unique_ptr<LatencyModel> latency, std::uint64_t seed);
+  /// `instruments` are the world's observability sinks: the network and
+  /// everything built on it report into them (see common/instruments.h).
+  /// With `instruments.metrics`, the loop reports under `net.loop.*`, a
+  /// `net.delivery_batch_pkts` histogram records packets carried per
+  /// scheduled delivery event, traffic is counted under `net.link.*`
+  /// (packets_sent/delivered/lost/unroutable), every host gets a per-link
+  /// `net.link.<host>.in_flight_pkts` queue-depth gauge (packets scheduled
+  /// toward it but not yet delivered), and an installed ingress shaper
+  /// reports under the same per-link prefix (forward/drop counters and a
+  /// backlog_pkts queue-depth gauge). With `instruments.tracer`, sends become
+  /// `net.link.send` instants (value = wire bytes), losses `net.link.drop`
+  /// instants, and each delivery batch a `net.link.deliver` span from the
+  /// first packet's send time to arrival (value = batch size).
+  Network(std::unique_ptr<LatencyModel> latency, std::uint64_t seed,
+          Instruments instruments = {});
+
+  const Instruments& instruments() const { return instruments_; }
 
   EventLoop& loop() { return loop_; }
   const EventLoop& loop() const { return loop_; }
@@ -66,32 +83,10 @@ class Network {
 
   const Stats& stats() const { return stats_; }
 
-  /// Mirrors loop activity (via EventLoop::attach_metrics under
-  /// `<prefix>.loop.*`), records a `<prefix>.delivery_batch_pkts` histogram
-  /// of packets carried per scheduled delivery event, and counts traffic
-  /// under `<prefix>.link.*` (packets_sent/delivered/lost/unroutable).
-  /// Every host — present or added later — gets a per-link
-  /// `<prefix>.link.<host>.in_flight_pkts` queue-depth gauge (packets
-  /// scheduled toward it but not yet delivered); host ingress shapers
-  /// additionally report under the same per-link prefix (forward/drop
-  /// counters and a backlog_pkts queue-depth gauge).
-  void attach_metrics(MetricsRegistry& registry, const std::string& prefix = "net");
-
-  /// Flight-recorder hook (borrowed; nullptr detaches). Propagates to the
-  /// event loop and to every host ingress shaper, present and future: sends
-  /// become `net.link.send` instants (value = wire bytes), losses
-  /// `net.link.drop` instants, and each delivery batch a `net.link.deliver`
-  /// span from the first packet's send time to arrival (value = batch size).
-  void set_tracer(Tracer* tracer);
-  Tracer* tracer() const { return tracer_; }
-
-  /// Called by Host when an ingress shaper is installed, so the shaper picks
-  /// up the network's attached registry/tracer without caller plumbing.
-  void wire_link_observability(Host& host);
-
  private:
   void deliver_batch(Host& dst, DeliveryBatch& batch);
 
+  Instruments instruments_;
   EventLoop loop_;
   std::unique_ptr<LatencyModel> latency_;
   Rng rng_;
@@ -110,10 +105,6 @@ class Network {
   MetricsRegistry::Counter* m_link_delivered_ = nullptr;
   MetricsRegistry::Counter* m_link_lost_ = nullptr;
   MetricsRegistry::Counter* m_link_unroutable_ = nullptr;
-  /// Remembered for wiring shapers installed after attach_metrics().
-  MetricsRegistry* registry_ = nullptr;
-  std::string metrics_prefix_;
-  Tracer* tracer_ = nullptr;
 };
 
 }  // namespace vc::net

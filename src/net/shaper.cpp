@@ -12,7 +12,8 @@ TokenBucketShaper::TokenBucketShaper(EventLoop& loop, DataRate rate, std::int64_
       bucket_bytes_(static_cast<double>(burst_bytes)),
       burst_bytes_(burst_bytes),
       queue_limit_packets_(queue_limit_packets),
-      last_refill_(loop.now()) {}
+      last_refill_(loop.now()),
+      tracer_(loop.tracer()) {}
 
 TokenBucketShaper::~TokenBucketShaper() {
   // A scheduled drain would dangle once we're gone.

@@ -33,6 +33,10 @@ class TokenBucketShaper {
 
   /// `rate`: drain rate; `burst_bytes`: bucket depth; `queue_limit_packets`:
   /// backlog beyond which packets are tail-dropped (tc pfifo semantics).
+  /// Records into the loop's tracer, if it has one: backlog state changes
+  /// become a `shaper.backlog_pkts` counter track, tail drops a
+  /// `shaper.drop` instant, and each queued-then-forwarded packet a
+  /// `shaper.queue` span from enqueue to drain (value = wire bytes).
   TokenBucketShaper(EventLoop& loop, DataRate rate, std::int64_t burst_bytes = 16'000,
                     std::size_t queue_limit_packets = 100);
   ~TokenBucketShaper();
@@ -58,14 +62,10 @@ class TokenBucketShaper {
   /// Mirrors forward/drop accounting into `<prefix>.forwarded_packets`,
   /// `<prefix>.forwarded_bytes`, `<prefix>.dropped_packets` and
   /// `<prefix>.dropped_bytes` counters plus a `<prefix>.queue_delay_ms`
-  /// histogram. The registry must outlive the shaper.
-  void attach_metrics(MetricsRegistry& registry, const std::string& prefix = "shaper");
-
-  /// Flight-recorder hook (borrowed; nullptr detaches): backlog state changes
-  /// become a `shaper.backlog_pkts` counter track, tail drops a `shaper.drop`
-  /// instant, and each queued-then-forwarded packet a `shaper.queue` span
-  /// from enqueue to drain (value = wire bytes).
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
+  /// histogram, and a `<prefix>.backlog_pkts` queue-depth gauge. Called by
+  /// the shaper's owner once it knows the name: Host on install, a trunk,
+  /// or a scenario's private registry. The registry must outlive the shaper.
+  void attach_metrics(MetricsRegistry& registry, const std::string& prefix);
 
   std::size_t backlog_packets() const { return queue_.size(); }
   std::int64_t backlog_bytes() const { return queued_bytes_; }

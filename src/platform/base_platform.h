@@ -87,12 +87,6 @@ class BasePlatform : public VcaPlatform {
   void set_placer(MeetingPlacer* placer) { placer_ = placer; }
   MeetingPlacer* placer() { return placer_; }
 
-  /// Instruments every relay this platform allocates from now on.
-  void set_metrics(MetricsRegistry* registry) { allocator_.set_metrics(registry); }
-
-  /// Traces every relay this platform allocates from now on.
-  void set_tracer(Tracer* tracer) { allocator_.set_tracer(tracer); }
-
   /// The pool relays shard their fan-out on; nullptr when fan-out is serial
   /// or the shards run inline (exposed so tests can assert the resolution).
   ShardPool* shard_pool() { return shard_pool_.get(); }

@@ -72,8 +72,6 @@ RelayServer* RelayAllocator::new_relay(const Site& site) {
                                              site.name + "-r" + std::to_string(relay_counter_++),
                                              site.location, media_port_, delay);
   RelayServer* ptr = relay.get();
-  if (metrics_ != nullptr) ptr->attach_metrics(*metrics_);
-  if (tracer_ != nullptr) ptr->set_tracer(tracer_);
   if (fan_out_shards_ > 0) ptr->set_fan_out_sharding(fan_out_pool_, fan_out_shards_);
   relays_.push_back(std::move(relay));
   return ptr;

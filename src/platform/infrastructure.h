@@ -79,15 +79,6 @@ class RelayAllocator {
     return index < relays_.size() ? relays_[index].get() : nullptr;
   }
 
-  /// Every relay created from now on reports into `registry` under the
-  /// shared "relay" prefix (so counts aggregate infrastructure-wide). Pass
-  /// nullptr to stop instrumenting new relays.
-  void set_metrics(MetricsRegistry* registry) { metrics_ = registry; }
-
-  /// Every relay allocated from now on records into `tracer` (borrowed;
-  /// nullptr to stop). See RelayServer::set_tracer for the record families.
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
-
   /// Every relay created from now on shards its fan-out `shards` ways on
   /// `pool` (borrowed; may be nullptr = shards run inline). Results are
   /// byte-identical at any setting — see RelayServer::set_fan_out_sharding.
@@ -109,8 +100,6 @@ class RelayAllocator {
   /// Meet stickiness: client IP → {primary, secondary} front-ends.
   std::unordered_map<net::IpAddr, std::pair<RelayServer*, RelayServer*>> meet_front_ends_;
   int relay_counter_ = 0;
-  MetricsRegistry* metrics_ = nullptr;
-  Tracer* tracer_ = nullptr;
   ShardPool* fan_out_pool_ = nullptr;
   int fan_out_shards_ = 0;
 };

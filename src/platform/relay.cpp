@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace vc::platform {
 
@@ -25,48 +24,29 @@ RelayServer::RelayServer(net::Network& network, std::string name, GeoPoint locat
     : network_(network),
       host_(&network.add_host(std::move(name), location)),
       media_port_(media_port),
-      delay_(delay) {
+      delay_(delay),
+      tracer_(network.instruments().tracer) {
   socket_ = &host_->udp_bind(media_port_);
   socket_->on_receive([this](const net::Packet& pkt) { on_packet(pkt); });
-}
-
-void RelayServer::attach_metrics(MetricsRegistry& registry, const std::string& prefix) {
-  m_media_in_ = &registry.counter(prefix + ".media_in");
-  m_media_forwarded_ = &registry.counter(prefix + ".media_forwarded");
-  m_peer_forwarded_ = &registry.counter(prefix + ".peer_forwarded");
-  m_probes_answered_ = &registry.counter(prefix + ".probes_answered");
-  m_control_forwarded_ = &registry.counter(prefix + ".control_forwarded");
-  m_crash_dropped_ = &registry.counter(prefix + ".crash_dropped");
-  m_crashes_ = &registry.counter(prefix + ".crashes");
-  m_restarts_ = &registry.counter(prefix + ".restarts");
-  m_trunk_in_ = &registry.counter(prefix + ".trunk_in");
-  m_fan_out_ = &registry.histogram(prefix + ".fan_out");
-  m_departure_batch_pkts_ = &registry.histogram(prefix + ".departure_batch_pkts");
-}
-
-void RelayServer::attach_shard_metrics(MetricsRegistry& registry, const std::string& prefix) {
-  shard_registry_ = &registry;
-  shard_prefix_ = prefix;
-  rebuild_shard_metrics();
-}
-
-void RelayServer::rebuild_shard_metrics() {
-  m_shard_fan_out_.clear();
-  m_shard_imbalance_ = nullptr;
-  if (shard_registry_ == nullptr || shards_ <= 0) return;
-  m_shard_fan_out_.reserve(static_cast<std::size_t>(shards_));
-  for (int s = 0; s < shards_; ++s) {
-    m_shard_fan_out_.push_back(
-        &shard_registry_->counter(shard_prefix_ + ".shard" + std::to_string(s) + ".fan_out"));
+  if (MetricsRegistry* registry = network.instruments().metrics) {
+    m_media_in_ = &registry->counter("relay.media_in");
+    m_media_forwarded_ = &registry->counter("relay.media_forwarded");
+    m_peer_forwarded_ = &registry->counter("relay.peer_forwarded");
+    m_probes_answered_ = &registry->counter("relay.probes_answered");
+    m_control_forwarded_ = &registry->counter("relay.control_forwarded");
+    m_crash_dropped_ = &registry->counter("relay.crash_dropped");
+    m_crashes_ = &registry->counter("relay.crashes");
+    m_restarts_ = &registry->counter("relay.restarts");
+    m_trunk_in_ = &registry->counter("relay.trunk_in");
+    m_fan_out_ = &registry->histogram("relay.fan_out");
+    m_departure_batch_pkts_ = &registry->histogram("relay.departure_batch_pkts");
   }
-  m_shard_imbalance_ = &shard_registry_->histogram(shard_prefix_ + ".shard_imbalance");
 }
 
 void RelayServer::set_fan_out_sharding(ShardPool* pool, int shards) {
   pool_ = pool;
   shards_ = shards;
   if (shards_ > 0) scratch_.resize(static_cast<std::size_t>(shards_));
-  rebuild_shard_metrics();
 }
 
 SimTime RelayServer::departure_candidate() {
@@ -452,8 +432,6 @@ std::int64_t RelayServer::fan_out_media(Meeting& meeting, const net::Packet& pkt
   // schedule_at sequence, so slot/EventId assignment and every downstream
   // tiebreak are byte-identical to K=0.
   std::int64_t copies = 0;
-  std::int64_t lo = std::numeric_limits<std::int64_t>::max();
-  std::int64_t hi = 0;
   for (int s = 0; s < k; ++s) {
     ShardScratch& sc = scratch_[static_cast<std::size_t>(s)];
     for (StagedAppend& a : sc.appends) a.target->packets.push_back(std::move(a.pkt));
@@ -461,9 +439,6 @@ std::int64_t RelayServer::fan_out_media(Meeting& meeting, const net::Packet& pkt
     for (StagedBatch& sb : sc.staged) schedule_departure(sb.tick, std::move(sb.batch));
     sc.staged.clear();
     copies += sc.copies;
-    lo = std::min(lo, sc.copies);
-    hi = std::max(hi, sc.copies);
-    if (!m_shard_fan_out_.empty()) m_shard_fan_out_[static_cast<std::size_t>(s)]->add(sc.copies);
     if (tracer_ != nullptr && tracer_->shard_detail()) {
       // Per-shard merge detail is K-dependent (outside the determinism
       // contract), so it only records behind the opt-in shard_detail flag.
@@ -491,7 +466,6 @@ std::int64_t RelayServer::fan_out_media(Meeting& meeting, const net::Packet& pkt
     sc.cand_deps.clear();
   }
   if (cand) schedule_candidate_departure(candidate, std::move(cand));
-  if (m_shard_imbalance_ != nullptr) m_shard_imbalance_->observe(static_cast<double>(hi - lo));
   return copies;
 }
 

@@ -82,6 +82,25 @@ class RelayServer {
     double jitter_mean_ms = 2.0;  // exponential
   };
 
+  /// On an instrumented network the relay reports into the network's
+  /// registry under the shared `relay.*` names, so several relays' counts
+  /// aggregate into the infrastructure-wide view scalability reports want:
+  /// `relay.media_in`, `.media_forwarded`, `.peer_forwarded`,
+  /// `.probes_answered`, `.control_forwarded`, `.crash_dropped`, `.crashes`,
+  /// `.restarts` and `.trunk_in` counters plus `relay.fan_out` (participant
+  /// copies per ingested media packet — peer-link forwards are counted in
+  /// peer_forwarded, not here) and `relay.departure_batch_pkts` (packets per
+  /// scheduled departure event) histograms. These metrics are part of the
+  /// determinism contract: byte-identical at every fan-out shard count.
+  ///
+  /// On a traced network, media ingests become `relay.ingest` spans (ingest
+  /// time → shared candidate departure tick, value = participant copies),
+  /// departure events `relay.depart` instants (value = batch size), probe
+  /// answers `relay.probe` instants — all on the loop thread and
+  /// byte-identical at every shard count K. When the tracer's shard_detail
+  /// flag is set, each sharded fan-out additionally records one
+  /// `relay.shard_merge` instant per shard (value = that shard's copies) —
+  /// K-dependent by construction, hence OUTSIDE the determinism contract.
   RelayServer(net::Network& network, std::string name, GeoPoint location,
               std::uint16_t media_port);  // default forwarding delay
   RelayServer(net::Network& network, std::string name, GeoPoint location,
@@ -107,43 +126,12 @@ class RelayServer {
   /// — same staged code path, no threads). shards <= 0 restores the plain
   /// serial loop. The forwarding semantics — departure times, FIFO floors,
   /// batch composition, event order, Stats, standard metrics — are identical
-  /// at every setting; only wall-clock and the shard-scoped metrics differ.
+  /// at every setting; only wall-clock differs.
   /// The pool is borrowed, not owned, and must outlive the relay (or be
   /// detached by passing nullptr); several relays may share one pool because
   /// fan-outs are dispatched one at a time from the single event-loop thread.
   void set_fan_out_sharding(ShardPool* pool, int shards);
   int fan_out_shards() const { return shards_; }
-
-  /// Mirrors the Stats fields into `<prefix>.media_in`,
-  /// `<prefix>.media_forwarded`, `<prefix>.peer_forwarded`,
-  /// `<prefix>.probes_answered` and `<prefix>.control_forwarded` counters
-  /// plus `<prefix>.fan_out` (participant copies per ingested media packet —
-  /// peer-link forwards are counted in peer_forwarded, not here) and
-  /// `<prefix>.departure_batch_pkts` (packets per scheduled departure event)
-  /// histograms. Several relays may share one registry: their counts
-  /// aggregate, which is exactly the infrastructure-wide view scalability
-  /// reports want. These metrics are part of the determinism contract: they
-  /// are byte-identical at every fan-out shard count.
-  void attach_metrics(MetricsRegistry& registry, const std::string& prefix = "relay");
-
-  /// Execution-strategy observability, deliberately OUTSIDE the determinism
-  /// contract (like RunReport's threads/wall_seconds): per-shard forwarded
-  /// copy counters `<prefix>.shard<i>.fan_out` and a `<prefix>.shard_imbalance`
-  /// histogram (max−min copies across shards per sharded fan-out). These
-  /// depend on K by construction, so standard run reports must not include
-  /// them — hence the separate attach.
-  void attach_shard_metrics(MetricsRegistry& registry, const std::string& prefix = "relay");
-
-  /// Flight-recorder hook (borrowed; nullptr detaches). Media ingests become
-  /// `relay.ingest` spans (ingest time → shared candidate departure tick,
-  /// value = participant copies), departure events `relay.depart` instants
-  /// (value = batch size), probe answers `relay.probe` instants — all on the
-  /// loop thread and byte-identical at every shard count K. When the tracer's
-  /// shard_detail flag is set, each sharded fan-out additionally records one
-  /// `relay.shard_merge` instant per shard (value = that shard's copies) —
-  /// K-dependent by construction, hence OUTSIDE the determinism contract,
-  /// like attach_shard_metrics.
-  void set_tracer(Tracer* tracer) { tracer_ = tracer; }
 
   /// Process crash: all meeting/participant/peer registrations are lost (a
   /// real SFU restart loses its session state) and every packet arriving
@@ -317,8 +305,6 @@ class RelayServer {
   /// freshly allocated (with `reserve_hint` packet capacity) otherwise.
   std::shared_ptr<DepartureBatch> acquire_batch(std::size_t reserve_hint);
 
-  void rebuild_shard_metrics();
-
   net::Network& network_;
   net::Host* host_;
   std::uint16_t media_port_;
@@ -355,11 +341,6 @@ class RelayServer {
   MetricsRegistry::Histogram* m_departure_batch_pkts_ = nullptr;
 
   Tracer* tracer_ = nullptr;
-
-  MetricsRegistry* shard_registry_ = nullptr;  // for rebuilds when K changes
-  std::string shard_prefix_;
-  std::vector<MetricsRegistry::Counter*> m_shard_fan_out_;
-  MetricsRegistry::Histogram* m_shard_imbalance_ = nullptr;
 };
 
 }  // namespace vc::platform

@@ -2,9 +2,9 @@
 
 namespace vc::testbed {
 
-CloudTestbed::CloudTestbed(Config config)
+CloudTestbed::CloudTestbed(Config config, Instruments instruments)
     : network_(std::make_unique<net::Network>(
-          std::make_unique<net::GeoLatencyModel>(config.latency), config.seed)),
+          std::make_unique<net::GeoLatencyModel>(config.latency), config.seed, instruments)),
       rng_(config.seed ^ 0xC10C0FF5E7ULL) {
   clock_sigma_ms_ = config.clock_sigma_ms;
 }

@@ -26,7 +26,9 @@ class CloudTestbed {
     net::GeoLatencyModel::Params latency{};
   };
 
-  explicit CloudTestbed(Config config);
+  /// `instruments` go to the network, and from it to everything built on
+  /// the bed (see common/instruments.h).
+  explicit CloudTestbed(Config config, Instruments instruments = {});
   explicit CloudTestbed(std::uint64_t seed);
 
   net::Network& network() { return *network_; }

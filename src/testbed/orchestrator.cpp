@@ -6,6 +6,7 @@ namespace vc::testbed {
 
 SessionOrchestrator::SessionOrchestrator(Plan plan) : plan_(std::move(plan)) {
   if (plan_.host == nullptr) throw std::invalid_argument{"session needs a host client"};
+  metrics_ = plan_.host->host().network().instruments().metrics;
   joined_.assign(plan_.participants.size(), false);
 }
 
@@ -16,8 +17,6 @@ std::unique_ptr<client::ClientController> SessionOrchestrator::make_controller(
   auto controller = plan_.script
                         ? std::make_unique<client::ClientController>(client, *plan_.script)
                         : std::make_unique<client::ClientController>(client);
-  controller->set_metrics(plan_.metrics);
-  controller->set_tracer(plan_.tracer);
   if (plan_.reconnect) {
     // Creation order (host, then participants in index order) is fixed, so
     // the derived jitter seed names the same controller in every run.
@@ -75,7 +74,7 @@ void SessionOrchestrator::begin_media_phase() {
     for (auto* p : plan_.participants) p->leave();
     plan_.host->leave();
     finished_ = true;
-    if (plan_.metrics) plan_.metrics->counter("session.completed").inc();
+    if (metrics_) metrics_->counter("session.completed").inc();
     if (plan_.on_done) plan_.on_done(SessionOutcome{});
   });
 }
@@ -100,7 +99,7 @@ void SessionOrchestrator::on_join_timeout() {
   for (auto* p : plan_.participants) p->leave();
   plan_.host->leave();
 
-  if (plan_.metrics) plan_.metrics->counter("session.join_timeouts").inc();
+  if (metrics_) metrics_->counter("session.join_timeouts").inc();
   if (plan_.on_done) plan_.on_done(outcome);
 }
 

@@ -47,11 +47,6 @@ class SessionOrchestrator {
     std::function<void()> on_all_joined;
     /// Fired exactly once, when the session completes or times out.
     std::function<void(const SessionOutcome&)> on_done;
-    /// Optional: controllers record workflow metrics here, and the
-    /// orchestrator counts `session.completed` / `session.join_timeouts`.
-    MetricsRegistry* metrics = nullptr;
-    /// Optional: controllers record reconnection lifecycle instants here.
-    Tracer* tracer = nullptr;
     /// Arm automatic reconnection (relay-crash recovery) on every
     /// controller. Each controller's jitter RNG is seeded from
     /// reconnect_seed and its creation index (host first, then participants
@@ -60,6 +55,9 @@ class SessionOrchestrator {
     std::uint64_t reconnect_seed = 0;
   };
 
+  /// On an instrumented network the orchestrator counts
+  /// `session.completed` / `session.join_timeouts`, and the controllers it
+  /// makes record their workflow metrics and reconnection instants.
   explicit SessionOrchestrator(Plan plan);
   SessionOrchestrator(const SessionOrchestrator&) = delete;
   SessionOrchestrator& operator=(const SessionOrchestrator&) = delete;
@@ -80,6 +78,7 @@ class SessionOrchestrator {
   void on_join_timeout();
 
   Plan plan_;
+  MetricsRegistry* metrics_ = nullptr;
   std::unique_ptr<client::ClientController> host_controller_;
   std::vector<std::unique_ptr<client::ClientController>> controllers_;
   platform::MeetingId meeting_ = 0;

@@ -1,8 +1,11 @@
 // The session-world builder: VM provisioning matches a hand-built testbed,
 // and every component it builds reports to the instruments it was given.
+// The construction rule holds without SessionWorld too: a world wired by
+// hand on an instrumented network reports with no further call.
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <string_view>
 
 #include "core/session_world.h"
@@ -90,6 +93,72 @@ TEST(SessionWorld, WiresNetworkRelaysAndCodecsToTheInstruments) {
   EXPECT_GT(codec, 0);
 }
 
+TEST(SessionWorld, HandBuiltWorldTakesInstrumentsFromItsNetwork) {
+  MetricsRegistry metrics;
+  Tracer tracer{1u << 18};
+  tracer.set_enabled(true);
+  testbed::CloudTestbed bed{testbed::CloudTestbed::Config{.seed = 5}, {&metrics, &tracer}};
+  const auto platform =
+      platform::make_platform(platform::PlatformId::kWebex, bed.network(), {.seed = 5});
+  net::Host& host_vm = bed.create_vm(testbed::site_by_name("US-East"), 0);
+  net::Host& rx_vm = bed.create_vm(testbed::site_by_name("US-West"), 0);
+
+  client::VcaClient::Config cfg;
+  cfg.send_audio = false;
+  cfg.decode_video = false;
+  cfg.video_width = 160;
+  cfg.video_height = 120;
+  cfg.fps = 10.0;
+  client::VcaClient host{host_vm, *platform, cfg};
+  cfg.send_video = false;
+  client::VcaClient receiver{rx_vm, *platform, cfg};
+  client::MediaFeeder feeder{bed.loop(), host.video_device(), host.audio_device()};
+  client::ClientMonitor monitor{rx_vm,
+                                {.clock_offset = bed.clock_offset(rx_vm),
+                                 .discovery_delay = seconds(1),
+                                 .probe_interval = millis(200),
+                                 .probe_count = 5}};
+  fault::FaultPlan cap;
+  cap.link_rate(SimDuration::zero(), rx_vm.name(), DataRate::mbps(5));
+  cap.arm({&bed.network(), platform.get()}, bed.loop().now());
+
+  const auto feed = std::make_shared<media::FlashFeed>(media::FeedParams{160, 120, 10.0, 1});
+  testbed::SessionOrchestrator::Plan plan;
+  plan.host = &host;
+  plan.participants = {&receiver};
+  plan.media_duration = seconds(5);
+  plan.on_all_joined = [&] {
+    feeder.play_video(feed, seconds(5));
+    monitor.start_active_probing();
+  };
+  testbed::SessionOrchestrator orchestrator{std::move(plan)};
+  orchestrator.start();
+  bed.run_all();
+
+  for (const std::string name :
+       {"net.loop.events_executed", "relay.media_in", "codec.video.frames_encoded",
+        "rtt.probe.sent", "session.completed", "net.link.US-West.forwarded_packets"}) {
+    ASSERT_TRUE(metrics.counters().contains(name)) << name;
+    EXPECT_GT(metrics.counters().at(name).value(), 0) << name;
+  }
+
+  int link = 0;
+  int relay = 0;
+  int codec = 0;
+  int probe = 0;
+  tracer.for_each([&](const Tracer::Record& r) {
+    const std::string_view name{r.name};
+    link += name.starts_with("net.link.");
+    relay += name.starts_with("relay.");
+    codec += name.starts_with("codec.");
+    probe += name.starts_with("rtt.probe");
+  });
+  EXPECT_GT(link, 0);
+  EXPECT_GT(relay, 0);
+  EXPECT_GT(codec, 0);
+  EXPECT_GT(probe, 0);
+}
+
 TEST(SessionWorld, EmptyInstrumentsRegisterNothingAndObserveOnly) {
   MetricsRegistry untouched;
   const TwoPartyRun bare = run_two_party({});
@@ -97,7 +166,7 @@ TEST(SessionWorld, EmptyInstrumentsRegisterNothingAndObserveOnly) {
   EXPECT_TRUE(untouched.gauges().empty());
   EXPECT_TRUE(untouched.histograms().empty());
   SessionWorld world{5};
-  EXPECT_EQ(world.network().tracer(), nullptr);
+  EXPECT_EQ(world.network().instruments().tracer, nullptr);
 
   // Instruments only observe: the instrumented run behaves identically.
   MetricsRegistry metrics;

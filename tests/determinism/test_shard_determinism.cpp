@@ -45,13 +45,12 @@ std::string run_canonical_session(ShardPool* pool, int shards, double jitter_mea
   constexpr int kParticipants = 23;  // deliberately not divisible by 2 or 8
   constexpr int kFrames = 12;
 
-  net::Network net{std::make_unique<net::FixedLatencyModel>(millis(3)), 1};
+  MetricsRegistry metrics;
+  net::Network net{std::make_unique<net::FixedLatencyModel>(millis(3)), 1, {&metrics}};
   platform::RelayServer relay{net, "relay", GeoPoint{38.9, -77.4}, 8801,
                               platform::RelayServer::ForwardingDelay{millis(2), jitter_mean_ms}};
   platform::RelayServer peer{net, "peer", GeoPoint{50.0, 8.0}, 8801,
                              platform::RelayServer::ForwardingDelay{millis(2), jitter_mean_ms}};
-  MetricsRegistry metrics;
-  relay.attach_metrics(metrics, "relay");
   relay.set_fan_out_sharding(pool, shards);
 
   std::vector<std::vector<ReceivedPacket>> rx(kParticipants);

@@ -16,7 +16,7 @@ namespace vc::fleet {
 namespace {
 
 struct FleetFixture : public ::testing::Test {
-  FleetFixture() : net(std::make_unique<net::FixedLatencyModel>(millis(5)), 1) {
+  FleetFixture() : net(std::make_unique<net::FixedLatencyModel>(millis(5)), 1, {&metrics}) {
     platform = platform::make_platform(platform::PlatformId::kZoom, net, 11);
   }
 
@@ -32,6 +32,7 @@ struct FleetFixture : public ::testing::Test {
     return platform::platform_sites(platform::PlatformId::kZoom)[i].location;
   }
 
+  MetricsRegistry metrics;
   net::Network net;
   std::unique_ptr<platform::BasePlatform> platform;
 };
@@ -126,17 +127,15 @@ TEST_F(FleetFixture, LeaveAndMeetingEndReleaseLoad) {
 }
 
 TEST_F(FleetFixture, GaugesTrackHomedLoad) {
-  MetricsRegistry reg;
   RelayFleet fleet = make_fleet(2, PlacementPolicy::kRoundRobin);
-  fleet.attach_metrics(reg);
   const GeoPoint loc = site_location(0);
   for (platform::ParticipantId m = 1; m <= 3; ++m) fleet.home_for(1, m, loc);
-  EXPECT_EQ(reg.gauge("fleet.relay0.participants").value(), 3.0);
-  EXPECT_EQ(reg.gauge("fleet.relay0.meetings").value(), 1.0);
-  EXPECT_EQ(reg.gauge("fleet.relay1.participants").value(), 0.0);
+  EXPECT_EQ(metrics.gauge("fleet.relay0.participants").value(), 3.0);
+  EXPECT_EQ(metrics.gauge("fleet.relay0.meetings").value(), 1.0);
+  EXPECT_EQ(metrics.gauge("fleet.relay1.participants").value(), 0.0);
   fleet.on_meeting_ended(1);
-  EXPECT_EQ(reg.gauge("fleet.relay0.participants").value(), 0.0);
-  EXPECT_EQ(reg.gauge("fleet.relay0.participants").max(), 3.0);
+  EXPECT_EQ(metrics.gauge("fleet.relay0.participants").value(), 0.0);
+  EXPECT_EQ(metrics.gauge("fleet.relay0.participants").max(), 3.0);
 }
 
 TEST_F(FleetFixture, CrashFailoverRehomesOntoSurvivor) {

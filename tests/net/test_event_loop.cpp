@@ -139,20 +139,6 @@ TEST(EventLoop, CancelDefaultIdWithFreeSlotZeroIsNoop) {
   EXPECT_EQ(loop.pending(), 0u);
 }
 
-TEST(EventLoop, AttachMetricsBackfillsPriorActivity) {
-  EventLoop loop;
-  loop.schedule_after(millis(1), [] {});
-  loop.schedule_after(millis(2), [] {});
-  loop.run();
-  MetricsRegistry registry;
-  loop.attach_metrics(registry, "evl");
-  EXPECT_EQ(registry.counter("evl.events_executed").value(), 2);
-  EXPECT_EQ(registry.gauge("evl.queue_depth_hwm").value(), 2.0);
-  loop.schedule_after(millis(1), [] {});
-  loop.run();
-  EXPECT_EQ(registry.counter("evl.events_executed").value(), 3);
-}
-
 TEST(EventLoop, FifoPreservedAcrossCancellations) {
   EventLoop loop;
   std::vector<int> order;
@@ -252,15 +238,14 @@ TEST(EventLoop, CallbackMayGrowSlabMidInvocation) {
 }
 
 TEST(EventLoop, MetricsMirrorExecutionAndDepth) {
-  EventLoop loop;
   MetricsRegistry registry;
-  loop.attach_metrics(registry, "evl");
+  EventLoop loop{{.metrics = &registry}};
   loop.schedule_after(millis(1), [] {});
   loop.schedule_after(millis(2), [] {});
   loop.schedule_after(millis(3), [] {});
   loop.run();
-  EXPECT_EQ(registry.counter("evl.events_executed").value(), 3);
-  EXPECT_EQ(registry.gauge("evl.queue_depth_hwm").value(), 3.0);
+  EXPECT_EQ(registry.counter("net.loop.events_executed").value(), 3);
+  EXPECT_EQ(registry.gauge("net.loop.queue_depth_hwm").value(), 3.0);
   EXPECT_EQ(loop.events_executed(), 3u);
   EXPECT_EQ(loop.queue_depth_high_water(), 3u);
 }

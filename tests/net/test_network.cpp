@@ -11,8 +11,8 @@ namespace {
 const GeoPoint kEast{38.9, -77.4};
 const GeoPoint kWest{37.8, -122.4};
 
-std::unique_ptr<Network> fixed_net(SimDuration delay = millis(10)) {
-  return std::make_unique<Network>(std::make_unique<FixedLatencyModel>(delay), 1);
+std::unique_ptr<Network> fixed_net(SimDuration delay = millis(10), Instruments instruments = {}) {
+  return std::make_unique<Network>(std::make_unique<FixedLatencyModel>(delay), 1, instruments);
 }
 
 TEST(Network, AssignsDistinctIps) {
@@ -143,9 +143,8 @@ TEST(Network, GeoLatencyIncreasesWithDistance) {
 }
 
 TEST(Network, SameTickPacketsRideOneDeliveryBatch) {
-  auto net = fixed_net(millis(10));
   MetricsRegistry registry;
-  net->attach_metrics(registry);
+  auto net = fixed_net(millis(10), {.metrics = &registry});
   Host& a = net->add_host("a", kEast);
   Host& b = net->add_host("b", kWest);
   auto& tx = a.udp_bind(1000);
@@ -166,10 +165,9 @@ TEST(Network, SameTickPacketsRideOneDeliveryBatch) {
 }
 
 TEST(Network, PerLinkQueueDepthGaugeTracksInFlightPackets) {
-  auto net = fixed_net(millis(10));
   MetricsRegistry registry;
-  net->attach_metrics(registry);
-  // Hosts created after attach_metrics are wired too — shaper or not.
+  auto net = fixed_net(millis(10), {.metrics = &registry});
+  // Every host on an instrumented network is wired — shaper or not.
   Host& a = net->add_host("a", kEast);
   Host& b = net->add_host("b", kWest);
   auto& tx = a.udp_bind(1000);

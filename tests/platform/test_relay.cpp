@@ -10,7 +10,7 @@ namespace {
 
 struct RelayFixture : public ::testing::Test {
   RelayFixture()
-      : net(std::make_unique<net::FixedLatencyModel>(millis(5)), 1),
+      : net(std::make_unique<net::FixedLatencyModel>(millis(5)), 1, {&metrics}),
         relay(net, "relay", GeoPoint{38.9, -77.4}, 8801,
               RelayServer::ForwardingDelay{millis(2), 0.0}) {}
 
@@ -35,6 +35,7 @@ struct RelayFixture : public ::testing::Test {
     from.udp_socket(port)->send(std::move(p));
   }
 
+  MetricsRegistry metrics;
   net::Network net;
   RelayServer relay;
 };
@@ -201,8 +202,6 @@ TEST_F(RelayFixture, MediaAndPeerForwardsCountedSeparately) {
   // media copy and one peer copy, never two of either.
   RelayServer peer{net, "peer", GeoPoint{50.0, 8.0}, 8801,
                    RelayServer::ForwardingDelay{millis(2), 0.0}};
-  MetricsRegistry metrics;
-  relay.attach_metrics(metrics, "relay");
   std::vector<net::Packet> b_rx;
   std::vector<net::Packet> c_rx;
   net::Host& a = make_client("a", 100, nullptr);
@@ -219,12 +218,14 @@ TEST_F(RelayFixture, MediaAndPeerForwardsCountedSeparately) {
   ASSERT_EQ(c_rx.size(), 1u);
   EXPECT_EQ(relay.stats().media_forwarded, 1);
   EXPECT_EQ(relay.stats().peer_forwarded, 1);
-  EXPECT_EQ(metrics.counters().at("relay.media_forwarded").value(), 1);
+  // Both relays report into the network's registry: one participant copy
+  // each, and the one peer copy counted apart from them.
+  EXPECT_EQ(metrics.counters().at("relay.media_forwarded").value(), 2);
   EXPECT_EQ(metrics.counters().at("relay.peer_forwarded").value(), 1);
   // The fan-out histogram sees participant copies only: one observation of
-  // value 1, not 2.
+  // value 1 per relay, never a 2.
   const auto& fan_out = metrics.histograms().at("relay.fan_out").stats();
-  EXPECT_EQ(fan_out.count(), 1u);
+  EXPECT_EQ(fan_out.count(), 2u);
   EXPECT_EQ(fan_out.max(), 1.0);
   // The peer relay forwarded to its own participant and, having received
   // the packet from a peer, never forwarded onward to peers again.

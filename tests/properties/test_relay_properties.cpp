@@ -80,11 +80,10 @@ ShardedOutcome run_random_sharded_session(std::uint64_t seed, int shards, ShardP
   const int n = static_cast<int>(gen.uniform_int(2, 40));
   const double jitter_ms = gen.uniform(0.0, 4.0);
 
-  net::Network net{std::make_unique<net::FixedLatencyModel>(millis(2)), seed};
+  MetricsRegistry metrics;
+  net::Network net{std::make_unique<net::FixedLatencyModel>(millis(2)), seed, {&metrics}};
   platform::RelayServer relay{net, "relay", GeoPoint{38.9, -77.4}, 8801,
                               platform::RelayServer::ForwardingDelay{millis(1), jitter_ms}};
-  MetricsRegistry metrics;
-  relay.attach_metrics(metrics, "relay");
   relay.set_fan_out_sharding(pool, shards);
 
   ShardedOutcome out;

@@ -70,7 +70,9 @@ TEST(Controller, WorkflowTimingsPerPlatform) {
 }
 
 struct OrchestratorFixture : public ::testing::Test {
-  OrchestratorFixture() : bed(7), platform(std::make_unique<platform::WebexPlatform>(bed.network())) {}
+  OrchestratorFixture()
+      : bed(CloudTestbed::Config{.seed = 7}, {&metrics}),
+        platform(std::make_unique<platform::WebexPlatform>(bed.network())) {}
 
   client::VcaClient::Config cfg(bool sender) {
     client::VcaClient::Config c;
@@ -83,6 +85,7 @@ struct OrchestratorFixture : public ::testing::Test {
     return c;
   }
 
+  MetricsRegistry metrics;
   CloudTestbed bed;
   std::unique_ptr<platform::WebexPlatform> platform;
 };
@@ -161,7 +164,6 @@ TEST_F(OrchestratorFixture, JoinTimeoutFailsSessionAndReportsMissing) {
   // a join callback that never fires.
   client::ClientController::Script script = client::default_script(platform::PlatformId::kWebex);
 
-  MetricsRegistry metrics;
   bool done_fired = false;
   bool joined_fired = false;
   SessionOutcome seen;
@@ -172,7 +174,6 @@ TEST_F(OrchestratorFixture, JoinTimeoutFailsSessionAndReportsMissing) {
   plan.media_duration = seconds(5);
   plan.join_timeout = seconds(25);
   plan.script = script;
-  plan.metrics = &metrics;
   plan.on_all_joined = [&] { joined_fired = true; };
   plan.on_done = [&](const SessionOutcome& outcome) {
     done_fired = true;
@@ -222,12 +223,10 @@ TEST_F(OrchestratorFixture, ControllerMetricsRecordJoins) {
   client::VcaClient host{host_vm, *platform, cfg(true)};
   client::VcaClient p1{p1_vm, *platform, cfg(false)};
 
-  MetricsRegistry metrics;
   SessionOrchestrator::Plan plan;
   plan.host = &host;
   plan.participants = {&p1};
   plan.media_duration = seconds(2);
-  plan.metrics = &metrics;
   SessionOrchestrator orchestrator{std::move(plan)};
   orchestrator.start();
   bed.run_all();

@@ -8,6 +8,12 @@
 #     the file as written, never re-serialized. Exits 1 if a bench fails or
 #     writes no report.
 #
+#   tools/bench_aggregates.sh examples BUILD OUT
+#     Runs the examples and the CLI's experiment subcommands at default flags
+#     and saves each stdout as OUT/examples/<name>.txt, so example output can
+#     be diffed between two builds like the aggregates. Exits non-zero if one
+#     fails.
+#
 #   tools/bench_aggregates.sh compare A B
 #     One line per bench saved in A:
 #       identical                   same bytes
@@ -21,7 +27,7 @@ set -euo pipefail
 readonly SKIP=" bench_micro bench_codec_speed bench_soak bench_shard_fanout "
 
 usage() {
-  echo "usage: $0 run BUILD OUT | compare A B" >&2
+  echo "usage: $0 run BUILD OUT | examples BUILD OUT | compare A B" >&2
   exit 2
 }
 
@@ -61,6 +67,18 @@ cmd_run() {
     fi
   done
   return $status
+}
+
+cmd_examples() {
+  local bin=$1/examples out=$2/examples cmd
+  mkdir -p "$out"
+  "$bin/quickstart" > "$out/quickstart.txt"
+  "$bin/qoe_shootout" 1 low > "$out/qoe_shootout_1_low.txt"
+  "$bin/qoe_shootout" 1 low 500 > "$out/qoe_shootout_1_low_500.txt"
+  "$bin/mobile_profile" > "$out/mobile_profile.txt"
+  for cmd in qoe bwcap mobile; do
+    "$bin/vcbench_cli" "$cmd" > "$out/vcbench_cli_$cmd.txt"
+  done
 }
 
 cmd_compare() {
@@ -116,6 +134,7 @@ PY
 [[ $# -eq 3 ]] || usage
 case "$1" in
   run) cmd_run "$2" "$3" ;;
+  examples) cmd_examples "$2" "$3" ;;
   compare) cmd_compare "$2" "$3" ;;
   *) usage ;;
 esac
