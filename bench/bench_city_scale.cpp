@@ -100,13 +100,13 @@ int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
   const int shards = vcb::int_flag(argc, argv, "--shards", 0);
   const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
-  const int rounds = std::max(3, vcb::int_flag(argc, argv, "--rounds", 5));
+  const int rounds = vcb::int_flag(argc, argv, "--rounds", 5);
   const std::string out_path =
       vcb::flag_string(argc, argv, "--out", "bench_city_scale.report.json");
   if (gate > 0.0) {
     const auto make_task = [shards](bool armed) { return gate_task(shards, armed); };
     return vcb::invisibility_gate("city_scale_fleet_gate", make_task, /*n=*/3, /*base_seed=*/10101,
-                                  rounds, gate, out_path);
+                                  rounds, gate).finish(out_path);
   }
 
   vcb::banner("City scale — relay federation fleet sweep", paper);

@@ -22,7 +22,6 @@
 // below the gate ratio (e.g. --gate 0.98 = "an installed empty plan costs
 // <= 2%", exit 3). Best-of-rounds for the same reason as bench_shard_fanout's
 // trace gate: scheduler noise only ever adds time.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -98,13 +97,13 @@ int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
   const int shards = vcb::int_flag(argc, argv, "--shards", 0);
   const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
-  const int rounds = std::max(3, vcb::int_flag(argc, argv, "--rounds", 5));
+  const int rounds = vcb::int_flag(argc, argv, "--rounds", 5);
   const std::string out_path =
       vcb::flag_string(argc, argv, "--out", "bench_fault_recovery.report.json");
   if (gate > 0.0) {
     const auto make_task = [shards](bool armed) { return gate_task(shards, armed); };
     return vcb::invisibility_gate("fault_recovery_gate", make_task, /*n=*/3, /*base_seed=*/4242,
-                                  rounds, gate, out_path);
+                                  rounds, gate).finish(out_path);
   }
 
   vcb::banner("Fault recovery — relay crash mid-call, outage sweep", paper);

@@ -9,10 +9,11 @@
 // run_checked() runs the task list at 1 and at 8 threads and finish()
 // enforces the determinism contract (byte-identical aggregates and per-task
 // trace/timeline files, no task failures); invisibility_gate() is the one
-// interleaved A/B "armed-but-idle machinery is byte-invisible and cheap"
-// gate behind the perf-smoke CI steps.
+// interleaved A/B gate ("the armed side is byte-invisible and within a
+// wall-clock ratio") behind every wall-clock perf-smoke CI step.
 #pragma once
 
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cmath>
@@ -135,6 +136,14 @@ inline void fnv_mix(std::uint64_t& h, std::uint64_t v) {
   h *= 1099511628211ULL;
 }
 
+/// Records digest `h` exactly, as the samples `<base>.hi` and `<base>.lo`
+/// (32 bits each), so an aggregate comparison compares the whole digest.
+inline void sample_digest(vc::runner::SessionContext& ctx, const std::string& base,
+                          std::uint64_t h) {
+  ctx.sample(base + ".hi", static_cast<double>(h >> 32));
+  ctx.sample(base + ".lo", static_cast<double>(h & 0xffffffffU));
+}
+
 /// Whole file as bytes; false when it cannot be opened.
 inline bool read_file(const std::string& path, std::string* out) {
   std::ifstream in{path, std::ios::binary};
@@ -225,19 +234,35 @@ inline CheckedRun run_checked(vc::runner::ExperimentRunner::Config rc, std::size
 }
 
 /// Builds the gate's session task for one side: armed = false is the
-/// machinery off, armed = true is it armed but idle.
+/// reference (the machinery off), armed = true the side under test.
 using TaskFactory = std::function<vc::runner::ExperimentRunner::Task(bool armed)>;
 
-/// Interleaved A/B invisibility gate: `rounds` rounds of `n` sessions on one
-/// thread, alternating make_task(false) and make_task(true). Every pass's aggregate must equal the
-/// first one and no task may throw (exit 1); the best-of-rounds wall-clock
-/// ratio off/armed must reach `ratio` (exit 3). Best-of-rounds because
-/// scheduler noise only ever adds time. On a verdict it writes the gate
-/// report {benchmark, rounds, best_off_seconds, best_armed_seconds,
-/// speed_ratio, gate, aggregates_byte_identical} to `out_path`.
-inline int invisibility_gate(const std::string& label, const TaskFactory& make_task,
-                             std::size_t n, std::uint64_t base_seed, int rounds, double ratio,
-                             const std::string& out_path) {
+/// One invisibility_gate() verdict: exit `code` and the gate report object
+/// (empty when a pass threw or was visible).
+struct GateRun {
+  int code = 0;
+  std::string json;
+
+  /// Writes `json` to `out_path` when there is one and returns `code`.
+  int finish(const std::string& out_path) const {
+    if (!json.empty() && vc::runner::write_text_file(out_path, json + "\n")) {
+      std::printf("report written to %s\n", out_path.c_str());
+    }
+    return code;
+  }
+};
+
+/// Interleaved A/B invisibility gate: `rounds` rounds (at least 3) of `n`
+/// sessions on one thread, alternating make_task(false) and make_task(true).
+/// Every pass's aggregate must equal the first one and no task may throw
+/// (code 1); the best-of-rounds wall-clock ratio off/armed must reach `ratio`
+/// (code 3). Best-of-rounds because scheduler noise only ever adds time. A
+/// verdict carries the gate report {benchmark, rounds, best_off_seconds,
+/// best_armed_seconds, speed_ratio, gate, aggregates_byte_identical}.
+inline GateRun invisibility_gate(const std::string& label, const TaskFactory& make_task,
+                                 std::size_t n, std::uint64_t base_seed, int rounds,
+                                 double ratio) {
+  rounds = std::max(3, rounds);
   vc::runner::ExperimentRunner::Config rc;
   rc.base_seed = base_seed;
   rc.label = label;
@@ -250,7 +275,7 @@ inline int invisibility_gate(const std::string& label, const TaskFactory& make_t
       if (!report.failures.empty()) {
         std::printf("FAIL: %s: gate session threw (%zu failures): %s\n", label.c_str(),
                     report.failures.size(), report.failures.front().second.c_str());
-        return 1;
+        return {1, ""};
       }
       if (baseline_json.empty()) {
         baseline_json = report.aggregate_json();
@@ -258,7 +283,7 @@ inline int invisibility_gate(const std::string& label, const TaskFactory& make_t
         std::printf("FAIL: %s: %s aggregate differs from the off baseline — the armed "
                     "machinery must be byte-invisible\n",
                     label.c_str(), armed ? "armed" : "off");
-        return 1;
+        return {1, ""};
       }
       double& best = armed ? best_armed : best_off;
       if (best == 0.0 || report.wall_seconds < best) best = report.wall_seconds;
@@ -274,17 +299,14 @@ inline int invisibility_gate(const std::string& label, const TaskFactory& make_t
                 "{\n  \"benchmark\": \"%s\",\n  \"rounds\": %d,\n"
                 "  \"best_off_seconds\": %.6f,\n  \"best_armed_seconds\": %.6f,\n"
                 "  \"speed_ratio\": %.4f,\n  \"gate\": %.2f,\n"
-                "  \"aggregates_byte_identical\": true\n}\n",
+                "  \"aggregates_byte_identical\": true\n}",
                 label.c_str(), rounds, best_off, best_armed, speed_ratio, ratio);
-  if (vc::runner::write_text_file(out_path, json)) {
-    std::printf("report written to %s\n", out_path.c_str());
-  }
   if (speed_ratio < ratio) {
     std::printf("FAIL: %s: speed ratio off/armed %.3fx below gate %.2fx\n", label.c_str(),
                 speed_ratio, ratio);
-    return 3;
+    return {3, json};
   }
-  return 0;
+  return {0, json};
 }
 
 }  // namespace vcb

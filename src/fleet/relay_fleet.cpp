@@ -119,7 +119,7 @@ void RelayFleet::ensure_trunk_pair(int a, int b) {
                                     slots_[static_cast<std::size_t>(b)].site->location);
   SimDuration prop = millis_f(km * config_.trunk_us_per_km / 1000.0);
   if (prop < config_.trunk_min_propagation) prop = config_.trunk_min_propagation;
-  for (const auto [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+  for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
     if (trunks_.count({from, to}) != 0) continue;
     Trunk::Config tc;
     tc.rate = config_.trunk_rate;

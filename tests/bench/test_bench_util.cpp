@@ -1,7 +1,8 @@
 // The shared bench harness: run_checked()/finish() must turn any 1-vs-8-thread
 // byte mismatch (aggregates or per-task trace files) or any task failure
 // into exit 1; invisibility_gate() must return 1 on a visible armed side and
-// 3 on a slow one; the numeric flag parsers must reject malformed values.
+// 3 on a slow one, and run at least 3 rounds; the numeric flag parsers must
+// reject malformed values.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -126,7 +127,7 @@ TEST(InvisibilityGate, InvisibleArmedSideWritesTheSharedSchema) {
   const std::string out = dir.file("gate.json");
   const int code = vcb::invisibility_gate(
       "harness_gate", [](bool armed) { return gate_task(armed, false, false); }, 2, 9, 3,
-      0.0, out);
+      0.0).finish(out);
   EXPECT_EQ(code, 0);
   std::string json;
   ASSERT_TRUE(vcb::read_file(out, &json));
@@ -141,7 +142,7 @@ TEST(InvisibilityGate, VisibleArmedSideExitsOne) {
   ScratchDir dir{"vcb_gate_visible"};
   const int code = vcb::invisibility_gate(
       "harness_gate", [](bool armed) { return gate_task(armed, true, false); }, 2, 9, 3,
-      0.0, dir.file("gate.json"));
+      0.0).finish(dir.file("gate.json"));
   EXPECT_EQ(code, 1);
   EXPECT_FALSE(std::filesystem::exists(dir.file("gate.json")));
 }
@@ -153,7 +154,7 @@ TEST(InvisibilityGate, ThrowingTaskExitsOne) {
       [](bool) -> ExperimentRunner::Task {
         return [](SessionContext&) { throw std::runtime_error("boom"); };
       },
-      2, 9, 3, 0.0, dir.file("gate.json"));
+      2, 9, 3, 0.0).finish(dir.file("gate.json"));
   EXPECT_EQ(code, 1);
 }
 
@@ -161,9 +162,23 @@ TEST(InvisibilityGate, SlowArmedSideExitsThree) {
   ScratchDir dir{"vcb_gate_slow"};
   const int code = vcb::invisibility_gate(
       "harness_gate", [](bool armed) { return gate_task(armed, false, true); }, 2, 9, 3,
-      0.98, dir.file("gate.json"));
+      0.98).finish(dir.file("gate.json"));
   EXPECT_EQ(code, 3);
   EXPECT_TRUE(std::filesystem::exists(dir.file("gate.json")));
+}
+
+TEST(InvisibilityGate, TooFewRoundsRunThree) {
+  ScratchDir dir{"vcb_gate_rounds"};
+  const std::string out = dir.file("gate.json");
+  // The off side sleeps, so a real ratio clears the gate by far; a ratio
+  // from zero rounds would not.
+  const int code = vcb::invisibility_gate(
+      "harness_gate", [](bool armed) { return gate_task(!armed, false, true); }, 2, 9, 0,
+      1.0).finish(out);
+  EXPECT_EQ(code, 0);
+  std::string json;
+  ASSERT_TRUE(vcb::read_file(out, &json));
+  EXPECT_NE(json.find("\"rounds\": 3"), std::string::npos) << json;
 }
 
 /// `fn(argc, argv)` over a bench-style argument list.

@@ -23,8 +23,8 @@
 #     Exits 1 if any bench is missing or changed.
 set -euo pipefail
 
-# Gate and microbenchmark binaries: they write no runner report.
-readonly SKIP=" bench_micro bench_codec_speed bench_soak bench_shard_fanout "
+# Gate binaries: they write no runner report.
+readonly SKIP=" bench_codec_speed bench_soak bench_shard_fanout "
 
 usage() {
   echo "usage: $0 run BUILD OUT | examples BUILD OUT | compare A B" >&2
