@@ -112,6 +112,7 @@ void run_skip_cell(runner::SessionContext& ctx) {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
+  vcb::reject_unread_flags(argc, argv);
   vcb::banner("Ablations — methodology accuracy and parameter robustness", paper);
 
   std::vector<Cell> cells;

@@ -16,7 +16,7 @@
 //
 // The sweep runs once at 1 thread and twice at 8 (the second 8-thread pass
 // is the placement-replica check); all three aggregate reports must be
-// byte-identical, and `--shards K` must not change a byte either (exit 1).
+// byte-identical (exit 1).
 //
 // `--gate <ratio>` switches to the fleet-of-1 equivalence gate CI's
 // perf-smoke job runs: interleaved A/B rounds of the same single-meeting
@@ -70,8 +70,8 @@ struct Cell {
 
 /// Fleet-of-1 equivalence gate session (CI perf-smoke): off = native relay
 /// steering, armed = a fleet of size 1 with the balancer armed.
-runner::ExperimentRunner::Task gate_task(int shards, bool fleet_on) {
-  return [shards, fleet_on](runner::SessionContext& ctx) {
+runner::ExperimentRunner::Task gate_task(bool fleet_on) {
+  return [fleet_on](runner::SessionContext& ctx) {
     core::CityScaleConfig cfg;
     // Single-meeting Webex: the one workload whose native steering a
     // fleet of 1 reproduces move for move (one relay at webex-us-east,
@@ -84,7 +84,6 @@ runner::ExperimentRunner::Task gate_task(int shards, bool fleet_on) {
     cfg.use_fleet = fleet_on;
     cfg.fleet_size = 1;
     cfg.attach_fleet_metrics = false;  // match the native instrument set
-    cfg.fan_out_shards = shards;
     cfg.seed = ctx.seed;
     cfg.metrics = &ctx.metrics;
     const auto r = core::run_city_scale_benchmark(cfg);
@@ -98,31 +97,32 @@ runner::ExperimentRunner::Task gate_task(int shards, bool fleet_on) {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
-  const int shards = vcb::int_flag(argc, argv, "--shards", 0);
   const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
   const int rounds = vcb::int_flag(argc, argv, "--rounds", 5);
   const std::string out_path =
       vcb::flag_string(argc, argv, "--out", "bench_city_scale.report.json");
+  const std::string platform_name = vcb::flag_string(argc, argv, "--platform", "zoom");
+  const int cities = vcb::int_flag(argc, argv, "--cities", paper ? 8 : 4);
+  const int meetings = vcb::int_flag(argc, argv, "--meetings", paper ? 24 : 13);
+  const int participants = vcb::int_flag(argc, argv, "--participants", 7);
+  const int overflow = vcb::int_flag(argc, argv, "--overflow", 6);
+  const std::string fleets = vcb::flag_string(argc, argv, "--fleets", "1,2,4");
+  const std::string policy_names = vcb::flag_string(argc, argv, "--policies", "rr,least,locality");
+  vcb::reject_unread_flags(argc, argv);
   if (gate > 0.0) {
-    const auto make_task = [shards](bool armed) { return gate_task(shards, armed); };
-    return vcb::invisibility_gate("city_scale_fleet_gate", make_task, /*n=*/3, /*base_seed=*/10101,
+    return vcb::invisibility_gate("city_scale_fleet_gate", gate_task, /*n=*/3, /*base_seed=*/10101,
                                   rounds, gate).finish(out_path);
   }
 
   vcb::banner("City scale — relay federation fleet sweep", paper);
 
-  const platform::PlatformId plat =
-      parse_platform(vcb::flag_string(argc, argv, "--platform", "zoom"));
-  const int cities = vcb::int_flag(argc, argv, "--cities", paper ? 8 : 4);
-  const int meetings = vcb::int_flag(argc, argv, "--meetings", paper ? 24 : 13);
-  const int participants = vcb::int_flag(argc, argv, "--participants", 7);
-  const int overflow = vcb::int_flag(argc, argv, "--overflow", 6);
+  const platform::PlatformId plat = parse_platform(platform_name);
   std::vector<int> fleet_sizes;
-  for (const auto& s : split_csv(vcb::flag_string(argc, argv, "--fleets", "1,2,4"))) {
+  for (const auto& s : split_csv(fleets)) {
     fleet_sizes.push_back(vcb::parse_int("--fleets", s.c_str()));
   }
   std::vector<fleet::PlacementPolicy> policies;
-  for (const auto& s : split_csv(vcb::flag_string(argc, argv, "--policies", "rr,least,locality"))) {
+  for (const auto& s : split_csv(policy_names)) {
     policies.push_back(fleet::parse_policy(s));
   }
 
@@ -147,8 +147,8 @@ int main(int argc, char** argv) {
     for (int i = 0; i < cities; ++i) cells.push_back(c);
   }
 
-  const auto task = [&cells, plat, meetings, participants, overflow,
-                     shards](runner::SessionContext& ctx) {
+  const auto task = [&cells, plat, meetings, participants,
+                     overflow](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index];
     core::CityScaleConfig cfg;
     cfg.platform = plat;
@@ -158,7 +158,6 @@ int main(int argc, char** argv) {
     cfg.meetings = meetings;
     cfg.participants_per_meeting = participants;
     cfg.inject_crash = c.crash;
-    cfg.fan_out_shards = shards;
     cfg.seed = ctx.seed;
     cfg.metrics = &ctx.metrics;
     cfg.tracer = ctx.tracer;
@@ -218,7 +217,6 @@ int main(int argc, char** argv) {
   }
 
   const bool replica_identical = report.aggregate_json() == replica.aggregate_json();
-  std::printf("fan_out_shards: %d\n", shards);
   std::printf("placement replica bit-identical to the 8-thread pass: %s\n",
               replica_identical ? "yes" : "NO — determinism regression!");
   const int status = run.finish(out_path);

@@ -75,6 +75,7 @@ int main(int argc, char** argv) {
   const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
   const std::string out_path =
       vcb::flag_string(argc, argv, "--out", "bench_codec_speed.report.json");
+  vcb::reject_unread_flags(argc, argv);
 
   const DctBackend best = best_dct_backend();
   std::printf("codec transform A/B: %dx%d, %d frames/pass, %d rounds, simd backend=%s\n", kWidth,

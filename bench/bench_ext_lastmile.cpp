@@ -143,6 +143,7 @@ Impair oscillating_shaper(int hi_kbps, int lo_kbps) {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
+  vcb::reject_unread_flags(argc, argv);
   vcb::banner("Extension — last-mile effects (Zoom, two-party)", paper);
 
   std::vector<Condition> conditions;

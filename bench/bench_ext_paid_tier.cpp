@@ -37,6 +37,7 @@ std::vector<std::string> participant_labels() {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
+  vcb::reject_unread_flags(argc, argv);
   vcb::banner("Extension — Webex free vs paid tier (European sessions)", paper);
 
   const struct {

@@ -96,6 +96,7 @@ struct Point {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
+  vcb::reject_unread_flags(argc, argv);
   vcb::banner("Extension — session-size scaling (every participant streaming)", paper);
 
   const int max_n = paper ? 30 : 25;

@@ -8,9 +8,8 @@
 // a shared link.
 //
 // The sweep runs on runner::ExperimentRunner once at 1 thread and once at 8;
-// the aggregate reports must be bit-identical — ABR active included — and
-// `--shards K` (intra-session relay fan-out sharding) must not change a byte
-// either (exit 1 on any mismatch).
+// the aggregate reports must be bit-identical — ABR active included (exit 1
+// on any mismatch).
 //
 // `--gate <ratio>` switches to the ABR-off invisibility check CI's
 // perf-smoke job runs: interleaved A/B rounds of the same contention scene,
@@ -38,7 +37,7 @@ struct Cell {
   std::string key;  // e.g. "f4.abr" / "f4.plain"
 };
 
-core::FairnessBenchmarkConfig cell_config(const Cell& cell, SimDuration media, int shards) {
+core::FairnessBenchmarkConfig cell_config(const Cell& cell, SimDuration media) {
   core::FairnessBenchmarkConfig cfg;
   cfg.flows = core::default_fairness_flows(cell.flows);
   if (!cell.abr) {
@@ -48,7 +47,6 @@ core::FairnessBenchmarkConfig cell_config(const Cell& cell, SimDuration media, i
   // per-flow contention regime (~600 Kbps/flow against Mbps-class targets).
   cfg.bottleneck = DataRate::kbps(600 * cell.flows);
   cfg.media_duration = media;
-  cfg.fan_out_shards = shards;
   return cfg;
 }
 
@@ -77,10 +75,10 @@ void sample_session(runner::SessionContext& ctx, const std::string& key,
 
 /// ABR-off invisibility gate session (CI perf-smoke): off = ABR fully
 /// disabled, armed = shadow-armed adapters + feedback accounting.
-runner::ExperimentRunner::Task gate_task(int shards, bool armed) {
-  return [shards, armed](runner::SessionContext& ctx) {
+runner::ExperimentRunner::Task gate_task(bool armed) {
+  return [armed](runner::SessionContext& ctx) {
     Cell cell{3, armed, "gate"};
-    core::FairnessBenchmarkConfig cfg = cell_config(cell, seconds(10), shards);
+    core::FairnessBenchmarkConfig cfg = cell_config(cell, seconds(10));
     cfg.abr_shadow = true;  // armed adapters never apply their decisions
     const auto r = core::run_fairness_session(cfg, ctx.seed);
     ctx.sample("gate.jain", r.jain_index);
@@ -97,14 +95,13 @@ runner::ExperimentRunner::Task gate_task(int shards, bool armed) {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
-  const int shards = vcb::int_flag(argc, argv, "--shards", 0);
   const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
   const int rounds = vcb::int_flag(argc, argv, "--rounds", 5);
   const std::string out_path =
       vcb::flag_string(argc, argv, "--out", "bench_fairness.report.json");
+  vcb::reject_unread_flags(argc, argv);
   if (gate > 0.0) {
-    const auto make_task = [shards](bool armed) { return gate_task(shards, armed); };
-    return vcb::invisibility_gate("fairness_gate", make_task, /*n=*/3, /*base_seed=*/6161,
+    return vcb::invisibility_gate("fairness_gate", gate_task, /*n=*/3, /*base_seed=*/6161,
                                   rounds, gate).finish(out_path);
   }
 
@@ -127,9 +124,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto task = [&cells, media, shards](runner::SessionContext& ctx) {
+  const auto task = [&cells, media](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index];
-    const core::FairnessBenchmarkConfig cfg = cell_config(c, media, shards);
+    const core::FairnessBenchmarkConfig cfg = cell_config(c, media);
     const auto r = core::run_fairness_session(cfg, ctx.seed);
     sample_session(ctx, c.key, r);
   };
@@ -171,6 +168,5 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  std::printf("fan_out_shards: %d (ABR active)\n", shards);
   return run.finish(out_path);
 }

@@ -11,9 +11,8 @@
 // shape `vcbench_cli report --cdf` renders).
 //
 // The sweep runs on runner::ExperimentRunner once at 1 thread and once at 8;
-// the aggregate reports must be bit-identical, and `--shards K` (intra-
-// session relay fan-out sharding) must not change a byte either — faulted
-// sessions obey the same determinism contract as healthy ones (exit 1).
+// the aggregate reports must be bit-identical — faulted sessions obey the
+// same determinism contract as healthy ones (exit 1).
 //
 // `--gate <ratio>` switches to the empty-plan overhead check CI's perf-smoke
 // job runs: interleaved A/B rounds of the same healthy session with no plan
@@ -76,11 +75,10 @@ std::vector<health::SloRule> default_slo_rules() {
 
 /// Empty-plan overhead gate session (CI perf-smoke): off = no plan installed
 /// at all, armed = an armed-but-empty plan.
-runner::ExperimentRunner::Task gate_task(int shards, bool inject) {
-  return [shards, inject](runner::SessionContext& ctx) {
+runner::ExperimentRunner::Task gate_task(bool inject) {
+  return [inject](runner::SessionContext& ctx) {
     core::FaultRecoveryConfig cfg = base_config(seconds(12));
     cfg.platform = vcb::all_platforms()[ctx.task_index % 3];
-    cfg.fan_out_shards = shards;
     cfg.seed = ctx.seed;
     cfg.inject = inject;
     cfg.use_custom_plan = true;  // empty custom plan: arms, schedules nothing
@@ -95,14 +93,16 @@ runner::ExperimentRunner::Task gate_task(int shards, bool inject) {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
-  const int shards = vcb::int_flag(argc, argv, "--shards", 0);
   const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
   const int rounds = vcb::int_flag(argc, argv, "--rounds", 5);
   const std::string out_path =
       vcb::flag_string(argc, argv, "--out", "bench_fault_recovery.report.json");
+  const std::string plan_path = vcb::flag_string(argc, argv, "--plan", "");
+  const std::string timeline_dir = vcb::flag_string(argc, argv, "--timeline", "");
+  const std::string slo_path = vcb::flag_string(argc, argv, "--slo", "");
+  vcb::reject_unread_flags(argc, argv);
   if (gate > 0.0) {
-    const auto make_task = [shards](bool armed) { return gate_task(shards, armed); };
-    return vcb::invisibility_gate("fault_recovery_gate", make_task, /*n=*/3, /*base_seed=*/4242,
+    return vcb::invisibility_gate("fault_recovery_gate", gate_task, /*n=*/3, /*base_seed=*/4242,
                                   rounds, gate).finish(out_path);
   }
 
@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
   // with a scripted FaultPlan (see FaultPlan::from_json for the schema).
   fault::FaultPlan custom_plan;
   bool use_custom_plan = false;
-  const std::string plan_path = vcb::flag_string(argc, argv, "--plan", "");
   if (!plan_path.empty()) {
     std::string text;
     if (!vcb::read_file(plan_path, &text)) {
@@ -135,10 +134,8 @@ int main(int argc, char** argv) {
   // replaces the default rules. The serial and 8-thread sweeps write to
   // DIR/t1 and DIR/t8, and every timeline file must be byte-identical
   // between them — same contract as the aggregate reports.
-  const std::string timeline_dir = vcb::flag_string(argc, argv, "--timeline", "");
   std::vector<health::SloRule> slo_rules;
   if (!timeline_dir.empty()) slo_rules = default_slo_rules();
-  const std::string slo_path = vcb::flag_string(argc, argv, "--slo", "");
   if (!slo_path.empty()) {
     std::string text;
     if (!vcb::read_file(slo_path, &text)) {
@@ -173,7 +170,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto task = [&cells, session_duration, shards, &custom_plan,
+  const auto task = [&cells, session_duration, &custom_plan,
                      use_custom_plan](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index];
     core::FaultRecoveryConfig cfg = base_config(session_duration);
@@ -181,7 +178,6 @@ int main(int argc, char** argv) {
     cfg.outage_duration = c.outage;
     cfg.custom_plan = custom_plan;
     cfg.use_custom_plan = use_custom_plan;
-    cfg.fan_out_shards = shards;
     cfg.seed = ctx.seed ^ c.platform_seed;
     cfg.metrics = &ctx.metrics;
     cfg.tracer = ctx.tracer;
@@ -271,6 +267,5 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(report.timeline.health_events),
                 static_cast<unsigned long long>(report.timeline.health_breaches));
   }
-  std::printf("fan_out_shards: %d\n", shards);
   return run.finish(out_path);
 }

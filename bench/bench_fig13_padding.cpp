@@ -110,6 +110,7 @@ PaddingResult run_padding_session(std::uint64_t seed, SimDuration duration) {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
+  vcb::reject_unread_flags(argc, argv);
   vcb::banner("Fig 13 — the protective-padding pipeline, and what it avoids", paper);
 
   const std::size_t reps = paper ? 4 : 1;

@@ -31,6 +31,7 @@ struct Cell {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
+  vcb::reject_unread_flags(argc, argv);
   vcb::banner("Fig 14 — QoE reduction from low-motion to high-motion feeds (US)", paper);
 
   const int max_n = paper ? 5 : 3;

@@ -36,6 +36,7 @@ struct Cell {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
+  vcb::reject_unread_flags(argc, argv);
   vcb::banner("Fig 15 — upload/download data rates (US)", paper);
 
   const int max_n = paper ? 5 : 3;

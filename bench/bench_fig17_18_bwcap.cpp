@@ -10,8 +10,7 @@
 // cell is an independent capped session (core::run_bwcap_session), executed
 // once on one thread and once on eight. The two aggregate reports must be
 // bit-identical (the runner's determinism contract); the wall-clock ratio is
-// the measured parallel speedup on this machine. `--shards K` forwards
-// intra-session relay fan-out sharding, which must not change a byte either.
+// the measured parallel speedup on this machine.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -35,7 +34,7 @@ struct Cell {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
-  const int shards = vcb::int_flag(argc, argv, "--shards", 0);
+  vcb::reject_unread_flags(argc, argv);
   vcb::banner("Figs 17-18 — streaming under bandwidth constraints", paper);
 
   const std::vector<DataRate> caps = {DataRate::kbps(250),  DataRate::kbps(500),
@@ -57,7 +56,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto task = [&cells, media_duration, shards](runner::SessionContext& ctx) {
+  const auto task = [&cells, media_duration](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index];
     core::BwCapBenchmarkConfig cfg;
     cfg.platform = c.id;
@@ -68,7 +67,6 @@ int main(int argc, char** argv) {
     cfg.padding = 16;
     cfg.fps = 10.0;
     cfg.metric_stride = 5;
-    cfg.fan_out_shards = shards;
     const auto r = core::run_bwcap_session(cfg, ctx.seed ^ c.platform_seed);
     if (r.has_video_qoe) {
       ctx.sample(c.key + ".psnr", r.psnr);
@@ -104,6 +102,5 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  std::printf("fan_out_shards: %d\n", shards);
   return run.finish("bench_fig17_18_bwcap.report.json");
 }

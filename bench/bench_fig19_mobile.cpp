@@ -12,7 +12,6 @@
 // executed once on one thread and once on eight; the two aggregate reports
 // must be bit-identical. CPU cells show mean±sd of the pooled per-second
 // samples (the runner aggregates streaming moments, not raw quartiles).
-// `--shards K` forwards intra-session relay fan-out sharding.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -36,7 +35,7 @@ struct Cell {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
-  const int shards = vcb::int_flag(argc, argv, "--shards", 0);
+  vcb::reject_unread_flags(argc, argv);
   vcb::banner("Fig 19 — mobile CPU / data rate / battery (S10 & J3)", paper);
 
   const mobile::MobileScenario scenarios[] = {
@@ -57,13 +56,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto task = [&cells, duration, shards](runner::SessionContext& ctx) {
+  const auto task = [&cells, duration](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index];
     core::MobileBenchmarkConfig cfg;
     cfg.platform = c.id;
     cfg.scenario = c.scenario;
     cfg.duration = duration;
-    cfg.fan_out_shards = shards;
     const auto r = core::run_mobile_session(cfg, ctx.seed ^ c.platform_seed);
     for (double v : r.s10_cpu) ctx.sample(c.key + ".s10_cpu", v);
     for (double v : r.j3_cpu) ctx.sample(c.key + ".j3_cpu", v);
@@ -104,6 +102,5 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  std::printf("fan_out_shards: %d\n", shards);
   return run.finish("bench_fig19_mobile.report.json");
 }

@@ -35,6 +35,7 @@ vc::core::LagBenchmarkConfig fig2_config(bool paper, std::uint64_t seed) {
 int main(int argc, char** argv) {
   using namespace vc;
   const bool paper = vcb::paper_scale(argc, argv);
+  vcb::reject_unread_flags(argc, argv);
   vcb::banner("Fig 2 — video lag measurement from packet streams (Zoom, US)", paper);
 
   // Timeline illustration from one direct run.

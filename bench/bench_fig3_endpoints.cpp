@@ -17,6 +17,7 @@
 int main(int argc, char** argv) {
   using namespace vc;
   const bool paper = vcb::paper_scale(argc, argv);
+  vcb::reject_unread_flags(argc, argv);
   vcb::banner("Fig 3 — videoconferencing service endpoints", paper);
 
   const auto& platforms = vcb::all_platforms();

@@ -64,6 +64,7 @@ std::vector<std::string> participant_labels(const Scenario& sc) {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
+  vcb::reject_unread_flags(argc, argv);
   vcb::banner("Figs 4-7 — CDFs of streaming lag (percentile summaries)", paper);
 
   std::vector<Point> points;

@@ -62,6 +62,7 @@ std::vector<std::string> participant_labels(const Scenario& sc) {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
+  vcb::reject_unread_flags(argc, argv);
   vcb::banner("Figs 8-11 — service proximity (RTT to discovered endpoints)", paper);
 
   std::vector<Point> points;

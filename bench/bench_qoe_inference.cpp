@@ -10,8 +10,7 @@
 //
 // The sweep (platform × shaper profile × outage plan) runs on
 // runner::ExperimentRunner once at 1 thread and once at 8; the aggregate
-// reports must be bit-identical, and `--shards K` (relay fan-out sharding)
-// must not change a byte either (exit 1).
+// reports must be bit-identical (exit 1).
 //
 // `--gate <mae_fps>` switches to the accuracy gate CI's perf-smoke job runs:
 // scripted-outage scenes across all three platforms, pooled. Frame-rate MAE
@@ -45,14 +44,12 @@ struct Cell {
   std::string key;  // e.g. "Zoom/dsl3m/out6s2s"
 };
 
-core::QoeInferBenchmarkConfig cell_config(const Cell& c, SimDuration media_duration,
-                                          int shards) {
+core::QoeInferBenchmarkConfig cell_config(const Cell& c, SimDuration media_duration) {
   core::QoeInferBenchmarkConfig cfg;
   cfg.platform = c.id;
   cfg.shaper = c.shaper;
   cfg.outages = c.scene->outages;
   cfg.media_duration = media_duration;
-  cfg.fan_out_shards = shards;
   return cfg;
 }
 
@@ -72,7 +69,7 @@ void sample_cell(runner::SessionContext& ctx, const std::string& key,
 /// Accuracy gate (CI perf-smoke): scripted-outage scenes on every platform,
 /// pooled MAE / precision / recall against hard thresholds, plus the usual
 /// 1-vs-8-thread byte identity. Returns the process exit code.
-int accuracy_gate(double mae_gate, int shards, const std::string& out_path) {
+int accuracy_gate(double mae_gate, const std::string& out_path) {
   const SimDuration media_duration = seconds(16);
   static const Scene kGateScene{"out6s2s", {{seconds(6), seconds(2)}}};
 
@@ -89,10 +86,10 @@ int accuracy_gate(double mae_gate, int shards, const std::string& out_path) {
 
   // The gate needs the raw per-session numbers, not just the aggregate
   // moments — collect them under stable per-cell keys and read them back.
-  const auto task = [&cells, media_duration, shards](runner::SessionContext& ctx) {
+  const auto task = [&cells, media_duration](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index % cells.size()];
-    const auto r = core::run_qoe_inference_session(
-        cell_config(c, media_duration, shards), ctx.seed ^ c.cell_seed);
+    const auto r =
+        core::run_qoe_inference_session(cell_config(c, media_duration), ctx.seed ^ c.cell_seed);
     sample_cell(ctx, c.key, r);
     sample_cell(ctx, "pooled", r);
   };
@@ -144,11 +141,11 @@ int accuracy_gate(double mae_gate, int shards, const std::string& out_path) {
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
-  const int shards = vcb::int_flag(argc, argv, "--shards", 0);
   const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
   const std::string out_path =
       vcb::flag_string(argc, argv, "--out", "bench_qoe_inference.report.json");
-  if (gate > 0.0) return accuracy_gate(gate, shards, out_path);
+  vcb::reject_unread_flags(argc, argv);
+  if (gate > 0.0) return accuracy_gate(gate, out_path);
 
   vcb::banner("Header-free QoE inference — estimate vs ground truth", paper);
 
@@ -184,9 +181,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto task = [&cells, media_duration, shards](runner::SessionContext& ctx) {
+  const auto task = [&cells, media_duration](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index];
-    core::QoeInferBenchmarkConfig cfg = cell_config(c, media_duration, shards);
+    core::QoeInferBenchmarkConfig cfg = cell_config(c, media_duration);
     cfg.metrics = &ctx.metrics;
     cfg.tracer = ctx.tracer;
     const auto r = core::run_qoe_inference_session(cfg, ctx.seed ^ c.cell_seed);
@@ -221,6 +218,5 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  std::printf("fan_out_shards: %d\n", shards);
   return run.finish(out_path);
 }

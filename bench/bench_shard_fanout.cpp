@@ -1,15 +1,11 @@
-// Intra-session relay fan-out A/B gates.
+// Relay fan-out A/B gates.
 //
 // One meeting, 48 participants, every participant streaming 40 video frames
 // through a single RelayServer — the fan-out-bound regime where one ingest
-// costs O(N) copy/scale/stage work. Three vcb::invisibility_gate pairs run
+// costs O(N) copy/scale/stage work. Two vcb::invisibility_gate pairs run
 // over that one workload (one session per pass, interleaved rounds,
 // best-of-rounds wall clock because scheduler noise only ever adds time):
-//   --gate           serial (K=0, the plain fan-out loop) vs staged (K=4 with
-//                    no pool: the sharded staging/merge path inline on the
-//                    event-loop thread, isolating its overhead); CI runs 0.90,
-//                    a >10% staging regression exits 2;
-//   --trace-gate     serial vs traced-off (a flight-recorder Tracer attached
+//   --trace-gate     plain vs traced-off (a flight-recorder Tracer attached
 //                    but disabled: one pointer load + branch per record
 //                    site); CI runs 0.98, "tracing off costs <= 2%", exit 3;
 //   --timeline-gate  metrics (a MetricsRegistry on network + relay, the cost
@@ -18,9 +14,8 @@
 //                    nothing); CI runs 0.98, exit 4.
 // The in-process A/B is deliberate: absolute baselines are too noisy on
 // shared CI runners. Every pass's delivery transcript is FNV-hashed into its
-// aggregate and must match serial's byte-for-byte (exit 1), and so must
-// pooled mode's (K=4 on a ShardPool with auto-sized workers, checked once,
-// untimed). The run also checks that a zero-rule HealthMonitor observing an
+// aggregate and must match an untimed plain run's byte-for-byte (exit 1).
+// The run also checks that a zero-rule HealthMonitor observing an
 // enabled sampling timeline leaves the exported timeline bytes identical to
 // an unobserved run (exit 5) — the armed-but-empty monitor contract.
 // `--out <path>` writes the gate reports as one JSON array (default
@@ -36,7 +31,6 @@
 #include "bench/bench_util.h"
 #include "common/metrics.h"
 #include "common/metrics_timeline.h"
-#include "common/shard_pool.h"
 #include "common/tracer.h"
 #include "health/health_monitor.h"
 #include "platform/relay.h"
@@ -49,12 +43,9 @@ using vcb::fnv_mix;
 
 constexpr int kParticipants = 48;
 constexpr int kFrames = 40;
-constexpr int kShards = 4;
 
 /// What one trial runs with besides the fan-out itself.
 struct Setup {
-  int shards = 0;
-  ShardPool* pool = nullptr;
   Tracer* tracer = nullptr;    // attached but never enabled
   bool metered = false;        // MetricsRegistry on network + relay
   bool timeline_off = false;   // + an armed-but-disabled MetricsTimeline
@@ -76,7 +67,6 @@ Trial run_trial(const Setup& setup) {
                    {.metrics = metered ? &registry : nullptr, .tracer = setup.tracer}};
   platform::RelayServer relay{net, "relay", GeoPoint{38.9, -77.4}, 8801,
                               platform::RelayServer::ForwardingDelay{millis(2), 2.0}};
-  relay.set_fan_out_sharding(setup.pool, setup.shards);
   if (setup.timeline_off || setup.sample) {
     timeline.set_enabled(setup.sample);
     if (setup.monitor != nullptr) {
@@ -146,12 +136,12 @@ Trial run_trial(const Setup& setup) {
 }
 
 /// One gate pass: runs `setup`, records its transcript digest and forwarded
-/// count, and throws when the deliveries differ from serial's.
-runner::ExperimentRunner::Task trial_task(const Setup& setup, const Trial& serial) {
-  return [setup, &serial](runner::SessionContext& ctx) {
+/// count, and throws when the deliveries differ from the plain run's.
+runner::ExperimentRunner::Task trial_task(const Setup& setup, const Trial& plain) {
+  return [setup, &plain](runner::SessionContext& ctx) {
     const Trial t = run_trial(setup);
-    if (t.digest != serial.digest || t.media_forwarded != serial.media_forwarded) {
-      throw std::runtime_error("deliveries differ from serial");
+    if (t.digest != plain.digest || t.media_forwarded != plain.media_forwarded) {
+      throw std::runtime_error("deliveries differ from the plain run");
     }
     vcb::sample_digest(ctx, "fanout.digest", t.digest);
     ctx.sample("fanout.media_forwarded", static_cast<double>(t.media_forwarded));
@@ -162,34 +152,25 @@ runner::ExperimentRunner::Task trial_task(const Setup& setup, const Trial& seria
 
 int main(int argc, char** argv) {
   const int rounds = vcb::int_flag(argc, argv, "--rounds", 7);
-  const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
   const double trace_gate = vcb::flag_double(argc, argv, "--trace-gate", 0.0);
   const double timeline_gate = vcb::flag_double(argc, argv, "--timeline-gate", 0.0);
   const std::string out_path =
       vcb::flag_string(argc, argv, "--out", "bench_shard_fanout.report.json");
+  vcb::reject_unread_flags(argc, argv);
 
-  ShardPool pool{ShardPool::auto_workers(kShards)};
   Tracer tracer;  // never enabled: measures the compiled-in-but-off cost
-  std::printf("relay fan-out A/B: n=%d frames=%d shards=%d rounds=%d, pooled mode on %d "
-              "worker thread(s)\n",
-              kParticipants, kFrames, kShards, rounds, pool.workers());
+  std::printf("relay fan-out A/B: n=%d frames=%d rounds=%d\n", kParticipants, kFrames, rounds);
 
-  // Untimed checks. Pooled K=4 must deliver what serial does, and an enabled
-  // sampler must export the same bytes (and deliveries) whether or not a
-  // zero-rule monitor is observing it.
-  const Trial serial = run_trial({});
-  const Trial pooled = run_trial({.shards = kShards, .pool = &pool});
-  const bool pooled_identical =
-      pooled.digest == serial.digest && pooled.media_forwarded == serial.media_forwarded;
+  // Untimed check: an enabled sampler must export the same bytes (and
+  // deliveries) whether or not a zero-rule monitor is observing it.
+  const Trial plain = run_trial({});
   health::HealthMonitor empty_monitor;
   const Trial sampled = run_trial({.sample = true});
   const Trial observed = run_trial({.sample = true, .monitor = &empty_monitor});
   const bool monitor_invisible = !sampled.timeline_json.empty() &&
                                  sampled.timeline_json == observed.timeline_json &&
-                                 sampled.digest == serial.digest &&
-                                 observed.digest == serial.digest;
-  std::printf("pooled deliveries byte-identical to serial: %s\n",
-              pooled_identical ? "yes" : "NO — determinism regression!");
+                                 sampled.digest == plain.digest &&
+                                 observed.digest == plain.digest;
   std::printf("armed-empty HealthMonitor invisible in timeline bytes: %s\n",
               monitor_invisible ? "yes" : "NO — observer perturbed the export!");
 
@@ -200,16 +181,15 @@ int main(int argc, char** argv) {
     int slow_exit;
   };
   const Pair pairs[] = {
-      {"shard_fanout_staged_gate", {}, {.shards = kShards}, gate, 2},
       {"shard_fanout_tracer_gate", {}, {.tracer = &tracer}, trace_gate, 3},
       {"shard_fanout_timeline_gate", {.metered = true},
        {.metered = true, .timeline_off = true}, timeline_gate, 4},
   };
-  int code = pooled_identical ? 0 : 1;
+  int code = 0;
   int slow_exit = 0;
   std::string reports;
   for (const Pair& p : pairs) {
-    const auto make_task = [&](bool armed) { return trial_task(armed ? p.armed : p.off, serial); };
+    const auto make_task = [&](bool armed) { return trial_task(armed ? p.armed : p.off, plain); };
     const vcb::GateRun run =
         vcb::invisibility_gate(p.label, make_task, /*n=*/1, /*base_seed=*/99, rounds, p.ratio);
     if (run.code == 1) code = 1;

@@ -491,6 +491,7 @@ int main(int argc, char** argv) {
   const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
   const std::string baseline_path = vcb::flag_string(argc, argv, "--baseline", "");
   const std::string out_path = vcb::flag_string(argc, argv, "--out", "BENCH_SOAK.json");
+  vcb::reject_unread_flags(argc, argv);
 
   std::printf("soak: %d epochs (codec %d frames, audio %d frames, relay n=%d), backend=%s, "
               "gate=%.2f\n",

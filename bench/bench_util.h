@@ -36,7 +36,15 @@
 
 namespace vcb {
 
+/// Every flag name this process has looked up, and whether it takes a value:
+/// what reject_unread_flags() accepts.
+inline std::vector<std::pair<std::string, bool>>& read_flags() {
+  static std::vector<std::pair<std::string, bool>> names;
+  return names;
+}
+
 inline bool paper_scale(int argc, char** argv) {
+  read_flags().emplace_back("--paper", false);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--paper") == 0) return true;
   }
@@ -46,6 +54,7 @@ inline bool paper_scale(int argc, char** argv) {
 /// Value text of `--name <value>`, or nullptr when the flag is absent. A
 /// flag given as the last argument, with no value, exits 2.
 inline const char* flag_value(int argc, char** argv, const char* name) {
+  read_flags().emplace_back(name, true);
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], name) != 0) continue;
     if (i + 1 < argc) return argv[i + 1];
@@ -97,6 +106,23 @@ inline double flag_double(int argc, char** argv, const char* name, double fallba
 inline std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
   const char* text = flag_value(argc, argv, name);
   return text != nullptr ? text : fallback;
+}
+
+/// Exits 2 on the first `--flag` in argv that no paper_scale()/flag_*() call
+/// has read, so a mistyped or removed flag can never run silently ignored.
+/// Call it after a bench's last flag read and before any work.
+inline void reject_unread_flags(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--", 2) != 0) continue;
+    const auto& names = read_flags();
+    const auto it = std::find_if(names.begin(), names.end(),
+                                 [&](const auto& n) { return n.first == argv[i]; });
+    if (it == names.end()) {
+      std::fprintf(stderr, "%s: unknown flag\n", argv[i]);
+      std::exit(2);
+    }
+    if (it->second) ++i;  // skip the flag's value
+  }
 }
 
 inline const std::vector<vc::platform::PlatformId>& all_platforms() {

@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -53,6 +54,29 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv, int start)
     }
   }
   return flags;
+}
+
+/// The flags each subcommand reads. Any other `--key` throws (exit 2) before
+/// the subcommand runs, so a typo can never silently fall back to a default.
+void reject_unknown_flags(const std::string& command,
+                          const std::map<std::string, std::string>& flags) {
+  static const std::map<std::string, std::set<std::string>> kKnown = {
+      {"lag", {"platform", "host", "sessions", "duration", "paid", "csv"}},
+      {"qoe", {"platform", "receivers", "motion", "sessions", "duration", "csv"}},
+      {"bwcap", {"platform", "cap-kbps", "sessions", "duration"}},
+      {"mobile", {"platform", "scenario", "repetitions", "duration"}},
+      {"dump", {"trace", "max"}},
+      {"infer", {"trace", "platform", "freeze-ms", "window-ms", "min-payload", "json"}},
+      {"report", {"filter", "cdf", "list"}},
+      {"trace", {"filter"}},
+      {"profile", {"top", "chains", "filter"}},
+      {"timeline", {"metric", "width", "json"}},
+  };
+  const auto known = kKnown.find(command);
+  if (known == kKnown.end()) return;  // unknown subcommand: reported by main
+  for (const auto& [key, value] : flags) {
+    if (!known->second.contains(key)) throw std::invalid_argument{"unknown flag --" + key};
+  }
 }
 
 std::string flag_str(const std::map<std::string, std::string>& flags, const std::string& key,
@@ -504,12 +528,14 @@ int main(int argc, char** argv) {
       }
       const std::string path = argv[2];
       const auto flags = parse_flags(argc, argv, 3);
+      reject_unknown_flags(command, flags);
       if (command == "report") return run_report(path, flags);
       if (command == "trace") return run_trace_summary(path, flags);
       if (command == "profile") return run_profile(path, flags);
       return run_timeline(path, flags);
     }
     const auto flags = parse_flags(argc, argv, 2);
+    reject_unknown_flags(command, flags);
     if (command == "lag") return run_lag(flags);
     if (command == "qoe") return run_qoe(flags);
     if (command == "bwcap") return run_bwcap(flags);

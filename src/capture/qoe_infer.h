@@ -103,7 +103,7 @@ struct QoeInferReport {
   double median_interframe_ms = 0.0;
 
   /// Deterministic JSON (json::format_number): same trace ⇒ byte-identical
-  /// text, which the determinism suite pins across threads and shards.
+  /// text, which the determinism suite pins at any thread count × fleet size.
   std::string to_json() const;
 };
 

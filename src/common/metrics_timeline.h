@@ -18,8 +18,8 @@
 //  3. Deterministic output. Sampling reads sim time and registry state only;
 //     columns are emitted in byte-wise name order; counters (and histogram
 //     counts) are delta-encoded against an eviction-maintained base. The
-//     exported JSON is byte-identical at any runner thread count × fan-out
-//     shard count K (tests/determinism/test_timeline_determinism.cpp).
+//     exported JSON is byte-identical at any thread count × fleet size
+//     (tests/determinism/test_timeline_determinism.cpp).
 //
 // When the ring wraps, the oldest samples are dropped (flight-recorder
 // semantics, like the Tracer): evicted counter deltas fold into each column's

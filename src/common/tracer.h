@@ -12,7 +12,7 @@
 //  3. Deterministic output. Timestamps are sim-time, every record is written
 //     on the session's event-loop thread, and each session owns its tracer —
 //     so the exported trace is byte-identical across runner thread counts
-//     and fan-out shard counts (see DESIGN.md §6).
+//     (see DESIGN.md §6).
 //
 // When the ring wraps, the oldest records are overwritten and a dropped
 // counter keeps the total honest (flight-recorder semantics: you always keep
@@ -54,12 +54,6 @@ class Tracer {
   /// fully-unattached cost is also one branch.)
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
-
-  /// Per-shard / per-worker detail that is deliberately OUTSIDE the
-  /// determinism contract (like MetricsRegistry's relay.shard<i>.* family).
-  /// Off by default; the trace-determinism e2e test runs without it.
-  void set_shard_detail(bool on) { shard_detail_ = on; }
-  bool shard_detail() const { return shard_detail_; }
 
   void span(const char* name, SimTime begin, SimTime end, double value = 0.0) {
     if (!enabled_) return;
@@ -144,7 +138,6 @@ class Tracer {
   std::uint64_t instant_count_ = 0;
   std::uint64_t counter_count_ = 0;
   bool enabled_ = false;
-  bool shard_detail_ = false;
   /// Storage for intern(): deque never relocates elements.
   std::deque<std::string> interned_;
 };

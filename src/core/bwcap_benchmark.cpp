@@ -18,8 +18,7 @@ BwCapSessionResult run_bwcap_session(const BwCapBenchmarkConfig& config, std::ui
 
   // The platform, the host VM and the receiver VM.
   SessionWorld world{seed};
-  world.add_platform(config.platform,
-                     {.seed = seed ^ 0xCAB, .fan_out_shards = config.fan_out_shards});
+  world.add_platform(config.platform, {.seed = seed ^ 0xCAB});
   net::Host& host_vm = world.vm(config.host_site, 8);
   net::Host& rx_vm = world.vm(config.receiver_site, 9);
 

@@ -27,9 +27,6 @@ struct BwCapBenchmarkConfig {
   int padding = 24;
   double fps = 10.0;
   int metric_stride = 4;
-  /// Intra-session relay fan-out sharding (PlatformConfig::fan_out_shards);
-  /// 0 = serial, any K is byte-identical.
-  int fan_out_shards = 0;
 };
 
 /// One capped session as a self-contained world built from `seed`, the only

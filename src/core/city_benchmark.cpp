@@ -15,8 +15,8 @@ CityScaleResult run_city_scale_benchmark(const CityScaleConfig& config) {
   MetricsRegistry local_metrics;
   MetricsRegistry& reg = config.metrics != nullptr ? *config.metrics : local_metrics;
   SessionWorld world{config.seed, {&reg, config.tracer}};
-  platform::BasePlatform& platform = world.add_platform(
-      config.platform, {.seed = config.seed ^ 0xC17, .fan_out_shards = config.fan_out_shards});
+  platform::BasePlatform& platform =
+      world.add_platform(config.platform, {.seed = config.seed ^ 0xC17});
 
   std::unique_ptr<fleet::RelayFleet> fleet;
   if (config.use_fleet) {

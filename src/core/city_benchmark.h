@@ -58,7 +58,6 @@ struct CityScaleConfig {
   SimDuration outage_duration = seconds(2);
   client::ClientController::ReconnectPolicy reconnect{};
   std::uint64_t seed = 1;
-  int fan_out_shards = 0;
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
 };

@@ -106,7 +106,6 @@ FairnessBenchmarkResult run_fairness_session(const FairnessBenchmarkConfig& conf
 
     platform::PlatformConfig pc;
     pc.seed = seed ^ (0xCABu + static_cast<std::uint64_t>(i) * 0x9E37u);
-    pc.fan_out_shards = config.fan_out_shards;
     platform::BasePlatform& flow_platform = world.add_platform(fc.platform, pc);
 
     net::Host& sender_vm = world.vm(fc.sender_site, 10 + i);

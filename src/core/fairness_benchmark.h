@@ -10,7 +10,7 @@
 // flow's achieved rate and bottleneck share, the shaper's self-inflicted
 // queuing lag, per-flow convergence time to its steady-state rate, and drop
 // fraction. Deterministic: same seed ⇒ identical results at any thread
-// count / shard K, ABR on or off (see bench_fairness and
+// count, ABR on or off (see bench_fairness and
 // tests/determinism/test_fairness_determinism.cpp).
 #pragma once
 
@@ -64,7 +64,6 @@ struct FairnessBenchmarkConfig {
   /// platform (link events resolve host names, e.g. the gateway site name).
   fault::FaultPlan fault_plan;
   bool use_fault_plan = false;
-  int fan_out_shards = 0;
 };
 
 /// Per-flow outcome over the measurement window (all flows streaming).

@@ -19,8 +19,7 @@ FaultRecoveryResult run_fault_recovery_benchmark(const FaultRecoveryConfig& conf
   MetricsRegistry local_metrics;
   MetricsRegistry& reg = config.metrics != nullptr ? *config.metrics : local_metrics;
   SessionWorld world{config.seed, {&reg, config.tracer, config.timeline}};
-  world.add_platform(config.platform,
-                     {.seed = config.seed ^ 0xABC, .fan_out_shards = config.fan_out_shards});
+  world.add_platform(config.platform, {.seed = config.seed ^ 0xABC});
 
   net::Host& host_vm = world.vm(config.host_site, 8);
   const std::vector<net::Host*> part_vms = world.vms(config.participant_sites);

@@ -38,7 +38,6 @@ struct FaultRecoveryConfig {
   int feed_height = 96;
   double fps = 10.0;
   std::uint64_t seed = 1;
-  int fan_out_shards = 0;
   client::ClientController::ReconnectPolicy reconnect{};
   /// Override the default timeline (crash relay 0 at outage_start for
   /// outage_duration) with an arbitrary plan.

@@ -37,8 +37,7 @@ std::vector<std::string> europe_participant_sites(const std::string& host_site) 
 LagBenchmarkResult run_lag_benchmark(const LagBenchmarkConfig& config) {
   if (config.participant_sites.empty()) throw std::invalid_argument{"no participants"};
   SessionWorld world{config.seed, {config.metrics, config.tracer, config.timeline}};
-  const platform::PlatformConfig platform_cfg{.seed = config.seed ^ 0xABC,
-                                              .fan_out_shards = config.fan_out_shards};
+  const platform::PlatformConfig platform_cfg{.seed = config.seed ^ 0xABC};
   if (config.platform == platform::PlatformId::kWebex &&
       config.webex_tier == platform::WebexTier::kPaid) {
     world.adopt_platform(std::make_unique<platform::WebexPlatform>(

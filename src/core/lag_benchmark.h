@@ -37,10 +37,6 @@ struct LagBenchmarkConfig {
   int feed_height = 96;
   double fps = 10.0;
   std::uint64_t seed = 1;
-  /// Intra-session relay fan-out sharding (PlatformConfig::fan_out_shards):
-  /// 0 = serial; any K produces byte-identical results, so runner-driven
-  /// sweeps can turn this on without perturbing a single reported number.
-  int fan_out_shards = 0;
   /// Optional sink for instrumentation: the network/event core, platform,
   /// session orchestrator and client monitors attach here, so runner-based
   /// sweeps get event-loop, delivery-batch and RTT-probe metrics per task.

@@ -36,8 +36,8 @@ PhoneRun make_phone(SessionWorld& world, net::Host& host, const mobile::DevicePr
 /// The phone testbed both mobile entry points share: the platform, the
 /// US-East host VM, then the S10 and J3 on the residential network.
 std::array<net::Host*, 3> provision(SessionWorld& world, platform::PlatformId id,
-                                    std::uint64_t platform_seed, int fan_out_shards) {
-  world.add_platform(id, {.seed = platform_seed, .fan_out_shards = fan_out_shards});
+                                    std::uint64_t platform_seed) {
+  world.add_platform(id, {.seed = platform_seed});
   net::Host* host_vm = &world.vm("US-East", 8);
   net::Host* s10 = &world.vm(testbed::residential_us_east(), 0);
   return {host_vm, s10, &world.vm(testbed::residential_us_east(), 1)};
@@ -67,7 +67,7 @@ MobileSessionResult run_mobile_session(const MobileBenchmarkConfig& config, std:
 
   SessionWorld world{seed};
   const auto [host_vm, s10_vm, j3_vm] =
-      provision(world, config.platform, seed ^ 0x303, config.fan_out_shards);
+      provision(world, config.platform, seed ^ 0x303);
 
   // The host streams the LM/HM feed, with audio.
   client::VcaClient::Config host_cfg = vm_sender(
@@ -112,7 +112,7 @@ ScaleSessionResult run_scale_session(const ScaleBenchmarkConfig& config, std::ui
 
   SessionWorld world{seed, {.tracer = config.tracer}};
   const auto [host_vm, s10_vm, j3_vm] =
-      provision(world, config.platform, seed ^ 0x404, config.fan_out_shards);
+      provision(world, config.platform, seed ^ 0x404);
 
   // Everyone streams high-motion simultaneously (Section 5, Table 4).
   auto make_vm_sender = [&](net::Host& vm, std::uint64_t s) {

@@ -21,9 +21,6 @@ struct MobileBenchmarkConfig {
   platform::PlatformId platform = platform::PlatformId::kZoom;
   mobile::MobileScenario scenario = mobile::MobileScenario::kLM;
   SimDuration duration = seconds(60);
-  /// Intra-session relay fan-out sharding (PlatformConfig::fan_out_shards);
-  /// 0 = serial, any K is byte-identical.
-  int fan_out_shards = 0;
 };
 
 /// One repetition of the mobile scenario as a self-contained world built
@@ -50,9 +47,6 @@ struct ScaleBenchmarkConfig {
   int n_total = 3;  // 3, 6 or 11
   platform::ViewMode phone_view = platform::ViewMode::kFullScreen;
   SimDuration duration = seconds(45);
-  /// Intra-session relay fan-out sharding (PlatformConfig::fan_out_shards);
-  /// 0 = serial, any K is byte-identical.
-  int fan_out_shards = 0;
   /// Optional flight recorder wired into the event loop, links/shapers,
   /// relays and clients (see LagBenchmarkConfig::tracer).
   Tracer* tracer = nullptr;

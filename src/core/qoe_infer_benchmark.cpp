@@ -59,8 +59,7 @@ QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& c
   }
 
   SessionWorld world{seed, {config.metrics, config.tracer}};
-  world.add_platform(config.platform,
-                     {.seed = seed ^ 0x1FE2, .fan_out_shards = config.fan_out_shards});
+  world.add_platform(config.platform, {.seed = seed ^ 0x1FE2});
   net::Host& host_vm = world.vm(config.host_site, 8);
   net::Host& rx_vm = world.vm(config.receiver_site, 9);
 

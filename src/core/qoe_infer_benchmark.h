@@ -52,7 +52,6 @@ struct QoeInferBenchmarkConfig {
   int content_height = 72;
   int padding = 8;  // padded dims must be multiples of 8
   double fps = 10.0;
-  int fan_out_shards = 0;
   /// Windows intersecting an outage (plus this grace for backlog drain) are
   /// excluded from the tier-accuracy join — delivery there reflects the
   /// outage, not the encode tier.

@@ -7,8 +7,8 @@
 //
 // Determinism contract (same as the rest of the tree): arming and firing a
 // plan draws NO randomness — every action is a pure function of the scripted
-// timeline, so a faulted run is byte-identical at any thread count and any
-// fan-out shard count K. The only new randomness a fault can trigger lives
+// timeline, so a faulted run is byte-identical at any thread count × fleet
+// size. The only new randomness a fault can trigger lives
 // in the recovering clients' backoff jitter, which draws from controller-
 // owned RNGs (see client::ClientController::enable_reconnect), never from
 // the network stream. An armed-but-empty plan schedules nothing at all, so

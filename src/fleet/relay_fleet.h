@@ -30,8 +30,8 @@
 //
 // Determinism: placement, overflow and failover consult only fleet-internal
 // state iterated in deterministic (slot-index / meeting-id) order and draw
-// no RNG, so same seed ⇒ byte-identical reports at any thread count × shard
-// count × fleet size.
+// no RNG, so same seed ⇒ byte-identical reports at any thread count × fleet
+// size.
 #pragma once
 
 #include <map>

@@ -15,9 +15,9 @@
 //
 // Determinism: a trunk lives entirely on the event loop (shaper drain events
 // + one delivery event per packet) and draws no randomness, so the trunked
-// path is byte-identical at every thread and shard count. Packets enter at
+// path is byte-identical at any thread count × fleet size. Packets enter at
 // the origin relay's departure tick (RelayServer::set_trunk_egress fires
-// after the departure batch is sealed, on the loop thread) and leave into
+// after the departure batch is sealed) and leave into
 // RelayServer::ingest_trunk, which demuxes by the packet's meeting tag.
 #pragma once
 

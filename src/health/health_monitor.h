@@ -12,7 +12,7 @@
 //
 // Determinism contract (same as fault::FaultPlan): evaluation draws zero
 // randomness and reads only snapshot state, so a monitored run's event list
-// is byte-identical at any thread count × shard K — and a monitor armed with
+// is byte-identical at any thread count × fleet size — and a monitor armed with
 // zero rules observes without emitting anything, leaving every exported byte
 // identical to an unmonitored run (gated in CI next to the fault plan's
 // empty-plan gate).

@@ -13,15 +13,7 @@ BasePlatform::BasePlatform(net::Network& network, PlatformTraits traits,
     : network_(network),
       traits_(traits),
       config_(config),
-      allocator_(network, traits.id, traits.media_port, config.seed) {
-  if (config.fan_out_shards > 0) {
-    const int workers = config.shard_workers >= 0
-                            ? config.shard_workers
-                            : ShardPool::auto_workers(config.fan_out_shards);
-    if (workers > 0) shard_pool_ = std::make_unique<ShardPool>(workers);
-    allocator_.set_fan_out_sharding(shard_pool_.get(), config.fan_out_shards);
-  }
-}
+      allocator_(network, traits.id, traits.media_port, config.seed) {}
 
 MeetingId BasePlatform::create_meeting(const ClientRef& host,
                                        std::function<void(RouteInfo)> on_route) {

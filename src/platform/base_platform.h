@@ -45,10 +45,7 @@ class MeetingPlacer {
 class BasePlatform : public VcaPlatform {
  public:
   BasePlatform(net::Network& network, PlatformTraits traits, std::uint64_t seed);
-  /// Full-config construction: seeds the allocator and, when
-  /// config.fan_out_shards > 0, provisions the shard pool every allocated
-  /// relay shares (sized per config.shard_workers; 0 resolved workers means
-  /// relays run their shards inline — staged path, no threads).
+  /// Full-config construction: seeds the allocator from config.seed.
   BasePlatform(net::Network& network, PlatformTraits traits, const PlatformConfig& config);
 
   const PlatformTraits& traits() const override { return traits_; }
@@ -86,10 +83,6 @@ class BasePlatform : public VcaPlatform {
   /// placer-steered meetings in one platform instance is unsupported.
   void set_placer(MeetingPlacer* placer) { placer_ = placer; }
   MeetingPlacer* placer() { return placer_; }
-
-  /// The pool relays shard their fan-out on; nullptr when fan-out is serial
-  /// or the shards run inline (exposed so tests can assert the resolution).
-  ShardPool* shard_pool() { return shard_pool_.get(); }
 
  protected:
   struct Member {
@@ -132,9 +125,6 @@ class BasePlatform : public VcaPlatform {
   net::Network& network_;
   PlatformTraits traits_;
   PlatformConfig config_;
-  /// Declared before allocator_: the allocator hands the pool pointer to
-  /// every relay it creates, and relays must never outlive the pool.
-  std::unique_ptr<ShardPool> shard_pool_;
   RelayAllocator allocator_;
   MeetingPlacer* placer_ = nullptr;
   std::unordered_map<MeetingId, Meeting> meetings_;

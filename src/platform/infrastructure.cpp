@@ -72,7 +72,6 @@ RelayServer* RelayAllocator::new_relay(const Site& site) {
                                              site.name + "-r" + std::to_string(relay_counter_++),
                                              site.location, media_port_, delay);
   RelayServer* ptr = relay.get();
-  if (fan_out_shards_ > 0) ptr->set_fan_out_sharding(fan_out_pool_, fan_out_shards_);
   relays_.push_back(std::move(relay));
   return ptr;
 }

@@ -73,18 +73,10 @@ class RelayAllocator {
 
   /// Relay by creation index (0-based), or nullptr when out of range. The
   /// fault subsystem addresses crash targets this way: creation order is
-  /// deterministic, so "relay 0" names the same server at every thread and
-  /// shard count.
+  /// deterministic, so "relay 0" names the same server at every thread
+  /// count.
   RelayServer* relay_at(std::size_t index) {
     return index < relays_.size() ? relays_[index].get() : nullptr;
-  }
-
-  /// Every relay created from now on shards its fan-out `shards` ways on
-  /// `pool` (borrowed; may be nullptr = shards run inline). Results are
-  /// byte-identical at any setting — see RelayServer::set_fan_out_sharding.
-  void set_fan_out_sharding(ShardPool* pool, int shards) {
-    fan_out_pool_ = pool;
-    fan_out_shards_ = shards;
   }
 
  private:
@@ -100,8 +92,6 @@ class RelayAllocator {
   /// Meet stickiness: client IP → {primary, secondary} front-ends.
   std::unordered_map<net::IpAddr, std::pair<RelayServer*, RelayServer*>> meet_front_ends_;
   int relay_counter_ = 0;
-  ShardPool* fan_out_pool_ = nullptr;
-  int fan_out_shards_ = 0;
 };
 
 }  // namespace vc::platform

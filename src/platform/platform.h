@@ -65,17 +65,6 @@ struct StreamSubscription {
 /// PlatformTraits stays what the paper could see from outside.
 struct PlatformConfig {
   std::uint64_t seed = 7;
-  /// Intra-session relay fan-out sharding: every relay the platform
-  /// allocates partitions one meeting's receivers into this many contiguous
-  /// join-order shards per ingested packet. 0 (default) = plain serial
-  /// fan-out. Any value produces byte-identical results (the sharded path's
-  /// contract — see RelayServer); only wall-clock changes.
-  int fan_out_shards = 0;
-  /// Worker threads backing the shard pool. -1 = auto-size for this machine
-  /// (ShardPool::auto_workers: never more than the spare hardware threads,
-  /// so a single-core host gets 0). 0 = run shards inline on the event-loop
-  /// thread — same staged path, no threads.
-  int shard_workers = -1;
   /// Client-side ABR this platform hands to clients that don't configure
   /// their own (VcaClient picks it up when its Config.abr.kind is kNone).
   /// Defaults to kNone, so existing runs stay byte-identical.

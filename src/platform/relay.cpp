@@ -6,12 +6,8 @@
 namespace vc::platform {
 
 namespace {
-/// Below this many receivers a pool dispatch costs more than it saves, so
-/// shards run inline on the caller. Purely a performance cutoff: the staged
-/// code path (and therefore every observable result) is the same either way.
-constexpr std::size_t kMinReceiversForPool = 16;
-/// Cap on recycled candidate batches kept around (serial needs one in
-/// flight; a K-sharded relay pre-seeds K sub-batches per dispatch).
+/// Cap on recycled candidate batches kept for reuse: bounds what a burst of
+/// concurrently in-flight ingests leaves behind.
 constexpr std::size_t kMaxBatchSpares = 16;
 }  // namespace
 
@@ -41,12 +37,6 @@ RelayServer::RelayServer(net::Network& network, std::string name, GeoPoint locat
     m_fan_out_ = &registry->histogram("relay.fan_out");
     m_departure_batch_pkts_ = &registry->histogram("relay.departure_batch_pkts");
   }
-}
-
-void RelayServer::set_fan_out_sharding(ShardPool* pool, int shards) {
-  pool_ = pool;
-  shards_ = shards;
-  if (shards_ > 0) scratch_.resize(static_cast<std::size_t>(shards_));
 }
 
 SimTime RelayServer::departure_candidate() {
@@ -291,15 +281,16 @@ void RelayServer::on_packet(const net::Packet& pkt) {
   forward_media(m_it->second, pkt, /*from_peer=*/false);
 }
 
-template <class NewBatchSink, class OnCandidate, class OnAppend>
-std::int64_t RelayServer::fan_out_range(Meeting& meeting, const net::Packet& pkt,
-                                        SimTime candidate, std::size_t begin, std::size_t end,
-                                        NewBatchSink&& sink, OnCandidate&& on_candidate,
-                                        OnAppend&& on_append) {
-  std::int64_t copies = 0;
+std::int64_t RelayServer::fan_out_media(Meeting& meeting, const net::Packet& pkt,
+                                        SimTime candidate) {
   auto& parts = meeting.participants;
-  for (std::size_t i = begin; i < end; ++i) {
-    Participant& p = parts[i];
+  const std::size_t n = parts.size();
+  // Unconstrained copies accumulate into one ingest-wide batch, scheduled
+  // after the loop; newly opened per-destination batches are scheduled as
+  // they open, and appends never schedule.
+  std::shared_ptr<DepartureBatch> cand;
+  std::int64_t copies = 0;
+  for (Participant& p : parts) {
     if (p.id == pkt.origin_id) continue;  // never echo back to the sender
     net::Packet copy = pkt;
     copy.dst = p.endpoint;
@@ -327,143 +318,24 @@ std::int64_t RelayServer::fan_out_range(Meeting& meeting, const net::Packet& pkt
     // candidate tick unless this flow's FIFO floor pushes the copy later.
     Departure& dep = p.departure;
     if (dep.floor < candidate) {
-      // Unconstrained: the copy rides the ingest-wide candidate batch. The
-      // caller repoints dep.open there (under sharding only the merge step
-      // knows the spliced batch), so open_tick is updated here to match.
       dep.floor = candidate;
       dep.open_tick = candidate;
-      on_candidate(dep, std::move(copy));
+      if (!cand) cand = acquire_batch(n);
+      dep.open = cand;
+      cand->packets.push_back(std::move(copy));
     } else {
       const SimTime departure = dep.floor;
       if (dep.open && !dep.open->sealed && dep.open_tick == departure) {
-        on_append(*dep.open, std::move(copy));
+        dep.open->packets.push_back(std::move(copy));
       } else {
         auto batch = std::make_shared<DepartureBatch>();
         batch->packets.push_back(std::move(copy));
         dep.open = batch;
         dep.open_tick = departure;
-        sink(departure, std::move(batch));
+        schedule_departure(departure, std::move(batch));
       }
     }
     ++copies;
-  }
-  return copies;
-}
-
-std::int64_t RelayServer::fan_out_media(Meeting& meeting, const net::Packet& pkt,
-                                        SimTime candidate) {
-  const std::size_t n = meeting.participants.size();
-  if (shards_ <= 0) {
-    // Serial path: newly opened per-destination batches are scheduled as
-    // they open, unconstrained copies accumulate into one ingest-wide batch
-    // scheduled after the loop. Appends never schedule, so this is the same
-    // schedule_at sequence the staged path's merge reproduces.
-    std::shared_ptr<DepartureBatch> cand;
-    const std::int64_t copies = fan_out_range(
-        meeting, pkt, candidate, 0, n,
-        [this](SimTime tick, std::shared_ptr<DepartureBatch> batch) {
-          schedule_departure(tick, std::move(batch));
-        },
-        [this, &cand, n](Departure& dep, net::Packet&& copy) {
-          if (!cand) cand = acquire_batch(n);
-          dep.open = cand;
-          cand->packets.push_back(std::move(copy));
-        },
-        [](DepartureBatch& target, net::Packet&& copy) {
-          target.packets.push_back(std::move(copy));
-        });
-    if (cand) schedule_candidate_departure(candidate, std::move(cand));
-    return copies;
-  }
-
-  const int k = shards_;
-  const bool pooled = pool_ != nullptr && k > 1 && n >= kMinReceiversForPool;
-  // Pre-seed every shard's candidate sub-batch on the loop thread: workers
-  // then run allocation-free in the steady state (the merge splice leaves
-  // each retained sub-batch empty with its capacity intact).
-  for (int s = 0; s < k; ++s) {
-    ShardScratch& sc = scratch_[static_cast<std::size_t>(s)];
-    sc.staged.clear();
-    sc.appends.clear();
-    sc.cand_deps.clear();
-    if (!sc.cand) sc.cand = acquire_batch(n / static_cast<std::size_t>(k) + 1);
-  }
-  auto shard_job = [&](int s) {
-    ShardScratch& sc = scratch_[static_cast<std::size_t>(s)];
-    // Contiguous join-order partition: shard s owns [s*n/k, (s+1)*n/k).
-    // Participants are partitioned, and each Participant owns its departure
-    // pipeline inline, so shards touch disjoint mutable state; the only
-    // shared object a worker may see — a previous ingest's candidate batch,
-    // via dep.open — is read-only here (appends to it are staged).
-    const std::size_t begin = n * static_cast<std::size_t>(s) / static_cast<std::size_t>(k);
-    const std::size_t end = n * (static_cast<std::size_t>(s) + 1) / static_cast<std::size_t>(k);
-    sc.copies = fan_out_range(
-        meeting, pkt, candidate, begin, end,
-        [&sc](SimTime tick, std::shared_ptr<DepartureBatch> batch) {
-          sc.staged.push_back(StagedBatch{tick, std::move(batch)});
-        },
-        [&sc](Departure& dep, net::Packet&& copy) {
-          sc.cand_deps.push_back(&dep);  // repointed to the spliced batch below
-          sc.cand->packets.push_back(std::move(copy));
-        },
-        // Appends only need staging when shards truly run concurrently (the
-        // target may be a previous ingest's batch shared across shards).
-        // Inline shards execute sequentially in shard order — already the
-        // serial join order — so they append in place, identically.
-        [&sc, pooled](DepartureBatch& target, net::Packet&& copy) {
-          if (pooled) {
-            sc.appends.push_back(StagedAppend{&target, std::move(copy)});
-          } else {
-            target.packets.push_back(std::move(copy));
-          }
-        });
-  };
-  if (pooled) {
-    pool_->run(k, shard_job);  // full fork-join: all shard writes visible below
-  } else {
-    for (int s = 0; s < k; ++s) shard_job(s);
-  }
-
-  // Deterministic merge, all in shard-index order and join order within a
-  // shard — under the contiguous partition that concatenation IS the serial
-  // path's join order. Staged appends land first (they extend batches from
-  // earlier ingests, exactly where the serial loop would have put them),
-  // then staged per-destination batches are scheduled — the serial
-  // schedule_at sequence, so slot/EventId assignment and every downstream
-  // tiebreak are byte-identical to K=0.
-  std::int64_t copies = 0;
-  for (int s = 0; s < k; ++s) {
-    ShardScratch& sc = scratch_[static_cast<std::size_t>(s)];
-    for (StagedAppend& a : sc.appends) a.target->packets.push_back(std::move(a.pkt));
-    sc.appends.clear();
-    for (StagedBatch& sb : sc.staged) schedule_departure(sb.tick, std::move(sb.batch));
-    sc.staged.clear();
-    copies += sc.copies;
-    if (tracer_ != nullptr && tracer_->shard_detail()) {
-      // Per-shard merge detail is K-dependent (outside the determinism
-      // contract), so it only records behind the opt-in shard_detail flag.
-      tracer_->instant("relay.shard_merge", network_.now(), static_cast<double>(sc.copies));
-    }
-  }
-  // Splice the shard sub-batches into the one ingest-wide candidate batch
-  // (global join order again), repoint every candidate destination's open-
-  // batch handle at it, and schedule it once — matching the serial path's
-  // single candidate event, content and histogram included.
-  std::shared_ptr<DepartureBatch> cand;
-  for (int s = 0; s < k; ++s) {
-    ShardScratch& sc = scratch_[static_cast<std::size_t>(s)];
-    if (sc.cand && !sc.cand->packets.empty()) {
-      if (!cand) {
-        cand = std::move(sc.cand);
-      } else {
-        cand->packets.insert(cand->packets.end(),
-                             std::make_move_iterator(sc.cand->packets.begin()),
-                             std::make_move_iterator(sc.cand->packets.end()));
-        sc.cand->packets.clear();
-      }
-    }
-    for (Departure* dep : sc.cand_deps) dep->open = cand;
-    sc.cand_deps.clear();
   }
   if (cand) schedule_candidate_departure(candidate, std::move(cand));
   return copies;
@@ -474,10 +346,8 @@ void RelayServer::forward_media(Meeting& meeting, const net::Packet& pkt, bool f
   // before any fan-out work: all forwarded copies of this packet share the
   // candidate departure time (per-destination FIFO floors still apply on
   // top). This models relay processing delay as a property of the ingest
-  // pipeline rather than of each egress copy, and it is the determinism
-  // linchpin of sharding — shard workers never touch the RNG, so the random
-  // stream is identical at every shard count K. It is also the dominant
-  // per-packet cost saving: the old per-copy draw paid an exponential (a
+  // pipeline rather than of each egress copy, and it is the dominant
+  // per-packet cost saving: a per-copy draw would pay an exponential (a
   // log()) for every one of the N−1 copies.
   const SimTime candidate = departure_candidate();
 

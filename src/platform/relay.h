@@ -11,25 +11,14 @@
 //   * answers probe packets (the tcpping analog) — ICMP is "blocked", like
 //     the real infrastructures.
 //
-// Fan-out sharding (PR 3): the per-receiver copy/scale/stage work of one
-// ingested packet is independent per Participant, so a relay can partition a
-// meeting's receivers into K contiguous join-order shards and run them on a
-// ShardPool. Shards stage their work instead of touching the event loop;
-// the caller then merges the staged work back in (shard index, then join
-// order within the shard) order — which, because the partition is
-// contiguous, is exactly the serial path's join order, so schedule_at
-// sequence, batch composition and every downstream tiebreak are
-// byte-identical to K=0. Combined with the one-draw-per-ingest jitter rule
-// (see forward_media) the sharded path is byte-identical at any K.
-//
-// The one-draw rule also restructures the serial hot path: every copy whose
-// FIFO floor permits it departs at the ingest's shared candidate tick, so
-// those copies — nearly all of them, in steady state — ride ONE ingest-wide
-// departure batch (one allocation, recycled after firing, and one scheduled
-// event per ingested packet) instead of a batch per destination. Floored
-// copies append to their destination's still-open batch from an earlier
-// ingest and schedule nothing; only the rare floored copy with no matching
-// open batch pays for a fresh per-destination batch and event.
+// One jitter draw per ingest (see forward_media) shapes the hot path: every
+// copy whose FIFO floor permits it departs at the ingest's shared candidate
+// tick, so those copies — nearly all of them, in steady state — ride ONE
+// ingest-wide departure batch (one allocation, recycled after firing, and one
+// scheduled event per ingested packet) instead of a batch per destination.
+// Floored copies append to their destination's still-open batch from an
+// earlier ingest and schedule nothing; only the rare floored copy with no
+// matching open batch pays for a fresh per-destination batch and event.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +29,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/shard_pool.h"
 #include "common/tracer.h"
 #include "net/network.h"
 #include "platform/platform.h"
@@ -91,16 +79,12 @@ class RelayServer {
   /// copies per ingested media packet — peer-link forwards are counted in
   /// peer_forwarded, not here) and `relay.departure_batch_pkts` (packets per
   /// scheduled departure event) histograms. These metrics are part of the
-  /// determinism contract: byte-identical at every fan-out shard count.
+  /// determinism contract: byte-identical at any runner thread count.
   ///
   /// On a traced network, media ingests become `relay.ingest` spans (ingest
   /// time → shared candidate departure tick, value = participant copies),
   /// departure events `relay.depart` instants (value = batch size), probe
-  /// answers `relay.probe` instants — all on the loop thread and
-  /// byte-identical at every shard count K. When the tracer's shard_detail
-  /// flag is set, each sharded fan-out additionally records one
-  /// `relay.shard_merge` instant per shard (value = that shard's copies) —
-  /// K-dependent by construction, hence OUTSIDE the determinism contract.
+  /// answers `relay.probe` instants.
   RelayServer(net::Network& network, std::string name, GeoPoint location,
               std::uint16_t media_port);  // default forwarding delay
   RelayServer(net::Network& network, std::string name, GeoPoint location,
@@ -119,19 +103,6 @@ class RelayServer {
     for (const auto& [id, m] : meetings_) n += m.participants.size() + m.peers.size();
     return n;
   }
-
-  /// Shards this relay's media fan-out into `shards` contiguous join-order
-  /// partitions, executed on `pool` when one is given (pool == nullptr, or a
-  /// pool with zero workers, runs the shards inline on the event-loop thread
-  /// — same staged code path, no threads). shards <= 0 restores the plain
-  /// serial loop. The forwarding semantics — departure times, FIFO floors,
-  /// batch composition, event order, Stats, standard metrics — are identical
-  /// at every setting; only wall-clock differs.
-  /// The pool is borrowed, not owned, and must outlive the relay (or be
-  /// detached by passing nullptr); several relays may share one pool because
-  /// fan-outs are dispatched one at a time from the single event-loop thread.
-  void set_fan_out_sharding(ShardPool* pool, int shards);
-  int fan_out_shards() const { return shards_; }
 
   /// Process crash: all meeting/participant/peer registrations are lost (a
   /// real SFU restart loses its session state) and every packet arriving
@@ -163,10 +134,10 @@ class RelayServer {
   /// this relay's UDP socket, so a fleet::Trunk can model the inter-relay
   /// leg's capacity and propagation explicitly. Departure scheduling, FIFO
   /// floors and batch composition are untouched — the interception happens
-  /// after the batch is sealed, on the event-loop thread, which is what keeps
-  /// the trunked path inside the shard-determinism contract. An empty route
-  /// map costs one branch per departure event (the fleet-of-1 gate's ≤2%
-  /// budget). Passing a null `send` removes the route.
+  /// after the batch is sealed, so trunked departures keep the untrunked
+  /// path's event order. An empty route map costs one branch per departure
+  /// event (the fleet-of-1 gate's ≤2% budget). Passing a null `send` removes
+  /// the route.
   void set_trunk_egress(net::Endpoint peer_endpoint, std::function<void(net::Packet)> send);
 
   /// Ingest from a trunk, bypassing the network/UDP path. Demuxed by
@@ -189,10 +160,7 @@ class RelayServer {
   /// delays never reorder a stream. Departures are therefore monotonic per
   /// destination, and at most one batch (the latest tick) is open at a time.
   /// Stored inline in the Participant/PeerLink it belongs to: the forwarding
-  /// loop already holds that record, so departure lookup costs nothing — and
-  /// under sharding it makes each destination's pipeline state owned by
-  /// exactly one shard (participants are partitioned), so shard workers
-  /// never share mutable state.
+  /// loop already holds that record, so departure lookup costs nothing.
   ///
   /// Semantic note: because the floor lives in the registration record, the
   /// FIFO guarantee is scoped to one registration. A participant that is
@@ -231,60 +199,20 @@ class RelayServer {
     std::vector<PeerLink> peers;
   };
 
-  /// A departure batch a shard opened but could not schedule (scheduling is
-  /// the caller's job, in deterministic merge order).
-  struct StagedBatch {
-    SimTime tick{};
-    std::shared_ptr<DepartureBatch> batch;
-  };
-  /// A packet a shard wants appended to an already-open batch. Appending
-  /// directly would race: the target can be a previous ingest's shared
-  /// candidate batch, which several shards' destinations reference at once.
-  /// Staging keeps the append on the merge step (loop thread), where shard
-  /// order reproduces the serial path's join-order append sequence.
-  struct StagedAppend {
-    DepartureBatch* target = nullptr;
-    net::Packet pkt;
-  };
-  /// Per-shard staging area, cacheline-isolated against false sharing.
-  /// Reused across fan-outs so the steady state allocates nothing.
-  struct alignas(64) ShardScratch {
-    std::vector<StagedBatch> staged;
-    std::vector<StagedAppend> appends;
-    /// This shard's slice of the ingest-wide candidate batch. Pre-seeded on
-    /// the loop thread before dispatch (workers never allocate batches) and
-    /// retained — emptied by the merge splice — across fan-outs.
-    std::shared_ptr<DepartureBatch> cand;
-    /// Destinations whose open-batch handle must be repointed to the spliced
-    /// ingest-wide batch at merge (workers only see their own slice).
-    std::vector<Departure*> cand_deps;
-    std::int64_t copies = 0;
-  };
-
   void on_packet(const net::Packet& pkt);
   void forward_media(Meeting& meeting, const net::Packet& pkt, bool from_peer);
-  /// Fans pkt out to all participants (serial or sharded per shards_),
-  /// returning the number of copies forwarded.
+  /// Copies pkt to every other participant, in join order, returning the
+  /// number of copies forwarded. Each copy takes exactly one of three routes:
+  ///   * floor < candidate — the common, unconstrained case: the copy joins
+  ///     this ingest's shared candidate batch (one event for the whole
+  ///     fan-out, scheduled after the loop);
+  ///   * the destination's open batch is at the required tick — the copy
+  ///     joins it, never scheduling;
+  ///   * otherwise a fresh per-destination batch is scheduled on the spot.
   std::int64_t fan_out_media(Meeting& meeting, const net::Packet& pkt, SimTime candidate);
-  /// The per-receiver loop body shared by the serial path and every shard:
-  /// copy/scale/floor/route for participants [begin, end), in join order.
-  /// Each copy takes exactly one of three routes:
-  ///   * floor < candidate — the common, unconstrained case: the copy departs
-  ///     at this ingest's shared candidate tick; `on_candidate(dep, pkt)`
-  ///     collects it into the ingest-wide batch (one event for the whole
-  ///     fan-out) and the caller repoints dep.open at that batch;
-  ///   * the destination's open batch is at the required tick —
-  ///     `on_append(batch, pkt)` joins it, never scheduling;
-  ///   * otherwise a fresh per-destination batch goes to `sink(tick, batch)`.
-  /// Returns the number of copies made.
-  template <class NewBatchSink, class OnCandidate, class OnAppend>
-  std::int64_t fan_out_range(Meeting& meeting, const net::Packet& pkt, SimTime candidate,
-                             std::size_t begin, std::size_t end, NewBatchSink&& sink,
-                             OnCandidate&& on_candidate, OnAppend&& on_append);
 
   /// This ingest's jittered departure candidate: now + base + exp(jitter).
-  /// Drawn ONCE per ingested packet, on the event-loop thread (see
-  /// forward_media for why that is the determinism linchpin).
+  /// Drawn ONCE per ingested packet (see forward_media).
   SimTime departure_candidate();
   /// Runs pkt through the destination's departure pipeline at `candidate`
   /// (FIFO floor, batch coalescing), scheduling any newly opened batch.
@@ -322,10 +250,7 @@ class RelayServer {
   Stats stats_;
   bool crashed_ = false;
 
-  ShardPool* pool_ = nullptr;  // borrowed; nullptr ⇒ shards run inline
-  int shards_ = 0;             // <= 0 ⇒ serial fan-out
-  std::vector<ShardScratch> scratch_;
-  /// Fired candidate batches ready for reuse (loop thread only).
+  /// Fired candidate batches ready for reuse.
   std::vector<std::shared_ptr<DepartureBatch>> batch_spares_;
 
   MetricsRegistry::Counter* m_media_in_ = nullptr;

@@ -2,7 +2,7 @@
 // byte mismatch (aggregates or per-task trace files) or any task failure
 // into exit 1; invisibility_gate() must return 1 on a visible armed side and
 // 3 on a slow one, and run at least 3 rounds; the numeric flag parsers must
-// reject malformed values.
+// reject malformed values, and a flag nothing reads must exit 2.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -201,6 +201,28 @@ int rounds_of(std::vector<std::string> args) {
   });
 }
 
+/// A bench main's flag prologue (bench_shard_fanout's flags): read every
+/// flag, then reject whatever is left.
+int prologue_rounds(std::vector<std::string> args) {
+  return with_args(std::move(args), [](int argc, char** argv) {
+    const int rounds = vcb::int_flag(argc, argv, "--rounds", 7);
+    vcb::flag_double(argc, argv, "--trace-gate", 0.0);
+    vcb::flag_double(argc, argv, "--timeline-gate", 0.0);
+    vcb::flag_string(argc, argv, "--out", "bench.report.json");
+    vcb::paper_scale(argc, argv);
+    vcb::reject_unread_flags(argc, argv);
+    return rounds;
+  });
+}
+
+TEST(Flags, ReadFlagsPassTheUnreadCheck) {
+  EXPECT_EQ(prologue_rounds({"bench"}), 7);
+  // A value is skipped even when it starts with "--"; --paper takes none.
+  EXPECT_EQ(prologue_rounds({"bench", "--rounds", "3", "--trace-gate", "0.98", "--paper",
+                             "--out", "--odd.json", "--timeline-gate", "0.98"}),
+            3);
+}
+
 TEST(Flags, WellFormedValuesAndFallbacksParse) {
   EXPECT_DOUBLE_EQ(gate_of({"bench", "--gate", "0.98", "--rounds", "7"}), 0.98);
   EXPECT_EQ(rounds_of({"bench", "--gate", "0.98", "--rounds", "7"}), 7);
@@ -229,6 +251,16 @@ TEST(FlagsDeathTest, MalformedValuesExitTwo) {
   EXPECT_EXIT(rounds_of({"bench", "--rounds", "99999999999"}), exits_2, "is not an integer");
   EXPECT_EXIT(rounds_of({"bench", "--rounds"}), exits_2, "--rounds: missing value");
   EXPECT_EXIT(vcb::parse_int("--fleets", "2x"), exits_2, "--fleets: '2x' is not an integer");
+}
+
+TEST(FlagsDeathTest, UnreadFlagsExitTwo) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto exits_2 = ::testing::ExitedWithCode(2);
+  // A mistyped gate must not run with the gate silently off, and the
+  // unsupported `--name=value` form must not silently fall back to defaults.
+  EXPECT_EXIT(prologue_rounds({"bench", "--rounds", "3", "--trace_gate", "0.98"}), exits_2,
+              "--trace_gate: unknown flag");
+  EXPECT_EXIT(prologue_rounds({"bench", "--rounds=3"}), exits_2, "--rounds=3: unknown flag");
 }
 
 }  // namespace

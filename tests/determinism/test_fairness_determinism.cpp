@@ -1,10 +1,9 @@
 // Acceptance test for the fairness benchmark's determinism contract: a
 // competing-flow contention scene with client ABR *active* — mixed platforms,
 // mixed adapters, one shared bottleneck shaper — must emit byte-identical
-// runner aggregate reports at every thread count and every relay fan-out
-// shard count K. The adapters are RNG-free state machines and the feedback
-// payloads ride the existing control-report packets, so an adapting run sits
-// inside the same contract as a plain one.
+// runner aggregate reports at every thread count. The adapters are RNG-free
+// state machines and the feedback payloads ride the existing control-report
+// packets, so an adapting run sits inside the same contract as a plain one.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -18,18 +17,17 @@ namespace {
 
 constexpr std::size_t kTasks = 2;
 
-std::string run_fairness(std::size_t threads, int fan_out_shards) {
+std::string run_fairness(std::size_t threads) {
   runner::ExperimentRunner::Config rc;
   rc.threads = threads;
   rc.base_seed = 929;
   rc.label = "fairness-determinism";
   const auto report =
-      runner::ExperimentRunner{rc}.run(kTasks, [fan_out_shards](runner::SessionContext& ctx) {
+      runner::ExperimentRunner{rc}.run(kTasks, [](runner::SessionContext& ctx) {
         core::FairnessBenchmarkConfig cfg;
         cfg.flows = core::default_fairness_flows(3);  // one of each adapter
         cfg.bottleneck = DataRate::kbps(1800);
         cfg.media_duration = seconds(8);
-        cfg.fan_out_shards = fan_out_shards;
         const auto r = core::run_fairness_session(cfg, ctx.seed);
         ASSERT_EQ(r.flows.size(), 3u);
         ctx.sample("jain", r.jain_index);
@@ -48,21 +46,14 @@ std::string run_fairness(std::size_t threads, int fan_out_shards) {
 }
 
 TEST(FairnessDeterminism, AdaptingContentionSceneIdenticalAcrossThreadsAndShards) {
-  const std::string base = run_fairness(1, 0);
+  const std::string base = run_fairness(1);
   // ABR actually engaged: the adapters made decisions in every task.
   const std::size_t key = base.find("flow0.decisions");
   ASSERT_NE(key, std::string::npos);
   EXPECT_EQ(base.substr(key, 40).find("\"mean\":0,"), std::string::npos)
       << "adapters never received feedback — the contention scene is miswired";
 
-  const struct {
-    std::size_t threads;
-    int shards;
-  } combos[] = {{8, 0}, {1, 8}, {8, 8}};
-  for (const auto& combo : combos) {
-    EXPECT_EQ(run_fairness(combo.threads, combo.shards), base)
-        << "report drifted at threads=" << combo.threads << " K=" << combo.shards;
-  }
+  EXPECT_EQ(run_fairness(8), base) << "report drifted at threads=8";
 }
 
 }  // namespace

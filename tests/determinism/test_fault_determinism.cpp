@@ -1,10 +1,10 @@
 // Acceptance test for the fault subsystem's determinism contract: a
 // flight-recorded faulted session — relay crash, detection, backoff,
 // re-join, subscription re-establishment — must emit byte-identical runner
-// aggregate reports AND per-task trace files at every runner thread count
-// and every relay fan-out shard count K. Faults draw no randomness of their
-// own and reconnect jitter comes from controller-owned RNGs, so the whole
-// recovery path sits inside the same contract as a healthy run.
+// aggregate reports AND per-task trace files at every runner thread count.
+// Faults draw no randomness of their own and reconnect jitter comes from
+// controller-owned RNGs, so the whole recovery path sits inside the same
+// contract as a healthy run.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -33,7 +33,7 @@ struct FaultedRun {
   std::vector<std::string> trace_files;
 };
 
-FaultedRun run_faulted(std::size_t threads, int fan_out_shards, const std::string& tag) {
+FaultedRun run_faulted(std::size_t threads, const std::string& tag) {
   const std::string dir = testing::TempDir() + "vc_fault_" + tag;
   runner::ExperimentRunner::Config rc;
   rc.threads = threads;
@@ -42,14 +42,13 @@ FaultedRun run_faulted(std::size_t threads, int fan_out_shards, const std::strin
   rc.trace_dir = dir;
   rc.trace_capacity = 4096;
   const auto report =
-      runner::ExperimentRunner{rc}.run(kTasks, [fan_out_shards](runner::SessionContext& ctx) {
+      runner::ExperimentRunner{rc}.run(kTasks, [](runner::SessionContext& ctx) {
         core::FaultRecoveryConfig cfg;
         cfg.platform = platform::PlatformId::kZoom;
         cfg.session_duration = seconds(20);
         cfg.outage_start = seconds(5);
         cfg.outage_duration = seconds(2);
         cfg.seed = ctx.seed;
-        cfg.fan_out_shards = fan_out_shards;
         cfg.metrics = &ctx.metrics;
         cfg.tracer = ctx.tracer;
         const auto r = core::run_fault_recovery_benchmark(cfg);
@@ -75,27 +74,18 @@ FaultedRun run_faulted(std::size_t threads, int fan_out_shards, const std::strin
 }
 
 TEST(FaultDeterminism, FaultedSessionIdenticalAcrossThreadsAndShards) {
-  const FaultedRun base = run_faulted(1, 0, "t1k0");
+  const FaultedRun base = run_faulted(1, "t1");
   ASSERT_EQ(base.trace_files.size(), kTasks);
   // The crash/recovery chain reached the aggregate report's counters. (The
   // trace ring only retains the latest window, so the crash instants at 5 s
   // may be evicted — the byte-identity checks below still cover the files.)
   EXPECT_NE(base.aggregate_json.find("fault.relay_crashes"), std::string::npos);
 
-  const struct {
-    std::size_t threads;
-    int shards;
-    const char* tag;
-  } combos[] = {{8, 0, "t8k0"}, {1, 8, "t1k8"}, {8, 8, "t8k8"}};
-  for (const auto& combo : combos) {
-    const FaultedRun other = run_faulted(combo.threads, combo.shards, combo.tag);
-    EXPECT_EQ(other.aggregate_json, base.aggregate_json)
-        << "report drifted at threads=" << combo.threads << " K=" << combo.shards;
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      EXPECT_EQ(other.trace_files[i], base.trace_files[i])
-          << "trace file " << i << " drifted at threads=" << combo.threads
-          << " K=" << combo.shards;
-    }
+  const FaultedRun other = run_faulted(8, "t8");
+  EXPECT_EQ(other.aggregate_json, base.aggregate_json) << "report drifted at threads=8";
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(other.trace_files[i], base.trace_files[i])
+        << "trace file " << i << " drifted at threads=8";
   }
 }
 

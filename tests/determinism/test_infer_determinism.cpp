@@ -1,9 +1,9 @@
 // Determinism contract for the header-free QoE inference pipeline: a faulted
 // inference session — scripted receiver-link outage, shaped last mile, live
 // capture, QoeInferencer, truth join — must produce byte-identical runner
-// aggregate reports at every thread count and relay fan-out shard count K.
-// The estimator itself is pure, so any drift here indicts the session world
-// (capture order, fault arming, shaper state), not the analyzer.
+// aggregate reports at every thread count. The estimator itself is pure, so
+// any drift here indicts the session world (capture order, fault arming,
+// shaper state), not the analyzer.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -29,19 +29,18 @@ double report_digest(const std::string& s) {
   return static_cast<double>((h >> 32) ^ (h & 0xFFFFFFFFULL));
 }
 
-std::string run_sweep(std::size_t threads, int fan_out_shards) {
+std::string run_sweep(std::size_t threads) {
   runner::ExperimentRunner::Config rc;
   rc.threads = threads;
   rc.base_seed = 47;
   rc.label = "infer-determinism";
   const auto report =
-      runner::ExperimentRunner{rc}.run(kTasks, [fan_out_shards](runner::SessionContext& ctx) {
+      runner::ExperimentRunner{rc}.run(kTasks, [](runner::SessionContext& ctx) {
         core::QoeInferBenchmarkConfig cfg;
         cfg.platform = vc::platform::PlatformId::kZoom;
         cfg.media_duration = seconds(14);
         cfg.outages = {{seconds(5), seconds(2)}};  // FaultPlan active
         cfg.shaper = core::InferShaperProfile::kDsl;
-        cfg.fan_out_shards = fan_out_shards;
         cfg.metrics = &ctx.metrics;
         const auto r = core::run_qoe_inference_session(cfg, ctx.seed);
         // The scripted outage must actually register end to end.
@@ -60,16 +59,9 @@ std::string run_sweep(std::size_t threads, int fan_out_shards) {
 }
 
 TEST(InferDeterminism, IdenticalAcrossThreadsAndShards) {
-  const std::string base = run_sweep(1, 0);
+  const std::string base = run_sweep(1);
   EXPECT_NE(base.find("report_digest"), std::string::npos);
-  const struct {
-    std::size_t threads;
-    int shards;
-  } combos[] = {{8, 0}, {1, 8}, {8, 8}};
-  for (const auto& combo : combos) {
-    EXPECT_EQ(run_sweep(combo.threads, combo.shards), base)
-        << "report drifted at threads=" << combo.threads << " K=" << combo.shards;
-  }
+  EXPECT_EQ(run_sweep(8), base) << "report drifted at threads=8";
 }
 
 }  // namespace

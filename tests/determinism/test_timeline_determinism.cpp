@@ -1,10 +1,10 @@
 // Acceptance test for the observability subsystem's determinism contract: a
 // sampled, SLO-monitored faulted session must emit byte-identical runner
 // aggregate reports AND per-task timeline files (snapshots + health events)
-// at every runner thread count and every relay fan-out shard count K.
-// Sampling ticks read sim time and registry state only, and rule evaluation
-// draws zero randomness, so the whole observability layer sits inside the
-// same contract as the simulation it watches.
+// at every runner thread count. Sampling ticks read sim time and registry
+// state only, and rule evaluation draws zero randomness, so the whole
+// observability layer sits inside the same contract as the simulation it
+// watches.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -52,7 +52,7 @@ struct SampledRun {
   std::vector<std::string> timeline_files;
 };
 
-SampledRun run_sampled(std::size_t threads, int fan_out_shards, const std::string& tag) {
+SampledRun run_sampled(std::size_t threads, const std::string& tag) {
   const std::string dir = testing::TempDir() + "vc_timeline_" + tag;
   runner::ExperimentRunner::Config rc;
   rc.threads = threads;
@@ -63,14 +63,13 @@ SampledRun run_sampled(std::size_t threads, int fan_out_shards, const std::strin
   rc.timeline_capacity = 256;
   rc.health_rules = slo_rules();
   const auto report =
-      runner::ExperimentRunner{rc}.run(kTasks, [fan_out_shards](runner::SessionContext& ctx) {
+      runner::ExperimentRunner{rc}.run(kTasks, [](runner::SessionContext& ctx) {
         core::FaultRecoveryConfig cfg;
         cfg.platform = platform::PlatformId::kZoom;
         cfg.session_duration = seconds(20);
         cfg.outage_start = seconds(5);
         cfg.outage_duration = seconds(2);
         cfg.seed = ctx.seed;
-        cfg.fan_out_shards = fan_out_shards;
         cfg.metrics = &ctx.metrics;
         cfg.timeline = ctx.timeline;
         const auto r = core::run_fault_recovery_benchmark(cfg);
@@ -104,7 +103,7 @@ SampledRun run_sampled(std::size_t threads, int fan_out_shards, const std::strin
 }
 
 TEST(TimelineDeterminism, SampledSessionIdenticalAcrossThreadsAndShards) {
-  const SampledRun base = run_sampled(1, 0, "t1k0");
+  const SampledRun base = run_sampled(1, "t1");
   ASSERT_EQ(base.timeline_files.size(), kTasks);
   // The files carry both sections, and the breach edges made it in.
   EXPECT_NE(base.timeline_files[0].find("\"timeline\":"), std::string::npos);
@@ -113,20 +112,11 @@ TEST(TimelineDeterminism, SampledSessionIdenticalAcrossThreadsAndShards) {
   // Breach counters crossed into the metrics reduction.
   EXPECT_NE(base.aggregate_json.find("health.reconnect-steady.breaches"), std::string::npos);
 
-  const struct {
-    std::size_t threads;
-    int shards;
-    const char* tag;
-  } combos[] = {{8, 0, "t8k0"}, {1, 8, "t1k8"}, {8, 8, "t8k8"}};
-  for (const auto& combo : combos) {
-    const SampledRun other = run_sampled(combo.threads, combo.shards, combo.tag);
-    EXPECT_EQ(other.aggregate_json, base.aggregate_json)
-        << "report drifted at threads=" << combo.threads << " K=" << combo.shards;
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      EXPECT_EQ(other.timeline_files[i], base.timeline_files[i])
-          << "timeline file " << i << " drifted at threads=" << combo.threads
-          << " K=" << combo.shards;
-    }
+  const SampledRun other = run_sampled(8, "t8");
+  EXPECT_EQ(other.aggregate_json, base.aggregate_json) << "report drifted at threads=8";
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(other.timeline_files[i], base.timeline_files[i])
+        << "timeline file " << i << " drifted at threads=8";
   }
 }
 

@@ -1,7 +1,7 @@
 // Determinism contract of the flight recorder (DESIGN.md §6): a traced
 // runner sweep must emit byte-identical per-task trace files and run reports
-// at every runner thread count and every relay fan-out shard count K. Also
-// schema-checks the emitted file as Chrome trace-event JSON.
+// at every runner thread count. Also schema-checks the emitted file as Chrome
+// trace-event JSON.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -34,7 +34,7 @@ struct TracedRun {
 
 // A short two-participant lag run per task, flight-recorded end to end
 // (event loop, links/shapers, relays, codecs, RTT probers).
-TracedRun run_traced(std::size_t threads, int fan_out_shards, const std::string& tag) {
+TracedRun run_traced(std::size_t threads, const std::string& tag) {
   const std::string dir = testing::TempDir() + "vc_trace_" + tag;
   runner::ExperimentRunner::Config rc;
   rc.threads = threads;
@@ -43,7 +43,7 @@ TracedRun run_traced(std::size_t threads, int fan_out_shards, const std::string&
   rc.trace_dir = dir;
   rc.trace_capacity = kTraceCapacity;
   const auto report =
-      runner::ExperimentRunner{rc}.run(kTasks, [fan_out_shards](runner::SessionContext& ctx) {
+      runner::ExperimentRunner{rc}.run(kTasks, [](runner::SessionContext& ctx) {
         core::LagBenchmarkConfig cfg;
         cfg.platform = platform::PlatformId::kZoom;
         cfg.host_site = "US-East";
@@ -51,7 +51,6 @@ TracedRun run_traced(std::size_t threads, int fan_out_shards, const std::string&
         cfg.sessions = 1;
         cfg.session_duration = seconds(24);
         cfg.seed = ctx.seed;
-        cfg.fan_out_shards = fan_out_shards;
         cfg.metrics = &ctx.metrics;
         cfg.tracer = ctx.tracer;
         const auto r = core::run_lag_benchmark(cfg);
@@ -71,23 +70,14 @@ TracedRun run_traced(std::size_t threads, int fan_out_shards, const std::string&
 }
 
 TEST(TraceDeterminism, TraceFilesAndReportsIdenticalAcrossThreadsAndShards) {
-  const TracedRun base = run_traced(1, 0, "t1k0");
+  const TracedRun base = run_traced(1, "t1");
   ASSERT_EQ(base.trace_files.size(), kTasks);
 
-  const struct {
-    std::size_t threads;
-    int shards;
-    const char* tag;
-  } combos[] = {{8, 0, "t8k0"}, {1, 8, "t1k8"}, {8, 8, "t8k8"}};
-  for (const auto& combo : combos) {
-    const TracedRun other = run_traced(combo.threads, combo.shards, combo.tag);
-    EXPECT_EQ(other.aggregate_json, base.aggregate_json)
-        << "report drifted at threads=" << combo.threads << " K=" << combo.shards;
-    for (std::size_t i = 0; i < kTasks; ++i) {
-      EXPECT_EQ(other.trace_files[i], base.trace_files[i])
-          << "trace file " << i << " drifted at threads=" << combo.threads
-          << " K=" << combo.shards;
-    }
+  const TracedRun other = run_traced(8, "t8");
+  EXPECT_EQ(other.aggregate_json, base.aggregate_json) << "report drifted at threads=8";
+  for (std::size_t i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(other.trace_files[i], base.trace_files[i])
+        << "trace file " << i << " drifted at threads=8";
   }
 
   // The report's trace summary block participates in aggregate_json (and thus
@@ -96,7 +86,7 @@ TEST(TraceDeterminism, TraceFilesAndReportsIdenticalAcrossThreadsAndShards) {
 }
 
 TEST(TraceDeterminism, EmittedTraceIsValidChromeTraceEventJson) {
-  const TracedRun run = run_traced(1, 0, "schema");
+  const TracedRun run = run_traced(1, "schema");
   const json::Value root = json::parse(run.trace_files.front());
 
   const json::Value* events = root.find("traceEvents");
