@@ -81,6 +81,23 @@ TEST(CodecHotPath, EncodeIsAllocationFreeAfterWarmup) {
   }
   const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0u) << "encode hot path allocated " << (after - before) << " times";
+
+  // The lag-measurement feed takes every other encode path: a window over
+  // all-SKIP repeats of the blank screen, a flash (frames 20-21), the
+  // post-flash frame and more repeats must allocate nothing either.
+  FlashFeed flash_feed{{kW, kH, 10.0, 3}};
+  std::vector<Frame> flash;
+  for (int i = 0; i < 30; ++i) flash.push_back(flash_feed.frame_at(i));
+  VideoEncoder flash_enc{kW, kH, cfg()};
+  for (int i = 0; i < 10; ++i) flash_enc.encode(flash[static_cast<std::size_t>(i)]);
+  const std::uint64_t flash_before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 10; i < 30; ++i) {
+    auto f = flash_enc.encode(flash[static_cast<std::size_t>(i)]);
+    ASSERT_NE(f, nullptr);
+  }
+  const std::uint64_t flash_after = g_allocs.load(std::memory_order_relaxed);
+  EXPECT_EQ(flash_after - flash_before, 0u)
+      << "flash-feed encode allocated " << (flash_after - flash_before) << " times";
 }
 
 TEST(CodecHotPath, DecodeIsAllocationFreeAfterWarmup) {
