@@ -162,29 +162,32 @@ Frame TourGuideFeed::frame_at(std::int64_t index) const {
 FlashFeed::FlashFeed(FeedParams params, double period_sec, int flash_frames)
     : p_(params), period_sec_(period_sec), flash_frames_(flash_frames) {
   if (period_sec <= 0 || flash_frames <= 0) throw std::invalid_argument{"bad flash parameters"};
-}
-
-bool FlashFeed::is_flash_frame(std::int64_t index) const {
-  const auto period_frames = static_cast<std::int64_t>(period_sec_ * p_.fps + 0.5);
-  return index % period_frames < flash_frames_;
-}
-
-Frame FlashFeed::frame_at(std::int64_t index) const {
-  if (index < 0) throw std::invalid_argument{"negative frame index"};
-  if (!is_flash_frame(index)) return Frame{p_.width, p_.height, 16};
+  // Also rejects fps <= 0 (and NaN): frame_at takes the index modulo this.
+  const double frames_per_period = period_sec_ * p_.fps + 0.5;
+  if (!(frames_per_period >= 1.0)) throw std::invalid_argument{"flash period shorter than one frame"};
+  period_frames_ = static_cast<std::int64_t>(frames_per_period);
   // A photo-like image (checker + fine texture): its coded size is several
   // KB, producing the unmistakable burst of big packets on the wire that
   // the lag detector keys on (Fig 2).
-  Frame f{p_.width, p_.height};
+  flash_ = Frame{p_.width, p_.height};
   for (int y = 0; y < p_.height; ++y) {
     for (int x = 0; x < p_.width; ++x) {
       const bool check = ((x / 12) + (y / 12)) % 2 == 0;
       const double texture = 0.5 * value_noise(p_.seed ^ 0xF1A5, x, y, 5.0);
       const double v = (check ? 200.0 : 60.0) + texture - 64.0;
-      f.set(x, y, static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0)));
+      flash_.set(x, y, static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0)));
     }
   }
-  return f;
+}
+
+bool FlashFeed::is_flash_frame(std::int64_t index) const {
+  return index % period_frames_ < flash_frames_;
+}
+
+Frame FlashFeed::frame_at(std::int64_t index) const {
+  if (index < 0) throw std::invalid_argument{"negative frame index"};
+  if (!is_flash_frame(index)) return Frame{p_.width, p_.height, 16};
+  return flash_;
 }
 
 // ---------------------------------------------------------------------- Blank

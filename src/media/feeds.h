@@ -79,9 +79,12 @@ class TourGuideFeed final : public VideoFeed {
 };
 
 /// Lag-measurement feed: dark blank frames, with a bright checker image for
-/// `flash_frames` frames every `period_sec` seconds.
+/// `flash_frames` frames every `period_sec` seconds. The flash image does not
+/// depend on the frame index, so it is rendered once, at construction.
 class FlashFeed final : public VideoFeed {
  public:
+  /// Throws std::invalid_argument unless fps > 0 and the period spans at
+  /// least one frame.
   FlashFeed(FeedParams params = {}, double period_sec = 2.0, int flash_frames = 2);
   int width() const override { return p_.width; }
   int height() const override { return p_.height; }
@@ -96,6 +99,8 @@ class FlashFeed final : public VideoFeed {
   FeedParams p_;
   double period_sec_;
   int flash_frames_;
+  std::int64_t period_frames_;
+  Frame flash_;
 };
 
 /// Constant dark frame (a participant with camera muted).

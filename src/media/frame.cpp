@@ -6,11 +6,19 @@
 
 namespace vc::media {
 
-Frame::Frame(int width, int height, std::uint8_t fill)
-    : width_(width), height_(height),
-      data_(static_cast<std::size_t>(width) * static_cast<std::size_t>(height), fill) {
+namespace {
+
+// Validates before the pixel buffer is sized: a negative dimension cast to
+// size_t would otherwise request terabytes before any check ran.
+std::size_t checked_area(int width, int height) {
   if (width <= 0 || height <= 0) throw std::invalid_argument{"frame dimensions must be positive"};
+  return static_cast<std::size_t>(width) * static_cast<std::size_t>(height);
 }
+
+}  // namespace
+
+Frame::Frame(int width, int height, std::uint8_t fill)
+    : width_(width), height_(height), data_(checked_area(width, height), fill) {}
 
 std::uint8_t Frame::at_clamped(int x, int y) const {
   x = std::clamp(x, 0, width_ - 1);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 
 #include "media/dct8.h"
@@ -42,41 +41,46 @@ constexpr std::int32_t kSkipSad = 96;
 
 std::int64_t div_round_up(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
+// Residual DCT coefficients of the frame being encoded, 64 per block. One
+// buffer per thread rather than per encoder keeps a city's many encoders
+// from each holding a frame's worth of doubles: analyze() fills it and the
+// two quantize() passes of the same encode() read it, so encoders sharing a
+// thread never observe each other's contents. It only grows.
+double* thread_dct_buffer(std::size_t doubles) {
+  thread_local std::vector<double> buffer;
+  if (buffer.size() < doubles) buffer.resize(doubles);
+  return buffer.data();
+}
+
 }  // namespace
 
 VideoEncoder::VideoEncoder(int width, int height, Config cfg)
     : width_(width), height_(height), cfg_(cfg), recon_(width, height, 0),
-      recon_scratch_(width, height, 0) {
+      last_input_(width, height, 0) {
   if (width % kBlock != 0 || height % kBlock != 0) {
     throw std::invalid_argument{"frame dimensions must be multiples of 8"};
   }
   if (cfg_.fps <= 0.0 || cfg_.keyframe_interval <= 0) throw std::invalid_argument{"bad encoder config"};
+  plan_.assign(static_cast<std::size_t>(width / kBlock) * (height / kBlock), BlockPlan::kIntra);
 }
 
 void VideoEncoder::set_target_bitrate(DataRate rate) { cfg_.target_bitrate = rate; }
 
-VideoEncoder::EncodeResult VideoEncoder::encode_pass(const Frame& frame, bool keyframe,
-                                                     double qstep, EncodedFrame* out,
-                                                     Frame* recon) const {
+bool VideoEncoder::analyze(const Frame& frame, bool keyframe, double* dct) {
   const int bx = width_ / kBlock;
   const int by = height_ / kBlock;
-  EncodeResult res;
-  if (out != nullptr) {
-    // assign() within retained capacity: allocation-free after first use.
-    out->coeffs.assign(static_cast<std::size_t>(bx) * by * kBlock * kBlock, 0);
-    out->modes.assign(static_cast<std::size_t>(bx) * by, BlockMode::kIntra);
-  }
-  alignas(32) Block pred, residual, coeffs, deq, rec;
+  alignas(32) Block residual;
   const std::uint8_t* fdata = frame.data();
   const std::uint8_t* rdata = recon_.data();
   const int stride = width_;
+  bool all_skip = true;
   for (int byi = 0; byi < by; ++byi) {
     for (int bxi = 0; bxi < bx; ++bxi) {
+      const std::size_t k = static_cast<std::size_t>(byi) * bx + bxi;
       const int x0 = bxi * kBlock;
       const int y0 = byi * kBlock;
       const std::uint8_t* fblock = fdata + static_cast<std::size_t>(y0) * stride + x0;
       const std::uint8_t* rblock = rdata + static_cast<std::size_t>(y0) * stride + x0;
-      ++res.total_blocks;
       // Mode decision by SAD against each predictor. On keyframes the mode
       // is forced intra, so neither SAD is needed at all; otherwise the
       // inter SAD exits early once it exceeds the (complete) intra SAD —
@@ -84,7 +88,6 @@ VideoEncoder::EncodeResult VideoEncoder::encode_pass(const Frame& frame, bool ke
       // intra SAD already decides the comparison and no quantity derived
       // from the exact inter total is ever used on that path.
       bool inter = false;
-      bool skip = false;
       if (!keyframe) {
         std::int32_t sad_intra = 0;
         for (int y = 0; y < kBlock; ++y) {
@@ -108,47 +111,69 @@ VideoEncoder::EncodeResult VideoEncoder::encode_pass(const Frame& frame, bool ke
         // quantization noise on static content — and a "blank" screen would
         // never go quiet on the wire, breaking the premise of the paper's
         // lag measurement.
-        skip = inter && sad_inter < kSkipSad;
-      }
-      if (skip) {
-        res.bits += 1;
-        ++res.skip_blocks;
-        if (out != nullptr) {
-          out->modes[static_cast<std::size_t>(byi) * bx + bxi] = BlockMode::kInter;
+        if (inter && sad_inter < kSkipSad) {
+          plan_[k] = BlockPlan::kSkip;
+          continue;
         }
-        if (recon != nullptr) {
-          std::uint8_t* dst = recon->data() + static_cast<std::size_t>(y0) * stride + x0;
-          for (int y = 0; y < kBlock; ++y) {
-            std::memcpy(dst + static_cast<std::size_t>(y) * stride,
-                        rblock + static_cast<std::size_t>(y) * stride, kBlock);
-          }
-        }
-        continue;
       }
+      all_skip = false;
+      plan_[k] = inter ? BlockPlan::kInter : BlockPlan::kIntra;
       for (int y = 0; y < kBlock; ++y) {
         const std::uint8_t* frow = fblock + static_cast<std::size_t>(y) * stride;
         const std::uint8_t* rrow = rblock + static_cast<std::size_t>(y) * stride;
         for (int x = 0; x < kBlock; ++x) {
-          pred[y * kBlock + x] = inter ? static_cast<double>(rrow[x]) : 128.0;
-          residual[y * kBlock + x] = static_cast<double>(frow[x]) - pred[y * kBlock + x];
+          const double pred = inter ? static_cast<double>(rrow[x]) : 128.0;
+          residual[y * kBlock + x] = static_cast<double>(frow[x]) - pred;
         }
       }
-      dct2d_8x8(residual.data(), coeffs.data());
+      dct2d_8x8(residual.data(), dct + k * kBlock * kBlock);
+    }
+  }
+  return all_skip;
+}
+
+VideoEncoder::PassResult VideoEncoder::quantize(const double* dct, double qstep,
+                                                EncodedFrame* out) {
+  const int bx = width_ / kBlock;
+  const int by = height_ / kBlock;
+  PassResult res;
+  if (out != nullptr) {
+    // assign() within retained capacity: allocation-free after first use.
+    out->coeffs.assign(static_cast<std::size_t>(bx) * by * kBlock * kBlock, 0);
+    out->modes.assign(static_cast<std::size_t>(bx) * by, BlockMode::kIntra);
+  }
+  alignas(32) Block step, deq, rec;
+  for (int i = 0; i < kBlock * kBlock; ++i) step[i] = qstep * kQuant.weight[i];
+  const int stride = width_;
+  for (int byi = 0; byi < by; ++byi) {
+    for (int bxi = 0; bxi < bx; ++bxi) {
+      const std::size_t k = static_cast<std::size_t>(byi) * bx + bxi;
+      const int x0 = bxi * kBlock;
+      const int y0 = byi * kBlock;
+      ++res.total_blocks;
+      if (plan_[k] == BlockPlan::kSkip) {
+        // A SKIP block copies its reference: recon_ already holds it.
+        res.bits += 1;
+        ++res.skip_blocks;
+        if (out != nullptr) out->modes[k] = BlockMode::kInter;
+        continue;
+      }
+      const bool inter = plan_[k] == BlockPlan::kInter;
+      const double* coeffs = dct + k * kBlock * kBlock;
+      std::int16_t trial_q[kBlock * kBlock];
+      std::int16_t* q = out != nullptr ? out->coeffs.data() + k * kBlock * kBlock : trial_q;
+      for (int i = 0; i < kBlock * kBlock; ++i) {
+        // Clamping c first keeps the conversion defined; every value past
+        // the clamp rounds outside int16 and saturates all the same.
+        const double c = std::clamp(coeffs[i] / step[i], -32769.0, 32768.0);
+        q[i] = static_cast<std::int16_t>(std::clamp(round_half_away(c), static_cast<long>(INT16_MIN),
+                                                     static_cast<long>(INT16_MAX)));
+      }
       std::int64_t block_bits = 10;  // mode + qdelta + EOB overhead
       bool all_zero = true;
-      std::int16_t* out_coeffs =
-          out != nullptr
-              ? out->coeffs.data() + (static_cast<std::size_t>(byi) * bx + bxi) * kBlock * kBlock
-              : nullptr;
       for (int i = 0; i < kBlock * kBlock; ++i) {
-        const double step = qstep * kQuant.weight[i];
-        const double c = coeffs[i] / step;
-        const auto q = static_cast<std::int16_t>(std::clamp(
-            std::lround(c), static_cast<long>(INT16_MIN), static_cast<long>(INT16_MAX)));
-        block_bits += kQuant.bits[q < 0 ? -static_cast<int>(q) : static_cast<int>(q)];
-        if (q != 0) all_zero = false;
-        deq[i] = static_cast<double>(q) * step;
-        if (out_coeffs != nullptr) out_coeffs[i] = q;
+        block_bits += kQuant.bits[q[i] < 0 ? -static_cast<int>(q[i]) : static_cast<int>(q[i])];
+        all_zero = all_zero && q[i] == 0;
       }
       // Skip-block coding: an inter block with an all-zero residual costs a
       // fraction of a bit (run-length coded), like real codecs' SKIP mode —
@@ -160,15 +185,16 @@ VideoEncoder::EncodeResult VideoEncoder::encode_pass(const Frame& frame, bool ke
       }
       res.bits += block_bits;
       if (out != nullptr) {
-        out->modes[static_cast<std::size_t>(byi) * bx + bxi] =
-            inter ? BlockMode::kInter : BlockMode::kIntra;
-      }
-      if (recon != nullptr) {
+        out->modes[k] = inter ? BlockMode::kInter : BlockMode::kIntra;
+        for (int i = 0; i < kBlock * kBlock; ++i) deq[i] = static_cast<double>(q[i]) * step[i];
         idct2d_8x8(deq.data(), rec.data());
+        std::uint8_t* rblock = recon_.data() + static_cast<std::size_t>(y0) * stride + x0;
         for (int y = 0; y < kBlock; ++y) {
+          std::uint8_t* rrow = rblock + static_cast<std::size_t>(y) * stride;
           for (int x = 0; x < kBlock; ++x) {
-            const double v = pred[y * kBlock + x] + rec[y * kBlock + x];
-            recon->set(x0 + x, y0 + y, static_cast<std::uint8_t>(std::clamp(v + 0.5, 0.0, 255.0)));
+            const double pred = inter ? static_cast<double>(rrow[x]) : 128.0;
+            const double v = pred + rec[y * kBlock + x];
+            rrow[x] = static_cast<std::uint8_t>(std::clamp(v + 0.5, 0.0, 255.0));
           }
         }
       }
@@ -204,8 +230,16 @@ std::shared_ptr<EncodedFrame> VideoEncoder::encode(const Frame& frame) {
   // overdraft to subsequent frames.
   const double frame_target = per_frame_budget * (keyframe ? 3.0 : 1.0);
 
+  // Analysis does not depend on qstep, so both passes below share it. A
+  // non-keyframe repeating the input of an all-SAD-SKIP frame meets the
+  // same, unchanged reference, so every block SAD repeats: plan_ still
+  // holds its all-SKIP plan and the analysis is skipped.
+  double* dct = thread_dct_buffer(plan_.size() * kBlock * kBlock);
+  const bool repeat = !keyframe && static_input_ && frame == last_input_;
+  const bool all_skip = repeat || analyze(frame, keyframe, dct);
+
   // Trial pass at the current quantizer, then one corrective pass.
-  const EncodeResult trial = encode_pass(frame, keyframe, qstep_, nullptr, nullptr);
+  const PassResult trial = quantize(dct, qstep_, nullptr);
   double q = qstep_;
   if (trial.bits > 0 && frame_target > 0) {
     const double ratio = static_cast<double>(trial.bits) / frame_target;
@@ -218,15 +252,13 @@ std::shared_ptr<EncodedFrame> VideoEncoder::encode(const Frame& frame) {
   out->keyframe = keyframe;
   out->qstep = q;
   out->sequence = next_seq_++;
-  const EncodeResult real = encode_pass(frame, keyframe, q, out.get(), &recon_scratch_);
+  const PassResult real = quantize(dct, q, out.get());
   out->bytes = std::max<std::int64_t>(div_round_up(real.bits, 8), 64);
   out->wire_bytes = out->bytes;
   out->skip_blocks = real.skip_blocks;
   out->total_blocks = real.total_blocks;
-  // encode_pass wrote every pixel of the scratch frame; swap it in as the
-  // new closed-loop reference (the old reference becomes next call's
-  // scratch) — no per-frame Frame allocation.
-  std::swap(recon_, recon_scratch_);
+  if (all_skip && !repeat) std::copy(frame.data(), frame.data() + frame.size(), last_input_.data());
+  static_input_ = all_skip;
 
   // Buffer feedback nudges the starting quantizer of the next frame.
   buffer_bits_ += static_cast<double>(real.bits) - per_frame_budget;

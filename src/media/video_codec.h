@@ -30,6 +30,15 @@ inline constexpr int kBlock = 8;
 /// Per-block prediction mode.
 enum class BlockMode : std::uint8_t { kIntra = 0, kInter = 1 };
 
+/// Rounds half away from zero: std::lround without the libm call, and equal
+/// to it for |c| < 2^52, where c - trunc(c) is exact. The quantizer rounds
+/// every coefficient with it.
+inline long round_half_away(double c) {
+  const auto t = static_cast<long>(c);
+  const double frac = c - static_cast<double>(t);
+  return t + (frac >= 0.5 ? 1 : 0) - (frac <= -0.5 ? 1 : 0);
+}
+
 /// A compressed frame. Immutable after encoding; shared between fan-out
 /// copies when a relay forwards the stream to multiple receivers.
 struct EncodedFrame final : public net::PacketPayload {
@@ -81,13 +90,23 @@ class VideoEncoder {
   double current_qstep() const { return qstep_; }
 
  private:
-  struct EncodeResult {
+  /// Per-block outcome of the mode decision.
+  enum class BlockPlan : std::uint8_t { kSkip, kInter, kIntra };
+  struct PassResult {
     std::int64_t bits = 0;
     std::int32_t skip_blocks = 0;
     std::int32_t total_blocks = 0;
   };
-  EncodeResult encode_pass(const Frame& frame, bool keyframe, double qstep, EncodedFrame* out,
-                           Frame* recon) const;
+  /// The qstep-independent half of encoding: decides every block's mode into
+  /// plan_ and writes the residual DCT of each coded block to `dct` (64
+  /// doubles per block). Returns true when every block took the SAD-SKIP
+  /// path.
+  bool analyze(const Frame& frame, bool keyframe, double* dct);
+  /// Quantizes the analysed frame at `qstep` and sizes it. With `out` (the
+  /// real pass) it also emits the frame and updates recon_ in place: a block
+  /// predicts only from its own pixels of the reference, so it may overwrite
+  /// them once read.
+  PassResult quantize(const double* dct, double qstep, EncodedFrame* out);
   /// Pooled EncodedFrame: recycles a previously returned frame once the
   /// caller has dropped it (use_count()==1), else allocates. Keeps the
   /// steady-state encode path allocation-free without ever mutating a frame
@@ -97,8 +116,12 @@ class VideoEncoder {
   int width_;
   int height_;
   Config cfg_;
-  Frame recon_;           // closed-loop reference
-  Frame recon_scratch_;   // encode_pass target, swapped into recon_ per frame
+  Frame recon_;  // closed-loop reference
+  // The last input, valid while static_input_: that frame was all SAD-SKIP,
+  // so a repeat of it meets the same reference and needs no analysis.
+  Frame last_input_;
+  bool static_input_ = false;
+  std::vector<BlockPlan> plan_;  // from the last analyze(), one per block
   std::array<std::shared_ptr<EncodedFrame>, 4> frame_pool_;
   double qstep_ = 10.0;
   std::int64_t next_seq_ = 0;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -117,6 +118,15 @@ TEST(CodecIdentity, FlashFeedPixelsArePinned) {
   // Every flash shows the same image and every quiet frame the same blank.
   EXPECT_EQ(feed.frame_at(0), feed.frame_at(41));
   EXPECT_EQ(feed.frame_at(3), feed.frame_at(119));
+}
+
+// The quantizer's inline rounding is std::lround on the ties and on the
+// largest value below a tie, where floor(c + 0.5) would round up.
+TEST(CodecIdentity, InlineRoundingMatchesLround) {
+  for (const double c : {0.5, -0.5, 2.5, -2.5, std::nextafter(0.5, 0.0),
+                         -std::nextafter(0.5, 0.0), 32767.5, -32767.5, 1.4999, -7.0, 0.0}) {
+    EXPECT_EQ(round_half_away(c), std::lround(c)) << c;
+  }
 }
 
 // Encoders share nothing observable: interleaving two of them on one thread,

@@ -16,6 +16,14 @@ TEST(Frame, ConstructAndAccess) {
   EXPECT_THROW((Frame{0, 4}), std::invalid_argument);
 }
 
+TEST(Frame, RejectsNegativeDimensionsBeforeAllocating) {
+  // Cast to size_t, these would request 2^40 bytes (or 4 GiB) before any
+  // dimension check ran.
+  EXPECT_THROW((Frame{-(1 << 20), -(1 << 20)}), std::invalid_argument);
+  EXPECT_THROW((Frame{-65536, -65536}), std::invalid_argument);
+  EXPECT_THROW((Frame{-1, 4}), std::invalid_argument);
+}
+
 TEST(Frame, ClampedAccess) {
   Frame f{4, 4, 0};
   f.set(0, 0, 10);
@@ -101,6 +109,17 @@ TEST(FlashFeed, PeriodicityAtConfiguredRate) {
   for (int i = 0; i < 60; ++i) {
     EXPECT_EQ(feed.is_flash_frame(i), i % 20 < 2) << "frame " << i;
   }
+}
+
+TEST(FlashFeed, RejectsPeriodShorterThanOneFrame) {
+  // 2 s at 0.2 fps rounds to zero frames per period: frame_at would divide
+  // by zero.
+  EXPECT_THROW((FlashFeed{{64, 48, 0.2, 1}, 2.0, 2}), std::invalid_argument);
+  EXPECT_THROW((FlashFeed{{64, 48, 0.0, 1}, 2.0, 2}), std::invalid_argument);
+  EXPECT_THROW((FlashFeed{{64, 48, -10.0, 1}, 2.0, 2}), std::invalid_argument);
+  EXPECT_THROW((FlashFeed{{64, 48, 10.0, 1}, 0.04, 1}), std::invalid_argument);
+  const FlashFeed one_frame{{64, 48, 10.0, 1}, 0.1, 1};
+  EXPECT_TRUE(one_frame.is_flash_frame(7));
 }
 
 TEST(FlashFeed, FlashVisiblyDiffersFromBlank) {
