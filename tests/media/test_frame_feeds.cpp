@@ -17,10 +17,10 @@ TEST(Frame, ConstructAndAccess) {
 }
 
 TEST(Frame, RejectsNegativeDimensionsBeforeAllocating) {
-  // Cast to size_t, these would request 2^40 bytes (or 4 GiB) before any
-  // dimension check ran.
+  // Cast to size_t, these sizes would request 2^40 bytes or more before
+  // any dimension check ran. ({-65536, -65536} would wrap to 4 GiB and be
+  // filled, so a regression would not fail fast on it: it is left out.)
   EXPECT_THROW((Frame{-(1 << 20), -(1 << 20)}), std::invalid_argument);
-  EXPECT_THROW((Frame{-65536, -65536}), std::invalid_argument);
   EXPECT_THROW((Frame{-1, 4}), std::invalid_argument);
 }
 
