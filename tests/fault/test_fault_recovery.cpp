@@ -3,6 +3,11 @@
 // loop, and re-establish media (routes + subscriptions) after the restart.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string_view>
+#include <vector>
+
 #include "core/fault_recovery_benchmark.h"
 
 namespace vc::core {
@@ -95,6 +100,36 @@ TEST(FaultRecovery, CustomPlanOverridesTheDefaultTimeline) {
   EXPECT_EQ(r.disconnects, 0);
   EXPECT_EQ(r.reconnects, 0);
   EXPECT_FALSE(r.lags_before_ms.empty());
+}
+
+TEST(FaultRecovery, RelayThatNeverReturnsExhaustsTheBackoffAndGivesUp) {
+  // Every other scenario's outage is 1–3 s, so clients reconnect within three
+  // attempts. Here the relay stays down past the session: each client walks
+  // the whole backoff ladder (0.5 s doubling to the 8 s cap, ±20 % jitter)
+  // and gives up after its 20th attempt. The give-up instants pin the cap,
+  // the attempt budget and the jitter draws for seed 11.
+  FaultRecoveryConfig cfg = quick_config(platform::PlatformId::kZoom);
+  cfg.session_duration = seconds(180);
+  cfg.use_custom_plan = true;
+  cfg.custom_plan.relay_crash(cfg.outage_start, 0, seconds(600));
+  Tracer tracer{1u << 18};
+  tracer.set_enabled(true);
+  cfg.tracer = &tracer;
+  const FaultRecoveryResult r = run_fault_recovery_benchmark(cfg);
+  EXPECT_EQ(r.clients, 3);
+  EXPECT_EQ(r.disconnects, 3);
+  EXPECT_EQ(r.reconnects, 0);
+  EXPECT_EQ(r.reconnect_attempts, 3 * 20);
+  EXPECT_EQ(r.reconnect_giveups, 3);
+
+  std::vector<std::int64_t> giveup_us;
+  tracer.for_each([&](const Tracer::Record& rec) {
+    if (std::string_view{rec.name} != "client.reconnect_giveup") return;
+    EXPECT_EQ(rec.value, 20.0f);  // attempts made by the client giving up
+    giveup_us.push_back(rec.ts_us);
+  });
+  std::sort(giveup_us.begin(), giveup_us.end());
+  EXPECT_EQ(giveup_us, (std::vector<std::int64_t>{148820092, 150770247, 156770471}));
 }
 
 }  // namespace

@@ -129,6 +129,30 @@ TEST_F(TrunkFixture, SaturatedTrunkDropsLikeABackboneLink) {
   EXPECT_EQ(rx.size(), static_cast<std::size_t>(shaper.forwarded_packets));
 }
 
+TEST_F(TrunkFixture, DefaultConfigIsTheFleetBackbone) {
+  // RelayFleet builds every inter-slot trunk as Trunk::Config{.propagation =
+  // ...}, so these defaults (500 Mbps, 64 kB burst, 4096-packet queue) are the
+  // fleet's backbone. A same-instant flood pins all three: the burst and the
+  // queue fix how many packets get through, the rate when the last one lands.
+  Trunk trunk{net, relay_a, relay_b, Trunk::Config{.propagation = millis(1)}};
+
+  std::vector<SimTime> arrivals;
+  net::Host& sender = make_client("sender", nullptr);
+  net::Host& receiver = make_client("receiver", nullptr, &arrivals);
+  relay_a.add_participant(kMeeting, 1, {sender.ip(), 100});
+  relay_b.add_participant(kMeeting, 2, {receiver.ip(), 100});
+
+  constexpr int kPackets = 4400;
+  for (int i = 0; i < kPackets; ++i) send_media(sender, 1, static_cast<std::uint64_t>(i));
+  net.loop().run();
+
+  const auto& shaper = trunk.shaper_stats();
+  EXPECT_EQ(shaper.forwarded_packets, 4158);
+  EXPECT_EQ(shaper.dropped_packets, kPackets - 4158);
+  ASSERT_EQ(arrivals.size(), static_cast<std::size_t>(4158));
+  EXPECT_EQ(arrivals.back().micros(), 82368);
+}
+
 TEST_F(TrunkFixture, DestructorDeregistersEgress) {
   std::vector<net::Packet> rx;
   net::Host& sender = make_client("sender", nullptr);
