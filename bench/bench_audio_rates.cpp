@@ -26,7 +26,7 @@ using namespace vc;
 /// One audio-only two-party session; returns the receiver's L7 download rate.
 double run_audio_session(platform::PlatformId id, std::uint64_t seed, SimDuration duration) {
   core::SessionWorld world{seed};
-  world.add_platform(id, {});
+  world.add_platform(id);
   net::Host& host_vm = world.vm("US-East", 0);
   net::Host& rx_vm = world.vm("US-East", 1);
 

@@ -52,7 +52,7 @@ RunResult run_session(std::unique_ptr<net::LossModel> ingress_loss, double jitte
   bed_cfg.seed = seed;
   bed_cfg.latency.jitter_mean_ms = jitter_mean_ms;
   core::SessionWorld world{bed_cfg, {.metrics = &metrics}};
-  world.add_platform(platform::PlatformId::kZoom, {.seed = seed ^ 0xE});
+  world.add_platform(platform::PlatformId::kZoom, seed ^ 0xE);
   net::Host& host_vm = world.vm("US-East", 0);
   net::Host& rx_vm = world.vm("US-East", 1);
   if (ingress_loss) rx_vm.set_ingress_loss(std::move(ingress_loss));

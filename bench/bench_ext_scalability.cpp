@@ -35,7 +35,7 @@ struct ScaleResult {
 ScaleResult run_scale(platform::PlatformId id, int n_total, platform::ViewMode view,
                       std::uint64_t seed, MetricsRegistry* metrics) {
   core::SessionWorld world{seed, {.metrics = metrics}};
-  platform::BasePlatform& plat = world.add_platform(id, {.seed = seed ^ 0x5CA1E});
+  platform::BasePlatform& plat = world.add_platform(id, seed ^ 0x5CA1E);
   const auto us = testbed::us_sites();
 
   auto make_sender = [&](net::Host& vm, std::uint64_t s) {

@@ -51,7 +51,7 @@ media::qoe::VideoQoe mean_qoe(const media::AlignedPair& pair) {
 
 PaddingResult run_padding_session(std::uint64_t seed, SimDuration duration) {
   core::SessionWorld world{seed};
-  world.add_platform(platform::PlatformId::kZoom, {});
+  world.add_platform(platform::PlatformId::kZoom);
   net::Host& host_vm = world.vm("US-East", 0);
   net::Host& rx_vm = world.vm("US-East", 1);
 

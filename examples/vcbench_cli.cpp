@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "capture/qoe_infer.h"
 #include "capture/trace_dump.h"
 #include "capture/trace_io.h"
 #include "cli/report_render.h"

@@ -8,6 +8,25 @@
 namespace vc::abr {
 namespace {
 
+// Buffer/backlog adapter (kBuffer).
+/// Queue-delay at/below which the adapter probes one tier up (ms).
+constexpr double kLowDelayMs = 25.0;
+/// Queue-delay at/above which the adapter collapses to the bottom tier.
+constexpr double kHighDelayMs = 220.0;
+
+// Throughput-EWMA adapter (kThroughput) and MPC prediction safety.
+constexpr double kEwmaAlpha = 0.3;
+/// Fraction of predicted throughput an adapter will commit to.
+constexpr double kSafety = 0.85;
+
+// MPC adapter (kMpc).
+constexpr int kMpcHorizon = 3;
+/// Utility cost per tier step changed between consecutive rounds.
+constexpr double kSwitchPenalty = 0.15;
+/// Utility cost per unit of predicted over-subscription (rate beyond
+/// safety × predicted throughput, relative to the prediction).
+constexpr double kOverusePenalty = 4.0;
+
 /// Delivered throughput of one observation window, in bits per second.
 /// Windows too short to measure return `fallback` (the previous estimate).
 double window_throughput_bps(const AbrObservation& obs, double fallback) {
@@ -22,9 +41,7 @@ double window_throughput_bps(const AbrObservation& obs, double fallback) {
 /// the ladder between the two thresholds, straight to the floor above them.
 class BufferAbr final : public AbrAlgo {
  public:
-  BufferAbr(const AbrConfig& cfg, TierLadder ladder)
-      : AbrAlgo(std::move(ladder), "buffer"), low_ms_(cfg.low_delay_ms),
-        high_ms_(cfg.high_delay_ms) {}
+  explicit BufferAbr(TierLadder ladder) : AbrAlgo(std::move(ladder), "buffer") {}
 
   AbrDecision select(const AbrObservation& obs) override {
     // Frames stuck in flight count against the delay signal: each backlogged
@@ -34,12 +51,13 @@ class BufferAbr final : public AbrAlgo {
                                         0, obs.backlog_frames - 1));
     const int top = ladder_.size() - 1;
     int target;
-    if (signal <= low_ms_) {
+    if (signal <= kLowDelayMs) {
       target = top;
-    } else if (signal >= high_ms_) {
+    } else if (signal >= kHighDelayMs) {
       target = 0;
     } else {
-      const double f = (high_ms_ - signal) / (high_ms_ - low_ms_);  // 1 at low, 0 at high
+      // 1 at low, 0 at high.
+      const double f = (kHighDelayMs - signal) / (kHighDelayMs - kLowDelayMs);
       target = static_cast<int>(std::floor(f * static_cast<double>(top)));
     }
     // Severe loss is a queue signal the delay estimate may lag: cap climbs.
@@ -50,27 +68,22 @@ class BufferAbr final : public AbrAlgo {
         last_tier_ < 0 ? ladder_.nearest(obs.platform_target) : last_tier_ + 1;
     return decide(std::min(target, climb_cap));
   }
-
- private:
-  double low_ms_;
-  double high_ms_;
 };
 
 /// Throughput-predictive adapter: EWMA of delivered throughput, discounted by
 /// observed loss, then the highest tier fitting under safety × prediction.
 class ThroughputAbr final : public AbrAlgo {
  public:
-  ThroughputAbr(const AbrConfig& cfg, TierLadder ladder)
-      : AbrAlgo(std::move(ladder), "throughput"), alpha_(cfg.ewma_alpha), safety_(cfg.safety) {}
+  explicit ThroughputAbr(TierLadder ladder) : AbrAlgo(std::move(ladder), "throughput") {}
 
   AbrDecision select(const AbrObservation& obs) override {
     const double measured = window_throughput_bps(obs, estimate_bps_);
     if (measured > 0.0) {
       estimate_bps_ = estimate_bps_ <= 0.0
                           ? measured
-                          : alpha_ * measured + (1.0 - alpha_) * estimate_bps_;
+                          : kEwmaAlpha * measured + (1.0 - kEwmaAlpha) * estimate_bps_;
     }
-    double usable = estimate_bps_ * safety_;
+    double usable = estimate_bps_ * kSafety;
     // Loss means the delivered estimate already flatters the path: haircut.
     if (obs.loss_fraction > 0.0) usable *= std::max(0.25, 1.0 - obs.loss_fraction);
     if (usable <= 0.0) {
@@ -87,23 +100,18 @@ class ThroughputAbr final : public AbrAlgo {
   }
 
  private:
-  double alpha_;
-  double safety_;
   double estimate_bps_ = 0.0;
 };
 
 /// MPC-style lookahead: harmonic-mean throughput prediction over the recent
-/// windows, then exhaustive search over tier plans of length `horizon`
+/// windows, then exhaustive search over tier plans of length kMpcHorizon
 /// maximizing Σ [log-quality − switch penalty − over-subscription penalty].
 /// Only the plan's first step is applied (receding horizon). The ladder is
 /// small (≤ 8 rungs) and the horizon short, so the search is a few hundred
 /// candidate plans per feedback report.
 class MpcAbr final : public AbrAlgo {
  public:
-  MpcAbr(const AbrConfig& cfg, TierLadder ladder)
-      : AbrAlgo(std::move(ladder), "mpc"), horizon_(std::max(1, cfg.mpc_horizon)),
-        safety_(cfg.safety), switch_penalty_(cfg.switch_penalty),
-        overuse_penalty_(cfg.overuse_penalty) {}
+  explicit MpcAbr(TierLadder ladder) : AbrAlgo(std::move(ladder), "mpc") {}
 
   AbrDecision select(const AbrObservation& obs) override {
     const double measured = window_throughput_bps(obs, 0.0);
@@ -117,7 +125,7 @@ class MpcAbr final : public AbrAlgo {
     double inv_sum = 0.0;
     for (const double t : history_) inv_sum += 1.0 / t;
     const double predicted = static_cast<double>(history_.size()) / inv_sum;
-    const double usable = predicted * safety_ *
+    const double usable = predicted * kSafety *
                           (obs.loss_fraction > 0.0
                                ? std::max(0.25, 1.0 - obs.loss_fraction)
                                : 1.0);
@@ -138,9 +146,9 @@ class MpcAbr final : public AbrAlgo {
     const double rate = static_cast<double>(ladder_.at(tier).rate.bits_per_second());
     const double floor = static_cast<double>(ladder_.min_rate().bits_per_second());
     double u = std::log(rate / floor + 1.0);
-    if (prev_tier >= 0) u -= switch_penalty_ * static_cast<double>(std::abs(tier - prev_tier));
+    if (prev_tier >= 0) u -= kSwitchPenalty * static_cast<double>(std::abs(tier - prev_tier));
     if (usable_bps > 0.0 && rate > usable_bps) {
-      u -= overuse_penalty_ * (rate - usable_bps) / usable_bps;
+      u -= kOverusePenalty * (rate - usable_bps) / usable_bps;
     }
     return u;
   }
@@ -161,7 +169,7 @@ class MpcAbr final : public AbrAlgo {
     while (!stack.empty()) {
       const Frame f = stack.back();
       stack.pop_back();
-      if (f.depth == horizon_) {
+      if (f.depth == kMpcHorizon) {
         if (f.value > best_value) {
           best_value = f.value;
           best_first = f.first;
@@ -178,10 +186,6 @@ class MpcAbr final : public AbrAlgo {
     return best_first;
   }
 
-  int horizon_;
-  double safety_;
-  double switch_penalty_;
-  double overuse_penalty_;
   std::deque<double> history_;
 };
 
@@ -201,10 +205,10 @@ std::unique_ptr<AbrAlgo> make_abr(const AbrConfig& config, TierLadder ladder) {
   if (config.kind == AbrKind::kNone) return nullptr;
   if (ladder.empty()) throw std::invalid_argument{"abr: empty tier ladder"};
   switch (config.kind) {
-    case AbrKind::kBuffer: return std::make_unique<BufferAbr>(config, std::move(ladder));
+    case AbrKind::kBuffer: return std::make_unique<BufferAbr>(std::move(ladder));
     case AbrKind::kThroughput:
-      return std::make_unique<ThroughputAbr>(config, std::move(ladder));
-    case AbrKind::kMpc: return std::make_unique<MpcAbr>(config, std::move(ladder));
+      return std::make_unique<ThroughputAbr>(std::move(ladder));
+    case AbrKind::kMpc: return std::make_unique<MpcAbr>(std::move(ladder));
     case AbrKind::kNone: break;
   }
   return nullptr;

@@ -149,32 +149,14 @@ enum class AbrKind : std::uint8_t { kNone = 0, kBuffer = 1, kThroughput = 2, kMp
 std::string_view abr_kind_name(AbrKind kind);
 
 /// Construction knobs for the bundled adapters. Everything is deterministic;
-/// defaults are sane for the 500 ms feedback cadence of VcaClient.
+/// the adapters' tuning constants (abr.cpp) suit the 500 ms feedback cadence
+/// of VcaClient.
 struct AbrConfig {
   AbrKind kind = AbrKind::kNone;
   /// Shadow mode: the adapter runs select() on every report but its decision
   /// is never applied — the A/B instrumentation bench_fairness --gate uses
   /// to prove the armed machinery is byte-invisible and cheap.
   bool shadow = false;
-
-  // Buffer/backlog adapter (kBuffer).
-  /// Queue-delay at/below which the adapter probes one tier up (ms).
-  double low_delay_ms = 25.0;
-  /// Queue-delay at/above which the adapter collapses to the bottom tier.
-  double high_delay_ms = 220.0;
-
-  // Throughput-EWMA adapter (kThroughput) and MPC prediction safety.
-  double ewma_alpha = 0.3;
-  /// Fraction of predicted throughput an adapter will commit to.
-  double safety = 0.85;
-
-  // MPC adapter (kMpc).
-  int mpc_horizon = 3;
-  /// Utility cost per tier step changed between consecutive rounds.
-  double switch_penalty = 0.15;
-  /// Utility cost per unit of predicted over-subscription (rate beyond
-  /// safety × predicted throughput, relative to the prediction).
-  double overuse_penalty = 4.0;
 };
 
 /// Factory for the bundled adapters; nullptr for kNone. The ladder must be

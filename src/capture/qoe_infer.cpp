@@ -10,6 +10,11 @@
 namespace vc::capture {
 namespace {
 
+/// Fragments separated by more than this belong to different frames; closer
+/// ones coalesce into one burst. Must stay below the inter-frame interval
+/// (e.g. 100 ms at 10 fps) and above in-frame serialization jitter.
+constexpr SimDuration kMaxIntraFrameGap = millis(30);
+
 bool is_video_fragment(const CaptureRecord& r, const QoeInferConfig& cfg) {
   return r.dir == net::Direction::kIncoming && r.protocol == net::Protocol::kUdp &&
          r.l7_len >= cfg.min_video_payload;
@@ -61,7 +66,7 @@ QoeInferReport QoeInferencer::analyze() const {
     out.video_bytes += r.l7_len;
 
     const bool gap_break =
-        in_burst && (r.timestamp - prev_video_time) > config_.max_intra_frame_gap;
+        in_burst && (r.timestamp - prev_video_time) > kMaxIntraFrameGap;
     if (!in_burst || gap_break) {
       InferredFrame f;
       f.start = r.timestamp;

@@ -16,7 +16,7 @@
 //    min_video_payload are video fragment candidates (audio frames and
 //    control reports ride far smaller packets);
 //  - frame grouping: consecutive video fragments belong to one frame burst
-//    until an inter-packet gap above max_intra_frame_gap ends the burst
+//    until an inter-packet gap above 30 ms (qoe_infer.cpp) ends the burst
 //    (tail-fragment splitting is deliberately NOT used: jitter reorders the
 //    sub-MTU tail into the middle of its burst often enough to double-count
 //    frames);
@@ -44,10 +44,6 @@ struct QoeInferConfig {
   /// video fragment. Sized between the largest audio frame (~225 B at
   /// 90 Kbps / 20 ms) and the smallest full video fragment.
   std::int64_t min_video_payload = 300;
-  /// Fragments separated by more than this belong to different frames; closer
-  /// ones coalesce into one burst. Must stay below the inter-frame interval
-  /// (e.g. 100 ms at 10 fps) and above in-frame serialization jitter.
-  SimDuration max_intra_frame_gap = millis(30);
   /// An inter-frame gap at or above this is reported as a freeze event.
   SimDuration freeze_threshold = millis(500);
   /// Timeline bucketing for the per-window fps / bitrate-tier estimates.

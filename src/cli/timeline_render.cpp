@@ -5,7 +5,6 @@
 
 #include "common/json.h"
 #include "common/table.h"
-#include "common/tracer.h"
 
 namespace vc::cli {
 namespace {
@@ -84,7 +83,7 @@ std::string sparkline(const std::vector<double>& values, int width) {
 void append_series_json(std::string& out, const TimelineSeries& series, bool first) {
   if (!first) out += ",";
   out += "{\"name\":\"";
-  Tracer::append_json_escaped(out, series.name.c_str());
+  json::append_escaped(out, series.name);
   out += "\",\"offset\":" + std::to_string(series.offset) + ",\"values\":[";
   for (std::size_t i = 0; i < series.values.size(); ++i) {
     if (i) out += ",";

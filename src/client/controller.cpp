@@ -3,6 +3,18 @@
 #include <algorithm>
 
 namespace vc::client {
+namespace {
+
+// Exponential-backoff reconnection after a lost route (relay crash).
+constexpr SimDuration kInitialBackoff = millis(500);
+constexpr double kBackoffMultiplier = 2.0;
+constexpr SimDuration kMaxBackoff = seconds(8);
+/// Uniform ± fraction applied to every backoff (decorrelates the reconnect
+/// stampede across clients, like real jittered retry).
+constexpr double kBackoffJitter = 0.2;
+constexpr int kMaxReconnectAttempts = 20;
+
+}  // namespace
 
 ClientController::Script default_script(platform::PlatformId id) {
   switch (id) {
@@ -78,8 +90,7 @@ void ClientController::start_join(platform::MeetingId meeting, std::function<voi
   });
 }
 
-void ClientController::enable_reconnect(ReconnectPolicy policy, std::uint64_t seed) {
-  reconnect_ = policy;
+void ClientController::enable_reconnect(std::uint64_t seed) {
   reconnect_enabled_ = true;
   reconnect_rng_ = Rng{seed};
   client_.set_on_connection_lost([this] { on_connection_lost(); });
@@ -100,12 +111,9 @@ void ClientController::schedule_reconnect_attempt() {
   // backoff_k = min(initial · multiplier^k, max), then ± jitter from the
   // controller-owned RNG — the network stream must never see these draws,
   // or a fault plan would perturb packet timing beyond the fault itself.
-  double ms = reconnect_.initial_backoff.millis();
-  for (int i = 0; i < attempt_; ++i) ms = std::min(ms * reconnect_.multiplier,
-                                                   reconnect_.max_backoff.millis());
-  if (reconnect_.jitter > 0) {
-    ms *= 1.0 + reconnect_.jitter * (2.0 * reconnect_rng_.next_double() - 1.0);
-  }
+  double ms = kInitialBackoff.millis();
+  for (int i = 0; i < attempt_; ++i) ms = std::min(ms * kBackoffMultiplier, kMaxBackoff.millis());
+  ms *= 1.0 + kBackoffJitter * (2.0 * reconnect_rng_.next_double() - 1.0);
   const std::uint64_t epoch = reconnect_epoch_;
   loop().schedule_after(millis_f(ms), [this, epoch] {
     if (epoch != reconnect_epoch_ || state_ != State::kReconnecting) return;
@@ -126,7 +134,7 @@ void ClientController::schedule_reconnect_attempt() {
       if (tracer_) tracer_->instant("client.reconnected", loop().now(), waited);
       return;
     }
-    if (attempt_ >= reconnect_.max_attempts) {
+    if (attempt_ >= kMaxReconnectAttempts) {
       state_ = State::kAborted;  // gave up: the session is lost
       if (metrics_) metrics_->counter("client.reconnect_giveups").inc();
       if (tracer_) {

@@ -26,19 +26,6 @@ class ClientController {
   enum class State { kIdle, kLaunching, kLoggingIn, kCreating, kJoining, kInMeeting,
                      kReconnecting, kLeft, kAborted };
 
-  /// Exponential-backoff reconnection after a lost route (relay crash):
-  /// attempt k waits min(initial·multiplier^k, max) ± jitter, re-joining
-  /// through the platform until it succeeds or max_attempts is exhausted.
-  struct ReconnectPolicy {
-    SimDuration initial_backoff = millis(500);
-    double multiplier = 2.0;
-    SimDuration max_backoff = seconds(8);
-    /// Uniform ± fraction applied to every backoff (decorrelates the
-    /// reconnect stampede across clients, like real jittered retry).
-    double jitter = 0.2;
-    int max_attempts = 20;
-  };
-
   /// On an instrumented network, records workflow events:
   /// `client.meetings_created` / `client.joins` counters and a
   /// `client.join_latency_ms` histogram (start_join call to in-meeting, i.e.
@@ -53,18 +40,16 @@ class ClientController {
   State state() const { return state_; }
 
   /// Arms automatic reconnection: when the in-meeting client loses its route
-  /// the controller enters kReconnecting and drives the backoff loop above.
+  /// the controller enters kReconnecting and drives an exponential-backoff
+  /// loop: attempt k waits min(initial·multiplier^k, max) ± jitter
+  /// (controller.cpp's constants), re-joining through the platform until it
+  /// succeeds or the attempt budget is exhausted.
   /// Jitter draws come from a controller-owned Rng seeded here — the network
   /// RNG stream never sees them, which keeps faulted runs deterministic.
   /// Emits `client.disconnects` / `client.reconnect_attempts` /
   /// `client.reconnects` / `client.reconnect_giveups` counters and a
   /// `client.time_to_reconnect_ms` histogram on an instrumented network.
-  void enable_reconnect(ReconnectPolicy policy, std::uint64_t seed);
-
-  /// Arms client-side ABR on the underlying client (the workflow analogue of
-  /// flipping a bandwidth-saver setting in the real UI). Forwards to
-  /// VcaClient::set_abr; kNone disarms.
-  void enable_abr(const abr::AbrConfig& config) { client_.set_abr(config); }
+  void enable_reconnect(std::uint64_t seed);
 
   /// Abandons the scripted workflow: any still-pending step becomes a no-op
   /// and its callback never fires (used when an orchestrator gives up on a
@@ -92,7 +77,6 @@ class ClientController {
   Tracer* tracer_ = nullptr;
 
   bool reconnect_enabled_ = false;
-  ReconnectPolicy reconnect_;
   Rng reconnect_rng_{0};
   SimTime lost_at_{};
   int attempt_ = 0;

@@ -36,7 +36,6 @@ class ClientMonitor {
   /// The capture so far (the paper dumps this to a file for offline
   /// analysis; see capture::write_trace_file).
   capture::Trace trace() const { return capture_.trace(); }
-  void stop_capture() { capture_.stop(); }
 
   /// Discovered media endpoint, if any yet.
   const std::optional<net::Endpoint>& media_endpoint() const { return media_endpoint_; }

@@ -13,6 +13,13 @@ namespace {
 /// collapses but audio is protected) — the "sudden drop" regime of Fig 17.
 constexpr auto kEmergencyRate = DataRate::kbps(60);
 
+/// Fraction of the video wire rate carrying codec payload; the rest is
+/// FEC/redundancy padding (real VCA streams are near-CBR at the policy rate).
+/// Padding is only added to frames of active content — dormant (blank-screen)
+/// frames stay tiny, preserving the quiescent periods the paper's lag method
+/// depends on.
+constexpr double kContentRateFraction = 0.3;
+
 /// Fragments per encoded frame, derived from the modeled frame size.
 int fragments_for(std::int64_t bytes) {
   return static_cast<int>((bytes + kFragmentBytes - 1) / kFragmentBytes);
@@ -24,12 +31,10 @@ VcaClient::VcaClient(net::Host& host, platform::BasePlatform& platform, Config c
     : host_(host), platform_(platform), config_(config), rng_(config.seed) {
   socket_ = &host_.udp_bind(config_.media_port);
   socket_->on_receive([this](const net::Packet& pkt) { on_packet(pkt); });
-  // Per-client ABR wins; otherwise inherit the platform's default. kNone
-  // everywhere leaves the client exactly as it was before src/abr existed.
-  const abr::AbrConfig& abr_cfg = config_.abr.kind != abr::AbrKind::kNone
-                                      ? config_.abr
-                                      : platform_.config().default_client_abr;
-  if (abr_cfg.kind != abr::AbrKind::kNone) set_abr(abr_cfg);
+  // kNone leaves the client exactly as it was before src/abr existed.
+  if (config_.abr.kind != abr::AbrKind::kNone) {
+    abr_ = abr::make_abr(config_.abr, platform::tier_ladder(platform_.traits().id));
+  }
 
   const Instruments& instruments = host_.network().instruments();
   tracer_ = instruments.tracer;
@@ -50,12 +55,6 @@ VcaClient::VcaClient(net::Host& host, platform::BasePlatform& platform, Config c
       m_abr_tier_ = &registry->histogram("codec.abr.tier");
     }
   }
-}
-
-void VcaClient::set_abr(const abr::AbrConfig& config) {
-  config_.abr = config;
-  abr_target_ = DataRate::zero();
-  abr_ = abr::make_abr(config, platform::tier_ladder(platform_.traits().id));
 }
 
 VcaClient::~VcaClient() {
@@ -170,7 +169,7 @@ void VcaClient::update_video_target() {
           session_base_.bits_per_second() * 6 / 5));
     }
   }
-  if (encoder_) encoder_->set_target_bitrate(video_target_ * config_.content_rate_fraction);
+  if (encoder_) encoder_->set_target_bitrate(video_target_ * kContentRateFraction);
   if (on_target_change_ && video_target_ != notified_target_) {
     notified_target_ = video_target_;
     on_target_change_(host_.network().now(), video_target_);
@@ -225,7 +224,7 @@ void VcaClient::video_tick() {
     // scene (blank screen between flashes) stays quiet on the wire.
     const double per_frame_wire =
         static_cast<double>(video_target_.bits_per_second()) / config_.fps / 8.0;
-    const double quality_budget = per_frame_wire * config_.content_rate_fraction;
+    const double quality_budget = per_frame_wire * kContentRateFraction;
     if (static_cast<double>(frame->bytes) >= 0.5 * quality_budget) {
       frame->wire_bytes =
           std::max<std::int64_t>(frame->bytes, static_cast<std::int64_t>(per_frame_wire));

@@ -67,19 +67,12 @@ class VcaClient {
     /// UI widgets occlude this outer border of the rendered screen, even in
     /// full-screen mode (Section 4.3 / Fig 13). Keep < feed padding.
     int ui_border = 16;
-    /// Fraction of the video wire rate carrying codec payload; the rest is
-    /// FEC/redundancy padding (real VCA streams are near-CBR at the policy
-    /// rate). Padding is only added to frames of active content — dormant
-    /// (blank-screen) frames stay tiny, preserving the quiescent periods the
-    /// paper's lag method depends on.
-    double content_rate_fraction = 0.3;
     /// Nonzero: bypass the platform's N-dependent rate policy and encode at
     /// this base rate (mobile cameras; simulcast high layers for mobile
     /// receivers). Adaptation/wobble still apply on top.
     DataRate rate_override = DataRate::zero();
-    /// Client-side ABR (src/abr): kNone (default) falls back to the
-    /// platform's PlatformConfig::default_client_abr; if that is also kNone
-    /// the client follows the platform-pushed rate exactly as before —
+    /// Client-side ABR (src/abr), armed once at construction. kNone (the
+    /// default) follows the platform-pushed rate exactly as before —
     /// byte-identical to a build without this field.
     abr::AbrConfig abr{};
     /// Attach AbrFeedback accounting/payloads to the control reports this
@@ -177,17 +170,6 @@ class VcaClient {
   DataRate current_video_target() const { return video_target_; }
   /// Sent video rate policy base for this session.
   DataRate session_base_rate() const { return session_base_; }
-  /// What the platform-pushed policy alone would encode at right now (equals
-  /// current_video_target() unless a non-shadow ABR adapter overrides it).
-  DataRate platform_video_target() const { return platform_target_; }
-
-  /// (Re)arms client-side ABR with `config` (kNone disarms); adapter state
-  /// resets. Safe at any time, including mid-meeting.
-  void set_abr(const abr::AbrConfig& config);
-  /// The armed adapter, nullptr when ABR is off.
-  const abr::AbrAlgo* abr() const { return abr_.get(); }
-  /// The adapter's most recent applied target; zero before any decision.
-  DataRate abr_target() const { return abr_target_; }
 
  private:
   struct RxStream {

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -58,5 +59,11 @@ std::string format_number(double v, int precision = 17);
 
 /// The printf("%.{precision}f") equivalent, same locale independence.
 std::string format_fixed(double v, int precision);
+
+/// Appends `s` to `out` as the body of a JSON string (quotes not included):
+/// `"` and `\` are backslash-escaped and every control character below 0x20
+/// becomes \b, \f, \n, \r, \t or \u00XX. Every hand-rolled writer in the
+/// repo escapes names and messages through this.
+void append_escaped(std::string& out, std::string_view s);
 
 }  // namespace vc::json

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/json.h"
-#include "common/tracer.h"
 
 namespace vc {
 namespace {
@@ -60,7 +59,7 @@ void append_double_array(std::string& out, const char* key, const std::vector<do
 
 void append_name(std::string& out, const std::string& name) {
   out += "{\"name\":\"";
-  Tracer::append_json_escaped(out, name.c_str());
+  json::append_escaped(out, name);
   out += "\"";
 }
 

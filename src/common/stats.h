@@ -67,7 +67,6 @@ class EmpiricalCdf {
   /// Inverse CDF (quantile), q in [0, 1].
   double inverse(double q) const;
   std::size_t size() const { return sorted_.size(); }
-  const std::vector<double>& sorted_samples() const { return sorted_; }
 
  private:
   std::vector<double> sorted_;

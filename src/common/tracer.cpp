@@ -40,29 +40,6 @@ void Tracer::clear() {
   counter_count_ = 0;
 }
 
-void Tracer::append_json_escaped(std::string& out, const char* s) {
-  for (const char* p = s; *p != '\0'; ++p) {
-    const unsigned char c = static_cast<unsigned char>(*p);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-}
-
 std::string Tracer::to_chrome_json() const {
   std::string out;
   out.reserve(64 + size() * 96);
@@ -72,7 +49,7 @@ std::string Tracer::to_chrome_json() const {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    append_json_escaped(out, r.name);
+    json::append_escaped(out, r.name);
     out += "\",\"ph\":\"";
     switch (r.phase) {
       case Phase::kSpan: out += 'X'; break;

@@ -111,9 +111,6 @@ class Tracer {
   /// ph:"C". Names are JSON-escaped; `otherData` carries the drop counter.
   std::string to_chrome_json() const;
 
-  /// Appends a JSON-escaped copy of `s` (quotes not included) to `out`.
-  static void append_json_escaped(std::string& out, const char* s);
-
  private:
   void push(const char* name, std::int64_t ts, std::int64_t dur, double value, Phase phase) {
     Record& r = ring_[head_];

@@ -9,6 +9,11 @@
 #include "media/qoe/mos_lqo.h"
 
 namespace vc::core {
+namespace {
+
+constexpr const char* kReceiverSite = "US-East";
+
+}  // namespace
 
 BwCapSessionResult run_bwcap_session(const BwCapBenchmarkConfig& config, std::uint64_t seed) {
   // Built first, so a bad metric_stride throws before anything is simulated.
@@ -18,9 +23,9 @@ BwCapSessionResult run_bwcap_session(const BwCapBenchmarkConfig& config, std::ui
 
   // The platform, the host VM and the receiver VM.
   SessionWorld world{seed};
-  world.add_platform(config.platform, {.seed = seed ^ 0xCAB});
+  world.add_platform(config.platform, seed ^ 0xCAB);
   net::Host& host_vm = world.vm(config.host_site, 8);
-  net::Host& rx_vm = world.vm(config.receiver_site, 9);
+  net::Host& rx_vm = world.vm(kReceiverSite, 9);
 
   // Arm the ingress shaper for this session (tc qdisc on ifb).
   net::TokenBucketShaper* shaper = nullptr;

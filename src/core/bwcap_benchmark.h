@@ -20,7 +20,6 @@ struct BwCapBenchmarkConfig {
   /// Ingress cap on the receiver; DataRate::unlimited() for the baseline.
   DataRate cap = DataRate::unlimited();
   std::string host_site = "US-East";
-  std::string receiver_site = "US-East";
   SimDuration media_duration = seconds(15);
   int content_width = 256;
   int content_height = 192;

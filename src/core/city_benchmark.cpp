@@ -6,6 +6,13 @@
 #include "core/session_world.h"
 
 namespace vc::core {
+namespace {
+
+/// Every stride-th incoming video packet per receiver contributes a lag
+/// sample (arrival − sent_at).
+constexpr int kLagSampleStride = 8;
+
+}  // namespace
 
 CityScaleResult run_city_scale_benchmark(const CityScaleConfig& config) {
   if (config.meetings < 1) throw std::invalid_argument{"meetings must be >= 1"};
@@ -16,7 +23,7 @@ CityScaleResult run_city_scale_benchmark(const CityScaleConfig& config) {
   MetricsRegistry& reg = config.metrics != nullptr ? *config.metrics : local_metrics;
   SessionWorld world{config.seed, {&reg, config.tracer}};
   platform::BasePlatform& platform =
-      world.add_platform(config.platform, {.seed = config.seed ^ 0xC17});
+      world.add_platform(config.platform, config.seed ^ 0xC17);
 
   std::unique_ptr<fleet::RelayFleet> fleet;
   if (config.use_fleet) {
@@ -61,19 +68,16 @@ CityScaleResult run_city_scale_benchmark(const CityScaleConfig& config) {
           &world.client(vm, listener_config(meeting_seed + static_cast<std::uint64_t>(ri) + 1)));
       // One-way lag tap: sender stamp → receiver interface, subsampled per
       // receiver with a deterministic stride.
-      const int stride = config.lag_sample_stride > 0 ? config.lag_sample_stride : 1;
-      vm.add_tap([&lags = result.lag_ms, stride, n = 0](net::Direction dir,
-                                                        const net::Packet& pkt,
-                                                        SimTime at) mutable {
+      vm.add_tap([&lags = result.lag_ms, n = 0](net::Direction dir, const net::Packet& pkt,
+                                                SimTime at) mutable {
         if (dir != net::Direction::kIncoming || pkt.kind != net::StreamKind::kVideo) return;
-        if (n++ % stride != 0) return;
+        if (n++ % kLagSampleStride != 0) return;
         lags.push_back((at - pkt.sent_at).millis());
       });
     }
 
     plan.media_duration = config.media_duration;
     if (config.inject_crash) {
-      plan.reconnect = config.reconnect;
       plan.reconnect_seed = config.seed ^ (0xFA11 + static_cast<std::uint64_t>(mi));
     }
     plan.on_all_joined = [&feeder, feed, mi, &config, &crash_plan, &world]() {

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "client/controller.h"
 #include "common/metrics.h"
 #include "common/tracer.h"
 #include "fleet/relay_fleet.h"
@@ -47,16 +46,13 @@ struct CityScaleConfig {
   int feed_width = 160;
   int feed_height = 120;
   double fps = 10.0;
-  /// Every stride-th incoming video packet per receiver contributes a lag
-  /// sample (arrival − sent_at); 1 samples everything.
-  int lag_sample_stride = 8;
   /// Crash-failover scene: crash allocator relay 0 mid-call and let the
-  /// balancer re-home its meetings onto survivors (clients reconnect via
-  /// `reconnect`). Timed relative to the FIRST meeting's media start.
+  /// balancer re-home its meetings onto survivors (clients reconnect with
+  /// the controller's backoff). Timed relative to the FIRST meeting's media
+  /// start.
   bool inject_crash = false;
   SimDuration outage_start = seconds(4);
   SimDuration outage_duration = seconds(2);
-  client::ClientController::ReconnectPolicy reconnect{};
   std::uint64_t seed = 1;
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;

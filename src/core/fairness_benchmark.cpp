@@ -10,6 +10,15 @@
 namespace vc::core {
 namespace {
 
+/// Burst of the shared bottleneck's token bucket.
+constexpr std::int64_t kBurstBytes = 24'000;
+/// Bin width of the per-flow rate timeline used for convergence.
+constexpr SimDuration kRateBin = seconds(1);
+/// A flow has converged once its binned rate stays within ± this fraction of
+/// its steady-state mean (mean of the window's last quarter) for the rest of
+/// the run.
+constexpr double kConvergenceBand = 0.25;
+
 /// Jain's fairness index: (Σx)² / (n·Σx²); 1 when all equal, 1/n when one
 /// flow starves the rest. Empty/zero inputs report 0.
 double jain(const std::vector<double>& xs) {
@@ -24,12 +33,14 @@ double jain(const std::vector<double>& xs) {
 }
 
 /// First bin index from which the rate timeline stays inside
-/// ± band × steady; -1 if it never does (or there is no steady rate).
-int convergence_bin(const std::vector<double>& rates_kbps, double steady, double band) {
+/// ± kConvergenceBand × steady; -1 if it never does (or there is no steady
+/// rate).
+int convergence_bin(const std::vector<double>& rates_kbps, double steady) {
   if (steady <= 0.0 || rates_kbps.empty()) return -1;
   int settled_from = -1;
   for (int i = 0; i < static_cast<int>(rates_kbps.size()); ++i) {
-    const bool inside = std::abs(rates_kbps[static_cast<std::size_t>(i)] - steady) <= band * steady;
+    const bool inside =
+        std::abs(rates_kbps[static_cast<std::size_t>(i)] - steady) <= kConvergenceBand * steady;
     if (inside && settled_from < 0) settled_from = i;
     if (!inside) settled_from = -1;
   }
@@ -67,7 +78,7 @@ FairnessBenchmarkResult run_fairness_session(const FairnessBenchmarkConfig& conf
   // one ingress shaper. Named after its site so fault plans can target it.
   net::Host& gateway = world.vm(config.gateway_site, 0);
   auto owned_shaper = std::make_unique<net::TokenBucketShaper>(
-      world.loop(), config.bottleneck, config.burst_bytes,
+      world.loop(), config.bottleneck, kBurstBytes,
       static_cast<std::size_t>(config.queue_limit_packets));
   net::TokenBucketShaper* shaper = owned_shaper.get();
   MetricsRegistry shaper_metrics;
@@ -76,7 +87,7 @@ FairnessBenchmarkResult run_fairness_session(const FairnessBenchmarkConfig& conf
 
   // Per-flow achieved goodput, binned for the convergence timeline. Taps run
   // post-shaper, so this is what the receivers actually get.
-  const std::int64_t bin_us = std::max<std::int64_t>(1, config.rate_bin.micros());
+  const std::int64_t bin_us = kRateBin.micros();
   std::vector<std::vector<std::int64_t>> bins(static_cast<std::size_t>(n));
   const std::uint16_t base_port = 47000;
   gateway.add_tap([&bins, bin_us, n, base_port](net::Direction dir, const net::Packet& pkt,
@@ -104,9 +115,8 @@ FairnessBenchmarkResult run_fairness_session(const FairnessBenchmarkConfig& conf
     Flow& flow = flows[static_cast<std::size_t>(i)];
     const std::uint64_t flow_seed = seed + static_cast<std::uint64_t>(i) * 4447;
 
-    platform::PlatformConfig pc;
-    pc.seed = seed ^ (0xCABu + static_cast<std::uint64_t>(i) * 0x9E37u);
-    platform::BasePlatform& flow_platform = world.add_platform(fc.platform, pc);
+    platform::BasePlatform& flow_platform =
+        world.add_platform(fc.platform, seed ^ (0xCABu + static_cast<std::uint64_t>(i) * 0x9E37u));
 
     net::Host& sender_vm = world.vm(fc.sender_site, 10 + i);
 
@@ -186,7 +196,7 @@ FairnessBenchmarkResult run_fairness_session(const FairnessBenchmarkConfig& conf
       const std::size_t tail_start = timeline.size() - std::max<std::size_t>(1, timeline.size() / 4);
       RunningStats tail;
       for (std::size_t b = tail_start; b < timeline.size(); ++b) tail.add(timeline[b]);
-      const int bin0 = convergence_bin(timeline, tail.mean(), config.convergence_band);
+      const int bin0 = convergence_bin(timeline, tail.mean());
       if (bin0 >= 0) {
         fr.convergence_seconds = static_cast<double>(bin0) * bin_seconds;
         convergence.add(fr.convergence_seconds);

@@ -39,7 +39,6 @@ struct FairnessBenchmarkConfig {
   std::vector<FairnessFlowConfig> flows;
   /// The shared gateway downlink (every receiver lives on the gateway VM).
   DataRate bottleneck = DataRate::mbps(2.5);
-  std::int64_t burst_bytes = 24'000;
   int queue_limit_packets = 200;
   /// Gateway VM site; the VM is named after it, so fault plans can target
   /// the bottleneck with link_rate/link_outage on this name.
@@ -51,12 +50,6 @@ struct FairnessBenchmarkConfig {
   int feed_width = 128;
   int feed_height = 96;
   int padding = 16;
-  /// Bin width of the per-flow rate timeline used for convergence.
-  SimDuration rate_bin = seconds(1);
-  /// A flow has converged once its binned rate stays within ± this fraction
-  /// of its steady-state mean (mean of the window's last quarter) for the
-  /// rest of the run.
-  double convergence_band = 0.25;
   /// Shadow-arm every flow's adapter instead of applying decisions (the
   /// bench_fairness --gate instrumentation; see abr::AbrConfig::shadow).
   bool abr_shadow = false;

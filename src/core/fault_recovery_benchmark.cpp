@@ -8,6 +8,13 @@
 #include "core/session_world.h"
 
 namespace vc::core {
+namespace {
+
+/// Flash-feed geometry, as in the lag benchmark.
+constexpr int kFeedWidth = 128;
+constexpr int kFeedHeight = 96;
+
+}  // namespace
 
 FaultRecoveryResult run_fault_recovery_benchmark(const FaultRecoveryConfig& config) {
   if (config.participant_sites.empty()) throw std::invalid_argument{"no participants"};
@@ -19,16 +26,16 @@ FaultRecoveryResult run_fault_recovery_benchmark(const FaultRecoveryConfig& conf
   MetricsRegistry local_metrics;
   MetricsRegistry& reg = config.metrics != nullptr ? *config.metrics : local_metrics;
   SessionWorld world{config.seed, {&reg, config.tracer, config.timeline}};
-  world.add_platform(config.platform, {.seed = config.seed ^ 0xABC});
+  world.add_platform(config.platform, config.seed ^ 0xABC);
 
   net::Host& host_vm = world.vm(config.host_site, 8);
   const std::vector<net::Host*> part_vms = world.vms(config.participant_sites);
 
   const auto feed = std::make_shared<media::FlashFeed>(
-      media::FeedParams{config.feed_width, config.feed_height, config.fps, config.seed ^ 0xF1A5});
+      media::FeedParams{kFeedWidth, kFeedHeight, config.fps, config.seed ^ 0xF1A5});
 
   client::VcaClient& host_client = world.client(
-      host_vm, video_config(config.feed_width, config.feed_height, config.fps, config.seed));
+      host_vm, video_config(kFeedWidth, kFeedHeight, config.fps, config.seed));
   client::MediaFeeder& feeder = world.feeder(host_client);
   capture::PacketCapture host_capture{host_vm, world.clock_offset(host_vm)};
 
@@ -62,7 +69,6 @@ FaultRecoveryResult run_fault_recovery_benchmark(const FaultRecoveryConfig& conf
   SimTime recovery_end_abs{};
 
   plan.media_duration = config.session_duration;
-  plan.reconnect = config.reconnect;
   plan.reconnect_seed = config.seed ^ 0xFA117;
   plan.on_all_joined = [&] {
     feeder.play_video(feed, config.session_duration);

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "client/controller.h"
 #include "common/metrics.h"
 #include "common/metrics_timeline.h"
 #include "common/tracer.h"
@@ -34,11 +33,8 @@ struct FaultRecoveryConfig {
   /// re-join, re-subscription — is attributed to the fault, not to steady
   /// state).
   SimDuration recovery_grace = seconds(5);
-  int feed_width = 128;
-  int feed_height = 96;
   double fps = 10.0;
   std::uint64_t seed = 1;
-  client::ClientController::ReconnectPolicy reconnect{};
   /// Override the default timeline (crash relay 0 at outage_start for
   /// outage_duration) with an arbitrary plan.
   fault::FaultPlan custom_plan;

@@ -8,6 +8,14 @@
 #include "core/session_world.h"
 
 namespace vc::core {
+namespace {
+
+/// Flash-feed geometry (small frames keep the codec cheap; the signal on the
+/// wire is what matters).
+constexpr int kFeedWidth = 128;
+constexpr int kFeedHeight = 96;
+
+}  // namespace
 
 std::vector<std::string> us_participant_sites(const std::string& host_site) {
   // Seven US VMs total (Table 3): the host plus these six.
@@ -37,13 +45,13 @@ std::vector<std::string> europe_participant_sites(const std::string& host_site) 
 LagBenchmarkResult run_lag_benchmark(const LagBenchmarkConfig& config) {
   if (config.participant_sites.empty()) throw std::invalid_argument{"no participants"};
   SessionWorld world{config.seed, {config.metrics, config.tracer, config.timeline}};
-  const platform::PlatformConfig platform_cfg{.seed = config.seed ^ 0xABC};
+  const std::uint64_t platform_seed = config.seed ^ 0xABC;
   if (config.platform == platform::PlatformId::kWebex &&
       config.webex_tier == platform::WebexTier::kPaid) {
     world.adopt_platform(std::make_unique<platform::WebexPlatform>(
-        world.network(), platform_cfg, platform::WebexTier::kPaid));
+        world.network(), platform_seed, platform::WebexTier::kPaid));
   } else {
-    world.add_platform(config.platform, platform_cfg);
+    world.add_platform(config.platform, platform_seed);
   }
 
   // Provision VMs once; they persist across sessions (Meet endpoint
@@ -63,13 +71,13 @@ LagBenchmarkResult run_lag_benchmark(const LagBenchmarkConfig& config) {
   std::vector<capture::Trace> all_traces;
 
   const auto feed = std::make_shared<media::FlashFeed>(
-      media::FeedParams{config.feed_width, config.feed_height, config.fps, config.seed ^ 0xF1A5});
+      media::FeedParams{kFeedWidth, kFeedHeight, config.fps, config.seed ^ 0xF1A5});
 
   for (int s = 0; s < config.sessions; ++s) {
     // Fresh clients per session (the controller relaunches the app), same VMs.
     // The lag feed is a one-way video signal.
     client::VcaClient& host_client = world.client(
-        host_vm, video_config(config.feed_width, config.feed_height, config.fps,
+        host_vm, video_config(kFeedWidth, kFeedHeight, config.fps,
                               config.seed + static_cast<std::uint64_t>(s) * 7919));
     client::MediaFeeder& feeder = world.feeder(host_client);
     capture::PacketCapture host_capture{host_vm, world.clock_offset(host_vm)};

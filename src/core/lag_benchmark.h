@@ -31,10 +31,6 @@ struct LagBenchmarkConfig {
   /// Webex subscription tier (Section 6: the paid tier provisions relays
   /// near the meeting, collapsing the detour lags of the free tier).
   platform::WebexTier webex_tier = platform::WebexTier::kFree;
-  /// Flash-feed geometry (small frames keep the codec cheap; the signal on
-  /// the wire is what matters).
-  int feed_width = 128;
-  int feed_height = 96;
   double fps = 10.0;
   std::uint64_t seed = 1;
   /// Optional sink for instrumentation: the network/event core, platform,

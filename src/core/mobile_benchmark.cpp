@@ -37,7 +37,7 @@ PhoneRun make_phone(SessionWorld& world, net::Host& host, const mobile::DevicePr
 /// US-East host VM, then the S10 and J3 on the residential network.
 std::array<net::Host*, 3> provision(SessionWorld& world, platform::PlatformId id,
                                     std::uint64_t platform_seed) {
-  world.add_platform(id, {.seed = platform_seed});
+  world.add_platform(id, platform_seed);
   net::Host* host_vm = &world.vm("US-East", 8);
   net::Host* s10 = &world.vm(testbed::residential_us_east(), 0);
   return {host_vm, s10, &world.vm(testbed::residential_us_east(), 1)};

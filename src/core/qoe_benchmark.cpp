@@ -37,7 +37,7 @@ QoeSessionResult run_qoe_session(const QoeBenchmarkConfig& config, std::uint64_t
 
   // The platform, then the host VM followed by one VM per receiver site.
   SessionWorld world{seed};
-  world.add_platform(config.platform, {.seed = seed ^ 0xBEEF});
+  world.add_platform(config.platform, seed ^ 0xBEEF);
   net::Host& host_vm = world.vm(config.host_site, 8);
   const std::vector<net::Host*> rx_vms = world.vms(config.receiver_sites);
 

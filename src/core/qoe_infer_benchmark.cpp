@@ -5,10 +5,18 @@
 #include <memory>
 #include <stdexcept>
 
+#include "capture/qoe_infer.h"
 #include "core/session_world.h"
 
 namespace vc::core {
 namespace {
+
+constexpr const char* kReceiverSite = "US-West";
+
+/// Windows intersecting an outage (plus this grace for backlog drain) are
+/// excluded from the tier-accuracy join — delivery there reflects the outage,
+/// not the encode tier.
+constexpr SimDuration kOutageGrace = seconds(1);
 
 DataRate shaper_rate(InferShaperProfile profile) {
   switch (profile) {
@@ -59,9 +67,9 @@ QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& c
   }
 
   SessionWorld world{seed, {config.metrics, config.tracer}};
-  world.add_platform(config.platform, {.seed = seed ^ 0x1FE2});
+  world.add_platform(config.platform, seed ^ 0x1FE2);
   net::Host& host_vm = world.vm(config.host_site, 8);
-  net::Host& rx_vm = world.vm(config.receiver_site, 9);
+  net::Host& rx_vm = world.vm(kReceiverSite, 9);
 
   // Last-mile profile on the receiver's ingress (the tc/ifb analog).
   const DataRate cap = shaper_rate(config.shaper);
@@ -70,14 +78,10 @@ QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& c
         world.loop(), cap, /*burst=*/24'000, /*queue_limit_packets=*/100));
   }
 
-  // The scripted impairment timeline — and, for outages, the freeze truth.
+  // The scripted outage timeline: the freeze truth.
   fault::FaultPlan plan;
   for (const auto& [start, duration] : config.outages) {
     plan.link_outage(start, rx_vm.name(), duration);
-  }
-  if (config.burst_loss_average > 0.0) {
-    plan.burst_loss(SimDuration::zero(), config.burst_loss_average,
-                    config.burst_loss_mean_burst, rx_vm.name());
   }
 
   const auto content = std::make_shared<media::TalkingHeadFeed>(
@@ -121,11 +125,12 @@ QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& c
 
   // ---- the header-free estimate: trace in, report out.
   const SimTime media_end = media_start + config.media_duration;
-  capture::QoeInferConfig infer_cfg = config.infer;
+  // Default estimator knobs; the analysis window and tier rates come from the
+  // session.
+  capture::QoeInferConfig infer_cfg;
   infer_cfg.analysis_start = media_start;
   infer_cfg.analysis_end = media_end;
   const abr::TierLadder ladder = platform::tier_ladder(config.platform);
-  infer_cfg.tier_rates_bps.clear();
   for (const abr::Tier& tier : ladder.tiers) {
     infer_cfg.tier_rates_bps.push_back(tier.rate.bits_per_second());
   }
@@ -163,7 +168,7 @@ QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& c
     bool in_outage = false;
     for (const auto& [start, duration] : config.outages) {
       const SimTime o0 = media_start + start;
-      const SimTime o1 = o0 + duration + config.outage_grace;
+      const SimTime o1 = o0 + duration + kOutageGrace;
       if (intervals_overlap(w.start, w_end, o0, o1)) in_outage = true;
     }
     if (in_outage) continue;

@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "capture/qoe_infer.h"
 #include "common/metrics.h"
 #include "common/tracer.h"
 #include "platform/rate_policy.h"
@@ -41,26 +40,14 @@ struct QoeInferBenchmarkConfig {
   /// start — compiled into a FaultPlan armed at media start. These windows
   /// ARE the freeze ground truth the inferred freezes are scored against.
   std::vector<std::pair<SimDuration, SimDuration>> outages;
-  /// > 0: additionally install Gilbert–Elliott burst loss at this average on
-  /// the receiver link at media start (same FaultPlan).
-  double burst_loss_average = 0.0;
-  double burst_loss_mean_burst = 4.0;
   std::string host_site = "US-East";
-  std::string receiver_site = "US-West";
   SimDuration media_duration = seconds(20);
   int content_width = 96;
   int content_height = 72;
   int padding = 8;  // padded dims must be multiples of 8
   double fps = 10.0;
-  /// Windows intersecting an outage (plus this grace for backlog drain) are
-  /// excluded from the tier-accuracy join — delivery there reflects the
-  /// outage, not the encode tier.
-  SimDuration outage_grace = seconds(1);
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
-  /// Estimator knobs. analysis_start/end and tier_rates_bps are overwritten
-  /// with the media window and the platform's tier ladder.
-  capture::QoeInferConfig infer{};
 };
 
 struct QoeInferSessionResult {

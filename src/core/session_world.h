@@ -43,9 +43,8 @@ class SessionWorld {
   net::EventLoop& loop() { return bed_->loop(); }
 
   /// Adds a platform to the bed; several may share it (fairness).
-  platform::BasePlatform& add_platform(platform::PlatformId id,
-                                       const platform::PlatformConfig& config) {
-    return adopt_platform(platform::make_platform(id, network(), config));
+  platform::BasePlatform& add_platform(platform::PlatformId id, std::uint64_t seed = 7) {
+    return adopt_platform(platform::make_platform(id, network(), seed));
   }
   /// Takes a platform built on network() (e.g. Webex's paid tier).
   platform::BasePlatform& adopt_platform(std::unique_ptr<platform::BasePlatform> platform);

@@ -232,6 +232,11 @@ std::string FaultPlan::to_json() const {
   const auto field = [](const char* key, double v, int precision = 3) {
     return std::string(", \"") + key + "\": " + json::format_fixed(v, precision);
   };
+  const auto host = [](const std::string& name) {
+    std::string out = ", \"host\": \"";
+    json::append_escaped(out, name);
+    return out + "\"";
+  };
   std::string out = "{\n  \"fault_plan\": [\n";
   for (std::size_t i = 0; i < events_.size(); ++i) {
     const FaultEvent& e = events_[i];
@@ -241,19 +246,19 @@ std::string FaultPlan::to_json() const {
     out += field("at_ms", e.at.millis());
     switch (e.kind) {
       case FaultEvent::Kind::kLinkRate:
-        out += ", \"host\": \"" + e.host + "\"" + field("rate_kbps", e.rate.as_kbps());
+        out += host(e.host) + field("rate_kbps", e.rate.as_kbps());
         break;
       case FaultEvent::Kind::kLinkRamp:
-        out += ", \"host\": \"" + e.host + "\"" + field("rate_kbps", e.rate.as_kbps()) +
+        out += host(e.host) + field("rate_kbps", e.rate.as_kbps()) +
                field("rate_end_kbps", e.rate_end.as_kbps()) +
                field("duration_ms", e.duration.millis()) +
                ", \"steps\": " + std::to_string(e.steps);
         break;
       case FaultEvent::Kind::kLinkOutage:
-        out += ", \"host\": \"" + e.host + "\"" + field("duration_ms", e.duration.millis());
+        out += host(e.host) + field("duration_ms", e.duration.millis());
         break;
       case FaultEvent::Kind::kBurstLoss:
-        out += ", \"host\": \"" + e.host + "\"" + field("average", e.loss_average, 6) +
+        out += host(e.host) + field("average", e.loss_average, 6) +
                field("mean_burst", e.mean_burst);
         break;
       case FaultEvent::Kind::kRelayCrash:

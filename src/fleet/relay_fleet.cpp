@@ -6,6 +6,15 @@
 #include "common/geo.h"
 
 namespace vc::fleet {
+namespace {
+
+/// Trunk propagation: ~5 us per great-circle km (fiber), floored at 1 ms.
+/// Every inter-slot trunk otherwise takes Trunk::Config's rate, burst and
+/// queue.
+constexpr double kTrunkUsPerKm = 5.0;
+constexpr SimDuration kTrunkMinPropagation = millis(1);
+
+}  // namespace
 
 PlacementPolicy parse_policy(const std::string& name) {
   if (name == "rr" || name == "round-robin") return PlacementPolicy::kRoundRobin;
@@ -117,15 +126,11 @@ int RelayFleet::pick_slot(const std::vector<int>& taken, const GeoPoint& member_
 void RelayFleet::ensure_trunk_pair(int a, int b) {
   const double km = great_circle_km(slots_[static_cast<std::size_t>(a)].site->location,
                                     slots_[static_cast<std::size_t>(b)].site->location);
-  SimDuration prop = millis_f(km * config_.trunk_us_per_km / 1000.0);
-  if (prop < config_.trunk_min_propagation) prop = config_.trunk_min_propagation;
+  SimDuration prop = millis_f(km * kTrunkUsPerKm / 1000.0);
+  if (prop < kTrunkMinPropagation) prop = kTrunkMinPropagation;
   for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
     if (trunks_.count({from, to}) != 0) continue;
-    Trunk::Config tc;
-    tc.rate = config_.trunk_rate;
-    tc.burst_bytes = config_.trunk_burst_bytes;
-    tc.queue_limit_packets = config_.trunk_queue_limit_packets;
-    tc.propagation = prop;
+    const Trunk::Config tc{.propagation = prop};
     // Slots carry instruments exactly when the fleet reports metrics.
     MetricsRegistry::Counter* origin_bytes = slots_[static_cast<std::size_t>(from)].c_trunk_bytes;
     std::string prefix;

@@ -62,13 +62,6 @@ class RelayFleet : public platform::MeetingPlacer {
     /// Failover may exceed the limit: re-homed members join surviving
     /// shards regardless of fullness (capacity beats the soft split).
     int overflow_shard_size = 0;
-    /// Trunk provisioning shared by every inter-slot link.
-    DataRate trunk_rate = DataRate::mbps(500);
-    std::int64_t trunk_burst_bytes = 64'000;
-    std::size_t trunk_queue_limit_packets = 4096;
-    /// Propagation: ~5 us per great-circle km (fiber), floored at 1 ms.
-    double trunk_us_per_km = 5.0;
-    SimDuration trunk_min_propagation = millis(1);
     /// On an instrumented network, register per-slot load gauges
     /// `fleet.relay<i>.meetings` / `.relay<i>.participants` plus a
     /// `.relay<i>.trunk_bytes` counter (wire bytes this slot pushed onto

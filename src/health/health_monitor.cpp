@@ -42,9 +42,9 @@ bool compare(double observed, SloRule::Op op, double threshold) {
   return true;
 }
 
-void append_escaped(std::string& out, const std::string& s) {
-  Tracer::append_json_escaped(out, s.c_str());
-}
+/// Events preallocated up front; growth past this allocates (steady state
+/// stays allocation-free below it).
+constexpr std::size_t kEventReserve = 256;
 
 }  // namespace
 
@@ -57,11 +57,7 @@ const char* severity_name(Severity severity) {
   return "?";
 }
 
-HealthMonitor::HealthMonitor() : HealthMonitor(Config{}) {}
-
-HealthMonitor::HealthMonitor(Config config) : config_(config) {
-  events_.reserve(config_.event_reserve);
-}
+HealthMonitor::HealthMonitor() { events_.reserve(kEventReserve); }
 
 HealthMonitor& HealthMonitor::add_rule(SloRule rule) {
   if (rule.rule.empty()) throw std::invalid_argument{"slo rule: empty rule name"};
@@ -190,9 +186,9 @@ std::string HealthMonitor::to_json() const {
     const SloRule& rule = rules_[i];
     if (i) out += ",";
     out += "{\"rule\":\"";
-    append_escaped(out, rule.rule);
+    json::append_escaped(out, rule.rule);
     out += "\",\"metric\":\"";
-    append_escaped(out, rule.metric);
+    json::append_escaped(out, rule.metric);
     out += "\",\"field\":\"";
     out += field_name(rule.field);
     out += "\",\"op\":\"";
@@ -208,7 +204,7 @@ std::string HealthMonitor::to_json() const {
     const HealthEvent& event = events_[i];
     if (i) out += ",";
     out += "{\"rule\":\"";
-    append_escaped(out, rules_[event.rule_index].rule);
+    json::append_escaped(out, rules_[event.rule_index].rule);
     out += "\",\"type\":\"";
     out += event.begin ? "begin" : "end";
     out += "\",\"severity\":\"";
@@ -221,7 +217,7 @@ std::string HealthMonitor::to_json() const {
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     if (i) out += ",";
     out += "\"";
-    append_escaped(out, rules_[i].rule);
+    json::append_escaped(out, rules_[i].rule);
     out += "\":" + std::to_string(states_[i].breaches);
   }
   out += "}}";
@@ -233,9 +229,9 @@ std::string HealthMonitor::rules_to_json() const {
   for (std::size_t i = 0; i < rules_.size(); ++i) {
     const SloRule& rule = rules_[i];
     out += "    {\"rule\": \"";
-    append_escaped(out, rule.rule);
+    json::append_escaped(out, rule.rule);
     out += "\", \"metric\": \"";
-    append_escaped(out, rule.metric);
+    json::append_escaped(out, rule.metric);
     out += "\", \"field\": \"";
     out += field_name(rule.field);
     out += "\", \"op\": \"";

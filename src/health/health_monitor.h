@@ -79,14 +79,7 @@ struct HealthEvent {
 
 class HealthMonitor final : public MetricsTimeline::Observer {
  public:
-  struct Config {
-    /// Events preallocated up front; growth past this allocates (steady
-    /// state stays allocation-free below it).
-    std::size_t event_reserve = 256;
-  };
-
   HealthMonitor();
-  explicit HealthMonitor(Config config);
 
   /// Validates (non-empty unique rule name, non-empty metric) and registers;
   /// throws std::invalid_argument on a bad rule. Add rules before sampling
@@ -140,7 +133,6 @@ class HealthMonitor final : public MetricsTimeline::Observer {
   double observe(const MetricsTimeline& timeline, const SloRule& rule, bool* found) const;
   void emit(std::size_t rule_index, bool begin, SimTime at, double observed);
 
-  Config config_;
   std::vector<SloRule> rules_;
   std::vector<RuleState> states_;
   std::vector<HealthEvent> events_;

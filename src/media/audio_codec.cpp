@@ -77,6 +77,9 @@ std::vector<float> idct(const std::vector<double>& c) {
   return out;
 }
 
+/// Audio frame length: the 20 ms frames real VCA audio codecs send.
+constexpr int kFrameMs = 20;
+
 // Per-coefficient storage cost: position + sign/magnitude.
 constexpr std::int64_t kBitsPerCoeff = 16;
 constexpr std::int64_t kFrameHeaderBits = 32;
@@ -84,8 +87,8 @@ constexpr std::int64_t kFrameHeaderBits = 32;
 }  // namespace
 
 AudioEncoder::AudioEncoder(Config cfg) : cfg_(cfg) {
-  if (cfg_.sample_rate <= 0 || cfg_.frame_ms <= 0) throw std::invalid_argument{"bad audio config"};
-  frame_samples_ = cfg_.sample_rate * cfg_.frame_ms / 1000;
+  if (cfg_.sample_rate <= 0) throw std::invalid_argument{"bad audio config"};
+  frame_samples_ = cfg_.sample_rate * kFrameMs / 1000;
 }
 
 std::shared_ptr<const EncodedAudioFrame> AudioEncoder::encode(std::span<const float> samples) {
@@ -96,7 +99,7 @@ std::shared_ptr<const EncodedAudioFrame> AudioEncoder::encode(std::span<const fl
 
   // Budget: bits for this 20 ms frame.
   const double frame_bits =
-      static_cast<double>(cfg_.bitrate.bits_per_second()) * cfg_.frame_ms / 1000.0;
+      static_cast<double>(cfg_.bitrate.bits_per_second()) * kFrameMs / 1000.0;
   auto keep = static_cast<std::size_t>(std::max(1.0, (frame_bits - kFrameHeaderBits) / kBitsPerCoeff));
   keep = std::min(keep, coeffs.size());
 

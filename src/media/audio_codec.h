@@ -33,14 +33,12 @@ class AudioEncoder {
   struct Config {
     DataRate bitrate = DataRate::kbps(64);
     int sample_rate = 16'000;
-    int frame_ms = 20;
   };
 
   explicit AudioEncoder(Config cfg);
 
   int frame_samples() const { return frame_samples_; }
   DataRate bitrate() const { return cfg_.bitrate; }
-  void set_bitrate(DataRate rate) { cfg_.bitrate = rate; }
 
   /// Encodes exactly frame_samples() samples.
   std::shared_ptr<const EncodedAudioFrame> encode(std::span<const float> samples);

@@ -25,7 +25,6 @@ class ResourceMonitor {
   bool running() const { return running_; }
 
   const std::vector<double>& cpu_samples() const { return cpu_samples_; }
-  BoxplotSummary cpu_boxplot() const { return boxplot(cpu_samples_); }
   double battery_pct_per_hour() const { return meter_.battery_pct_per_hour(); }
   /// Mean L7 download rate over the monitored window.
   DataRate download_rate() const;

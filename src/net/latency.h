@@ -31,9 +31,7 @@ class LatencyModel {
 class GeoLatencyModel final : public LatencyModel {
  public:
   struct Params {
-    double inflation = 1.8;               // routing stretch over great circle
-    SimDuration base = millis_f(1.0);     // per-path fixed overhead
-    double jitter_mean_ms = 0.3;          // exponential jitter mean
+    double jitter_mean_ms = 0.3;  // exponential jitter mean
   };
 
   GeoLatencyModel();  // defaults; defined below (Params incomplete here)
@@ -44,12 +42,13 @@ class GeoLatencyModel final : public LatencyModel {
   }
 
   SimDuration expected_one_way(const GeoPoint& from, const GeoPoint& to) const override {
-    return propagation_delay(from, to, p_.inflation, p_.base);
+    return propagation_delay(from, to, kInflation, kBase);
   }
 
-  const Params& params() const { return p_; }
-
  private:
+  static constexpr double kInflation = 1.8;            // routing stretch over great circle
+  static constexpr SimDuration kBase = millis_f(1.0);  // per-path fixed overhead
+
   Params p_;
 };
 

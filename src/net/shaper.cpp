@@ -109,7 +109,6 @@ void TokenBucketShaper::submit(Packet pkt, std::function<void(Packet)> deliver) 
     if (tracer_ != nullptr) tracer_->instant("shaper.drop", loop_.now(), static_cast<double>(size));
     return;
   }
-  queued_bytes_ += size;
   queue_.push_back(Queued{std::move(pkt), std::move(deliver), loop_.now()});
   if (m_backlog_pkts_) m_backlog_pkts_->set(static_cast<double>(queue_.size()));
   if (tracer_ != nullptr) {
@@ -142,7 +141,6 @@ void TokenBucketShaper::drain() {
     if (!rate_.is_unlimited() && bucket_bytes_ < static_cast<double>(size)) break;
     Queued q = std::move(queue_.front());
     queue_.pop_front();
-    queued_bytes_ -= size;
     bucket_bytes_ -= static_cast<double>(size);
     ++stats_.forwarded_packets;
     stats_.forwarded_bytes += size;

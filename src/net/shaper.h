@@ -68,7 +68,6 @@ class TokenBucketShaper {
   void attach_metrics(MetricsRegistry& registry, const std::string& prefix);
 
   std::size_t backlog_packets() const { return queue_.size(); }
-  std::int64_t backlog_bytes() const { return queued_bytes_; }
 
  private:
   struct Queued {
@@ -93,7 +92,6 @@ class TokenBucketShaper {
   std::int64_t burst_bytes_;
   std::int64_t max_packet_bytes_ = 0;
   std::size_t queue_limit_packets_;
-  std::int64_t queued_bytes_ = 0;
   SimTime last_refill_;
   std::deque<Queued> queue_;
   bool down_ = false;

@@ -6,14 +6,9 @@
 namespace vc::platform {
 
 BasePlatform::BasePlatform(net::Network& network, PlatformTraits traits, std::uint64_t seed)
-    : BasePlatform(network, traits, PlatformConfig{.seed = seed}) {}
-
-BasePlatform::BasePlatform(net::Network& network, PlatformTraits traits,
-                           const PlatformConfig& config)
     : network_(network),
       traits_(traits),
-      config_(config),
-      allocator_(network, traits.id, traits.media_port, config.seed) {}
+      allocator_(network, traits.id, traits.media_port, seed) {}
 
 MeetingId BasePlatform::create_meeting(const ClientRef& host,
                                        std::function<void(RouteInfo)> on_route) {
@@ -183,18 +178,6 @@ ZoomPlatform::ZoomPlatform(net::Network& network, std::uint64_t seed)
                    },
                    seed) {}
 
-ZoomPlatform::ZoomPlatform(net::Network& network, const PlatformConfig& config)
-    : BasePlatform(network,
-                   PlatformTraits{
-                       .id = PlatformId::kZoom,
-                       .media_port = 8801,
-                       .p2p_for_two = true,
-                       .supports_gallery = true,
-                       .max_tiles = 4,
-                       .audio_rate = DataRate::kbps(90),
-                   },
-                   config) {}
-
 void ZoomPlatform::assign_routes(Meeting& meeting) {
   if (placer_ != nullptr) {
     // Fleet deployment: all media terminates on managed relays, so the
@@ -244,19 +227,6 @@ WebexPlatform::WebexPlatform(net::Network& network, std::uint64_t seed, WebexTie
                    seed),
       tier_(tier) {}
 
-WebexPlatform::WebexPlatform(net::Network& network, const PlatformConfig& config, WebexTier tier)
-    : BasePlatform(network,
-                   PlatformTraits{
-                       .id = PlatformId::kWebex,
-                       .media_port = 9000,
-                       .p2p_for_two = false,
-                       .supports_gallery = true,
-                       .max_tiles = 4,
-                       .audio_rate = DataRate::kbps(45),
-                   },
-                   config),
-      tier_(tier) {}
-
 void WebexPlatform::assign_routes(Meeting& meeting) {
   if (placer_ != nullptr) {
     fleet_assign(meeting);
@@ -290,18 +260,6 @@ MeetPlatform::MeetPlatform(net::Network& network, std::uint64_t seed)
                        .audio_rate = DataRate::kbps(40),
                    },
                    seed) {}
-
-MeetPlatform::MeetPlatform(net::Network& network, const PlatformConfig& config)
-    : BasePlatform(network,
-                   PlatformTraits{
-                       .id = PlatformId::kMeet,
-                       .media_port = 19305,
-                       .p2p_for_two = false,
-                       .supports_gallery = false,
-                       .max_tiles = 4,
-                       .audio_rate = DataRate::kbps(40),
-                   },
-                   config) {}
 
 void MeetPlatform::assign_routes(Meeting& meeting) {
   if (placer_ != nullptr) {
@@ -351,15 +309,10 @@ bool MeetPlatform::reattach_member(Meeting& meeting, Member& member) {
 
 std::unique_ptr<BasePlatform> make_platform(PlatformId id, net::Network& network,
                                             std::uint64_t seed) {
-  return make_platform(id, network, PlatformConfig{.seed = seed});
-}
-
-std::unique_ptr<BasePlatform> make_platform(PlatformId id, net::Network& network,
-                                            const PlatformConfig& config) {
   switch (id) {
-    case PlatformId::kZoom: return std::make_unique<ZoomPlatform>(network, config);
-    case PlatformId::kWebex: return std::make_unique<WebexPlatform>(network, config);
-    case PlatformId::kMeet: return std::make_unique<MeetPlatform>(network, config);
+    case PlatformId::kZoom: return std::make_unique<ZoomPlatform>(network, seed);
+    case PlatformId::kWebex: return std::make_unique<WebexPlatform>(network, seed);
+    case PlatformId::kMeet: return std::make_unique<MeetPlatform>(network, seed);
   }
   throw std::invalid_argument{"unknown platform"};
 }

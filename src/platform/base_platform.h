@@ -45,8 +45,6 @@ class MeetingPlacer {
 class BasePlatform : public VcaPlatform {
  public:
   BasePlatform(net::Network& network, PlatformTraits traits, std::uint64_t seed);
-  /// Full-config construction: seeds the allocator from config.seed.
-  BasePlatform(net::Network& network, PlatformTraits traits, const PlatformConfig& config);
 
   const PlatformTraits& traits() const override { return traits_; }
 
@@ -60,9 +58,6 @@ class BasePlatform : public VcaPlatform {
   int participant_count(MeetingId meeting) const override;
 
   RelayAllocator& allocator() { return allocator_; }
-
-  /// The construction-time config (clients read default_client_abr from it).
-  const PlatformConfig& config() const { return config_; }
 
   /// Control-plane notification that `relay` crashed: every member routed
   /// through it loses its relay binding and gets RouteInfo{} pushed (the
@@ -124,7 +119,6 @@ class BasePlatform : public VcaPlatform {
 
   net::Network& network_;
   PlatformTraits traits_;
-  PlatformConfig config_;
   RelayAllocator allocator_;
   MeetingPlacer* placer_ = nullptr;
   std::unordered_map<MeetingId, Meeting> meetings_;
@@ -136,7 +130,6 @@ class BasePlatform : public VcaPlatform {
 class ZoomPlatform final : public BasePlatform {
  public:
   explicit ZoomPlatform(net::Network& network, std::uint64_t seed = 11);
-  ZoomPlatform(net::Network& network, const PlatformConfig& config);
 
  private:
   void assign_routes(Meeting& meeting) override;
@@ -153,8 +146,6 @@ class WebexPlatform final : public BasePlatform {
  public:
   explicit WebexPlatform(net::Network& network, std::uint64_t seed = 22,
                          WebexTier tier = WebexTier::kFree);
-  WebexPlatform(net::Network& network, const PlatformConfig& config,
-                WebexTier tier = WebexTier::kFree);
 
   WebexTier tier() const { return tier_; }
 
@@ -167,7 +158,6 @@ class WebexPlatform final : public BasePlatform {
 class MeetPlatform final : public BasePlatform {
  public:
   explicit MeetPlatform(net::Network& network, std::uint64_t seed = 33);
-  MeetPlatform(net::Network& network, const PlatformConfig& config);
 
  private:
   void assign_routes(Meeting& meeting) override;
@@ -177,7 +167,5 @@ class MeetPlatform final : public BasePlatform {
 /// Factory: the platform under test by id.
 std::unique_ptr<BasePlatform> make_platform(PlatformId id, net::Network& network,
                                             std::uint64_t seed = 7);
-std::unique_ptr<BasePlatform> make_platform(PlatformId id, net::Network& network,
-                                            const PlatformConfig& config);
 
 }  // namespace vc::platform

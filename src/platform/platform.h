@@ -13,7 +13,6 @@
 #include <string>
 #include <string_view>
 
-#include "abr/abr.h"
 #include "common/units.h"
 #include "net/host.h"
 
@@ -58,17 +57,6 @@ struct RouteInfo {
 struct StreamSubscription {
   ParticipantId origin = 0;
   double scale = 1.0;
-};
-
-/// Cross-cutting construction options shared by the three platforms.
-/// Everything here is an execution/sim knob, not wire-observable policy —
-/// PlatformTraits stays what the paper could see from outside.
-struct PlatformConfig {
-  std::uint64_t seed = 7;
-  /// Client-side ABR this platform hands to clients that don't configure
-  /// their own (VcaClient picks it up when its Config.abr.kind is kNone).
-  /// Defaults to kNone, so existing runs stay byte-identical.
-  abr::AbrConfig default_client_abr{};
 };
 
 /// Constants that identify a platform on the wire.

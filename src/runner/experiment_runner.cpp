@@ -18,22 +18,6 @@ namespace {
 // json::format_number so the bytes don't depend on LC_NUMERIC.
 std::string json_num(double v) { return json::format_number(v); }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
 void append_stats_object(std::string& out, const RunningStats& s) {
   out += "{\"count\":" + std::to_string(s.count());
   out += ",\"mean\":" + json_num(s.mean());
@@ -53,7 +37,9 @@ void append_stats_map(std::string& out, const char* key,
   for (const auto& [name, stats] : m) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(name) + "\":";
+    out += "\"";
+    json::append_escaped(out, name);
+    out += "\":";
     append_stats_object(out, stats);
   }
   out += "}";
@@ -63,14 +49,17 @@ void append_stats_map(std::string& out, const char* key,
 
 std::string RunReport::aggregate_json() const {
   std::string out = "{";
-  out += "\"label\":\"" + json_escape(label) + "\"";
+  out += "\"label\":\"";
+  json::append_escaped(out, label);
+  out += "\"";
   out += ",\"base_seed\":" + std::to_string(base_seed);
   out += ",\"sessions\":" + std::to_string(sessions);
   out += ",\"failures\":[";
   for (std::size_t i = 0; i < failures.size(); ++i) {
     if (i) out += ",";
-    out += "{\"task\":" + std::to_string(failures[i].first) + ",\"error\":\"" +
-           json_escape(failures[i].second) + "\"}";
+    out += "{\"task\":" + std::to_string(failures[i].first) + ",\"error\":\"";
+    json::append_escaped(out, failures[i].second);
+    out += "\"}";
   }
   out += "],";
   if (trace.enabled) {
@@ -98,7 +87,9 @@ std::string RunReport::aggregate_json() const {
   for (const auto& [name, value] : counters) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + json_escape(name) + "\":" + std::to_string(value);
+    out += "\"";
+    json::append_escaped(out, name);
+    out += "\":" + std::to_string(value);
   }
   out += "},";
   append_stats_map(out, "gauges", gauges);
@@ -122,7 +113,9 @@ std::string RunReport::to_json() const {
     for (const auto& [name, value] : rates) {
       if (!first) out += ",";
       first = false;
-      out += "\"" + name + "\":" + json_num(value);
+      out += "\"";
+      json::append_escaped(out, name);
+      out += "\":" + json_num(value);
     }
     out += "}";
   }

@@ -21,8 +21,6 @@ class CloudTestbed {
  public:
   struct Config {
     std::uint64_t seed = 42;
-    /// Std-dev of each VM's clock offset (cloud stratum-1 sync quality).
-    double clock_sigma_ms = 0.4;
     net::GeoLatencyModel::Params latency{};
   };
 
@@ -47,7 +45,6 @@ class CloudTestbed {
  private:
   std::unique_ptr<net::Network> network_;
   Rng rng_;
-  double clock_sigma_ms_ = 0.4;
   std::unordered_map<net::IpAddr, SimDuration> clock_offsets_;
 };
 

@@ -17,12 +17,11 @@ std::unique_ptr<client::ClientController> SessionOrchestrator::make_controller(
   auto controller = plan_.script
                         ? std::make_unique<client::ClientController>(client, *plan_.script)
                         : std::make_unique<client::ClientController>(client);
-  if (plan_.reconnect) {
+  if (plan_.reconnect_seed) {
     // Creation order (host, then participants in index order) is fixed, so
     // the derived jitter seed names the same controller in every run.
-    controller->enable_reconnect(
-        *plan_.reconnect,
-        plan_.reconnect_seed + 0x9E3779B97F4A7C15ULL * (controllers_made_ + 1));
+    controller->enable_reconnect(*plan_.reconnect_seed +
+                                 0x9E3779B97F4A7C15ULL * (controllers_made_ + 1));
   }
   ++controllers_made_;
   return controller;

@@ -47,12 +47,11 @@ class SessionOrchestrator {
     std::function<void()> on_all_joined;
     /// Fired exactly once, when the session completes or times out.
     std::function<void(const SessionOutcome&)> on_done;
-    /// Arm automatic reconnection (relay-crash recovery) on every
-    /// controller. Each controller's jitter RNG is seeded from
-    /// reconnect_seed and its creation index (host first, then participants
-    /// in order), so backoff schedules are deterministic and decorrelated.
-    std::optional<client::ClientController::ReconnectPolicy> reconnect;
-    std::uint64_t reconnect_seed = 0;
+    /// When set, arms automatic reconnection (relay-crash recovery) on
+    /// every controller. Each controller's jitter RNG is seeded from this
+    /// seed and its creation index (host first, then participants in order),
+    /// so backoff schedules are deterministic and decorrelated.
+    std::optional<std::uint64_t> reconnect_seed;
   };
 
   /// On an instrumented network the orchestrator counts

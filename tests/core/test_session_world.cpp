@@ -22,7 +22,7 @@ struct TwoPartyRun {
 /// A Webex two-party call (always relayed) with a real pixel encode.
 TwoPartyRun run_two_party(Instruments instruments) {
   SessionWorld world{5, instruments};
-  world.add_platform(platform::PlatformId::kWebex, {.seed = 5});
+  world.add_platform(platform::PlatformId::kWebex, 5);
   net::Host& host_vm = world.vm("US-East", 0);
   net::Host& rx_vm = world.vm("US-West", 0);
 
@@ -99,7 +99,7 @@ TEST(SessionWorld, HandBuiltWorldTakesInstrumentsFromItsNetwork) {
   tracer.set_enabled(true);
   testbed::CloudTestbed bed{testbed::CloudTestbed::Config{.seed = 5}, {&metrics, &tracer}};
   const auto platform =
-      platform::make_platform(platform::PlatformId::kWebex, bed.network(), {.seed = 5});
+      platform::make_platform(platform::PlatformId::kWebex, bed.network(), 5);
   net::Host& host_vm = bed.create_vm(testbed::site_by_name("US-East"), 0);
   net::Host& rx_vm = bed.create_vm(testbed::site_by_name("US-West"), 0);
 

@@ -185,6 +185,18 @@ TEST(FaultPlan, JsonRoundTripPreservesEveryKind) {
   EXPECT_EQ(back.events()[5].detection.micros(), millis(400).micros());
 }
 
+TEST(FaultPlan, JsonRoundTripEscapesHostNames) {
+  FaultPlan plan;
+  plan.link_outage(millis(100), "a\"b", millis(500));
+  plan.link_rate(millis(200), "c\\d\te", DataRate::kbps(750));
+  const std::string json = plan.to_json();
+  const FaultPlan back = FaultPlan::from_json(json);
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back.events()[0].host, "a\"b");
+  EXPECT_EQ(back.events()[1].host, "c\\d\te");
+  EXPECT_EQ(back.to_json(), json);
+}
+
 TEST(FaultPlan, FromJsonRejectsMalformedInput) {
   EXPECT_THROW(FaultPlan::from_json("not json"), std::runtime_error);
   EXPECT_THROW(FaultPlan::from_json("{\"fault_plan\": 3}"), std::runtime_error);

@@ -82,7 +82,7 @@ TEST(Shifted, AppliesShiftAndPads) {
 }
 
 TEST(AudioCodec, FrameSizing) {
-  AudioEncoder enc{{DataRate::kbps(64), 16'000, 20}};
+  AudioEncoder enc{{DataRate::kbps(64), 16'000}};
   EXPECT_EQ(enc.frame_samples(), 320);
   const auto voice = synthesize_voice(0.1, 5);
   const auto frame = enc.encode(std::span<const float>{voice.samples.data(), 320});
@@ -92,7 +92,7 @@ TEST(AudioCodec, FrameSizing) {
 }
 
 TEST(AudioCodec, RoundTripPreservesSignalShape) {
-  AudioEncoder enc{{DataRate::kbps(96), 16'000, 20}};
+  AudioEncoder enc{{DataRate::kbps(96), 16'000}};
   AudioDecoder dec{320};
   const auto voice = synthesize_voice(0.5, 21);
   double err = 0;
@@ -112,7 +112,7 @@ TEST(AudioCodec, RoundTripPreservesSignalShape) {
 TEST(AudioCodec, HigherBitrateLowerError) {
   const auto voice = synthesize_voice(0.5, 23);
   auto total_error = [&](double kbps) {
-    AudioEncoder enc{{DataRate::kbps(kbps), 16'000, 20}};
+    AudioEncoder enc{{DataRate::kbps(kbps), 16'000}};
     AudioDecoder dec{320};
     double err = 0;
     for (int f = 0; f < 20; ++f) {
@@ -136,7 +136,7 @@ TEST(AudioCodec, ConcealmentIsSilence) {
 }
 
 TEST(AudioCodec, WrongFrameSizeThrows) {
-  AudioEncoder enc{{DataRate::kbps(64), 16'000, 20}};
+  AudioEncoder enc{{DataRate::kbps(64), 16'000}};
   std::vector<float> wrong(100, 0.0F);
   EXPECT_THROW(enc.encode(wrong), std::invalid_argument);
 }

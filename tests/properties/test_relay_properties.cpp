@@ -185,7 +185,7 @@ class AudioCodecSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(AudioCodecSweep, FrameBytesRespectBudget) {
   const double kbps = GetParam();
-  media::AudioEncoder enc{{DataRate::kbps(kbps), 16'000, 20}};
+  media::AudioEncoder enc{{DataRate::kbps(kbps), 16'000}};
   media::AudioDecoder dec{enc.frame_samples()};
   const auto voice = media::synthesize_voice(1.0, 17);
   const double budget_bytes = kbps * 1000.0 * 0.020 / 8.0;
@@ -200,7 +200,7 @@ TEST_P(AudioCodecSweep, FrameBytesRespectBudget) {
 }
 
 TEST_P(AudioCodecSweep, SilenceIsNearlyFree) {
-  media::AudioEncoder enc{{DataRate::kbps(GetParam()), 16'000, 20}};
+  media::AudioEncoder enc{{DataRate::kbps(GetParam()), 16'000}};
   std::vector<float> silence(static_cast<std::size_t>(enc.frame_samples()), 0.0F);
   const auto frame = enc.encode(silence);
   EXPECT_LE(frame->bytes, 8);  // header only: all coefficients quantize to 0

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "core/mobile_benchmark.h"
@@ -161,6 +163,27 @@ TEST(RunReport, JsonAndCsvShapes) {
   ASSERT_NE(report.find_sample("x"), nullptr);
   EXPECT_DOUBLE_EQ(report.find_sample("x")->mean(), 1.5);
   EXPECT_EQ(report.find_sample("missing"), nullptr);
+}
+
+TEST(RunReport, JsonEscapesErrorsAndRateKeys) {
+  ExperimentRunner::Config cfg;
+  cfg.threads = 1;
+  cfg.rate_counters = {"odd\"name"};
+  const auto report = ExperimentRunner{cfg}.run(2, [](SessionContext& ctx) {
+    ctx.metrics.counter("odd\"name").inc();
+    if (ctx.task_index == 1) throw std::runtime_error{"bad\tvalue"};
+  });
+  const std::string text = report.to_json();
+  // RFC 8259: control characters inside a string must be escaped.
+  EXPECT_EQ(std::count_if(text.begin(), text.end(),
+                          [](char c) { return static_cast<unsigned char>(c) < 0x20; }),
+            0)
+      << text;
+  const json::Value doc = json::parse(text);
+  EXPECT_EQ(doc.at("aggregate").at("failures").array_items.at(0).at("error").as_string(),
+            "bad\tvalue");
+  EXPECT_EQ(doc.at("aggregate").at("counters").at("odd\"name").as_number(), 1.0);
+  EXPECT_NE(doc.at("rates").find("odd\"name_per_sec"), nullptr);
 }
 
 }  // namespace
