@@ -143,6 +143,8 @@ class Parser {
       if (pos_ >= text_.size()) fail("unterminated string");
       char c = text_[pos_++];
       if (c == '"') return out;
+      // RFC 8259 §7: control characters inside a string must be escaped.
+      if (static_cast<unsigned char>(c) < 0x20) fail("unescaped control character in string");
       if (c != '\\') {
         out += c;
         continue;

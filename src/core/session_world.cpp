@@ -1,6 +1,7 @@
 #include "core/session_world.h"
 
 #include <stdexcept>
+#include <utility>
 
 namespace vc::core {
 
@@ -121,7 +122,7 @@ VideoScorer::VideoScorer(int padding, int content_width, int content_height, int
 
 std::optional<media::qoe::VideoQoe> VideoScorer::score(const media::RecordedVideo& recording,
                                                        const media::VideoFeed& content) const {
-  const media::RecordedVideo cropped =
+  media::RecordedVideo cropped =
       media::crop_and_resize(recording, padding_, content_width_, content_height_);
   if (cropped.frames.size() < 12) return std::nullopt;
   std::vector<media::Frame> reference;
@@ -131,13 +132,13 @@ std::optional<media::qoe::VideoQoe> VideoScorer::score(const media::RecordedVide
   }
   const std::int64_t shift =
       media::best_temporal_shift(reference, cropped.frames, /*max_shift=*/10);
-  const auto aligned = media::align_sequences(reference, cropped.frames, shift);
+  auto aligned = media::align_sequences(std::move(reference), std::move(cropped.frames), shift);
   std::vector<media::Frame> ref_sample;
   std::vector<media::Frame> rec_sample;
   for (std::size_t k = 0; k < aligned.reference.size();
        k += static_cast<std::size_t>(metric_stride_)) {
-    ref_sample.push_back(aligned.reference[k]);
-    rec_sample.push_back(aligned.recording[k]);
+    ref_sample.push_back(std::move(aligned.reference[k]));
+    rec_sample.push_back(std::move(aligned.recording[k]));
   }
   if (ref_sample.empty()) return std::nullopt;
   return media::qoe::mean_video_qoe(ref_sample, rec_sample);

@@ -1,6 +1,7 @@
 #include "media/align.h"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "media/qoe/video_metrics.h"
@@ -25,6 +26,17 @@ std::int64_t best_temporal_shift(const std::vector<Frame>& reference,
                                  const std::vector<Frame>& recording, std::int64_t max_shift,
                                  std::int64_t probe_frames) {
   if (reference.empty() || recording.empty()) throw std::invalid_argument{"empty sequence"};
+  if (max_shift < 0) throw std::invalid_argument{"negative max_shift"};
+  if (probe_frames < 1) throw std::invalid_argument{"probe_frames must be >= 1"};
+  // Each probed frame's SSIM window moments, built on first use and shared
+  // by every shift that probes the frame again.
+  std::vector<std::optional<qoe::SsimWindows>> reference_windows(reference.size());
+  std::vector<std::optional<qoe::SsimWindows>> recording_windows(recording.size());
+  const auto windows = [](std::vector<std::optional<qoe::SsimWindows>>& tables,
+                          const std::vector<Frame>& frames, std::size_t k) -> const auto& {
+    if (!tables[k]) tables[k].emplace(frames[k]);
+    return *tables[k];
+  };
   double best = -2.0;
   std::int64_t best_shift = 0;
   for (std::int64_t shift = 0; shift <= max_shift; ++shift) {
@@ -36,8 +48,10 @@ std::int64_t best_temporal_shift(const std::vector<Frame>& reference,
     double acc = 0.0;
     std::int64_t n = 0;
     for (std::int64_t i = 0; i < common; i += stride) {
-      acc += qoe::ssim(reference[static_cast<std::size_t>(i)],
-                       recording[static_cast<std::size_t>(i + shift)]);
+      const auto r = static_cast<std::size_t>(i);
+      const auto d = static_cast<std::size_t>(i + shift);
+      acc += qoe::ssim(reference[r], windows(reference_windows, reference, r), recording[d],
+                       windows(recording_windows, recording, d));
       ++n;
     }
     const double score = acc / static_cast<double>(n);

@@ -22,7 +22,10 @@ RecordedVideo crop_and_resize(const RecordedVideo& recording, int pad, int targe
 
 /// Finds the frame shift (0..max_shift) of `recording` relative to
 /// `reference` that maximizes mean SSIM over up to `probe_frames` sampled
-/// pairs — the "trim so per-frame SSIM is maximized" step.
+/// pairs — the "trim so per-frame SSIM is maximized" step. Throws
+/// std::invalid_argument on an empty sequence, max_shift < 0,
+/// probe_frames < 1, or a probed pair of frames that differ in size or are
+/// smaller than 8×8.
 std::int64_t best_temporal_shift(const std::vector<Frame>& reference,
                                  const std::vector<Frame>& recording, std::int64_t max_shift,
                                  std::int64_t probe_frames = 20);

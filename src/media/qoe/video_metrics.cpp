@@ -82,6 +82,49 @@ DImage downsample2(const DImage& in) {
   return out;
 }
 
+// SSIM windows: 8×8 at stride 2 (dense enough, 4x cheaper than stride 1).
+constexpr int kWin = 8;
+constexpr int kWinStride = 2;
+
+// Σ value(i) over every SSIM window of a w×h plane, where i indexes its
+// pixels, in window order (row by row). Sums along each row come first, one
+// per window column; then each window row adds the two rows entering below
+// the one above it and drops the two leaving at its top. The values are
+// integers, so every sum is exact whatever order it is taken in.
+template <typename Value>
+std::vector<std::int32_t> window_sums(int w, int h, Value value) {
+  if (w < kWin || h < kWin) throw std::invalid_argument{"frame smaller than SSIM window"};
+  const auto cols = static_cast<std::size_t>((w - kWin) / kWinStride + 1);
+  const auto rows = static_cast<std::size_t>((h - kWin) / kWinStride + 1);
+  std::vector<std::int32_t> across(static_cast<std::size_t>(h) * cols);
+  for (std::size_t y = 0; y < static_cast<std::size_t>(h); ++y) {
+    const std::size_t row = y * static_cast<std::size_t>(w);
+    std::int32_t* out = &across[y * cols];
+    std::int32_t s = 0;
+    for (std::size_t x = 0; x < kWin; ++x) s += value(row + x);
+    out[0] = s;
+    for (std::size_t c = 1; c < cols; ++c) {
+      const std::size_t x0 = row + kWinStride * (c - 1);
+      s += value(x0 + kWin) + value(x0 + kWin + 1) - value(x0) - value(x0 + 1);
+      out[c] = s;
+    }
+  }
+  std::vector<std::int32_t> sums(rows * cols);
+  for (std::size_t k = 0; k < kWin; ++k) {
+    for (std::size_t c = 0; c < cols; ++c) sums[c] += across[k * cols + c];
+  }
+  for (std::size_t r = 1; r < rows; ++r) {
+    const std::int32_t* above = &sums[(r - 1) * cols];
+    const std::int32_t* leave = &across[kWinStride * (r - 1) * cols];
+    const std::int32_t* enter = &across[(kWinStride * r + kWin - kWinStride) * cols];
+    std::int32_t* out = &sums[r * cols];
+    for (std::size_t c = 0; c < cols; ++c) {
+      out[c] = above[c] + enter[c] + enter[cols + c] - leave[c] - leave[cols + c];
+    }
+  }
+  return sums;
+}
+
 }  // namespace
 
 double psnr(const Frame& reference, const Frame& distorted, double cap) {
@@ -91,44 +134,54 @@ double psnr(const Frame& reference, const Frame& distorted, double cap) {
   return std::min(cap, 10.0 * std::log10(255.0 * 255.0 / mse));
 }
 
-double ssim(const Frame& reference, const Frame& distorted) {
-  require_same_size(reference, distorted);
-  constexpr int kWin = 8;
-  constexpr double kC1 = (0.01 * 255) * (0.01 * 255);
-  constexpr double kC2 = (0.03 * 255) * (0.03 * 255);
-  const int w = reference.width();
-  const int h = reference.height();
-  if (w < kWin || h < kWin) throw std::invalid_argument{"frame smaller than SSIM window"};
+SsimWindows::SsimWindows(const Frame& frame)
+    : width_(frame.width()),
+      height_(frame.height()),
+      sum_(window_sums(width_, height_,
+                       [px = frame.data()](std::size_t i) { return std::int32_t{px[i]}; })),
+      sum_sq_(window_sums(width_, height_, [px = frame.data()](std::size_t i) {
+        const std::int32_t v = px[i];
+        return v * v;
+      })) {}
 
-  double total = 0.0;
-  std::int64_t windows = 0;
-  for (int y0 = 0; y0 + kWin <= h; y0 += 2) {       // stride 2: dense enough,
-    for (int x0 = 0; x0 + kWin <= w; x0 += 2) {     // 4x cheaper than stride 1
-      double sum_a = 0, sum_b = 0, sum_aa = 0, sum_bb = 0, sum_ab = 0;
-      for (int y = 0; y < kWin; ++y) {
-        for (int x = 0; x < kWin; ++x) {
-          const double a = reference.at(x0 + x, y0 + y);
-          const double b = distorted.at(x0 + x, y0 + y);
-          sum_a += a;
-          sum_b += b;
-          sum_aa += a * a;
-          sum_bb += b * b;
-          sum_ab += a * b;
-        }
-      }
-      constexpr double kN = kWin * kWin;
-      const double mu_a = sum_a / kN;
-      const double mu_b = sum_b / kN;
-      const double var_a = sum_aa / kN - mu_a * mu_a;
-      const double var_b = sum_bb / kN - mu_b * mu_b;
-      const double cov = sum_ab / kN - mu_a * mu_b;
-      const double s = ((2 * mu_a * mu_b + kC1) * (2 * cov + kC2)) /
-                       ((mu_a * mu_a + mu_b * mu_b + kC1) * (var_a + var_b + kC2));
-      total += s;
-      ++windows;
+double ssim(const Frame& reference, const Frame& distorted) {
+  return ssim(reference, SsimWindows{reference}, distorted, SsimWindows{distorted});
+}
+
+double ssim(const Frame& reference, const SsimWindows& reference_windows,
+            const Frame& distorted, const SsimWindows& distorted_windows) {
+  require_same_size(reference, distorted);
+  for (const SsimWindows* t : {&reference_windows, &distorted_windows}) {
+    if (t->width_ != reference.width() || t->height_ != reference.height()) {
+      throw std::invalid_argument{"SSIM window tables must match the frames' size"};
     }
   }
-  return windows > 0 ? total / static_cast<double>(windows) : 0.0;
+  constexpr double kC1 = (0.01 * 255) * (0.01 * 255);
+  constexpr double kC2 = (0.03 * 255) * (0.03 * 255);
+  const std::vector<std::int32_t> sums_ab = window_sums(
+      reference.width(), reference.height(),
+      [a = reference.data(), b = distorted.data()](std::size_t i) {
+        return std::int32_t{a[i]} * std::int32_t{b[i]};
+      });
+
+  double total = 0.0;
+  for (std::size_t i = 0; i < sums_ab.size(); ++i) {  // windows row by row
+    const double sum_a = reference_windows.sum_[i];
+    const double sum_b = distorted_windows.sum_[i];
+    const double sum_aa = reference_windows.sum_sq_[i];
+    const double sum_bb = distorted_windows.sum_sq_[i];
+    const double sum_ab = sums_ab[i];
+    constexpr double kN = kWin * kWin;
+    const double mu_a = sum_a / kN;
+    const double mu_b = sum_b / kN;
+    const double var_a = sum_aa / kN - mu_a * mu_a;
+    const double var_b = sum_bb / kN - mu_b * mu_b;
+    const double cov = sum_ab / kN - mu_a * mu_b;
+    const double s = ((2 * mu_a * mu_b + kC1) * (2 * cov + kC2)) /
+                     ((mu_a * mu_a + mu_b * mu_b + kC1) * (var_a + var_b + kC2));
+    total += s;
+  }
+  return total / static_cast<double>(sums_ab.size());
 }
 
 double vifp(const Frame& reference, const Frame& distorted) {

@@ -4,6 +4,7 @@
 // the mean over frames.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "media/frame.h"
@@ -14,9 +15,34 @@ namespace vc::media::qoe {
 /// caps at a large finite value rather than infinity).
 double psnr(const Frame& reference, const Frame& distorted, double cap = 100.0);
 
-/// Structural similarity index, mean over 8×8 windows, standard constants
-/// (K1=0.01, K2=0.03, L=255). Range (-1, 1], 1 for identical.
+/// One frame's SSIM window moments: Σ and Σ² of the pixels of every 8×8
+/// window on the stride-2 grid, row by row. Every moment is an exact integer
+/// (at most 64·255² < 2^31), so SSIM taken from these tables is bit-identical
+/// to summing each window's pixels. Build once per frame and reuse it for
+/// every pairing of that frame.
+class SsimWindows {
+ public:
+  /// Throws std::invalid_argument if `frame` is smaller than 8×8.
+  explicit SsimWindows(const Frame& frame);
+
+ private:
+  friend double ssim(const Frame&, const SsimWindows&, const Frame&, const SsimWindows&);
+
+  int width_;   // size of the frame the tables were built from
+  int height_;
+  std::vector<std::int32_t> sum_;
+  std::vector<std::int32_t> sum_sq_;
+};
+
+/// Structural similarity index, mean over 8×8 windows at stride 2, standard
+/// constants (K1=0.01, K2=0.03, L=255). Range (-1, 1], 1 for identical.
 double ssim(const Frame& reference, const Frame& distorted);
+
+/// The same score from each frame's window moments; only the Σab moments
+/// are computed here. Throws std::invalid_argument unless both frames and
+/// both tables have one size.
+double ssim(const Frame& reference, const SsimWindows& reference_windows,
+            const Frame& distorted, const SsimWindows& distorted_windows);
 
 /// Pixel-domain Visual Information Fidelity (VIFp): a 4-scale pyramid; at
 /// each scale, mutual-information ratios between perceived reference and

@@ -123,25 +123,6 @@ std::string RunReport::to_json() const {
   return out;
 }
 
-std::string RunReport::to_csv() const {
-  std::string out = "kind,name,count,mean,stddev,min,max,sum\n";
-  auto stats_rows = [&out](const char* kind, const std::map<std::string, RunningStats>& m) {
-    for (const auto& [name, s] : m) {
-      out += std::string(kind) + "," + name + "," + std::to_string(s.count()) + "," +
-             json_num(s.mean()) + "," + json_num(s.stddev()) + "," + json_num(s.min()) + "," +
-             json_num(s.max()) + "," + json_num(s.sum()) + "\n";
-    }
-  };
-  stats_rows("sample", samples);
-  for (const auto& [name, value] : counters) {
-    out += "counter," + name + ",1,,,,," + std::to_string(value) + "\n";
-  }
-  stats_rows("gauge", gauges);
-  stats_rows("gauge_hwm", gauge_hwm);
-  stats_rows("histogram", histograms);
-  return out;
-}
-
 const RunningStats* RunReport::find_sample(const std::string& name) const {
   const auto it = samples.find(name);
   return it == samples.end() ? nullptr : &it->second;

@@ -126,9 +126,6 @@ struct RunReport {
   std::string aggregate_json() const;
   /// Full JSON report: aggregate plus {threads, wall_seconds}.
   std::string to_json() const;
-  /// Flat CSV: kind,name,count,mean,stddev,min,max,sum — counters carry the
-  /// summed value in `sum` with count 1.
-  std::string to_csv() const;
 
   /// Convenience for rendering tables from a report; nullptr if absent.
   const RunningStats* find_sample(const std::string& name) const;

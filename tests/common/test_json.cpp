@@ -149,6 +149,27 @@ TEST(Json, RejectsMalformedDocuments) {
   EXPECT_THROW(parse("nul"), std::runtime_error);
 }
 
+// RFC 8259 §7: U+0000..U+001F must be escaped inside strings; raw, they are
+// a parse error, whether in a value or in an object key. DEL and bytes >= 0x80
+// are not control characters in that sense and pass through.
+TEST(Json, RejectsRawControlCharactersInStrings) {
+  for (int c = 0; c < 0x20; ++c) {
+    const std::string raw(1, static_cast<char>(c));
+    EXPECT_THROW(parse("\"a" + raw + "b\""), std::runtime_error) << c;
+    EXPECT_THROW(parse("{\"k" + raw + "\":1}"), std::runtime_error) << c;
+  }
+  try {
+    parse("[\"ok\",\"tab\there\"]");
+    ADD_FAILURE() << "raw tab accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string{e.what()}.find("at byte 11: unescaped control character"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(parse("\"\x7f\"").string_value, "\x7f");
+  EXPECT_EQ(parse("\"tab\\there\"").string_value, "tab\there");
+}
+
 TEST(Json, AcceptsWhitespaceEverywhere) {
   const Value v = parse(" {\n\t\"a\" :\t[ 1 , 2 ] \r\n} ");
   EXPECT_EQ(v.at("a").array_items.size(), 2u);

@@ -212,5 +212,60 @@ TEST(Align, SequenceTruncation) {
   EXPECT_THROW(align_sequences(ref, rec, -1), std::invalid_argument);
 }
 
+TEST(Align, ShiftSearchRejectsBadArguments) {
+  const std::vector<Frame> frames(12, Frame{16, 16, 9});
+  EXPECT_THROW(best_temporal_shift(frames, frames, 4, 0), std::invalid_argument);
+  EXPECT_THROW(best_temporal_shift(frames, frames, 4, -3), std::invalid_argument);
+  EXPECT_THROW(best_temporal_shift(frames, frames, -1), std::invalid_argument);
+  EXPECT_THROW(best_temporal_shift({}, frames, 4), std::invalid_argument);
+  EXPECT_EQ(best_temporal_shift(frames, frames, 0, 1), 0);
+}
+
+// The window tables are sized by their frame; a mismatched pair must throw
+// before any table is read, whichever side is larger.
+TEST(Align, ShiftSearchRejectsMismatchedFrameSizes) {
+  TourGuideFeed feed{{64, 48, 10.0, 9}};
+  std::vector<Frame> reference;
+  for (int i = 0; i < 30; ++i) reference.push_back(feed.frame_at(i));
+  for (const Frame& odd : {Frame{72, 56, 12}, Frame{56, 40, 12}, Frame{64, 47, 12}}) {
+    std::vector<Frame> recording = reference;
+    recording[5] = odd;  // probed from shift 0 on
+    EXPECT_THROW(best_temporal_shift(reference, recording, 8), std::invalid_argument);
+    EXPECT_THROW(best_temporal_shift(recording, reference, 8), std::invalid_argument);
+  }
+}
+
+TEST(Align, ShiftSearchRejectsFramesBelowTheSsimWindow) {
+  for (const Frame& tiny : {Frame{7, 7, 9}, Frame{8, 7, 9}, Frame{7, 8, 9}}) {
+    const std::vector<Frame> frames(12, tiny);
+    EXPECT_THROW(best_temporal_shift(frames, frames, 4), std::invalid_argument);
+  }
+  EXPECT_THROW(qoe::SsimWindows{Frame{}}, std::invalid_argument);
+}
+
+// Saturated pixels give the largest window moments (64·255² for Σa²); every
+// window of white against black scores C1 / (255² + C1).
+TEST(Ssim, SaturatedFramesMatchTheClosedForm) {
+  constexpr double kC1 = (0.01 * 255) * (0.01 * 255);
+  constexpr double kC2 = (0.03 * 255) * (0.03 * 255);
+  const Frame white{331, 245, 255};
+  const Frame black{331, 245, 0};
+  const double window = (kC1 * kC2) / ((255.0 * 255.0 + kC1) * kC2);
+  EXPECT_NEAR(qoe::ssim(white, black), window, window * 1e-9);  // mean of 19278 windows
+  EXPECT_EQ(qoe::ssim(white, white), 1.0);
+}
+
+TEST(Ssim, WindowTablesMustMatchTheirFrames) {
+  const Frame a = test_image(1);
+  const Frame b = test_image(2);
+  const Frame small{64, 48, 9};
+  const qoe::SsimWindows wa{a};
+  const qoe::SsimWindows wb{b};
+  EXPECT_EQ(qoe::ssim(a, wa, b, wb), qoe::ssim(a, b));
+  EXPECT_THROW(qoe::ssim(a, wa, b, qoe::SsimWindows{small}), std::invalid_argument);
+  EXPECT_THROW(qoe::ssim(a, qoe::SsimWindows{small}, b, wb), std::invalid_argument);
+  EXPECT_THROW(qoe::ssim(a, wa, small, wb), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace vc::media
