@@ -19,9 +19,10 @@
 // vs an armed-but-empty FaultPlan. The two aggregate reports must be
 // byte-identical (exit 1) and best-of-rounds wall clock may not regress
 // below the gate ratio (e.g. --gate 0.98 = "an installed empty plan costs
-// <= 2%", exit 3). Best-of-rounds for the same reason as bench_shard_fanout's
-// trace gate: scheduler noise only ever adds time.
+// <= 2%", exit 3). Best-of-rounds because scheduler noise only ever adds
+// time.
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,7 +82,7 @@ runner::ExperimentRunner::Task gate_task(bool inject) {
     cfg.platform = vcb::all_platforms()[ctx.task_index % 3];
     cfg.seed = ctx.seed;
     cfg.inject = inject;
-    cfg.use_custom_plan = true;  // empty custom plan: arms, schedules nothing
+    cfg.custom_plan.emplace();  // empty custom plan: arms, schedules nothing
     const auto r = core::run_fault_recovery_benchmark(cfg);
     ctx.sample("gate.lags_before", static_cast<double>(r.lags_before_ms.size()));
     vcb::sample_quantiles(ctx, "gate.lag", r.lags_before_ms);
@@ -110,8 +111,7 @@ int main(int argc, char** argv) {
 
   // `--plan FILE` replaces the default relay-crash timeline in every cell
   // with a scripted FaultPlan (see FaultPlan::from_json for the schema).
-  fault::FaultPlan custom_plan;
-  bool use_custom_plan = false;
+  std::optional<fault::FaultPlan> custom_plan;
   if (!plan_path.empty()) {
     std::string text;
     if (!vcb::read_file(plan_path, &text)) {
@@ -124,8 +124,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s: %s\n", plan_path.c_str(), e.what());
       return 2;
     }
-    use_custom_plan = true;
-    std::printf("custom fault plan: %zu event(s) from %s\n", custom_plan.size(),
+    std::printf("custom fault plan: %zu event(s) from %s\n", custom_plan->size(),
                 plan_path.c_str());
   }
 
@@ -170,14 +169,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto task = [&cells, session_duration, &custom_plan,
-                     use_custom_plan](runner::SessionContext& ctx) {
+  const auto task = [&cells, session_duration, &custom_plan](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index];
     core::FaultRecoveryConfig cfg = base_config(session_duration);
     cfg.platform = c.id;
     cfg.outage_duration = c.outage;
     cfg.custom_plan = custom_plan;
-    cfg.use_custom_plan = use_custom_plan;
     cfg.seed = ctx.seed ^ c.platform_seed;
     cfg.metrics = &ctx.metrics;
     cfg.tracer = ctx.tracer;

@@ -17,8 +17,8 @@
 //       first half / best of the second half, on calibration-normalized
 //       times; fails when any leg's drift falls below the ratio *relative
 //       to the median drift across legs* (CI runs --gate 0.80). Best-of-half
-//       rather than medians for the same reason bench_shard_fanout's trace
-//       gate uses best-of-rounds: scheduler noise only ever adds time, so
+//       rather than medians for the same reason vcb::invisibility_gate
+//       uses best-of-rounds: scheduler noise only ever adds time, so
 //       min/min isolates intrinsic drift — a real leak slows even the best
 //       epoch. Relative rather than absolute because sustained co-tenant
 //       load can slow a whole half of the run on a shared machine; that
@@ -186,7 +186,7 @@ LegResult run_fairness_leg() {
 // --- timeline leg: sampler + SLO monitor under metric churn ---------------
 //
 // A synthetic event-loop workload mutates a registry once per simulated
-// millisecond while an enabled MetricsTimeline samples it every 10 ms into a
+// millisecond while a MetricsTimeline samples it every 10 ms into a
 // 64-slot ring (the 4 s run wraps it several times, so base folding is on the
 // digested path) and a HealthMonitor with rules that genuinely fire — and one
 // that stays open until finalize() — watches every snapshot. The digest
@@ -206,7 +206,6 @@ LegResult run_timeline_leg() {
   tcfg.interval = millis(10);
   tcfg.capacity = 64;
   MetricsTimeline timeline{tcfg};
-  timeline.set_enabled(true);
 
   health::HealthMonitor monitor;
   // Triangle-wave gauge crosses 40 every period: repeated begin/end edges,

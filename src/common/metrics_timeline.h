@@ -5,10 +5,9 @@
 // session's registry into a preallocated ring of per-column samples. The
 // design goals mirror vc::Tracer's (DESIGN.md §6):
 //
-//  1. Structurally zero cost when off. arm() on a disabled timeline schedules
-//     nothing at all — same contract as an armed-but-empty fault::FaultPlan —
-//     so the disabled-sampler overhead is gated at ≤2% in CI
-//     (bench_shard_fanout --timeline-gate).
+//  1. Structurally zero cost when off. Off is a null `MetricsTimeline*` in
+//     the session's vc::Instruments: nothing binds or arms it, so no tick is
+//     ever scheduled. A timeline that exists samples once armed.
 //  2. Zero allocation in steady state. Column rings are preallocated when a
 //     column is first discovered; subsequent samples are a pure merge-walk of
 //     the registry's name-sorted maps against the name-sorted column lists.
@@ -98,11 +97,6 @@ class MetricsTimeline {
   MetricsTimeline();
   explicit MetricsTimeline(Config config);
 
-  /// Sampling is off until enabled. arm() on a disabled timeline binds the
-  /// registry but schedules nothing, so the disabled cost is structural zero.
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
   /// Borrowed pointer; nullptr (the default) detaches.
   void set_observer(Observer* observer) { observer_ = observer; }
   Observer* observer() const { return observer_; }
@@ -114,7 +108,7 @@ class MetricsTimeline {
   /// Schedules periodic samples at `origin`, `origin + interval`, ... while
   /// the tick time stays <= `until`. The bound is required: EventLoop::run()
   /// drains the queue, so an unbounded self-rescheduling tick would never
-  /// let the session terminate. No-op (beyond bind) when disabled.
+  /// let the session terminate.
   ///
   /// Templated on the loop type (anything with now()/schedule_at, i.e.
   /// net::EventLoop) so vc_common never links against vc_net; the 16-byte
@@ -123,7 +117,6 @@ class MetricsTimeline {
   template <class Loop>
   void arm(Loop& loop, const MetricsRegistry& registry, SimTime origin, SimTime until) {
     bind(registry);
-    if (!enabled_) return;  // structural zero: nothing scheduled at all
     until_us_ = until.micros();
     if (origin < loop.now()) origin = loop.now();
     if (origin.micros() > until_us_) return;
@@ -192,7 +185,6 @@ class MetricsTimeline {
   void sync_columns();
 
   Config config_;
-  bool enabled_ = false;
   bool finalized_ = false;
   const MetricsRegistry* registry_ = nullptr;
   Observer* observer_ = nullptr;

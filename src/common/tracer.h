@@ -5,7 +5,8 @@
 // counters (a sampled value). The design goals, in order:
 //
 //  1. Zero cost when off. Components hold a `Tracer*` that is nullptr by
-//     default; when attached but disabled, recording is a single load+branch.
+//     default, and off is that null pointer: each record site is one branch
+//     on it. A tracer that exists records.
 //  2. Zero allocation on the hot path. The ring is preallocated; names are
 //     interned `const char*` (string literals, or strings pinned through
 //     `intern()` off the hot path); a record is 32 bytes.
@@ -49,22 +50,13 @@ class Tracer {
 
   explicit Tracer(std::size_t capacity = kDefaultCapacity);
 
-  /// Recording is off until enabled; a disabled tracer's record calls are a
-  /// single branch. (Components treat a null Tracer* the same way, so the
-  /// fully-unattached cost is also one branch.)
-  void set_enabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
   void span(const char* name, SimTime begin, SimTime end, double value = 0.0) {
-    if (!enabled_) return;
     push(name, begin.micros(), (end - begin).micros(), value, Phase::kSpan);
   }
   void instant(const char* name, SimTime at, double value = 0.0) {
-    if (!enabled_) return;
     push(name, at.micros(), 0, value, Phase::kInstant);
   }
   void counter(const char* name, SimTime at, double value) {
-    if (!enabled_) return;
     push(name, at.micros(), 0, value, Phase::kCounter);
   }
 
@@ -88,8 +80,8 @@ class Tracer {
   std::uint64_t instants_recorded() const { return instant_count_; }
   std::uint64_t counters_recorded() const { return counter_count_; }
 
-  /// Forget every record (drop/total counters included); keeps capacity,
-  /// enabled flag, and interned names.
+  /// Forget every record (drop/total counters included); keeps capacity and
+  /// interned names.
   void clear();
 
   /// Calls `fn(const Record&)` for each held record, oldest first.
@@ -134,7 +126,6 @@ class Tracer {
   std::uint64_t span_count_ = 0;
   std::uint64_t instant_count_ = 0;
   std::uint64_t counter_count_ = 0;
-  bool enabled_ = false;
   /// Storage for intern(): deque never relocates elements.
   std::deque<std::string> interned_;
 };

@@ -49,8 +49,8 @@ FaultRecoveryResult run_fault_recovery_benchmark(const FaultRecoveryConfig& conf
   }
 
   fault::FaultPlan timeline;
-  if (config.use_custom_plan) {
-    timeline = config.custom_plan;
+  if (config.custom_plan) {
+    timeline = *config.custom_plan;
   } else {
     timeline.relay_crash(config.outage_start, 0, config.outage_duration);
     if (config.platform == platform::PlatformId::kMeet) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -35,10 +36,9 @@ struct FaultRecoveryConfig {
   SimDuration recovery_grace = seconds(5);
   double fps = 10.0;
   std::uint64_t seed = 1;
-  /// Override the default timeline (crash relay 0 at outage_start for
-  /// outage_duration) with an arbitrary plan.
-  fault::FaultPlan custom_plan;
-  bool use_custom_plan = false;
+  /// Set: replaces the default timeline (crash relay 0 at outage_start for
+  /// outage_duration) with an arbitrary plan, empty included.
+  std::optional<fault::FaultPlan> custom_plan;
   /// false = control run: no plan is armed at all. Paired with an armed
   /// empty plan this is the A side of the ≤2% empty-plan overhead gate.
   bool inject = true;

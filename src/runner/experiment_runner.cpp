@@ -179,7 +179,6 @@ RunReport ExperimentRunner::run(std::size_t n_sessions, const Task& task) const 
       std::unique_ptr<Tracer> tracer;
       if (tracing) {
         tracer = std::make_unique<Tracer>(config_.trace_capacity);
-        tracer->set_enabled(true);
         ctx.tracer = tracer.get();
       }
       std::unique_ptr<MetricsTimeline> timeline;
@@ -187,7 +186,6 @@ RunReport ExperimentRunner::run(std::size_t n_sessions, const Task& task) const 
       if (timelining) {
         timeline = std::make_unique<MetricsTimeline>(
             MetricsTimeline::Config{config_.timeline_interval, config_.timeline_capacity});
-        timeline->set_enabled(true);
         if (!config_.health_rules.empty()) {
           monitor = std::make_unique<health::HealthMonitor>();
           for (const health::SloRule& rule : config_.health_rules) monitor->add_rule(rule);

@@ -145,7 +145,7 @@ class ExperimentRunner {
     std::string trace_dir;
     /// Ring capacity (records) of each per-task Tracer.
     std::size_t trace_capacity = Tracer::kDefaultCapacity;
-    /// Non-empty: hand each task an enabled MetricsTimeline and write one
+    /// Non-empty: hand each task a MetricsTimeline and write one
     /// `<timeline_dir>/<task_index>.timeline.json` per task (the task still
     /// has to arm it on its session loop). Files are keyed by task index, so
     /// a sampled run emits byte-identical files at any thread count.

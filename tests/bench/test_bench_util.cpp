@@ -201,8 +201,8 @@ int rounds_of(std::vector<std::string> args) {
   });
 }
 
-/// A bench main's flag prologue (bench_shard_fanout's flags): read every
-/// flag, then reject whatever is left.
+/// A gate bench main's flag prologue (rounds, two gate ratios, an output
+/// path and --paper): read every flag, then reject whatever is left.
 int prologue_rounds(std::vector<std::string> args) {
   return with_args(std::move(args), [](int argc, char** argv) {
     const int rounds = vcb::int_flag(argc, argv, "--rounds", 7);

@@ -204,7 +204,6 @@ TEST(TimelineRender, ParseDecodesDeltasBackToRegistryTruth) {
   tc.interval = millis(500);
   tc.capacity = 4;  // force a wrap so decode crosses a folded base
   MetricsTimeline tl{tc};
-  tl.set_enabled(true);
   tl.bind(reg);
   std::vector<double> truth;
   for (int i = 0; i < 9; ++i) {
@@ -236,7 +235,6 @@ TEST(TimelineRender, HealthSectionAndSparklinesRender) {
   tc.interval = seconds(1);
   tc.capacity = 32;
   MetricsTimeline tl{tc};
-  tl.set_enabled(true);
   tl.bind(reg);
   health::HealthMonitor monitor;
   health::SloRule rule;

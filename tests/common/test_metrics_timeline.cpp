@@ -1,6 +1,6 @@
 // MetricsTimeline unit tests: delta encoding round-trips exactly, ring wrap
 // folds evicted deltas into the base, columns stay byte-wise name-sorted
-// (including mid-run discovery), the disabled sampler schedules nothing, and
+// (including mid-run discovery), the armed tick stops at its bound, and
 // to_json() is deterministic for identically-driven timelines.
 #include <gtest/gtest.h>
 
@@ -41,7 +41,6 @@ TEST(MetricsTimeline, CounterDeltaRoundTrip) {
   MetricsRegistry reg;
   auto& c = reg.counter("work");
   MetricsTimeline tl{small_config(16)};
-  tl.set_enabled(true);
   tl.bind(reg);
 
   std::vector<std::int64_t> truth;
@@ -62,7 +61,6 @@ TEST(MetricsTimeline, RingWrapFoldsEvictedDeltasIntoBase) {
   MetricsRegistry reg;
   auto& c = reg.counter("work");
   MetricsTimeline tl{small_config(4)};
-  tl.set_enabled(true);
   tl.bind(reg);
 
   std::vector<std::int64_t> truth;
@@ -89,7 +87,6 @@ TEST(MetricsTimeline, HistogramCountDeltaAlsoFoldsOnWrap) {
   MetricsRegistry reg;
   auto& h = reg.histogram("lat");
   MetricsTimeline tl{small_config(3)};
-  tl.set_enabled(true);
   tl.bind(reg);
   for (int i = 0; i < 8; ++i) {
     for (int k = 0; k <= i; ++k) h.observe(static_cast<double>(k));
@@ -113,7 +110,6 @@ TEST(MetricsTimeline, ColumnsStayNameSortedWithMidRunDiscovery) {
   reg.counter("zeta").inc();
   reg.counter("alpha").inc();
   MetricsTimeline tl{small_config(8)};
-  tl.set_enabled(true);
   tl.bind(reg);
   tl.sample_now(SimTime{0});
   tl.sample_now(SimTime{1'000'000});
@@ -137,7 +133,6 @@ TEST(MetricsTimeline, GaugeColumnRecordsRawValuesAndRegistryTracksHwm) {
   MetricsRegistry reg;
   auto& g = reg.gauge("depth");
   MetricsTimeline tl{small_config(8)};
-  tl.set_enabled(true);
   tl.bind(reg);
   for (int i = 0; i < 4; ++i) {
     g.set(i == 2 ? 9.0 : static_cast<double>(i));
@@ -152,26 +147,11 @@ TEST(MetricsTimeline, GaugeColumnRecordsRawValuesAndRegistryTracksHwm) {
   EXPECT_EQ(g.max(), 9.0);
 }
 
-TEST(MetricsTimeline, DisabledArmSchedulesNothing) {
-  net::EventLoop loop;
-  MetricsRegistry reg;
-  reg.counter("work").inc();
-  MetricsTimeline tl{small_config(8)};  // enabled_ defaults to false
-  tl.arm(loop, reg, SimTime::zero(), SimTime::zero() + seconds(10));
-  EXPECT_EQ(loop.pending(), 0u);
-  loop.run();
-  EXPECT_EQ(tl.total_samples(), 0u);
-  // But the registry is bound: manual sampling still works (test-drive path).
-  tl.sample_now(SimTime{0});
-  EXPECT_EQ(tl.total_samples(), 1u);
-}
-
 TEST(MetricsTimeline, ArmedTickSamplesPeriodicallyAndStopsAtBound) {
   net::EventLoop loop;
   MetricsRegistry reg;
   auto* c = &reg.counter("work");
   MetricsTimeline tl{small_config(64)};
-  tl.set_enabled(true);
   tl.arm(loop, reg, SimTime::zero(), SimTime::zero() + seconds(5));
   for (int i = 0; i < 50; ++i) {
     loop.schedule_at(SimTime{i * 100'000}, [c] { c->inc(); });
@@ -191,7 +171,6 @@ TEST(MetricsTimeline, ToJsonIsDeterministicAndCarriesAccounting) {
     auto& g = reg.gauge("a.depth");
     auto& h = reg.histogram("c.lat");
     MetricsTimeline tl{small_config(4)};
-    tl.set_enabled(true);
     tl.bind(reg);
     for (int i = 0; i < 7; ++i) {
       c.add(3);
@@ -224,7 +203,6 @@ TEST(MetricsTimeline, FinalizeIsIdempotentAndNotifiesObserverOnce) {
   MetricsRegistry reg;
   reg.counter("x").inc();
   MetricsTimeline tl{small_config(8)};
-  tl.set_enabled(true);
   tl.bind(reg);
   CountingObserver obs;
   tl.set_observer(&obs);

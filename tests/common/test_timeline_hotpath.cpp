@@ -63,7 +63,6 @@ TEST(TimelineHotPath, SteadyStateSamplingIsAllocationFree) {
   auto& g0 = reg.gauge("c.depth");
   auto& h0 = reg.histogram("d.lat");
   MetricsTimeline tl{tiny_config()};
-  tl.set_enabled(true);
   tl.bind(reg);
 
   // Warm-up: discover every column, fill the ring, and wrap it once so the
@@ -95,7 +94,6 @@ TEST(TimelineHotPath, ArmedTickReusesItsEventSlot) {
   MetricsRegistry reg;
   auto* c = &reg.counter("work");
   MetricsTimeline tl{tiny_config()};
-  tl.set_enabled(true);
 
   // Warm-up leg: arm and drain once so the loop's slab chunk, heap storage
   // (two concurrent events: the tick plus a user event, same as the measured
@@ -119,7 +117,6 @@ TEST(TimelineHotPath, HealthEdgesBelowReserveAreAllocationFree) {
   MetricsRegistry reg;
   auto& depth = reg.gauge("depth");
   MetricsTimeline tl{tiny_config()};
-  tl.set_enabled(true);
   tl.bind(reg);
   health::HealthMonitor monitor;
   health::SloRule rule;

@@ -10,19 +10,8 @@
 namespace vc {
 namespace {
 
-TEST(Tracer, DisabledRecordsNothing) {
-  Tracer tracer{8};
-  tracer.span("a", SimTime{10}, SimTime{20});
-  tracer.instant("b", SimTime{30});
-  tracer.counter("c", SimTime{40}, 1.0);
-  EXPECT_EQ(tracer.recorded(), 0u);
-  EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_EQ(tracer.dropped(), 0u);
-}
-
 TEST(Tracer, RecordsAllThreePhases) {
   Tracer tracer{8};
-  tracer.set_enabled(true);
   tracer.span("span", SimTime{10}, SimTime{25}, 3.0);
   tracer.instant("instant", SimTime{30}, 7.0);
   tracer.counter("counter", SimTime{40}, 11.0);
@@ -45,7 +34,6 @@ TEST(Tracer, RecordsAllThreePhases) {
 
 TEST(Tracer, RingWrapKeepsLatestWindowAndCountsDrops) {
   Tracer tracer{4};
-  tracer.set_enabled(true);
   for (int i = 0; i < 10; ++i) {
     tracer.instant("e", SimTime{i});
   }
@@ -60,7 +48,6 @@ TEST(Tracer, RingWrapKeepsLatestWindowAndCountsDrops) {
 
 TEST(Tracer, NestedSpansKeepCompletionOrder) {
   Tracer tracer{8};
-  tracer.set_enabled(true);
   // An inner activity finishes (and records) before its enclosing one, as
   // instrumented code does; both survive with their own begin/duration.
   tracer.span("inner", SimTime{110}, SimTime{120});
@@ -77,21 +64,18 @@ TEST(Tracer, NestedSpansKeepCompletionOrder) {
 
 TEST(Tracer, ClearForgetsRecordsAndDrops) {
   Tracer tracer{2};
-  tracer.set_enabled(true);
   for (int i = 0; i < 5; ++i) tracer.instant("e", SimTime{i});
   EXPECT_GT(tracer.dropped(), 0u);
   tracer.clear();
   EXPECT_EQ(tracer.recorded(), 0u);
   EXPECT_EQ(tracer.dropped(), 0u);
   EXPECT_EQ(tracer.size(), 0u);
-  EXPECT_TRUE(tracer.enabled());
   tracer.instant("e", SimTime{42});
   EXPECT_EQ(tracer.size(), 1u);
 }
 
 TEST(Tracer, InternPinsDynamicNames) {
   Tracer tracer{4};
-  tracer.set_enabled(true);
   std::string dynamic = "net.link.";
   dynamic += "host-a";
   const char* pinned = tracer.intern(dynamic);
@@ -103,7 +87,6 @@ TEST(Tracer, InternPinsDynamicNames) {
 
 TEST(Tracer, JsonEscapesHostileNames) {
   Tracer tracer{4};
-  tracer.set_enabled(true);
   const char* name = tracer.intern("quote\" slash\\ newline\n tab\t ctrl\x01");
   tracer.instant(name, SimTime{1});
   const std::string out = tracer.to_chrome_json();
@@ -120,7 +103,6 @@ TEST(Tracer, JsonEscapesHostileNames) {
 
 TEST(Tracer, ChromeJsonSchema) {
   Tracer tracer{16};
-  tracer.set_enabled(true);
   tracer.span("work", SimTime{100}, SimTime{350}, 2.0);
   tracer.instant("mark", SimTime{400}, 1.0);
   tracer.counter("depth", SimTime{500}, 9.0);
@@ -151,7 +133,6 @@ TEST(Tracer, ChromeJsonSchema) {
 
 TEST(Tracer, ChromeJsonReportsDrops) {
   Tracer tracer{2};
-  tracer.set_enabled(true);
   for (int i = 0; i < 7; ++i) tracer.instant("e", SimTime{i});
   const json::Value root = json::parse(tracer.to_chrome_json());
   EXPECT_EQ(root.at("otherData").at("dropped_records").number_value, 5.0);

@@ -7,6 +7,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <tuple>
 
 #include "core/session_world.h"
 
@@ -19,8 +20,17 @@ struct TwoPartyRun {
   std::int64_t packets_sent = 0;
 };
 
-/// A Webex two-party call (always relayed) with a real pixel encode.
-TwoPartyRun run_two_party(Instruments instruments) {
+/// Every Stats field, comparable and printable as one value.
+auto stats_fields(const client::VcaClient::Stats& s) {
+  return std::tie(s.video_frames_sent, s.video_frames_completed, s.video_frames_lost,
+                  s.audio_frames_sent, s.audio_frames_received, s.loss_reports_sent,
+                  s.probe_replies, s.abr_decisions, s.abr_tier_switches);
+}
+
+/// A Webex two-party call (always relayed) with a real pixel encode; a
+/// timeline in `instruments` samples over [0, timeline_horizon].
+TwoPartyRun run_two_party(Instruments instruments,
+                          SimDuration timeline_horizon = SimDuration::zero()) {
   SessionWorld world{5, instruments};
   world.add_platform(platform::PlatformId::kWebex, 5);
   net::Host& host_vm = world.vm("US-East", 0);
@@ -44,7 +54,7 @@ TwoPartyRun run_two_party(Instruments instruments) {
   plan.media_duration = seconds(3);
   plan.on_all_joined = [&] { feeder.play_video(feed, seconds(3)); };
   world.orchestrate(std::move(plan));
-  world.run();
+  world.run(timeline_horizon);
   return TwoPartyRun{host.stats(), receiver.stats(), world.network().stats().packets_sent};
 }
 
@@ -70,7 +80,6 @@ TEST(SessionWorld, VmsDisambiguateRepeatedSitesLikeAHandBuiltBed) {
 TEST(SessionWorld, WiresNetworkRelaysAndCodecsToTheInstruments) {
   MetricsRegistry metrics;
   Tracer tracer{1u << 18};
-  tracer.set_enabled(true);
   run_two_party({&metrics, &tracer});
 
   EXPECT_GT(metrics.counter("net.loop.events_executed").value(), 0);
@@ -96,7 +105,6 @@ TEST(SessionWorld, WiresNetworkRelaysAndCodecsToTheInstruments) {
 TEST(SessionWorld, HandBuiltWorldTakesInstrumentsFromItsNetwork) {
   MetricsRegistry metrics;
   Tracer tracer{1u << 18};
-  tracer.set_enabled(true);
   testbed::CloudTestbed bed{testbed::CloudTestbed::Config{.seed = 5}, {&metrics, &tracer}};
   const auto platform =
       platform::make_platform(platform::PlatformId::kWebex, bed.network(), 5);
@@ -175,6 +183,19 @@ TEST(SessionWorld, EmptyInstrumentsRegisterNothingAndObserveOnly) {
   EXPECT_EQ(wired.host.video_frames_sent, bare.host.video_frames_sent);
   EXPECT_EQ(wired.receiver.video_frames_completed, bare.receiver.video_frames_completed);
   EXPECT_EQ(wired.packets_sent, bare.packets_sent);
+
+  // All three attached, the sampler armed past the end of the call: the
+  // tracer records and the timeline samples, and the call is still the same.
+  MetricsRegistry all_metrics;
+  Tracer tracer{1u << 18};
+  MetricsTimeline timeline{MetricsTimeline::Config{millis(50), 256}};
+  const TwoPartyRun all = run_two_party(
+      {.metrics = &all_metrics, .tracer = &tracer, .timeline = &timeline}, seconds(10));
+  EXPECT_GT(tracer.recorded(), 0u);
+  EXPECT_EQ(timeline.total_samples(), 201u);  // every 50 ms over [0, 10 s]
+  EXPECT_EQ(stats_fields(all.host), stats_fields(bare.host));
+  EXPECT_EQ(stats_fields(all.receiver), stats_fields(bare.receiver));
+  EXPECT_EQ(all.packets_sent, bare.packets_sent);
 }
 
 TEST(VideoScorer, RejectsNonPositiveStride) {

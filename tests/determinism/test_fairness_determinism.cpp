@@ -45,7 +45,7 @@ std::string run_fairness(std::size_t threads) {
   return report.aggregate_json();
 }
 
-TEST(FairnessDeterminism, AdaptingContentionSceneIdenticalAcrossThreadsAndShards) {
+TEST(FairnessDeterminism, AdaptingContentionSceneIdenticalAcrossThreads) {
   const std::string base = run_fairness(1);
   // ABR actually engaged: the adapters made decisions in every task.
   const std::size_t key = base.find("flow0.decisions");

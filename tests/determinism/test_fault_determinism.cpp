@@ -73,7 +73,7 @@ FaultedRun run_faulted(std::size_t threads, const std::string& tag) {
   return out;
 }
 
-TEST(FaultDeterminism, FaultedSessionIdenticalAcrossThreadsAndShards) {
+TEST(FaultDeterminism, FaultedSessionIdenticalAcrossThreads) {
   const FaultedRun base = run_faulted(1, "t1");
   ASSERT_EQ(base.trace_files.size(), kTasks);
   // The crash/recovery chain reached the aggregate report's counters. (The

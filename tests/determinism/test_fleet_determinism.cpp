@@ -72,7 +72,7 @@ TEST(FleetDeterminism, CityRegistryRecordsNetworkAndCodec) {
   EXPECT_GT(metrics.counter("codec.video.frames_encoded").value(), 0);
 }
 
-TEST(FleetDeterminism, IdenticalAcrossThreadsShardsAndFleetSizes) {
+TEST(FleetDeterminism, IdenticalAcrossThreadsAndFleetSizes) {
   for (const int fleet_size : {1, 2, 4}) {
     SCOPED_TRACE("fleet_size=" + std::to_string(fleet_size));
     const std::string base = run_city(1, fleet_size, false);
@@ -82,7 +82,7 @@ TEST(FleetDeterminism, IdenticalAcrossThreadsShardsAndFleetSizes) {
   }
 }
 
-TEST(FleetDeterminism, CrashFailoverSceneIdenticalAcrossThreadsAndShards) {
+TEST(FleetDeterminism, CrashFailoverSceneIdenticalAcrossThreads) {
   const std::string base = run_city(1, /*fleet_size=*/2, /*crash=*/true);
   // The outage bit and the fleet's failover machinery ran.
   EXPECT_NE(base.find("client.reconnects"), std::string::npos);

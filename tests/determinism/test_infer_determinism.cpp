@@ -58,7 +58,7 @@ std::string run_sweep(std::size_t threads) {
   return report.aggregate_json();
 }
 
-TEST(InferDeterminism, IdenticalAcrossThreadsAndShards) {
+TEST(InferDeterminism, IdenticalAcrossThreads) {
   const std::string base = run_sweep(1);
   EXPECT_NE(base.find("report_digest"), std::string::npos);
   EXPECT_EQ(run_sweep(8), base) << "report drifted at threads=8";

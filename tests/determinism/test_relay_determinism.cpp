@@ -161,7 +161,7 @@ std::string run_canonical_session(double jitter_mean_ms) {
   return out.str();
 }
 
-TEST(ShardDeterminism, RepeatedRunsAreReproducible) {
+TEST(RelayDeterminism, RepeatedRunsAreReproducible) {
   const std::string first = run_canonical_session(2.0);
   ASSERT_FALSE(first.empty());
   EXPECT_EQ(run_canonical_session(2.0), first);
@@ -173,7 +173,7 @@ std::string golden_path() {
   return std::string{VC_DETERMINISM_GOLDEN_DIR} + "/canonical_session.txt";
 }
 
-TEST(ShardDeterminism, CanonicalSessionMatchesGoldenFile) {
+TEST(RelayDeterminism, CanonicalSessionMatchesGoldenFile) {
   // Zero jitter keeps the transcript free of libm-derived values, so this
   // golden is portable across toolchains. Regenerate after an intentional
   // relay semantic change with:  VC_UPDATE_GOLDEN=1 ctest -R Golden
@@ -213,7 +213,7 @@ std::string scale_report_json(std::size_t threads) {
   return report.aggregate_json();
 }
 
-TEST(ShardDeterminism, PlatformSessionReportIdenticalAcrossThreads) {
+TEST(RelayDeterminism, PlatformSessionReportIdenticalAcrossThreads) {
   // End-to-end: platform → RelayAllocator → relay, compared through the
   // runner's deterministic aggregate report.
   const std::string serial = scale_report_json(1);

@@ -102,7 +102,7 @@ SampledRun run_sampled(std::size_t threads, const std::string& tag) {
   return out;
 }
 
-TEST(TimelineDeterminism, SampledSessionIdenticalAcrossThreadsAndShards) {
+TEST(TimelineDeterminism, SampledSessionIdenticalAcrossThreads) {
   const SampledRun base = run_sampled(1, "t1");
   ASSERT_EQ(base.timeline_files.size(), kTasks);
   // The files carry both sections, and the breach edges made it in.

@@ -69,7 +69,7 @@ TracedRun run_traced(std::size_t threads, const std::string& tag) {
   return out;
 }
 
-TEST(TraceDeterminism, TraceFilesAndReportsIdenticalAcrossThreadsAndShards) {
+TEST(TraceDeterminism, TraceFilesAndReportsIdenticalAcrossThreads) {
   const TracedRun base = run_traced(1, "t1");
   ASSERT_EQ(base.trace_files.size(), kTasks);
 

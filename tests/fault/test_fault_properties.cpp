@@ -59,7 +59,6 @@ std::string faulted_report_json(std::size_t threads, const FaultPlan& plan, bool
         cfg.outage_start = seconds(5);
         cfg.outage_duration = seconds(2);
         cfg.seed = ctx.seed;
-        cfg.use_custom_plan = true;
         cfg.custom_plan = plan;
         cfg.inject = inject;
         cfg.metrics = &ctx.metrics;

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -64,13 +65,29 @@ TEST(FaultRecovery, ControlRunSeesNoFault) {
   EXPECT_FALSE(r.lags_before_ms.empty());
 }
 
+std::vector<std::string> counter_names(const MetricsRegistry& metrics) {
+  std::vector<std::string> names;
+  for (const auto& [name, counter] : metrics.counters()) names.push_back(name);
+  return names;
+}
+
 TEST(FaultRecovery, ArmedEmptyPlanIsIndistinguishableFromNoPlan) {
   FaultRecoveryConfig cfg = quick_config(platform::PlatformId::kZoom);
+  MetricsRegistry no_plan_metrics;
   cfg.inject = false;
+  cfg.metrics = &no_plan_metrics;
   const FaultRecoveryResult no_plan = run_fault_recovery_benchmark(cfg);
+  MetricsRegistry empty_plan_metrics;
   cfg.inject = true;
-  cfg.use_custom_plan = true;  // empty custom plan: armed, schedules nothing
+  cfg.custom_plan.emplace();  // empty custom plan: armed, schedules nothing
+  cfg.metrics = &empty_plan_metrics;
   const FaultRecoveryResult empty_plan = run_fault_recovery_benchmark(cfg);
+  // The deterministic half of the empty-plan cost contract: the armed plan
+  // schedules no event and registers no instrument.
+  EXPECT_GT(no_plan_metrics.counter("net.loop.events_executed").value(), 0);
+  EXPECT_EQ(empty_plan_metrics.counter("net.loop.events_executed").value(),
+            no_plan_metrics.counter("net.loop.events_executed").value());
+  EXPECT_EQ(counter_names(empty_plan_metrics), counter_names(no_plan_metrics));
   EXPECT_EQ(empty_plan.disconnects, no_plan.disconnects);
   EXPECT_EQ(empty_plan.lags_before_ms, no_plan.lags_before_ms);
   EXPECT_EQ(empty_plan.lags_during_ms, no_plan.lags_during_ms);
@@ -91,11 +108,10 @@ TEST(FaultRecovery, SameSeedIsReproducible) {
 
 TEST(FaultRecovery, CustomPlanOverridesTheDefaultTimeline) {
   FaultRecoveryConfig cfg = quick_config(platform::PlatformId::kZoom);
-  cfg.use_custom_plan = true;
   // Outage on one participant's ingress link instead of a relay crash: no
   // client is ever told its relay died, so no reconnect cycle runs — the
   // fault only starves that receiver's during-phase flashes.
-  cfg.custom_plan.link_outage(cfg.outage_start, "US-West", cfg.outage_duration);
+  cfg.custom_plan.emplace().link_outage(cfg.outage_start, "US-West", cfg.outage_duration);
   const FaultRecoveryResult r = run_fault_recovery_benchmark(cfg);
   EXPECT_EQ(r.disconnects, 0);
   EXPECT_EQ(r.reconnects, 0);
@@ -110,10 +126,8 @@ TEST(FaultRecovery, RelayThatNeverReturnsExhaustsTheBackoffAndGivesUp) {
   // the attempt budget and the jitter draws for seed 11.
   FaultRecoveryConfig cfg = quick_config(platform::PlatformId::kZoom);
   cfg.session_duration = seconds(180);
-  cfg.use_custom_plan = true;
-  cfg.custom_plan.relay_crash(cfg.outage_start, 0, seconds(600));
+  cfg.custom_plan.emplace().relay_crash(cfg.outage_start, 0, seconds(600));
   Tracer tracer{1u << 18};
-  tracer.set_enabled(true);
   cfg.tracer = &tracer;
   const FaultRecoveryResult r = run_fault_recovery_benchmark(cfg);
   EXPECT_EQ(r.clients, 3);

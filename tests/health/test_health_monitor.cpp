@@ -41,7 +41,6 @@ struct Rig {
     c.interval = seconds(1);
     c.capacity = 32;
     timeline = MetricsTimeline{c};
-    timeline.set_enabled(true);
     timeline.bind(reg);
     depth = &reg.gauge("depth");
   }
@@ -141,7 +140,6 @@ TEST(HealthMonitor, DeltaFieldWatchesPerSampleChange) {
   c.interval = seconds(1);
   c.capacity = 8;
   MetricsTimeline tl{c};
-  tl.set_enabled(true);
   tl.bind(reg);
   auto& drops = reg.counter("drops");
   HealthMonitor monitor;
@@ -245,7 +243,6 @@ TEST(HealthMonitor, ArmedEmptyMonitorLeavesTimelineBytesIdentical) {
     c.interval = seconds(1);
     c.capacity = 8;
     MetricsTimeline tl{c};
-    tl.set_enabled(true);
     tl.bind(reg);
     HealthMonitor monitor;  // zero rules
     if (with_monitor) {
@@ -269,7 +266,6 @@ TEST(HealthMonitor, ArmedEmptyMonitorLeavesTimelineBytesIdentical) {
 
 TEST(HealthMonitor, BreachEdgesLandInTracer) {
   Tracer tracer{256};
-  tracer.set_enabled(true);
   Rig rig;
   rig.monitor.add_rule(depth_rule());
   rig.monitor.bind(&rig.reg, &tracer);

@@ -24,7 +24,7 @@
 set -euo pipefail
 
 # Gate binaries: they write no runner report.
-readonly SKIP=" bench_codec_speed bench_soak bench_shard_fanout "
+readonly SKIP=" bench_codec_speed bench_soak "
 
 usage() {
   echo "usage: $0 run BUILD OUT | examples BUILD OUT | compare A B" >&2
