@@ -54,9 +54,7 @@ std::vector<std::string> split_csv(const std::string& s) {
 }
 
 platform::PlatformId parse_platform(const std::string& name) {
-  if (name == "zoom") return platform::PlatformId::kZoom;
-  if (name == "webex") return platform::PlatformId::kWebex;
-  if (name == "meet") return platform::PlatformId::kMeet;
+  if (const auto id = platform::platform_from_name(name)) return *id;
   std::fprintf(stderr, "unknown platform %s (zoom|webex|meet)\n", name.c_str());
   std::exit(2);
 }

@@ -10,14 +10,6 @@
 // The sweep runs on runner::ExperimentRunner once at 1 thread and once at 8;
 // the aggregate reports must be bit-identical — ABR active included (exit 1
 // on any mismatch).
-//
-// `--gate <ratio>` switches to the ABR-off invisibility check CI's
-// perf-smoke job runs: interleaved A/B rounds of the same contention scene,
-// A with ABR fully disabled (the pre-PR client path, byte for byte) and B
-// with every adapter armed in shadow mode plus receiver feedback accounting
-// on. The two aggregate reports must be byte-identical (exit 1) and
-// best-of-rounds wall clock may not regress below the gate ratio (e.g.
-// --gate 0.98 = "armed shadow machinery costs <= 2%", exit 3).
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -73,37 +65,13 @@ void sample_session(runner::SessionContext& ctx, const std::string& key,
   }
 }
 
-/// ABR-off invisibility gate session (CI perf-smoke): off = ABR fully
-/// disabled, armed = shadow-armed adapters + feedback accounting.
-runner::ExperimentRunner::Task gate_task(bool armed) {
-  return [armed](runner::SessionContext& ctx) {
-    Cell cell{3, armed, "gate"};
-    core::FairnessBenchmarkConfig cfg = cell_config(cell, seconds(10));
-    cfg.abr_shadow = true;  // armed adapters never apply their decisions
-    const auto r = core::run_fairness_session(cfg, ctx.seed);
-    ctx.sample("gate.jain", r.jain_index);
-    ctx.sample("gate.utilization", r.utilization);
-    ctx.sample("gate.queue_ms", r.queue_delay_mean_ms);
-    ctx.sample("gate.drop", r.drop_fraction);
-    for (std::size_t i = 0; i < r.flows.size(); ++i) {
-      ctx.sample("gate.flow" + std::to_string(i) + ".kbps", r.flows[i].achieved_kbps);
-    }
-  };
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const bool paper = vcb::paper_scale(argc, argv);
-  const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
-  const int rounds = vcb::int_flag(argc, argv, "--rounds", 5);
   const std::string out_path =
       vcb::flag_string(argc, argv, "--out", "bench_fairness.report.json");
   vcb::reject_unread_flags(argc, argv);
-  if (gate > 0.0) {
-    return vcb::invisibility_gate("fairness_gate", gate_task, /*n=*/3, /*base_seed=*/6161,
-                                  rounds, gate).finish(out_path);
-  }
 
   vcb::banner("Competing-flow fairness — shared bottleneck, client ABR vs platform policy",
               paper);

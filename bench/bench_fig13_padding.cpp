@@ -36,19 +36,6 @@ struct PaddingResult {
   media::qoe::VideoQoe naive;         // UI occlusion inside the scored area
 };
 
-media::qoe::VideoQoe mean_qoe(const media::AlignedPair& pair) {
-  media::qoe::VideoQoe acc;
-  int n = 0;
-  for (std::size_t k = 0; k < pair.reference.size(); k += 4) {
-    const auto q = media::qoe::video_qoe(pair.reference[k], pair.recording[k]);
-    acc.psnr += q.psnr;
-    acc.ssim += q.ssim;
-    acc.vifp += q.vifp;
-    ++n;
-  }
-  return media::qoe::VideoQoe{acc.psnr / n, acc.ssim / n, acc.vifp / n};
-}
-
 PaddingResult run_padding_session(std::uint64_t seed, SimDuration duration) {
   core::SessionWorld world{seed};
   world.add_platform(platform::PlatformId::kZoom);
@@ -92,7 +79,7 @@ PaddingResult run_padding_session(std::uint64_t seed, SimDuration duration) {
     content_ref.push_back(content->frame_at(static_cast<std::int64_t>(k)));
   }
   const auto shift_a = media::best_temporal_shift(content_ref, cropped.frames, 10);
-  const auto aligned_a = media::align_sequences(content_ref, cropped.frames, shift_a);
+  const auto padded_qoe = media::qoe::mean_video_qoe(content_ref, cropped.frames, shift_a, 4);
 
   // (b) Naive: score the full recorded screen (widgets and all) against the
   // injected padded frames.
@@ -101,9 +88,10 @@ PaddingResult run_padding_session(std::uint64_t seed, SimDuration duration) {
     padded_ref.push_back(padded->frame_at(static_cast<std::int64_t>(k)));
   }
   const auto shift_b = media::best_temporal_shift(padded_ref, recorder.video().frames, 10);
-  const auto aligned_b = media::align_sequences(padded_ref, recorder.video().frames, shift_b);
+  const auto naive_qoe =
+      media::qoe::mean_video_qoe(padded_ref, recorder.video().frames, shift_b, 4);
 
-  return PaddingResult{mean_qoe(aligned_a), mean_qoe(aligned_b)};
+  return PaddingResult{padded_qoe, naive_qoe};
 }
 
 }  // namespace

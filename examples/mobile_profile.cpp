@@ -13,20 +13,21 @@
 
 int main(int argc, char** argv) {
   using namespace vc;
-  const std::string arg = argc > 1 ? argv[1] : "zoom";
-  platform::PlatformId id = platform::PlatformId::kZoom;
-  if (arg == "webex") id = platform::PlatformId::kWebex;
-  if (arg == "meet") id = platform::PlatformId::kMeet;
+  const auto id = platform::platform_from_name(argc > 1 ? argv[1] : "zoom");
+  if (!id) {
+    std::fprintf(stderr, "mobile_profile: unknown platform '%s' (zoom|webex|meet)\n", argv[1]);
+    return 2;
+  }
 
   std::printf("mobile cost profile: %s (S10 high-end / J3 low-end, residential WiFi)\n\n",
-              std::string(platform_name(id)).c_str());
+              std::string(platform_name(*id)).c_str());
   TextTable table{{"scenario", "S10 CPU med (%)", "J3 CPU med (%)", "GB/hour (S10)",
                    "battery %/h (J3)", "hours on a full J3 charge"}};
   for (const auto scenario :
        {mobile::MobileScenario::kLM, mobile::MobileScenario::kHM, mobile::MobileScenario::kLMView,
         mobile::MobileScenario::kLMVideoView, mobile::MobileScenario::kLMOff}) {
     core::MobileBenchmarkConfig cfg;
-    cfg.platform = id;
+    cfg.platform = *id;
     cfg.scenario = scenario;
     cfg.duration = seconds(45);
     // Two repetitions, each its own world, pooled per device.

@@ -5,20 +5,42 @@
 //   ./qoe_shootout [N] [low|high] [cap_kbps]
 //
 // With a cap, runs the two-party bandwidth-constrained variant instead
-// (Section 4.4); without, the N-receiver QoE experiment (Section 4.3).
+// (Section 4.4); without, the N-receiver QoE experiment (Section 4.3). A
+// malformed argument exits 2 before anything runs.
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/vcbench.h"
 
+namespace {
+
+/// Reads all of `text` as a T; false on a malformed or partial number.
+template <typename T>
+bool read_number(const char* text, T& value) {
+  const char* end = text + std::strlen(text);
+  const auto [last, ec] = std::from_chars(text, end, value);
+  return ec == std::errc{} && last == end;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   using namespace vc;
-  const int n = argc > 1 ? std::atoi(argv[1]) : 2;
-  const bool high_motion = argc > 2 && std::string(argv[2]) == "high";
-  const double cap_kbps = argc > 3 ? std::atof(argv[3]) : 0.0;
+  int n = 2;
+  const std::string motion_name = argc > 2 ? argv[2] : "low";
+  double cap_kbps = 0.0;
+  if ((argc > 1 && (!read_number(argv[1], n) || n < 1 || n > 5)) ||
+      (motion_name != "low" && motion_name != "high") ||
+      (argc > 3 && (!read_number(argv[3], cap_kbps) || !std::isfinite(cap_kbps) || cap_kbps < 0))) {
+    std::fprintf(stderr, "usage: qoe_shootout [N in 1..5] [low|high] [cap_kbps >= 0]\n");
+    return 2;
+  }
+  const bool high_motion = motion_name == "high";
   const auto motion =
       high_motion ? platform::MotionClass::kHighMotion : platform::MotionClass::kLowMotion;
 

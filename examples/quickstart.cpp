@@ -10,29 +10,22 @@
 #include "common/table.h"
 #include "core/vcbench.h"
 
-namespace {
-
-vc::platform::PlatformId parse_platform(int argc, char** argv) {
-  const std::string arg = argc > 1 ? argv[1] : "zoom";
-  if (arg == "webex") return vc::platform::PlatformId::kWebex;
-  if (arg == "meet") return vc::platform::PlatformId::kMeet;
-  return vc::platform::PlatformId::kZoom;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const auto platform = parse_platform(argc, argv);
+  const auto platform = vc::platform::platform_from_name(argc > 1 ? argv[1] : "zoom");
+  if (!platform) {
+    std::fprintf(stderr, "quickstart: unknown platform '%s' (zoom|webex|meet)\n", argv[1]);
+    return 2;
+  }
 
   vc::core::LagBenchmarkConfig cfg;
-  cfg.platform = platform;
+  cfg.platform = *platform;
   cfg.host_site = "US-East";
   cfg.participant_sites = vc::core::us_participant_sites(cfg.host_site);
   cfg.sessions = 3;                      // the paper runs 20
   cfg.session_duration = vc::seconds(40);  // the paper runs 2-minute sessions
 
   std::printf("vcbench quickstart: %s, host US-East, %d sessions x %.0f s\n\n",
-              std::string(vc::platform::platform_name(platform)).c_str(), cfg.sessions,
+              std::string(vc::platform::platform_name(*platform)).c_str(), cfg.sessions,
               cfg.session_duration.seconds());
 
   const auto result = vc::core::run_lag_benchmark(cfg);

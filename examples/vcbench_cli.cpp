@@ -42,7 +42,10 @@ namespace {
 
 using namespace vc;
 
+// Only the switches --paid, --json and --list may stand without a value;
+// any other flag without one throws (exit 2) rather than read as "1".
 std::map<std::string, std::string> parse_flags(int argc, char** argv, int start) {
+  static const std::set<std::string> kSwitches = {"paid", "json", "list"};
   std::map<std::string, std::string> flags;
   for (int i = start; i < argc; ++i) {
     std::string key = argv[i];
@@ -50,8 +53,10 @@ std::map<std::string, std::string> parse_flags(int argc, char** argv, int start)
     key = key.substr(2);
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       flags[key] = argv[++i];
-    } else {
+    } else if (kSwitches.contains(key)) {
       flags[key] = "1";
+    } else {
+      throw std::invalid_argument{"--" + key + " wants a value"};
     }
   }
   return flags;
@@ -106,9 +111,7 @@ int flag_int(const std::map<std::string, std::string>& flags, const std::string&
 
 platform::PlatformId parse_platform(const std::map<std::string, std::string>& flags) {
   const std::string name = flag_str(flags, "platform", "zoom");
-  if (name == "zoom") return platform::PlatformId::kZoom;
-  if (name == "webex") return platform::PlatformId::kWebex;
-  if (name == "meet") return platform::PlatformId::kMeet;
+  if (const auto id = platform::platform_from_name(name)) return *id;
   throw std::invalid_argument{"unknown --platform '" + name + "' (zoom|webex|meet)"};
 }
 

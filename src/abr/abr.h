@@ -12,9 +12,9 @@
 //
 // Determinism contract: adapters are pure state machines over their
 // observations. They own no RNG and never draw from one, so an attached
-// adapter perturbs nothing outside the rates it chooses — and a disabled
-// (kNone) or shadow adapter is byte-invisible (enforced by bench_fairness
-// --gate in CI).
+// adapter perturbs nothing outside the rates it chooses. An adapter is off
+// (kNone: none is built, and the client follows the platform's push) or
+// applied.
 #pragma once
 
 #include <cstdint>
@@ -153,10 +153,6 @@ std::string_view abr_kind_name(AbrKind kind);
 /// of VcaClient.
 struct AbrConfig {
   AbrKind kind = AbrKind::kNone;
-  /// Shadow mode: the adapter runs select() on every report but its decision
-  /// is never applied — the A/B instrumentation bench_fairness --gate uses
-  /// to prove the armed machinery is byte-invisible and cheap.
-  bool shadow = false;
 };
 
 /// Factory for the bundled adapters; nullptr for kNone. The ladder must be

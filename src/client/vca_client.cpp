@@ -45,11 +45,10 @@ VcaClient::VcaClient(net::Host& host, platform::BasePlatform& platform, Config c
     m_audio_encoded_ = &registry->counter("codec.audio.frames_encoded");
     m_skip_ratio_ = &registry->histogram("codec.video.skip_ratio");
     m_qstep_ = &registry->histogram("codec.video.qstep");
-    // ABR observability only when an adapter is armed for real at
-    // construction: a shadow or disarmed client must leave the registry —
-    // and thus any serialized report built from it — byte-identical to a
-    // plain client.
-    if (abr_ && !config_.abr.shadow) {
+    // ABR observability only when an adapter exists: a kNone client must
+    // leave the registry — and thus any serialized report built from it —
+    // byte-identical to a plain client.
+    if (abr_) {
       m_abr_decisions_ = &registry->counter("codec.abr.decisions");
       m_abr_switches_ = &registry->counter("codec.abr.tier_switches");
       m_abr_tier_ = &registry->histogram("codec.abr.tier");
@@ -160,10 +159,10 @@ void VcaClient::update_video_target() {
         static_cast<std::int64_t>(scaled), floor_rate.bits_per_second(),
         session_base_.bits_per_second() * 6 / 5));
     video_target_ = platform_target_;
-    // A non-shadow ABR adapter overrides the platform's push, but inside the
-    // same session bounds — a client can't exceed what its session/encoder
+    // An ABR adapter overrides the platform's push, but inside the same
+    // session bounds — a client can't exceed what its session/encoder
     // provisioned, and the survival floor still applies.
-    if (abr_ && !config_.abr.shadow && abr_target_ > DataRate::zero()) {
+    if (abr_ && abr_target_ > DataRate::zero()) {
       video_target_ = DataRate::bps(std::clamp<std::int64_t>(
           abr_target_.bits_per_second(), floor_rate.bits_per_second(),
           session_base_.bits_per_second() * 6 / 5));
@@ -389,7 +388,7 @@ void VcaClient::on_control_packet(const net::Packet& pkt) {
     consecutive_loss_ = 0;
     if (emergency_ && consecutive_clean_ >= 8) emergency_ = false;
   }
-  // Receiver-side delivery feedback (if attached) drives the armed adapter.
+  // Receiver-side delivery feedback (if attached) drives the adapter.
   if (abr_ && pkt.payload) {
     const auto* fb = dynamic_cast<const AbrFeedback*>(pkt.payload.get());
     if (fb == nullptr) return;

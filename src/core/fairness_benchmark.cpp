@@ -124,7 +124,6 @@ FairnessBenchmarkResult run_fairness_session(const FairnessBenchmarkConfig& conf
                                                      config.padding, config.fps, flow_seed);
     tx_cfg.motion = platform::MotionClass::kHighMotion;
     tx_cfg.abr.kind = fc.abr;
-    tx_cfg.abr.shadow = config.abr_shadow;
     flow.sender = &world.client(sender_vm, flow_platform, tx_cfg);
     client::MediaFeeder& feeder = world.feeder(*flow.sender);
     const auto feed = std::make_shared<media::TourGuideFeed>(media::FeedParams{

@@ -28,7 +28,8 @@ namespace vc::core {
 /// One competing sender→receiver session.
 struct FairnessFlowConfig {
   platform::PlatformId platform = platform::PlatformId::kZoom;
-  /// Client-side ABR on the *sender* (kNone = platform-pushed rate only).
+  /// Client-side ABR on the *sender*: kNone is off (platform-pushed rate
+  /// only); any other kind is applied.
   abr::AbrKind abr = abr::AbrKind::kNone;
   /// Where the sending VM lives (Table 3 site name).
   std::string sender_site = "US-West";
@@ -50,9 +51,6 @@ struct FairnessBenchmarkConfig {
   int feed_width = 128;
   int feed_height = 96;
   int padding = 16;
-  /// Shadow-arm every flow's adapter instead of applying decisions (the
-  /// bench_fairness --gate instrumentation; see abr::AbrConfig::shadow).
-  bool abr_shadow = false;
   /// Optional fault timeline, armed at media start against the first flow's
   /// platform (link events resolve host names, e.g. the gateway site name).
   fault::FaultPlan fault_plan;

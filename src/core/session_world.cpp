@@ -132,16 +132,7 @@ std::optional<media::qoe::VideoQoe> VideoScorer::score(const media::RecordedVide
   }
   const std::int64_t shift =
       media::best_temporal_shift(reference, cropped.frames, /*max_shift=*/10);
-  auto aligned = media::align_sequences(std::move(reference), std::move(cropped.frames), shift);
-  std::vector<media::Frame> ref_sample;
-  std::vector<media::Frame> rec_sample;
-  for (std::size_t k = 0; k < aligned.reference.size();
-       k += static_cast<std::size_t>(metric_stride_)) {
-    ref_sample.push_back(std::move(aligned.reference[k]));
-    rec_sample.push_back(std::move(aligned.recording[k]));
-  }
-  if (ref_sample.empty()) return std::nullopt;
-  return media::qoe::mean_video_qoe(ref_sample, rec_sample);
+  return media::qoe::mean_video_qoe(reference, cropped.frames, shift, metric_stride_);
 }
 
 }  // namespace vc::core

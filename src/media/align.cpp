@@ -63,20 +63,4 @@ std::int64_t best_temporal_shift(const std::vector<Frame>& reference,
   return best_shift;
 }
 
-AlignedPair align_sequences(std::vector<Frame> reference, std::vector<Frame> recording,
-                            std::int64_t shift) {
-  AlignedPair out;
-  if (shift < 0) throw std::invalid_argument{"negative shift"};
-  if (static_cast<std::size_t>(shift) >= recording.size()) {
-    throw std::invalid_argument{"shift exceeds recording length"};
-  }
-  recording.erase(recording.begin(), recording.begin() + static_cast<std::ptrdiff_t>(shift));
-  const std::size_t common = std::min(reference.size(), recording.size());
-  reference.resize(common);
-  recording.resize(common);
-  out.reference = std::move(reference);
-  out.recording = std::move(recording);
-  return out;
-}
-
 }  // namespace vc::media

@@ -30,12 +30,4 @@ std::int64_t best_temporal_shift(const std::vector<Frame>& reference,
                                  const std::vector<Frame>& recording, std::int64_t max_shift,
                                  std::int64_t probe_frames = 20);
 
-/// Applies a shift and truncates both sequences to their common length.
-struct AlignedPair {
-  std::vector<Frame> reference;
-  std::vector<Frame> recording;
-};
-AlignedPair align_sequences(std::vector<Frame> reference, std::vector<Frame> recording,
-                            std::int64_t shift);
-
 }  // namespace vc::media

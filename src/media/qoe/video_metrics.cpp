@@ -246,19 +246,25 @@ VideoQoe video_qoe(const Frame& reference, const Frame& distorted) {
                   vifp(reference, distorted)};
 }
 
-VideoQoe mean_video_qoe(const std::vector<Frame>& reference, const std::vector<Frame>& distorted) {
-  if (reference.size() != distorted.size() || reference.empty()) {
-    throw std::invalid_argument{"sequences must be non-empty and equal length"};
+VideoQoe mean_video_qoe(const std::vector<Frame>& reference, const std::vector<Frame>& recording,
+                        std::int64_t shift, std::int64_t stride) {
+  if (shift < 0 || static_cast<std::uint64_t>(shift) >= recording.size()) {
+    throw std::invalid_argument{"shift outside the recording"};
   }
+  if (stride < 1) throw std::invalid_argument{"stride must be >= 1"};
+  const auto offset = static_cast<std::size_t>(shift);
+  const std::size_t common = std::min(reference.size(), recording.size() - offset);
+  if (common == 0) throw std::invalid_argument{"sequences do not overlap"};
   VideoQoe acc;
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    const VideoQoe q = video_qoe(reference[i], distorted[i]);
+  std::size_t n = 0;
+  for (std::size_t k = 0; k < common; k += static_cast<std::size_t>(stride), ++n) {
+    const VideoQoe q = video_qoe(reference[k], recording[k + offset]);
     acc.psnr += q.psnr;
     acc.ssim += q.ssim;
     acc.vifp += q.vifp;
   }
-  const auto n = static_cast<double>(reference.size());
-  return VideoQoe{acc.psnr / n, acc.ssim / n, acc.vifp / n};
+  const auto count = static_cast<double>(n);
+  return VideoQoe{acc.psnr / count, acc.ssim / count, acc.vifp / count};
 }
 
 }  // namespace vc::media::qoe

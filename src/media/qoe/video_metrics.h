@@ -59,7 +59,12 @@ struct VideoQoe {
 
 VideoQoe video_qoe(const Frame& reference, const Frame& distorted);
 
-/// Mean QoE across aligned frame pairs (sequences must be equal length).
-VideoQoe mean_video_qoe(const std::vector<Frame>& reference, const std::vector<Frame>& distorted);
+/// Mean QoE of video_qoe(reference[k], recording[k + shift]) for k = 0,
+/// stride, 2·stride, … below the common length min(reference.size(),
+/// recording.size() - shift): the scoring step after best_temporal_shift,
+/// read in place. Throws std::invalid_argument when shift is outside
+/// [0, recording.size()), stride < 1, or the overlap is empty.
+VideoQoe mean_video_qoe(const std::vector<Frame>& reference, const std::vector<Frame>& recording,
+                        std::int64_t shift, std::int64_t stride);
 
 }  // namespace vc::media::qoe

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -21,6 +22,10 @@ namespace vc::platform {
 enum class PlatformId : std::uint8_t { kZoom = 0, kWebex = 1, kMeet = 2 };
 
 std::string_view platform_name(PlatformId id);
+
+/// The lowercase inverse of platform_name ("zoom", "webex", "meet"), the
+/// spelling every command line takes; nullopt for any other name.
+std::optional<PlatformId> platform_from_name(std::string_view name);
 
 /// Receiver device class; platforms differ in whether they adapt to it
 /// (Section 5: only Webex lowers its rate for the low-end J3).

@@ -1,6 +1,7 @@
 #include "platform/rate_policy.h"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <iterator>
 #include <stdexcept>
@@ -14,6 +15,16 @@ std::string_view platform_name(PlatformId id) {
     case PlatformId::kMeet: return "Meet";
   }
   return "?";
+}
+
+std::optional<PlatformId> platform_from_name(std::string_view name) {
+  for (const PlatformId id : {PlatformId::kZoom, PlatformId::kWebex, PlatformId::kMeet}) {
+    if (std::ranges::equal(name, platform_name(id),
+                           [](char a, char b) { return a == std::tolower(b); })) {
+      return id;
+    }
+  }
+  return std::nullopt;
 }
 
 const RateProfile& rate_profile(PlatformId id) {

@@ -45,6 +45,26 @@ void append_stats_map(std::string& out, const char* key,
   out += "}";
 }
 
+// Adds one task's counts into the run's; `enabled` stays the run's own.
+void add_counts(RunReport::TraceSummary& run, const RunReport::TraceSummary& task) {
+  run.records += task.records;
+  run.dropped += task.dropped;
+  run.spans += task.spans;
+  run.instants += task.instants;
+  run.counter_samples += task.counter_samples;
+  run.write_failures += task.write_failures;
+}
+
+void add_counts(RunReport::TimelineSummary& run, const RunReport::TimelineSummary& task) {
+  run.samples += task.samples;
+  run.columns += task.columns;
+  run.dropped += task.dropped;
+  run.write_failures += task.write_failures;
+  run.health_rules += task.health_rules;
+  run.health_events += task.health_events;
+  run.health_breaches += task.health_breaches;
+}
+
 }  // namespace
 
 std::string RunReport::aggregate_json() const {
@@ -134,33 +154,17 @@ RunReport ExperimentRunner::run(std::size_t n_sessions, const Task& task) const 
     std::string error;
     std::vector<std::pair<std::string, double>> samples;
     MetricsRegistry metrics;
-    // Flight-recorder accounting (zeros when tracing is off).
-    std::uint64_t trace_records = 0;
-    std::uint64_t trace_dropped = 0;
-    std::uint64_t trace_spans = 0;
-    std::uint64_t trace_instants = 0;
-    std::uint64_t trace_counters = 0;
-    bool trace_write_failed = false;
-    // Timeline accounting (zeros when timelines are off).
-    std::uint64_t timeline_samples = 0;
-    std::uint64_t timeline_columns = 0;
-    std::uint64_t timeline_dropped = 0;
-    std::uint64_t health_rules = 0;
-    std::uint64_t health_events = 0;
-    std::uint64_t health_breaches = 0;
-    bool timeline_write_failed = false;
+    // This task's flight-recorder and timeline accounting (zeros when off).
+    RunReport::TraceSummary trace;
+    RunReport::TimelineSummary timeline;
   };
   std::vector<Outcome> outcomes(n_sessions);
 
   const bool tracing = !config_.trace_dir.empty();
-  if (tracing) {
-    std::error_code ec;
-    std::filesystem::create_directories(config_.trace_dir, ec);
-  }
   const bool timelining = !config_.timeline_dir.empty();
-  if (timelining) {
-    std::error_code ec;
-    std::filesystem::create_directories(config_.timeline_dir, ec);
+  for (const std::string* dir : {&config_.trace_dir, &config_.timeline_dir}) {
+    std::error_code ec;  // a directory that cannot be made shows as write_failures
+    if (!dir->empty()) std::filesystem::create_directories(*dir, ec);
   }
 
   std::size_t threads = config_.threads != 0
@@ -212,25 +216,25 @@ RunReport ExperimentRunner::run(std::size_t n_sessions, const Task& task) const 
       out.samples = std::move(ctx.samples);
       out.metrics = std::move(ctx.metrics);
       if (tracer != nullptr) {
-        out.trace_records = tracer->size();
-        out.trace_dropped = tracer->dropped();
-        out.trace_spans = tracer->spans_recorded();
-        out.trace_instants = tracer->instants_recorded();
-        out.trace_counters = tracer->counters_recorded();
+        out.trace.records = tracer->size();
+        out.trace.dropped = tracer->dropped();
+        out.trace.spans = tracer->spans_recorded();
+        out.trace.instants = tracer->instants_recorded();
+        out.trace.counter_samples = tracer->counters_recorded();
         // One file per task index, written by whichever worker ran the task:
         // filenames and contents depend only on the task, never the thread.
         const std::string path =
             config_.trace_dir + "/" + std::to_string(i) + ".trace.json";
-        out.trace_write_failed = !write_text_file(path, tracer->to_chrome_json());
+        out.trace.write_failures = write_text_file(path, tracer->to_chrome_json()) ? 0 : 1;
       }
       if (timeline != nullptr) {
-        out.timeline_samples = timeline->total_samples();
-        out.timeline_columns = timeline->column_count();
-        out.timeline_dropped = timeline->dropped_samples();
+        out.timeline.samples = timeline->total_samples();
+        out.timeline.columns = timeline->column_count();
+        out.timeline.dropped = timeline->dropped_samples();
         if (monitor != nullptr) {
-          out.health_rules = monitor->rules().size();
-          out.health_events = monitor->events().size();
-          out.health_breaches = monitor->total_breaches();
+          out.timeline.health_rules = monitor->rules().size();
+          out.timeline.health_events = monitor->events().size();
+          out.timeline.health_breaches = monitor->total_breaches();
         }
         // The "health" section appears only when the monitor has rules: a
         // monitor armed with zero rules leaves the file byte-identical to an
@@ -240,7 +244,7 @@ RunReport ExperimentRunner::run(std::size_t n_sessions, const Task& task) const 
         doc += "}\n";
         const std::string path =
             config_.timeline_dir + "/" + std::to_string(i) + ".timeline.json";
-        out.timeline_write_failed = !write_text_file(path, doc);
+        out.timeline.write_failures = write_text_file(path, doc) ? 0 : 1;
       }
     }
   };
@@ -269,23 +273,8 @@ RunReport ExperimentRunner::run(std::size_t n_sessions, const Task& task) const 
   report.timeline.enabled = timelining;
   for (std::size_t i = 0; i < n_sessions; ++i) {
     const Outcome& out = outcomes[i];
-    if (tracing) {
-      report.trace.records += out.trace_records;
-      report.trace.dropped += out.trace_dropped;
-      report.trace.spans += out.trace_spans;
-      report.trace.instants += out.trace_instants;
-      report.trace.counter_samples += out.trace_counters;
-      if (out.trace_write_failed) ++report.trace.write_failures;
-    }
-    if (timelining) {
-      report.timeline.samples += out.timeline_samples;
-      report.timeline.columns += out.timeline_columns;
-      report.timeline.dropped += out.timeline_dropped;
-      report.timeline.health_rules += out.health_rules;
-      report.timeline.health_events += out.health_events;
-      report.timeline.health_breaches += out.health_breaches;
-      if (out.timeline_write_failed) ++report.timeline.write_failures;
-    }
+    add_counts(report.trace, out.trace);
+    add_counts(report.timeline, out.timeline);
     if (!out.ok) {
       report.failures.emplace_back(i, out.error);
       continue;

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "core/city_benchmark.h"
 #include "runner/experiment_runner.h"
@@ -87,6 +90,41 @@ TEST(FleetDeterminism, CrashFailoverSceneIdenticalAcrossThreads) {
   // The outage bit and the fleet's failover machinery ran.
   EXPECT_NE(base.find("client.reconnects"), std::string::npos);
   EXPECT_EQ(run_city(8, 2, true), base) << "crash-failover report drifted at threads=8";
+}
+
+// A fleet of 1 must reproduce the platform's native relay steering move for
+// move. Single-meeting Webex is the scene where that is a fair demand: one
+// relay at webex-us-east, allocated at meeting creation, no P2P
+// short-circuit, no allocator RNG draw. Without the fleet's own gauges both
+// runs must execute the same events and record the same counters and lags.
+TEST(FleetDeterminism, FleetOfOneMatchesNativeSteering) {
+  const auto run = [](bool use_fleet, MetricsRegistry& metrics) {
+    core::CityScaleConfig cfg;
+    cfg.platform = platform::PlatformId::kWebex;
+    cfg.meetings = 1;
+    cfg.participants_per_meeting = 7;
+    cfg.media_duration = seconds(10);
+    cfg.use_fleet = use_fleet;
+    cfg.fleet_size = 1;
+    cfg.attach_fleet_metrics = false;
+    cfg.seed = 10101;
+    cfg.metrics = &metrics;
+    return core::run_city_scale_benchmark(cfg).lag_ms;
+  };
+  const auto values = [](const MetricsRegistry& metrics) {
+    std::map<std::string, std::int64_t> out;
+    for (const auto& [name, counter] : metrics.counters()) out[name] = counter.value();
+    return out;
+  };
+  MetricsRegistry native;
+  MetricsRegistry fleet;
+  const std::vector<double> native_lags = run(false, native);
+  EXPECT_EQ(run(true, fleet), native_lags);
+  EXPECT_FALSE(native_lags.empty());
+  EXPECT_GT(native.counter("net.loop.events_executed").value(), 0);
+  EXPECT_EQ(fleet.counter("net.loop.events_executed").value(),
+            native.counter("net.loop.events_executed").value());
+  EXPECT_EQ(values(fleet), values(native));
 }
 
 TEST(FleetDeterminism, PlacementReplicaRunsAreByteIdentical) {

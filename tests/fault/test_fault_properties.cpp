@@ -75,7 +75,7 @@ std::string faulted_report_json(std::size_t threads, const FaultPlan& plan, bool
   return report.aggregate_json();
 }
 
-TEST(FaultProperties, RandomPlansAreThreadAndShardInvariant) {
+TEST(FaultProperties, RandomPlansAreThreadInvariant) {
   for (const std::uint64_t plan_seed : {1ULL, 2ULL, 3ULL}) {
     const FaultPlan plan = random_plan(plan_seed);
     ASSERT_FALSE(plan.empty());

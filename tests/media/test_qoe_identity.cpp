@@ -4,7 +4,7 @@
 // reference by a known number of frames, then hashes the bits of every
 // score the alignment and scoring steps produce into one FNV-1a digest:
 // qoe::ssim for every (shift, probe) pair best_temporal_shift visits, the
-// shift it picks, and mean_video_qoe over the aligned sequences. The digests
+// shift it picks, and mean_video_qoe at that shift. The digests
 // were recorded from the reference implementation, so any change to SSIM,
 // the alignment search or the metric means that moves a single bit fails
 // here, whatever it was meant to speed up.
@@ -74,12 +74,11 @@ std::uint64_t probe_digest(const Recording& r) {
   return h;
 }
 
-/// Digests the picked shift and the QoE means of the aligned sequences.
+/// Digests the picked shift and the QoE means at that shift.
 std::uint64_t score_digest(const Recording& r, std::int64_t* shift_out) {
   const std::int64_t shift = best_temporal_shift(r.reference, r.recording, kMaxShift);
   *shift_out = shift;
-  const AlignedPair aligned = align_sequences(r.reference, r.recording, shift);
-  const qoe::VideoQoe q = qoe::mean_video_qoe(aligned.reference, aligned.recording);
+  const qoe::VideoQoe q = qoe::mean_video_qoe(r.reference, r.recording, shift, 1);
   std::uint64_t h = kFnvBasis;
   mix(h, static_cast<std::uint64_t>(shift));
   mix(h, q.psnr);

@@ -111,10 +111,12 @@ TEST(VideoQoe, MeanOverSequence) {
     ref.push_back(test_image(static_cast<std::uint64_t>(i)));
     dist.push_back(noisy(ref.back(), 5, static_cast<std::uint64_t>(i)));
   }
-  const auto q = qoe::mean_video_qoe(ref, dist);
+  const auto q = qoe::mean_video_qoe(ref, dist, 0, 1);
   EXPECT_GT(q.psnr, 20.0);
   EXPECT_LT(q.psnr, 100.0);
-  EXPECT_THROW(qoe::mean_video_qoe({}, {}), std::invalid_argument);
+  EXPECT_THROW(qoe::mean_video_qoe({}, {}, 0, 1), std::invalid_argument);
+  EXPECT_THROW(qoe::mean_video_qoe({}, dist, 0, 1), std::invalid_argument);
+  EXPECT_THROW(qoe::mean_video_qoe(ref, dist, 0, 0), std::invalid_argument);
 }
 
 TEST(MetricInputs, SizeMismatchThrows) {
@@ -198,18 +200,23 @@ TEST(Align, RecoversTemporalShift) {
   for (int i = 0; i < shift; ++i) recording.emplace_back(64, 48, 12);
   for (int i = 0; i < 26; ++i) recording.push_back(feed.frame_at(i));
   EXPECT_EQ(best_temporal_shift(reference, recording, 8), shift);
-  const auto aligned = align_sequences(reference, recording, shift);
-  EXPECT_EQ(aligned.reference.size(), aligned.recording.size());
-  EXPECT_EQ(aligned.reference[0], aligned.recording[0]);
+  // At the recovered shift every scored pair is the same frame.
+  const auto q = qoe::mean_video_qoe(reference, recording, shift, 1);
+  EXPECT_DOUBLE_EQ(q.ssim, 1.0);
+  EXPECT_DOUBLE_EQ(q.psnr, 100.0);
 }
 
 TEST(Align, SequenceTruncation) {
   std::vector<Frame> ref(10, Frame{16, 16, 1});
   std::vector<Frame> rec(7, Frame{16, 16, 1});
-  const auto aligned = align_sequences(ref, rec, 2);
-  EXPECT_EQ(aligned.reference.size(), 5u);
-  EXPECT_THROW(align_sequences(ref, rec, 7), std::invalid_argument);
-  EXPECT_THROW(align_sequences(ref, rec, -1), std::invalid_argument);
+  // Shift 2 leaves 5 common pairs: ref[0..4] against rec[2..6]. Make the
+  // last recording frame differ so the mean shows whether it was read.
+  rec[6] = Frame{16, 16, 200};
+  const double last = qoe::psnr(ref[4], rec[6]);
+  EXPECT_DOUBLE_EQ(qoe::mean_video_qoe(ref, rec, 2, 1).psnr, (4 * 100.0 + last) / 5.0);
+  EXPECT_DOUBLE_EQ(qoe::mean_video_qoe(ref, rec, 2, 5).psnr, 100.0);  // reads k = 0 only
+  EXPECT_THROW(qoe::mean_video_qoe(ref, rec, 7, 1), std::invalid_argument);
+  EXPECT_THROW(qoe::mean_video_qoe(ref, rec, -1, 1), std::invalid_argument);
 }
 
 TEST(Align, ShiftSearchRejectsBadArguments) {

@@ -11,6 +11,12 @@ TEST(PlatformNames, AllThree) {
   EXPECT_EQ(platform_name(PlatformId::kZoom), "Zoom");
   EXPECT_EQ(platform_name(PlatformId::kWebex), "Webex");
   EXPECT_EQ(platform_name(PlatformId::kMeet), "Meet");
+  EXPECT_EQ(platform_from_name("zoom"), PlatformId::kZoom);
+  EXPECT_EQ(platform_from_name("webex"), PlatformId::kWebex);
+  EXPECT_EQ(platform_from_name("meet"), PlatformId::kMeet);
+  for (const char* bad : {"zooom", "Zoom", "zoo", "", "meet "}) {
+    EXPECT_EQ(platform_from_name(bad), std::nullopt) << bad;
+  }
 }
 
 TEST(RateProfile, PaperAnchors) {
