@@ -4,17 +4,22 @@
 // reference by a known number of frames, then hashes the bits of every
 // score the alignment and scoring steps produce into one FNV-1a digest:
 // qoe::ssim for every (shift, probe) pair best_temporal_shift visits, the
-// shift it picks, and mean_video_qoe at that shift. The digests
-// were recorded from the reference implementation, so any change to SSIM,
-// the alignment search or the metric means that moves a single bit fails
-// here, whatever it was meant to speed up.
+// shift it picks, and mean_video_qoe at that shift. Further digests pin
+// qoe::vifp pair by pair (including a blank reference and frames too small
+// for the full pyramid) and core::VideoScorer's per-receiver scores over a
+// session of several recordings. The digests were recorded from the
+// reference implementation, so any change to SSIM, VIFp, the alignment
+// search, the metric means or the session scorer that moves a single bit
+// fails here, whatever it was meant to speed up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
+#include "core/session_world.h"
 #include "media/align.h"
 #include "media/feeds.h"
 #include "media/qoe/video_metrics.h"
@@ -130,6 +135,94 @@ TEST(QoeIdentity, OddSizedTourGuideScoresArePinned) {
   EXPECT_EQ(probe_digest(r), 0xedb083dc4ecf19c4ULL);
   EXPECT_EQ(score_digest(r, &shift), 0xda273c8f59cbdb1dULL);
   EXPECT_EQ(shift, 4);
+}
+
+/// Digests vifp(reference[k], recording[k]) for every k, so the held dark
+/// frames are scored against content too.
+std::uint64_t vifp_digest(const Recording& r) {
+  std::uint64_t h = kFnvBasis;
+  for (std::size_t k = 0; k < r.recording.size(); ++k) {
+    mix(h, qoe::vifp(r.reference[k], r.recording[k]));
+  }
+  return h;
+}
+
+TEST(QoeIdentity, VifpPairsArePinned) {
+  const TalkingHeadFeed talking{{160, 112, 10.0, 3}};
+  const TourGuideFeed touring{{160, 112, 10.0, 5}};
+  const FlashFeed flash{{160, 120, 10.0, 0xF00D}, 1.0};
+  EXPECT_EQ(vifp_digest(lagged_recording(talking, 8, 2, 300)), 0xda3a07f39a7279dbULL);
+  EXPECT_EQ(vifp_digest(lagged_recording(touring, 8, 3, 300)), 0xf31f1c4c42c0757fULL);
+  EXPECT_EQ(vifp_digest(lagged_recording(flash, 12, 2, 300)), 0x1423c121823fec35ULL);
+}
+
+// A flat reference carries no information: the denominator is zero and the
+// score is 1 whatever the distorted frame shows. The other way round, a flat
+// distorted frame keeps none of the reference's.
+TEST(QoeIdentity, VifpBlankReferenceIsPinned) {
+  const Frame blank{96, 64, 16};
+  const Frame content = TourGuideFeed{{96, 64, 10.0, 5}}.frame_at(3);
+  EXPECT_EQ(qoe::vifp(blank, content), 1.0);
+  EXPECT_EQ(qoe::vifp(blank, blank), 1.0);
+  std::uint64_t h = kFnvBasis;
+  mix(h, qoe::vifp(content, blank));
+  EXPECT_EQ(h, 0xa8c7f832281a39c5ULL);
+}
+
+// 40x40 stops the pyramid after scale 3, 20x20 after scale 1, and 12x12
+// leaves no valid pixel at scale 1 (a zero denominator).
+TEST(QoeIdentity, VifpShortPyramidsArePinned) {
+  std::uint64_t h = kFnvBasis;
+  for (const int side : {40, 20, 12}) {
+    const TourGuideFeed feed{{side, side, 10.0, 11}};
+    mix(h, qoe::vifp(feed.frame_at(0), feed.frame_at(1)));
+    mix(h, qoe::vifp(feed.frame_at(2), feed.frame_at(2)));
+  }
+  EXPECT_EQ(h, 0x0cd302749a1389bfULL);
+}
+
+/// A padded recording of `feed`: `shift` held pad-coloured frames, then the
+/// encoder's reconstruction of the padded feed from frame 0 on, `frames`
+/// frames in all.
+RecordedVideo padded_recording(const PaddedFeed& feed, int frames, int shift, int kbps) {
+  VideoEncoder::Config c;
+  c.target_bitrate = DataRate::kbps(kbps);
+  c.fps = feed.fps();
+  VideoEncoder enc{feed.width(), feed.height(), c};
+  RecordedVideo out;
+  out.fps = feed.fps();
+  for (int i = 0; i < std::min(shift, frames); ++i) {
+    out.frames.emplace_back(feed.width(), feed.height(), 16);
+  }
+  for (int i = 0; i + shift < frames; ++i) {
+    enc.encode(feed.frame_at(i));
+    out.frames.push_back(enc.last_reconstructed());
+  }
+  return out;
+}
+
+// One session: four receivers of the same padded tour-guide feed with
+// different lags, lengths and rates; the last is too short to score.
+TEST(QoeIdentity, SessionScorerScoresArePinned) {
+  constexpr int kPad = 8;
+  const auto content = std::make_shared<TourGuideFeed>(FeedParams{112, 80, 10.0, 9});
+  const PaddedFeed padded{content, kPad};
+  const std::vector<RecordedVideo> recordings = {
+      padded_recording(padded, 40, 2, 300), padded_recording(padded, 33, 5, 200),
+      padded_recording(padded, 27, 0, 400), padded_recording(padded, 10, 1, 300)};
+  const core::VideoScorer scorer{kPad, 112, 80, /*metric_stride=*/3};
+  std::uint64_t h = kFnvBasis;
+  for (const RecordedVideo& recording : recordings) {
+    const auto q = scorer.score(recording, *content);
+    mix(h, static_cast<std::uint64_t>(q.has_value()));
+    if (q) {
+      mix(h, q->psnr);
+      mix(h, q->ssim);
+      mix(h, q->vifp);
+    }
+  }
+  EXPECT_FALSE(scorer.score(recordings.back(), *content).has_value());
+  EXPECT_EQ(h, 0x469bade5e3bf1dafULL);
 }
 
 }  // namespace
