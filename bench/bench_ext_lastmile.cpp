@@ -90,7 +90,7 @@ RunResult run_session(std::unique_ptr<net::LossModel> ingress_loss, double jitte
 
   RunResult out;
   const core::VideoScorer scorer{pad, content_w, content_h, /*metric_stride=*/5};
-  if (const auto qoe = scorer.score(recorder.video(), *content)) {
+  if (const auto qoe = scorer.score({&recorder.video()}, *content).front()) {
     out.psnr = qoe->psnr;
     out.ssim = qoe->ssim;
   }

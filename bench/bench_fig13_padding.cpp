@@ -72,26 +72,12 @@ PaddingResult run_padding_session(std::uint64_t seed, SimDuration duration) {
   world.run();
 
   // (a) The paper's pipeline: crop the padding (removing the occluded
-  // border with it), score content vs content.
-  const auto cropped = media::crop_and_resize(recorder.video(), kPad, kContentW, kContentH);
-  std::vector<media::Frame> content_ref;
-  for (std::size_t k = 0; k < cropped.frames.size(); ++k) {
-    content_ref.push_back(content->frame_at(static_cast<std::int64_t>(k)));
-  }
-  const auto shift_a = media::best_temporal_shift(content_ref, cropped.frames, 10);
-  const auto padded_qoe = media::qoe::mean_video_qoe(content_ref, cropped.frames, shift_a, 4);
-
-  // (b) Naive: score the full recorded screen (widgets and all) against the
-  // injected padded frames.
-  std::vector<media::Frame> padded_ref;
-  for (std::size_t k = 0; k < recorder.video().frames.size(); ++k) {
-    padded_ref.push_back(padded->frame_at(static_cast<std::int64_t>(k)));
-  }
-  const auto shift_b = media::best_temporal_shift(padded_ref, recorder.video().frames, 10);
-  const auto naive_qoe =
-      media::qoe::mean_video_qoe(padded_ref, recorder.video().frames, shift_b, 4);
-
-  return PaddingResult{padded_qoe, naive_qoe};
+  // border with it), score content vs content. (b) Naive: score the full
+  // recorded screen (widgets and all) against the injected padded frames.
+  const core::VideoScorer paper{kPad, kContentW, kContentH, /*metric_stride=*/4};
+  const core::VideoScorer naive{0, kContentW + 2 * kPad, kContentH + 2 * kPad, 4};
+  return PaddingResult{paper.score({&recorder.video()}, *content).front().value(),
+                       naive.score({&recorder.video()}, *padded).front().value()};
 }
 
 }  // namespace

@@ -13,6 +13,10 @@
 
 int main(int argc, char** argv) {
   using namespace vc;
+  if (argc > 2) {
+    std::fprintf(stderr, "usage: mobile_profile [zoom|webex|meet]\n");
+    return 2;
+  }
   const auto id = platform::platform_from_name(argc > 1 ? argv[1] : "zoom");
   if (!id) {
     std::fprintf(stderr, "mobile_profile: unknown platform '%s' (zoom|webex|meet)\n", argv[1]);

@@ -6,7 +6,7 @@
 //
 // With a cap, runs the two-party bandwidth-constrained variant instead
 // (Section 4.4); without, the N-receiver QoE experiment (Section 4.3). A
-// malformed argument exits 2 before anything runs.
+// malformed or extra argument exits 2 before anything runs.
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   int n = 2;
   const std::string motion_name = argc > 2 ? argv[2] : "low";
   double cap_kbps = 0.0;
-  if ((argc > 1 && (!read_number(argv[1], n) || n < 1 || n > 5)) ||
+  if (argc > 4 || (argc > 1 && (!read_number(argv[1], n) || n < 1 || n > 5)) ||
       (motion_name != "low" && motion_name != "high") ||
       (argc > 3 && (!read_number(argv[3], cap_kbps) || !std::isfinite(cap_kbps) || cap_kbps < 0))) {
     std::fprintf(stderr, "usage: qoe_shootout [N in 1..5] [low|high] [cap_kbps >= 0]\n");

@@ -11,6 +11,10 @@
 #include "core/vcbench.h"
 
 int main(int argc, char** argv) {
+  if (argc > 2) {
+    std::fprintf(stderr, "usage: quickstart [zoom|webex|meet]\n");
+    return 2;
+  }
   const auto platform = vc::platform::platform_from_name(argc > 1 ? argv[1] : "zoom");
   if (!platform) {
     std::fprintf(stderr, "quickstart: unknown platform '%s' (zoom|webex|meet)\n", argv[1]);

@@ -42,19 +42,21 @@ namespace {
 
 using namespace vc;
 
-// Only the switches --paid, --json and --list may stand without a value;
-// any other flag without one throws (exit 2) rather than read as "1".
+// The switches --paid, --json and --list stand alone and never take a
+// value; every other flag takes the next token. A flag without its value,
+// or a token that is neither a flag nor a flag's value, throws (exit 2)
+// rather than be read as "1" or skipped.
 std::map<std::string, std::string> parse_flags(int argc, char** argv, int start) {
   static const std::set<std::string> kSwitches = {"paid", "json", "list"};
   std::map<std::string, std::string> flags;
   for (int i = start; i < argc; ++i) {
     std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) continue;
+    if (key.rfind("--", 0) != 0) throw std::invalid_argument{"unexpected argument '" + key + "'"};
     key = key.substr(2);
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags[key] = argv[++i];
-    } else if (kSwitches.contains(key)) {
+    if (kSwitches.contains(key)) {
       flags[key] = "1";
+    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      flags[key] = argv[++i];
     } else {
       throw std::invalid_argument{"--" + key + " wants a value"};
     }

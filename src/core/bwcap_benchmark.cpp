@@ -73,7 +73,7 @@ BwCapSessionResult run_bwcap_session(const BwCapBenchmarkConfig& config, std::ui
   world.run();
 
   // --- video QoE ---
-  if (const auto qoe = scorer.score(recorder.video(), *content)) {
+  if (const auto qoe = scorer.score({&recorder.video()}, *content).front()) {
     out.has_video_qoe = true;
     out.psnr = qoe->psnr;
     out.ssim = qoe->ssim;

@@ -1,7 +1,9 @@
 #include "core/qoe_benchmark.h"
 
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "capture/rate_analyzer.h"
 #include "client/recorder.h"
@@ -93,6 +95,13 @@ QoeSessionResult run_qoe_session(const QoeBenchmarkConfig& config, std::uint64_t
   const capture::RateAnalyzer host_rates{host_trace};
   out.upload_kbps = host_rates.average(media_start).upload.as_kbps();
 
+  std::vector<std::optional<media::qoe::VideoQoe>> scores(receivers.size());
+  if (config.score_video) {
+    std::vector<const media::RecordedVideo*> recordings;
+    for (const auto& rec : recorders) recordings.push_back(&rec->video());
+    scores = scorer.score(recordings, *content);
+  }
+
   double session_download_acc = 0.0;
   for (std::size_t i = 0; i < receivers.size(); ++i) {
     QoeReceiverResult rx;
@@ -110,13 +119,11 @@ QoeSessionResult run_qoe_session(const QoeBenchmarkConfig& config, std::uint64_t
                           static_cast<double>(host_client.stats().video_frames_sent);
     }
 
-    if (config.score_video) {
-      if (const auto qoe = scorer.score(recorders[i]->video(), *content)) {
-        rx.has_video_qoe = true;
-        rx.psnr = qoe->psnr;
-        rx.ssim = qoe->ssim;
-        rx.vifp = qoe->vifp;
-      }
+    if (const auto& qoe = scores[i]) {
+      rx.has_video_qoe = true;
+      rx.psnr = qoe->psnr;
+      rx.ssim = qoe->ssim;
+      rx.vifp = qoe->vifp;
     }
     out.receivers.push_back(rx);
   }

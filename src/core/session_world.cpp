@@ -1,5 +1,6 @@
 #include "core/session_world.h"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -120,19 +121,37 @@ VideoScorer::VideoScorer(int padding, int content_width, int content_height, int
   if (metric_stride < 1) throw std::invalid_argument{"metric_stride must be >= 1"};
 }
 
-std::optional<media::qoe::VideoQoe> VideoScorer::score(const media::RecordedVideo& recording,
-                                                       const media::VideoFeed& content) const {
-  media::RecordedVideo cropped =
-      media::crop_and_resize(recording, padding_, content_width_, content_height_);
-  if (cropped.frames.size() < 12) return std::nullopt;
-  std::vector<media::Frame> reference;
-  reference.reserve(cropped.frames.size());
-  for (std::size_t k = 0; k < cropped.frames.size(); ++k) {
-    reference.push_back(content.frame_at(static_cast<std::int64_t>(k)));
+std::vector<std::optional<media::qoe::VideoQoe>> VideoScorer::score(
+    const std::vector<const media::RecordedVideo*>& recordings,
+    const media::VideoFeed& content) const {
+  std::size_t longest = 0;
+  for (const media::RecordedVideo* recording : recordings) {
+    longest = std::max(longest, recording->frames.size());
   }
-  const std::int64_t shift =
-      media::best_temporal_shift(reference, cropped.frames, /*max_shift=*/10);
-  return media::qoe::mean_video_qoe(reference, cropped.frames, shift, metric_stride_);
+  media::qoe::ReferenceFrames reference{content, longest};
+  std::vector<std::size_t> scored;  // indices of the recordings long enough to score
+  std::vector<std::vector<media::Frame>> kept;
+  kept.reserve(recordings.size());  // `shifted` points into it
+  std::vector<media::qoe::ShiftedRecording> shifted;
+  for (std::size_t r = 0; r < recordings.size(); ++r) {
+    media::RecordedVideo cropped =
+        media::crop_and_resize(*recordings[r], padding_, content_width_, content_height_);
+    if (cropped.frames.size() < 12) continue;
+    const std::int64_t shift =
+        media::best_temporal_shift(reference, cropped.frames, /*max_shift=*/10);
+    // Free the frames no scored pair reads: k + shift for k = 0, stride, ….
+    for (std::size_t i = 0; i < cropped.frames.size(); ++i) {
+      const auto k = static_cast<std::int64_t>(i) - shift;
+      if (k < 0 || k % metric_stride_ != 0) cropped.frames[i] = media::Frame{};
+    }
+    scored.push_back(r);
+    shifted.push_back({&kept.emplace_back(std::move(cropped.frames)), shift});
+  }
+  const std::vector<media::qoe::VideoQoe> means =
+      media::qoe::mean_video_qoe(reference, shifted, metric_stride_);
+  std::vector<std::optional<media::qoe::VideoQoe>> out(recordings.size());
+  for (std::size_t i = 0; i < scored.size(); ++i) out[scored[i]] = means[i];
+  return out;
 }
 
 }  // namespace vc::core

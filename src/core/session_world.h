@@ -116,19 +116,24 @@ client::VcaClient::Config padded_config(int content_width, int content_height, i
 std::shared_ptr<const media::VideoFeed> motion_feed(platform::MotionClass motion,
                                                     const media::FeedParams& params);
 
-/// Full-reference video scoring of one recording (Section 4.3): crop the
-/// padding (and with it the UI border), align to the reference by the best
-/// temporal shift (at most 10 frames), then average PSNR, SSIM and VIFp over
-/// every `metric_stride`-th aligned pair.
+/// Full-reference video scoring of a session's recordings (Section 4.3):
+/// crop each recording's padding (and with it the UI border), align it to
+/// the injected content by the best temporal shift (at most 10 frames), then
+/// average PSNR, SSIM and VIFp over every `metric_stride`-th aligned pair.
+/// All recordings share one reference: each content frame is rendered at
+/// most once per call, and only if a shift search or the scoring reads it.
 class VideoScorer {
  public:
   /// Throws std::invalid_argument when metric_stride < 1; build the scorer
   /// before simulating so a bad config fails fast.
   VideoScorer(int padding, int content_width, int content_height, int metric_stride);
 
-  /// nullopt for recordings under 12 frames, which cannot be scored.
-  std::optional<media::qoe::VideoQoe> score(const media::RecordedVideo& recording,
-                                            const media::VideoFeed& content) const;
+  /// One score per recording, in order; nullopt for recordings under 12
+  /// frames, which cannot be scored. Recordings are cropped one at a time,
+  /// and only the frames the scoring pairs are kept past their search.
+  std::vector<std::optional<media::qoe::VideoQoe>> score(
+      const std::vector<const media::RecordedVideo*>& recordings,
+      const media::VideoFeed& content) const;
 
  private:
   int padding_;

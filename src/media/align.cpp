@@ -4,8 +4,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "media/qoe/video_metrics.h"
-
 namespace vc::media {
 
 RecordedVideo crop_and_resize(const RecordedVideo& recording, int pad, int target_w, int target_h) {
@@ -22,21 +20,15 @@ RecordedVideo crop_and_resize(const RecordedVideo& recording, int pad, int targe
   return out;
 }
 
-std::int64_t best_temporal_shift(const std::vector<Frame>& reference,
+std::int64_t best_temporal_shift(qoe::ReferenceFrames& reference,
                                  const std::vector<Frame>& recording, std::int64_t max_shift,
                                  std::int64_t probe_frames) {
-  if (reference.empty() || recording.empty()) throw std::invalid_argument{"empty sequence"};
+  if (reference.size() == 0 || recording.empty()) throw std::invalid_argument{"empty sequence"};
   if (max_shift < 0) throw std::invalid_argument{"negative max_shift"};
   if (probe_frames < 1) throw std::invalid_argument{"probe_frames must be >= 1"};
-  // Each probed frame's SSIM window moments, built on first use and shared
-  // by every shift that probes the frame again.
-  std::vector<std::optional<qoe::SsimWindows>> reference_windows(reference.size());
+  // Each probed recording frame's SSIM window moments, built on first use
+  // and shared by every shift that probes the frame again.
   std::vector<std::optional<qoe::SsimWindows>> recording_windows(recording.size());
-  const auto windows = [](std::vector<std::optional<qoe::SsimWindows>>& tables,
-                          const std::vector<Frame>& frames, std::size_t k) -> const auto& {
-    if (!tables[k]) tables[k].emplace(frames[k]);
-    return *tables[k];
-  };
   double best = -2.0;
   std::int64_t best_shift = 0;
   for (std::int64_t shift = 0; shift <= max_shift; ++shift) {
@@ -50,8 +42,9 @@ std::int64_t best_temporal_shift(const std::vector<Frame>& reference,
     for (std::int64_t i = 0; i < common; i += stride) {
       const auto r = static_cast<std::size_t>(i);
       const auto d = static_cast<std::size_t>(i + shift);
-      acc += qoe::ssim(reference[r], windows(reference_windows, reference, r), recording[d],
-                       windows(recording_windows, recording, d));
+      if (!recording_windows[d]) recording_windows[d].emplace(recording[d]);
+      acc += qoe::ssim(reference.frame(r), reference.windows(r), recording[d],
+                       *recording_windows[d]);
       ++n;
     }
     const double score = acc / static_cast<double>(n);
@@ -61,6 +54,13 @@ std::int64_t best_temporal_shift(const std::vector<Frame>& reference,
     }
   }
   return best_shift;
+}
+
+std::int64_t best_temporal_shift(const std::vector<Frame>& reference,
+                                 const std::vector<Frame>& recording, std::int64_t max_shift,
+                                 std::int64_t probe_frames) {
+  qoe::ReferenceFrames frames{reference};
+  return best_temporal_shift(frames, recording, max_shift, probe_frames);
 }
 
 }  // namespace vc::media

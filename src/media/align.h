@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "media/frame.h"
+#include "media/qoe/video_metrics.h"
 
 namespace vc::media {
 
@@ -22,10 +23,17 @@ RecordedVideo crop_and_resize(const RecordedVideo& recording, int pad, int targe
 
 /// Finds the frame shift (0..max_shift) of `recording` relative to
 /// `reference` that maximizes mean SSIM over up to `probe_frames` sampled
-/// pairs — the "trim so per-frame SSIM is maximized" step. Throws
-/// std::invalid_argument on an empty sequence, max_shift < 0,
-/// probe_frames < 1, or a probed pair of frames that differ in size or are
-/// smaller than 8×8.
+/// pairs — the "trim so per-frame SSIM is maximized" step. Reference frames
+/// and their SSIM window moments are read through `reference`, so a search
+/// builds only the ones it probes, and a reference shared by several
+/// recordings builds each once. Throws std::invalid_argument on an empty
+/// sequence, max_shift < 0, probe_frames < 1, or a probed pair of frames
+/// that differ in size or are smaller than 8×8.
+std::int64_t best_temporal_shift(qoe::ReferenceFrames& reference,
+                                 const std::vector<Frame>& recording, std::int64_t max_shift,
+                                 std::int64_t probe_frames = 20);
+
+/// The same search against reference frames in memory.
 std::int64_t best_temporal_shift(const std::vector<Frame>& reference,
                                  const std::vector<Frame>& recording, std::int64_t max_shift,
                                  std::int64_t probe_frames = 20);

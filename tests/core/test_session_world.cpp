@@ -4,7 +4,10 @@
 // hand on an instrumented network reports with no further call.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -202,6 +205,69 @@ TEST(VideoScorer, RejectsNonPositiveStride) {
   EXPECT_THROW((VideoScorer{16, 128, 96, 0}), std::invalid_argument);
   EXPECT_THROW((VideoScorer{16, 128, 96, -3}), std::invalid_argument);
   EXPECT_NO_THROW((VideoScorer{16, 128, 96, 1}));
+}
+
+/// Forwards to a feed and counts how often each frame is rendered.
+class CountingFeed final : public media::VideoFeed {
+ public:
+  explicit CountingFeed(const media::VideoFeed& inner) : inner_(inner) {}
+  int width() const override { return inner_.width(); }
+  int height() const override { return inner_.height(); }
+  double fps() const override { return inner_.fps(); }
+  media::Frame frame_at(std::int64_t index) const override {
+    ++renders[index];
+    return inner_.frame_at(index);
+  }
+
+  mutable std::map<std::int64_t, int> renders;
+
+ private:
+  const media::VideoFeed& inner_;
+};
+
+// Three receivers share one reference: each content frame is rendered at
+// most once per session, and only if a shift search probes it or a scored
+// pair reads it. Scoring each recording on its own rendered all of them.
+TEST(VideoScorer, RendersEachReferenceFrameAtMostOnce) {
+  constexpr int kPad = 8;
+  constexpr int kStride = 3;
+  constexpr std::int64_t kMaxShift = 10;  // VideoScorer's search range
+  constexpr std::int64_t kProbes = 20;    // best_temporal_shift's default
+  const auto content = std::make_shared<media::TalkingHeadFeed>(media::FeedParams{64, 48, 10.0, 4});
+  const media::PaddedFeed padded{content, kPad};
+  const std::vector<std::pair<int, int>> length_and_lag = {{40, 2}, {33, 5}, {27, 0}};
+  std::vector<media::RecordedVideo> recordings;
+  std::set<std::int64_t> read;  // every reference index a search or a scored pair reads
+  for (const auto& [length, lag] : length_and_lag) {
+    media::RecordedVideo& rec = recordings.emplace_back();
+    for (int i = 0; i < length; ++i) {
+      rec.frames.push_back(i < lag ? media::Frame{padded.width(), padded.height(), 16}
+                                   : padded.frame_at(i - lag));
+    }
+    for (std::int64_t shift = 0; shift <= kMaxShift; ++shift) {
+      const std::int64_t common = length - shift;
+      for (std::int64_t i = 0; i < common; i += std::max<std::int64_t>(1, common / kProbes)) {
+        read.insert(i);
+      }
+    }
+    for (std::int64_t k = 0; k < length - lag; k += kStride) read.insert(k);
+  }
+
+  const CountingFeed counted{*content};
+  const auto scores = VideoScorer{kPad, 64, 48, kStride}.score(
+      {&recordings[0], &recordings[1], &recordings[2]}, counted);
+  ASSERT_EQ(scores.size(), 3u);
+  for (const auto& q : scores) {
+    ASSERT_TRUE(q.has_value());
+    EXPECT_EQ(q->psnr, 100.0);  // every lag was found: each scored pair is exact
+  }
+  int total = 0;
+  for (const auto& [index, count] : counted.renders) {
+    EXPECT_EQ(count, 1) << "frame " << index;
+    EXPECT_TRUE(read.count(index) == 1) << "frame " << index << " is read by nothing";
+    total += count;
+  }
+  EXPECT_LE(total, 40);  // no more than the longest recording
 }
 
 }  // namespace

@@ -83,7 +83,8 @@ std::uint64_t probe_digest(const Recording& r) {
 std::uint64_t score_digest(const Recording& r, std::int64_t* shift_out) {
   const std::int64_t shift = best_temporal_shift(r.reference, r.recording, kMaxShift);
   *shift_out = shift;
-  const qoe::VideoQoe q = qoe::mean_video_qoe(r.reference, r.recording, shift, 1);
+  qoe::ReferenceFrames reference{r.reference};
+  const qoe::VideoQoe q = qoe::mean_video_qoe(reference, {{&r.recording, shift}}, 1).front();
   std::uint64_t h = kFnvBasis;
   mix(h, static_cast<std::uint64_t>(shift));
   mix(h, q.psnr);
@@ -211,9 +212,12 @@ TEST(QoeIdentity, SessionScorerScoresArePinned) {
       padded_recording(padded, 40, 2, 300), padded_recording(padded, 33, 5, 200),
       padded_recording(padded, 27, 0, 400), padded_recording(padded, 10, 1, 300)};
   const core::VideoScorer scorer{kPad, 112, 80, /*metric_stride=*/3};
+  const auto scores =
+      scorer.score({&recordings[0], &recordings[1], &recordings[2], &recordings[3]}, *content);
+  ASSERT_EQ(scores.size(), recordings.size());
+  EXPECT_FALSE(scores.back().has_value());
   std::uint64_t h = kFnvBasis;
-  for (const RecordedVideo& recording : recordings) {
-    const auto q = scorer.score(recording, *content);
+  for (const auto& q : scores) {
     mix(h, static_cast<std::uint64_t>(q.has_value()));
     if (q) {
       mix(h, q->psnr);
@@ -221,7 +225,6 @@ TEST(QoeIdentity, SessionScorerScoresArePinned) {
       mix(h, q->vifp);
     }
   }
-  EXPECT_FALSE(scorer.score(recordings.back(), *content).has_value());
   EXPECT_EQ(h, 0x469bade5e3bf1dafULL);
 }
 

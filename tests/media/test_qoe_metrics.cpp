@@ -20,6 +20,13 @@ Frame noisy(const Frame& f, double sigma, std::uint64_t seed) {
   return out;
 }
 
+/// One recording's mean QoE against reference frames in memory.
+qoe::VideoQoe mean_of(const std::vector<Frame>& reference, const std::vector<Frame>& recording,
+                      std::int64_t shift, std::int64_t stride) {
+  qoe::ReferenceFrames frames{reference};
+  return qoe::mean_video_qoe(frames, {{&recording, shift}}, stride).front();
+}
+
 Frame test_image(std::uint64_t seed = 3) {
   return TourGuideFeed{{128, 96, 10.0, seed}}.frame_at(0);
 }
@@ -111,12 +118,12 @@ TEST(VideoQoe, MeanOverSequence) {
     ref.push_back(test_image(static_cast<std::uint64_t>(i)));
     dist.push_back(noisy(ref.back(), 5, static_cast<std::uint64_t>(i)));
   }
-  const auto q = qoe::mean_video_qoe(ref, dist, 0, 1);
+  const auto q = mean_of(ref, dist, 0, 1);
   EXPECT_GT(q.psnr, 20.0);
   EXPECT_LT(q.psnr, 100.0);
-  EXPECT_THROW(qoe::mean_video_qoe({}, {}, 0, 1), std::invalid_argument);
-  EXPECT_THROW(qoe::mean_video_qoe({}, dist, 0, 1), std::invalid_argument);
-  EXPECT_THROW(qoe::mean_video_qoe(ref, dist, 0, 0), std::invalid_argument);
+  EXPECT_THROW(mean_of({}, {}, 0, 1), std::invalid_argument);
+  EXPECT_THROW(mean_of({}, dist, 0, 1), std::invalid_argument);
+  EXPECT_THROW(mean_of(ref, dist, 0, 0), std::invalid_argument);
 }
 
 TEST(MetricInputs, SizeMismatchThrows) {
@@ -125,6 +132,8 @@ TEST(MetricInputs, SizeMismatchThrows) {
   EXPECT_THROW(qoe::psnr(a, b), std::invalid_argument);
   EXPECT_THROW(qoe::ssim(a, b), std::invalid_argument);
   EXPECT_THROW(qoe::vifp(a, b), std::invalid_argument);
+  EXPECT_THROW(qoe::vifp(qoe::VifpReference{a}, b), std::invalid_argument);
+  EXPECT_THROW(qoe::VifpReference{Frame{}}, std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- audio MOS
@@ -201,7 +210,7 @@ TEST(Align, RecoversTemporalShift) {
   for (int i = 0; i < 26; ++i) recording.push_back(feed.frame_at(i));
   EXPECT_EQ(best_temporal_shift(reference, recording, 8), shift);
   // At the recovered shift every scored pair is the same frame.
-  const auto q = qoe::mean_video_qoe(reference, recording, shift, 1);
+  const auto q = mean_of(reference, recording, shift, 1);
   EXPECT_DOUBLE_EQ(q.ssim, 1.0);
   EXPECT_DOUBLE_EQ(q.psnr, 100.0);
 }
@@ -213,10 +222,10 @@ TEST(Align, SequenceTruncation) {
   // last recording frame differ so the mean shows whether it was read.
   rec[6] = Frame{16, 16, 200};
   const double last = qoe::psnr(ref[4], rec[6]);
-  EXPECT_DOUBLE_EQ(qoe::mean_video_qoe(ref, rec, 2, 1).psnr, (4 * 100.0 + last) / 5.0);
-  EXPECT_DOUBLE_EQ(qoe::mean_video_qoe(ref, rec, 2, 5).psnr, 100.0);  // reads k = 0 only
-  EXPECT_THROW(qoe::mean_video_qoe(ref, rec, 7, 1), std::invalid_argument);
-  EXPECT_THROW(qoe::mean_video_qoe(ref, rec, -1, 1), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(mean_of(ref, rec, 2, 1).psnr, (4 * 100.0 + last) / 5.0);
+  EXPECT_DOUBLE_EQ(mean_of(ref, rec, 2, 5).psnr, 100.0);  // reads k = 0 only
+  EXPECT_THROW(mean_of(ref, rec, 7, 1), std::invalid_argument);
+  EXPECT_THROW(mean_of(ref, rec, -1, 1), std::invalid_argument);
 }
 
 TEST(Align, ShiftSearchRejectsBadArguments) {
