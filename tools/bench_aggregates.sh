@@ -76,6 +76,8 @@ cmd_examples() {
   "$bin/qoe_shootout" 1 low > "$out/qoe_shootout_1_low.txt"
   "$bin/qoe_shootout" 1 low 500 > "$out/qoe_shootout_1_low_500.txt"
   "$bin/qoe_shootout" 3 high > "$out/qoe_shootout_3_high.txt"
+  # One of its sessions aligns its receivers at different shifts (1 and 2).
+  "$bin/qoe_shootout" 5 low > "$out/qoe_shootout_5_low.txt"
   "$bin/mobile_profile" > "$out/mobile_profile.txt"
   for cmd in qoe bwcap mobile; do
     "$bin/vcbench_cli" "$cmd" > "$out/vcbench_cli_$cmd.txt"
