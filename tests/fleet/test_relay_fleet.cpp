@@ -1,11 +1,14 @@
 // RelayFleet balancer behavior driven through the MeetingPlacer interface:
 // placement policies, overflow sharding, load release, crash failover, and
-// the fleet-of-1 wait-for-restart fallback.
+// the fleet-of-1 wait-for-restart fallback; then the fleet-membership
+// invariant driven through BasePlatform's placer path.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "fleet/relay_fleet.h"
 #include "net/network.h"
@@ -176,6 +179,74 @@ TEST_F(FleetFixture, FleetOfOneWaitsForRestart) {
   EXPECT_EQ(fleet.slot_participants(0), 1);       // load never moved
   relay->restart();
   EXPECT_EQ(fleet.rehome(1, 1), relay);
+}
+
+// Fleet membership through the platform: after create/join with overflow, a
+// relay crash, notify_relay_crashed and every member's reconnect, each
+// member's last route names the live relay of exactly one fleet slot, and the
+// slots' participant counts add up to the roster. Zoom's two-party P2P
+// short-circuit and Meet's front-ends are both bypassed under a placer.
+TEST(FleetMembership, EveryMemberHomedOnExactlyOneLiveSlot) {
+  for (const auto id :
+       {platform::PlatformId::kZoom, platform::PlatformId::kWebex, platform::PlatformId::kMeet}) {
+    SCOPED_TRACE(std::string{platform::platform_name(id)});
+    net::Network net(std::make_unique<net::FixedLatencyModel>(millis(5)), 1);
+    auto plat = platform::make_platform(id, net, 11);
+    RelayFleet fleet{net, *plat,
+                     RelayFleet::Config{.size = 3,
+                                        .policy = PlacementPolicy::kRoundRobin,
+                                        .overflow_shard_size = 2,
+                                        .metrics = false}};
+    constexpr int kMembers = 5;
+    const GeoPoint loc = platform::platform_sites(id).front().location;
+    std::map<platform::ParticipantId, platform::RouteInfo> last_route;
+    auto client = [&](int i) {
+      platform::ClientRef ref;
+      ref.host = &net.add_host("client" + std::to_string(i), loc);
+      ref.media_port = 5000;
+      return ref;
+    };
+    auto recorder = [&](platform::ParticipantId member) {
+      return [&last_route, member](platform::RouteInfo r) { last_route[member] = r; };
+    };
+    const platform::MeetingId meeting = plat->create_meeting(client(1), recorder(1));
+    for (int i = 2; i <= kMembers; ++i) {
+      plat->join(meeting, client(i), recorder(static_cast<platform::ParticipantId>(i)));
+    }
+
+    auto expect_homed_once = [&] {
+      ASSERT_EQ(last_route.size(), static_cast<std::size_t>(kMembers));
+      int homed = 0;
+      for (const auto& [member, route] : last_route) {
+        EXPECT_FALSE(route.p2p) << "member " << member;
+        int slots = 0;
+        for (int s = 0; s < fleet.size(); ++s) {
+          const platform::RelayServer* r = fleet.relay_of_slot(s);
+          if (r != nullptr && !r->crashed() && r->endpoint() == route.media_endpoint) ++slots;
+        }
+        EXPECT_EQ(slots, 1) << "member " << member;
+      }
+      for (int s = 0; s < fleet.size(); ++s) homed += fleet.slot_participants(s);
+      EXPECT_EQ(homed, kMembers);
+    };
+    expect_homed_once();
+    // Overflow split the meeting 2/2/1 over all three slots.
+    EXPECT_EQ(fleet.slot_participants(0), 2);
+    EXPECT_EQ(fleet.slot_participants(1), 2);
+    EXPECT_EQ(fleet.slot_participants(2), 1);
+
+    platform::RelayServer* dead = fleet.relay_of_slot(0);
+    ASSERT_NE(dead, nullptr);
+    dead->crash();
+    plat->notify_relay_crashed(dead);
+    EXPECT_EQ(last_route[1].media_endpoint, net::Endpoint{});
+    EXPECT_EQ(last_route[2].media_endpoint, net::Endpoint{});
+    for (platform::ParticipantId m = 1; m <= kMembers; ++m) {
+      EXPECT_TRUE(plat->reconnect(meeting, m)) << "member " << m;
+    }
+    expect_homed_once();
+    EXPECT_EQ(fleet.slot_participants(0), 0);
+  }
 }
 
 }  // namespace
