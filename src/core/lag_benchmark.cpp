@@ -44,7 +44,7 @@ std::vector<std::string> europe_participant_sites(const std::string& host_site) 
 
 LagBenchmarkResult run_lag_benchmark(const LagBenchmarkConfig& config) {
   if (config.participant_sites.empty()) throw std::invalid_argument{"no participants"};
-  SessionWorld world{config.seed, {config.metrics, config.tracer, config.timeline}};
+  SessionWorld world{config.seed, {config.metrics, config.tracer}};
   const std::uint64_t platform_seed = config.seed ^ 0xABC;
   if (config.platform == platform::PlatformId::kWebex &&
       config.webex_tier == platform::WebexTier::kPaid) {
@@ -98,9 +98,7 @@ LagBenchmarkResult run_lag_benchmark(const LagBenchmarkConfig& config) {
       for (client::ClientMonitor* m : monitors) m->start_active_probing();
     };
     world.orchestrate(std::move(plan));
-    // The timeline is re-armed per session because the run drains the loop:
-    // the bound (join + media + teardown headroom) lets the tick chain end.
-    world.run(config.session_duration + seconds(30));
+    world.run();
 
     // Harvest this session.
     const capture::Trace sender_trace = host_capture.trace();

@@ -13,7 +13,6 @@
 
 #include "capture/trace.h"
 #include "common/metrics.h"
-#include "common/metrics_timeline.h"
 #include "common/stats.h"
 #include "common/tracer.h"
 #include "platform/base_platform.h"
@@ -41,10 +40,6 @@ struct LagBenchmarkConfig {
   /// relays, codecs and RTT probers, so traced runner sweeps capture
   /// loop.* / net.link.* / shaper.* / relay.* / codec.* / rtt.* records.
   Tracer* tracer = nullptr;
-  /// Optional periodic sampler: armed on the testbed loop against `metrics`
-  /// (required when set) for the whole run plus a short quiescent tail, so
-  /// runner sweeps export per-task time-series (`<task>.timeline.json`).
-  MetricsTimeline* timeline = nullptr;
 };
 
 /// Per-participant-VM aggregate across all sessions.

@@ -163,7 +163,7 @@ platform::RelayServer* RelayFleet::home_for(platform::MeetingId meeting,
                                             platform::ParticipantId member,
                                             const GeoPoint& member_location) {
   Homing& h = homings_[meeting];
-  // Idempotent for an already-homed member: assign_routes re-runs over every
+  // Idempotent for an already-homed member: the platform asks again for every
   // unrouted member (e.g. when someone joins during an outage), and a member
   // whose slot is down must wait for the reconnect/rehome path, not be
   // silently double-counted onto a new slot.

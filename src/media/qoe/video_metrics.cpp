@@ -65,12 +65,13 @@ const std::vector<double>& vifp_kernel(std::size_t scale) {
   return kernels[scale];
 }
 
-// One pass of a separable filter: out[x] = 0.0 + k[0]·src[x] + k[1]·src[step
-// + x] + … for x < count, along a row (step 1) or down the columns of a
-// plane (step = its width). Every output sums its taps in tap order, as a
-// per-pixel dot product does, so no bit depends on how outputs are grouped;
-// eight neighbouring outputs accumulate side by side in registers, over
-// contiguous doubles, and the rest one at a time.
+// One pass of a separable filter: out[x] = 0.0 + k[0]·src[S·x] + k[1]·src[step
+// + S·x] + … for x < count, along a row (step 1) or down the columns of a
+// plane (step = its width); S = 2 computes only every other output. Every
+// output sums its taps in tap order, as a per-pixel dot product does, so no
+// bit depends on how outputs are grouped; eight neighbouring outputs
+// accumulate side by side in registers, and the rest one at a time.
+template <int S>
 void filter_pass(const double* src, std::size_t step, const std::vector<double>& k,
                  double* out, int count) {
   int x = 0;
@@ -78,15 +79,15 @@ void filter_pass(const double* src, std::size_t step, const std::vector<double>&
     double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0, a4 = 0.0, a5 = 0.0, a6 = 0.0, a7 = 0.0;
     for (std::size_t i = 0; i < k.size(); ++i) {
       const double tap = k[i];
-      const double* s = src + i * step + x;
+      const double* s = src + i * step + S * x;
       a0 += tap * s[0];
-      a1 += tap * s[1];
-      a2 += tap * s[2];
-      a3 += tap * s[3];
-      a4 += tap * s[4];
-      a5 += tap * s[5];
-      a6 += tap * s[6];
-      a7 += tap * s[7];
+      a1 += tap * s[S];
+      a2 += tap * s[2 * S];
+      a3 += tap * s[3 * S];
+      a4 += tap * s[4 * S];
+      a5 += tap * s[5 * S];
+      a6 += tap * s[6 * S];
+      a7 += tap * s[7 * S];
     }
     out[x] = a0;
     out[x + 1] = a1;
@@ -99,31 +100,28 @@ void filter_pass(const double* src, std::size_t step, const std::vector<double>&
   }
   for (; x < count; ++x) {
     double acc = 0.0;
-    for (std::size_t i = 0; i < k.size(); ++i) acc += k[i] * src[i * step + x];
+    for (std::size_t i = 0; i < k.size(); ++i) acc += k[i] * src[i * step + S * x];
     out[x] = acc;
   }
 }
 
 // Separable "valid"-region convolution: output shrinks by n-1 per axis,
 // matching MATLAB filter2(..., 'valid') used in the reference VIFp code.
+// S = 2 is VIFp's pyramid step: it keeps the even columns and rows of the
+// valid region (a downsample by 2) and computes no other output.
+template <int S = 1>
 Plane filter_valid(const Plane& in, const std::vector<double>& k) {
   const int n = static_cast<int>(k.size());
-  const int ow = in.w - n + 1;
-  const int oh = in.h - n + 1;
-  if (ow <= 0 || oh <= 0) return Plane{};
+  const int valid_w = in.w - n + 1;
+  const int valid_h = in.h - n + 1;
+  if (valid_w <= 0 || valid_h <= 0) return Plane{};
+  const int ow = (valid_w + S - 1) / S;
+  const int oh = (valid_h + S - 1) / S;
   Plane tmp = make_plane(ow, in.h);
-  for (int y = 0; y < in.h; ++y) filter_pass(row(in, y), 1, k, row(tmp, y), ow);
+  for (int y = 0; y < in.h; ++y) filter_pass<S>(row(in, y), 1, k, row(tmp, y), ow);
   Plane out = make_plane(ow, oh);
   for (int y = 0; y < oh; ++y) {
-    filter_pass(row(tmp, y), static_cast<std::size_t>(ow), k, row(out, y), ow);
-  }
-  return out;
-}
-
-Plane downsample2(const Plane& in) {
-  Plane out = make_plane((in.w + 1) / 2, (in.h + 1) / 2);
-  for (int y = 0; y < out.h; ++y) {
-    for (int x = 0; x < out.w; ++x) row(out, y)[x] = row(in, y * 2)[x * 2];
+    filter_pass<1>(row(tmp, S * y), static_cast<std::size_t>(ow), k, row(out, y), ow);
   }
   return out;
 }
@@ -238,7 +236,7 @@ VifpReference::VifpReference(const Frame& reference)
   for (std::size_t scale = 0; scale < kVifpScales; ++scale) {
     const std::vector<double>& kernel = vifp_kernel(scale);
     Plane image = scale == 0 ? to_plane(reference)
-                             : downsample2(filter_valid(scales_.back().image, kernel));
+                             : filter_valid<2>(scales_.back().image, kernel);
     const auto n = static_cast<int>(kernel.size());
     if (scale > 0 && (image.w < n || image.h < n)) break;
     Plane mean = filter_valid(image, kernel);
@@ -262,7 +260,7 @@ double vifp(const VifpReference& reference, const Frame& distorted) {
   for (std::size_t scale = 0; scale < reference.scales_.size(); ++scale) {
     const std::vector<double>& kernel = vifp_kernel(scale);
     const VifpReference::Scale& ref = reference.scales_[scale];
-    if (scale > 0) dist = downsample2(filter_valid(dist, kernel));
+    if (scale > 0) dist = filter_valid<2>(dist, kernel);
     const Plane mu2 = filter_valid(dist, kernel);
     const Plane dd = filter_valid(multiply(dist, dist), kernel);
     const Plane rd = filter_valid(multiply(ref.image, dist), kernel);

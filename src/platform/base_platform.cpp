@@ -6,8 +6,7 @@
 namespace vc::platform {
 
 BasePlatform::BasePlatform(net::Network& network, PlatformTraits traits, std::uint64_t seed)
-    : network_(network),
-      traits_(traits),
+    : traits_(traits),
       allocator_(network, traits.id, traits.media_port, seed) {}
 
 MeetingId BasePlatform::create_meeting(const ClientRef& host,
@@ -21,7 +20,7 @@ MeetingId BasePlatform::create_meeting(const ClientRef& host,
   m.on_route = std::move(on_route);
   meeting.members.push_back(std::move(m));
   auto [it, _] = meetings_.emplace(meeting.id, std::move(meeting));
-  assign_routes(it->second);
+  route(it->second);
   refresh_subscriptions(it->second);
   return it->first;
 }
@@ -36,7 +35,7 @@ ParticipantId BasePlatform::join(MeetingId meeting, const ClientRef& client,
   m.ref = client;
   m.on_route = std::move(on_route);
   it->second.members.push_back(std::move(m));
-  assign_routes(it->second);
+  route(it->second);
   refresh_subscriptions(it->second);
   return it->second.members.back().id;
 }
@@ -93,17 +92,24 @@ void BasePlatform::notify_relay_crashed(RelayServer* relay) {
   }
 }
 
-void BasePlatform::fleet_assign(Meeting& meeting) {
+void BasePlatform::home(Meeting& meeting, Member& member, RelayServer* relay) {
+  relay->add_participant(meeting.id, member.id, client_endpoint(member));
+  member.relay = relay;
+  if (std::find(meeting.relays.begin(), meeting.relays.end(), relay) == meeting.relays.end()) {
+    meeting.relays.push_back(relay);
+  }
+  member.on_route(RouteInfo{relay->endpoint(), false});
+}
+
+void BasePlatform::route(Meeting& meeting) {
+  if (placer_ == nullptr) {
+    assign_routes(meeting);
+    return;
+  }
   for (auto& m : meeting.members) {
     if (m.relay != nullptr) continue;
     RelayServer* relay = placer_->home_for(meeting.id, m.id, m.ref.host->location());
-    if (relay == nullptr) continue;  // no capacity: member stays unrouted
-    relay->add_participant(meeting.id, m.id, client_endpoint(m));
-    m.relay = relay;
-    if (std::find(meeting.relays.begin(), meeting.relays.end(), relay) == meeting.relays.end()) {
-      meeting.relays.push_back(relay);
-    }
-    m.on_route(RouteInfo{relay->endpoint(), false});
+    if (relay != nullptr) home(meeting, m, relay);  // nullptr: no capacity, stays unrouted
   }
 }
 
@@ -114,7 +120,15 @@ bool BasePlatform::reconnect(MeetingId meeting, ParticipantId participant) {
   for (auto& m : mt.members) {
     if (m.id != participant) continue;
     if (mt.p2p || m.relay != nullptr) return true;  // still/already routed
-    if (!reattach_member(mt, m)) return false;
+    if (placer_ != nullptr) {
+      // Fleet failover: reconnect lands on the spare-capacity target the
+      // placer picked at crash time, not on the dead relay.
+      RelayServer* relay = placer_->rehome(meeting, participant);
+      if (relay == nullptr || relay->crashed()) return false;
+      home(mt, m, relay);
+    } else if (!reattach_member(mt, m)) {
+      return false;
+    }
     refresh_subscriptions(mt);
     return true;
   }
@@ -122,27 +136,10 @@ bool BasePlatform::reconnect(MeetingId meeting, ParticipantId participant) {
 }
 
 bool BasePlatform::reattach_member(Meeting& meeting, Member& member) {
-  if (placer_ != nullptr) {
-    // Fleet failover: reconnect lands on the spare-capacity target the
-    // placer picked at crash time, not on the dead relay.
-    RelayServer* relay = placer_->rehome(meeting.id, member.id);
-    if (relay == nullptr || relay->crashed()) return false;
-    relay->add_participant(meeting.id, member.id, client_endpoint(member));
-    member.relay = relay;
-    if (std::find(meeting.relays.begin(), meeting.relays.end(), relay) == meeting.relays.end()) {
-      meeting.relays.push_back(relay);
-    }
-    member.on_route(RouteInfo{relay->endpoint(), false});
-    return true;
-  }
   // Zoom/Webex: the session relay is fixed for the meeting's lifetime, so a
   // rejoin goes back to the same server — and fails until it restarts.
-  if (meeting.relays.empty()) return false;
-  RelayServer* relay = meeting.relays.front();
-  if (relay->crashed()) return false;
-  relay->add_participant(meeting.id, member.id, client_endpoint(member));
-  member.relay = relay;
-  member.on_route(RouteInfo{relay->endpoint(), false});
+  if (meeting.relays.empty() || meeting.relays.front()->crashed()) return false;
+  home(meeting, member, meeting.relays.front());
   return true;
 }
 
@@ -179,12 +176,6 @@ ZoomPlatform::ZoomPlatform(net::Network& network, std::uint64_t seed)
                    seed) {}
 
 void ZoomPlatform::assign_routes(Meeting& meeting) {
-  if (placer_ != nullptr) {
-    // Fleet deployment: all media terminates on managed relays, so the
-    // two-party P2P short-circuit below is deliberately bypassed.
-    fleet_assign(meeting);
-    return;
-  }
   if (traits_.p2p_for_two && meeting.members.size() == 2 && meeting.relays.empty()) {
     // Two-party: direct peer-to-peer streaming on the clients' own ports.
     meeting.p2p = true;
@@ -198,17 +189,13 @@ void ZoomPlatform::assign_routes(Meeting& meeting) {
   if (meeting.relays.empty()) {
     // First time we need a relay (3rd participant arrived, or no-P2P build):
     // provision in the host's US region / load-balanced US region.
-    RelayServer* relay =
-        allocator_.zoom_session_relay(meeting.members.front().ref.host->location());
-    meeting.relays.push_back(relay);
+    meeting.relays.push_back(
+        allocator_.zoom_session_relay(meeting.members.front().ref.host->location()));
     meeting.p2p = false;
   }
   RelayServer* relay = meeting.relays.front();
   for (auto& m : meeting.members) {
-    if (m.relay == relay) continue;
-    relay->add_participant(meeting.id, m.id, client_endpoint(m));
-    m.relay = relay;
-    m.on_route(RouteInfo{relay->endpoint(), false});
+    if (m.relay != relay) home(meeting, m, relay);
   }
 }
 
@@ -228,10 +215,6 @@ WebexPlatform::WebexPlatform(net::Network& network, std::uint64_t seed, WebexTie
       tier_(tier) {}
 
 void WebexPlatform::assign_routes(Meeting& meeting) {
-  if (placer_ != nullptr) {
-    fleet_assign(meeting);
-    return;
-  }
   if (meeting.relays.empty()) {
     meeting.relays.push_back(
         tier_ == WebexTier::kPaid
@@ -240,10 +223,7 @@ void WebexPlatform::assign_routes(Meeting& meeting) {
   }
   RelayServer* relay = meeting.relays.front();
   for (auto& m : meeting.members) {
-    if (m.relay == relay) continue;
-    relay->add_participant(meeting.id, m.id, client_endpoint(m));
-    m.relay = relay;
-    m.on_route(RouteInfo{relay->endpoint(), false});
+    if (m.relay != relay) home(meeting, m, relay);
   }
 }
 
@@ -262,49 +242,31 @@ MeetPlatform::MeetPlatform(net::Network& network, std::uint64_t seed)
                    seed) {}
 
 void MeetPlatform::assign_routes(Meeting& meeting) {
-  if (placer_ != nullptr) {
-    fleet_assign(meeting);
-    return;
-  }
   for (auto& m : meeting.members) {
-    if (m.relay != nullptr) continue;
-    RelayServer* fe = allocator_.meet_front_end(*m.ref.host);
-    fe->add_participant(meeting.id, m.id, client_endpoint(m));
-    m.relay = fe;
-    if (std::find(meeting.relays.begin(), meeting.relays.end(), fe) == meeting.relays.end()) {
-      meeting.relays.push_back(fe);
-    }
-    m.on_route(RouteInfo{fe->endpoint(), false});
+    if (m.relay == nullptr) home(meeting, m, allocator_.meet_front_end(*m.ref.host));
   }
+  mesh(meeting);
+}
+
+bool MeetPlatform::reattach_member(Meeting& meeting, Member& member) {
+  // Meet re-resolves the client's front-end (stickiness usually lands on the
+  // same one, so the rejoin keeps failing until it restarts).
+  RelayServer* fe = allocator_.meet_front_end(*member.ref.host);
+  if (fe->crashed()) return false;
+  home(meeting, member, fe);
+  // The crash wiped the front-end's peer links; re-mesh both directions
+  // (link_peer is idempotent for links that survived).
+  mesh(meeting);
+  return true;
+}
+
+void MeetPlatform::mesh(Meeting& meeting) {
   // Full mesh among this meeting's front-ends.
   for (RelayServer* a : meeting.relays) {
     for (RelayServer* b : meeting.relays) {
       if (a != b) a->link_peer(meeting.id, b);
     }
   }
-}
-
-bool MeetPlatform::reattach_member(Meeting& meeting, Member& member) {
-  // Under a fleet placer the failover path is platform-agnostic.
-  if (placer_ != nullptr) return BasePlatform::reattach_member(meeting, member);
-  // Meet re-resolves the client's front-end (stickiness usually lands on the
-  // same one, so the rejoin keeps failing until it restarts).
-  RelayServer* fe = allocator().meet_front_end(*member.ref.host);
-  if (fe == nullptr || fe->crashed()) return false;
-  fe->add_participant(meeting.id, member.id, client_endpoint(member));
-  member.relay = fe;
-  if (std::find(meeting.relays.begin(), meeting.relays.end(), fe) == meeting.relays.end()) {
-    meeting.relays.push_back(fe);
-  }
-  // The crash wiped the front-end's peer links; re-mesh both directions
-  // (link_peer is idempotent for links that survived).
-  for (RelayServer* a : meeting.relays) {
-    for (RelayServer* b : meeting.relays) {
-      if (a != b) a->link_peer(meeting.id, b);
-    }
-  }
-  member.on_route(RouteInfo{fe->endpoint(), false});
-  return true;
 }
 
 std::unique_ptr<BasePlatform> make_platform(PlatformId id, net::Network& network,

@@ -1,8 +1,11 @@
-// Shared meeting/membership bookkeeping for the three platforms; concrete
-// subclasses implement only relay selection and routing (assign_routes).
+// Shared meeting/membership bookkeeping for the three platforms. Concrete
+// subclasses implement only their native relay pick (assign_routes, and
+// Meet's reattach_member); BasePlatform::home is the one place a member
+// gets a relay, whether the platform or an installed placer picked it.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -24,7 +27,8 @@ class MeetingPlacer {
   virtual ~MeetingPlacer() = default;
 
   /// Relay to home (meeting, member) on; nullptr means "no capacity" and the
-  /// member stays unrouted. Called once per member, in join order.
+  /// member stays unrouted. Asked for every unrouted member, in join order,
+  /// each time the roster grows.
   virtual RelayServer* home_for(MeetingId meeting, ParticipantId member,
                                 const GeoPoint& member_location) = 0;
 
@@ -42,20 +46,31 @@ class MeetingPlacer {
   virtual RelayServer* rehome(MeetingId meeting, ParticipantId member) = 0;
 };
 
-class BasePlatform : public VcaPlatform {
+class BasePlatform {
  public:
   BasePlatform(net::Network& network, PlatformTraits traits, std::uint64_t seed);
+  virtual ~BasePlatform() = default;
 
-  const PlatformTraits& traits() const override { return traits_; }
+  const PlatformTraits& traits() const { return traits_; }
 
-  MeetingId create_meeting(const ClientRef& host,
-                           std::function<void(RouteInfo)> on_route) override;
+  /// Creates a meeting hosted by `host`; the host is participant 1.
+  /// `on_route` is invoked immediately with initial routing and again on any
+  /// re-route.
+  MeetingId create_meeting(const ClientRef& host, std::function<void(RouteInfo)> on_route);
+
+  /// Joins an existing meeting. Returns the new participant's id.
   ParticipantId join(MeetingId meeting, const ClientRef& client,
-                     std::function<void(RouteInfo)> on_route) override;
-  void leave(MeetingId meeting, ParticipantId participant) override;
-  void end_meeting(MeetingId meeting) override;
-  void set_view_mode(MeetingId meeting, ParticipantId participant, ViewMode view) override;
-  int participant_count(MeetingId meeting) const override;
+                     std::function<void(RouteInfo)> on_route);
+
+  void leave(MeetingId meeting, ParticipantId participant);
+  void end_meeting(MeetingId meeting);
+
+  /// Updates a participant's view mode (drives subscription changes).
+  void set_view_mode(MeetingId meeting, ParticipantId participant, ViewMode view);
+
+  /// Current roster size (what the client's UI shows — used by clients for
+  /// N-dependent rate policy). 0 for unknown meetings.
+  int participant_count(MeetingId meeting) const;
 
   RelayAllocator& allocator() { return allocator_; }
 
@@ -66,10 +81,11 @@ class BasePlatform : public VcaPlatform {
   /// while the relay is still down fails and the client keeps backing off.
   void notify_relay_crashed(RelayServer* relay);
 
-  /// Client-driven re-join after a lost route: re-registers the member with
-  /// its serving relay/front-end, pushes a fresh route and re-establishes
-  /// subscriptions. Returns true once routed (or if already routed); false
-  /// while the infrastructure is still down — callers back off and retry.
+  /// Client-driven re-join after a lost route: homes the member again — on
+  /// the installed placer's failover target, or natively through
+  /// reattach_member — and re-establishes subscriptions. Returns true once
+  /// routed (or if already routed); false while the infrastructure is still
+  /// down — callers back off and retry.
   bool reconnect(MeetingId meeting, ParticipantId participant);
 
   /// Installs `placer` (borrowed; must outlive the platform, nullptr to
@@ -77,7 +93,6 @@ class BasePlatform : public VcaPlatform {
   /// Install before any meeting is created: mixing native-steered and
   /// placer-steered meetings in one platform instance is unsupported.
   void set_placer(MeetingPlacer* placer) { placer_ = placer; }
-  MeetingPlacer* placer() { return placer_; }
 
  protected:
   struct Member {
@@ -94,32 +109,37 @@ class BasePlatform : public VcaPlatform {
     ParticipantId next_participant = 1;
   };
 
-  /// Platform-specific: picks relays/front-ends and pushes RouteInfo to
-  /// every member whose routing changed (or to all of them).
+  /// Platform-specific native steering: picks relays/front-ends, homes
+  /// every member whose relay changed, and pushes P2P routes (Zoom). Not
+  /// called while a placer is installed.
   virtual void assign_routes(Meeting& meeting) = 0;
 
-  /// Platform-specific re-attachment of one disconnected member. The default
-  /// (Zoom/Webex: single session relay) re-registers with the meeting's
-  /// relay; Meet re-resolves the client's front-end and re-meshes the peer
-  /// links the crash wiped. Returns false while the target is still crashed.
+  /// Native re-attachment of one disconnected member. The default
+  /// (Zoom/Webex: single session relay) homes it on the meeting's relay;
+  /// Meet re-resolves the client's front-end and re-meshes the peer links
+  /// the crash wiped. Returns false while the target is still crashed.
   virtual bool reattach_member(Meeting& meeting, Member& member);
 
-  /// Placer-driven routing: homes every unrouted member on the relay the
-  /// installed MeetingPlacer picks. Subclass assign_routes overrides
-  /// delegate here (and return) whenever a placer is installed.
-  void fleet_assign(Meeting& meeting);
-
-  /// Recomputes every member's subscriptions from current membership and
-  /// view modes and pushes them to the serving relays.
-  void refresh_subscriptions(Meeting& meeting);
+  /// The one homing step: registers `member` on `relay`, records the relay
+  /// on the member and (once) on the meeting, and pushes the route.
+  void home(Meeting& meeting, Member& member, RelayServer* relay);
 
   net::Endpoint client_endpoint(const Member& m) const {
     return net::Endpoint{m.ref.host->ip(), m.ref.media_port};
   }
 
-  net::Network& network_;
   PlatformTraits traits_;
   RelayAllocator allocator_;
+
+ private:
+  /// Routes a meeting after its roster grew: homes every unrouted member on
+  /// the relay the installed placer picks, or lets assign_routes steer.
+  void route(Meeting& meeting);
+
+  /// Recomputes every member's subscriptions from current membership and
+  /// view modes and pushes them to the serving relays.
+  void refresh_subscriptions(Meeting& meeting);
+
   MeetingPlacer* placer_ = nullptr;
   std::unordered_map<MeetingId, Meeting> meetings_;
   MeetingId next_meeting_ = 1;
@@ -162,6 +182,8 @@ class MeetPlatform final : public BasePlatform {
  private:
   void assign_routes(Meeting& meeting) override;
   bool reattach_member(Meeting& meeting, Member& member) override;
+  /// Links every pair of the meeting's front-ends, both ways.
+  void mesh(Meeting& meeting);
 };
 
 /// Factory: the platform under test by id.

@@ -4,6 +4,23 @@
 #include <stdexcept>
 
 namespace vc::platform {
+namespace {
+
+/// The site closest to `p` by great-circle distance (the first on ties).
+const Site& nearest(const std::vector<Site>& sites, const GeoPoint& p) {
+  const Site* best = &sites.front();
+  double best_km = std::numeric_limits<double>::max();
+  for (const auto& s : sites) {
+    const double km = great_circle_km(p, s.location);
+    if (km < best_km) {
+      best_km = km;
+      best = &s;
+    }
+  }
+  return *best;
+}
+
+}  // namespace
 
 const std::vector<Site>& platform_sites(PlatformId id) {
   // Approximate datacenter coordinates. Zoom/Webex free tier: US only
@@ -76,25 +93,11 @@ RelayServer* RelayAllocator::new_relay(const Site& site) {
   return ptr;
 }
 
-const Site& RelayAllocator::nearest_site(const GeoPoint& p) const {
-  const auto& sites = platform_sites(platform_);
-  const Site* best = nullptr;
-  double best_km = std::numeric_limits<double>::max();
-  for (const auto& s : sites) {
-    const double km = great_circle_km(p, s.location);
-    if (km < best_km) {
-      best_km = km;
-      best = &s;
-    }
-  }
-  return *best;
-}
-
 RelayServer* RelayAllocator::zoom_session_relay(const GeoPoint& host_location) {
   const auto& sites = platform_sites(PlatformId::kZoom);
   // "In the US" by longitude: the paper's US/EU vantage split.
   const bool host_in_us = host_location.lon_deg < -30.0;
-  const Site& site = host_in_us ? nearest_site(host_location) : sites[rng_.index(sites.size())];
+  const Site& site = host_in_us ? nearest(sites, host_location) : sites[rng_.index(sites.size())];
   return new_relay(site);  // fresh IP every session: 20/20 distinct endpoints
 }
 
@@ -106,23 +109,13 @@ RelayServer* RelayAllocator::webex_session_relay() {
 }
 
 RelayServer* RelayAllocator::webex_paid_session_relay(const GeoPoint& host_location) {
-  const auto& sites = webex_paid_sites();
-  const Site* best = &sites.front();
-  double best_km = std::numeric_limits<double>::max();
-  for (const auto& s : sites) {
-    const double km = great_circle_km(host_location, s.location);
-    if (km < best_km) {
-      best_km = km;
-      best = &s;
-    }
-  }
-  return new_relay(*best);
+  return new_relay(nearest(webex_paid_sites(), host_location));
 }
 
 RelayServer* RelayAllocator::meet_front_end(const net::Host& client) {
   auto it = meet_front_ends_.find(client.ip());
   if (it == meet_front_ends_.end()) {
-    const Site& site = nearest_site(client.location());
+    const Site& site = nearest(platform_sites(platform_), client.location());
     it = meet_front_ends_.emplace(client.ip(), std::make_pair(new_relay(site), new_relay(site)))
              .first;
   }

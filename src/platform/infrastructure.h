@@ -81,7 +81,6 @@ class RelayAllocator {
 
  private:
   RelayServer* new_relay(const Site& site);
-  const Site& nearest_site(const GeoPoint& p) const;
 
   net::Network& network_;
   PlatformId platform_;

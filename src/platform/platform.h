@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -78,33 +76,6 @@ struct PlatformTraits {
   int max_tiles = 4;
   /// Audio stream rate (Section 4.4: Zoom 90, Webex 45, Meet 40 Kbps).
   DataRate audio_rate;
-};
-
-class VcaPlatform {
- public:
-  virtual ~VcaPlatform() = default;
-
-  virtual const PlatformTraits& traits() const = 0;
-
-  /// Creates a meeting hosted by `host`; the host is participant 1.
-  /// `on_route` is invoked immediately with initial routing and again on any
-  /// re-route.
-  virtual MeetingId create_meeting(const ClientRef& host,
-                                   std::function<void(RouteInfo)> on_route) = 0;
-
-  /// Joins an existing meeting. Returns the new participant's id.
-  virtual ParticipantId join(MeetingId meeting, const ClientRef& client,
-                             std::function<void(RouteInfo)> on_route) = 0;
-
-  virtual void leave(MeetingId meeting, ParticipantId participant) = 0;
-  virtual void end_meeting(MeetingId meeting) = 0;
-
-  /// Updates a participant's view mode (drives subscription changes).
-  virtual void set_view_mode(MeetingId meeting, ParticipantId participant, ViewMode view) = 0;
-
-  /// Current roster size (what the client's UI shows — used by clients for
-  /// N-dependent rate policy). 0 for unknown meetings.
-  virtual int participant_count(MeetingId meeting) const = 0;
 };
 
 }  // namespace vc::platform

@@ -6,7 +6,7 @@
 namespace vc::platform {
 
 namespace {
-/// Cap on recycled candidate batches kept for reuse: bounds what a burst of
+/// Cap on recycled departure batches kept for reuse: bounds what a burst of
 /// concurrently in-flight ingests leaves behind.
 constexpr std::size_t kMaxBatchSpares = 16;
 }  // namespace
@@ -75,20 +75,6 @@ void RelayServer::transmit(net::Packet&& pkt) {
 }
 
 void RelayServer::schedule_departure(SimTime tick, std::shared_ptr<DepartureBatch> batch) {
-  network_.loop().schedule_at(tick, [this, batch = std::move(batch)] {
-    batch->sealed = true;
-    if (m_departure_batch_pkts_ != nullptr) {
-      m_departure_batch_pkts_->observe(static_cast<double>(batch->packets.size()));
-    }
-    if (tracer_ != nullptr) {
-      tracer_->instant("relay.depart", network_.now(), static_cast<double>(batch->packets.size()));
-    }
-    for (net::Packet& p : batch->packets) transmit(std::move(p));
-  });
-}
-
-void RelayServer::schedule_candidate_departure(SimTime tick,
-                                               std::shared_ptr<DepartureBatch> batch) {
   network_.loop().schedule_at(tick, [this, batch = std::move(batch)]() mutable {
     batch->sealed = true;
     if (m_departure_batch_pkts_ != nullptr) {
@@ -324,20 +310,11 @@ std::int64_t RelayServer::fan_out_media(Meeting& meeting, const net::Packet& pkt
       dep.open = cand;
       cand->packets.push_back(std::move(copy));
     } else {
-      const SimTime departure = dep.floor;
-      if (dep.open && !dep.open->sealed && dep.open_tick == departure) {
-        dep.open->packets.push_back(std::move(copy));
-      } else {
-        auto batch = std::make_shared<DepartureBatch>();
-        batch->packets.push_back(std::move(copy));
-        dep.open = batch;
-        dep.open_tick = departure;
-        schedule_departure(departure, std::move(batch));
-      }
+      send_with_candidate(std::move(copy), dep, candidate);
     }
     ++copies;
   }
-  if (cand) schedule_candidate_departure(candidate, std::move(cand));
+  if (cand) schedule_departure(candidate, std::move(cand));
   return copies;
 }
 

@@ -209,6 +209,7 @@ class RelayServer {
   ///   * the destination's open batch is at the required tick — the copy
   ///     joins it, never scheduling;
   ///   * otherwise a fresh per-destination batch is scheduled on the spot.
+  /// The last two are send_with_candidate's, with the floor as the tick.
   std::int64_t fan_out_media(Meeting& meeting, const net::Packet& pkt, SimTime candidate);
 
   /// This ingest's jittered departure candidate: now + base + exp(jitter).
@@ -217,18 +218,16 @@ class RelayServer {
   /// Runs pkt through the destination's departure pipeline at `candidate`
   /// (FIFO floor, batch coalescing), scheduling any newly opened batch.
   void send_with_candidate(net::Packet pkt, Departure& dep, SimTime candidate);
-  /// Schedules the departure event that seals and transmits `batch`.
+  /// Schedules the departure event that seals and transmits `batch`, then
+  /// recycles it onto batch_spares_ when the event holds its only reference
+  /// (destinations usually repoint their open-batch handle to a newer batch
+  /// long before the old one fires, so the steady state reuses a few
+  /// allocations instead of making a fresh batch, and a fresh packet-vector
+  /// growth chain, per ingested packet).
   void schedule_departure(SimTime tick, std::shared_ptr<DepartureBatch> batch);
   /// Final egress of one departed packet: a registered trunk route when the
   /// destination is a trunked peer, the relay's UDP socket otherwise.
   void transmit(net::Packet&& pkt);
-  /// Like schedule_departure, but for an ingest-wide candidate batch: after
-  /// transmitting, the batch is recycled onto batch_spares_ when no departure
-  /// pipeline references it any more (destinations usually repoint their
-  /// open-batch handle to a newer ingest long before the old one fires, so
-  /// the steady state reuses one allocation instead of making a fresh batch —
-  /// and a fresh packet-vector growth chain — per ingested packet).
-  void schedule_candidate_departure(SimTime tick, std::shared_ptr<DepartureBatch> batch);
   /// An empty, unsealed batch: recycled from batch_spares_ when possible,
   /// freshly allocated (with `reserve_hint` packet capacity) otherwise.
   std::shared_ptr<DepartureBatch> acquire_batch(std::size_t reserve_hint);
@@ -250,7 +249,7 @@ class RelayServer {
   Stats stats_;
   bool crashed_ = false;
 
-  /// Fired candidate batches ready for reuse.
+  /// Fired batches ready for reuse.
   std::vector<std::shared_ptr<DepartureBatch>> batch_spares_;
 
   MetricsRegistry::Counter* m_media_in_ = nullptr;
