@@ -1,9 +1,9 @@
 // Byte-identity pins for the encoder and the feeds.
 //
-// Each test hashes everything a stream carries — every EncodedFrame field
-// and the encoder's reconstruction after every frame — into one FNV-1a
-// digest and compares it with a digest recorded from the reference
-// implementation. Any change to the codec or the feeds that moves a single
+// A stream test hashes everything a stream carries — every EncodedFrame
+// field and the encoder's reconstruction after every frame — into one FNV-1a
+// digest; a pixel test hashes the frames a feed renders. Each compares its
+// digest with one recorded from the reference implementation. Any change to the codec or the feeds that moves a single
 // bit of any frame fails here, whatever it was meant to speed up.
 #include <gtest/gtest.h>
 
@@ -118,6 +118,54 @@ TEST(CodecIdentity, FlashFeedPixelsArePinned) {
   // Every flash shows the same image and every quiet frame the same blank.
   EXPECT_EQ(feed.frame_at(0), feed.frame_at(41));
   EXPECT_EQ(feed.frame_at(3), feed.frame_at(119));
+}
+
+// Feed pixels, frame by frame. At 15 fps, frames 26-49 fall where the
+// tour guide's vertical pan is negative (t in 1.7-3.3 s) and frame 75 is the
+// first of its second scene (t >= 5 s), so the noise lattice is covered at
+// negative coordinates and under a re-seeded texture. The odd geometries
+// leave partial lattice cells at the right and bottom edges.
+const std::vector<std::int64_t> kFeedFrames{0, 1, 26, 37, 49, 74, 75, 76, 150};
+
+std::uint64_t feed_digest(const VideoFeed& feed) {
+  std::uint64_t h = kFnvBasis;
+  for (const std::int64_t i : kFeedFrames) mix(h, frame_digest(feed.frame_at(i)));
+  return h;
+}
+
+TEST(CodecIdentity, TourGuideFeedPixelsArePinned) {
+  EXPECT_EQ(feed_digest(TourGuideFeed{{64, 48, 15.0, 5}}), 0x0fb142b40caf0bbcULL);
+  EXPECT_EQ(feed_digest(TourGuideFeed{{160, 112, 15.0, 7}}), 0xd34236209c47b2beULL);
+  EXPECT_EQ(feed_digest(TourGuideFeed{{1, 1, 15.0, 5}}), 0xe48691697d400bb8ULL);
+  EXPECT_EQ(feed_digest(TourGuideFeed{{7, 5, 15.0, 5}}), 0x519d301d089b38c2ULL);
+  EXPECT_EQ(feed_digest(TourGuideFeed{{33, 17, 15.0, 11}}), 0xfb225a94f5a84660ULL);
+}
+
+TEST(CodecIdentity, TourGuideFeedPixelsArePinnedAtEachSensorNoise) {
+  EXPECT_EQ(feed_digest(TourGuideFeed{{64, 48, 15.0, 5, 0.0}}), 0x99c1b8c6e133ae58ULL);
+  EXPECT_EQ(feed_digest(TourGuideFeed{{64, 48, 15.0, 5, 9.0}}), 0xe1206c5749ebfbddULL);
+}
+
+TEST(CodecIdentity, TalkingHeadFeedPixelsArePinned) {
+  // Narrower than the wall's 48 px lattice cell, and odd in both axes.
+  EXPECT_EQ(feed_digest(TalkingHeadFeed{{41, 31, 15.0, 3}}), 0x48b182d76a0e1f92ULL);
+  EXPECT_EQ(feed_digest(TalkingHeadFeed{{160, 112, 15.0, 3}}), 0x583dbd144c026183ULL);
+  EXPECT_EQ(feed_digest(TalkingHeadFeed{{41, 31, 15.0, 3, 0.0}}), 0xf61e6cf4d3283a1aULL);
+  EXPECT_EQ(feed_digest(TalkingHeadFeed{{41, 31, 15.0, 3, 9.0}}), 0x70225079e5e0237cULL);
+}
+
+TEST(CodecIdentity, OddFlashFeedPixelsArePinned) {
+  const FlashFeed feed{{33, 17, 10.0, 0xF00D}};
+  ASSERT_TRUE(feed.is_flash_frame(0));
+  EXPECT_EQ(frame_digest(feed.frame_at(0)), 0x09f0acad33185337ULL);
+}
+
+TEST(CodecIdentity, PaddedFeedPixelsArePinned) {
+  // The congested cell's padded 64x48 tour guide, and an odd inner size.
+  const PaddedFeed tour{std::make_shared<TourGuideFeed>(FeedParams{64, 48, 15.0, 5}), 8};
+  const PaddedFeed head{std::make_shared<TalkingHeadFeed>(FeedParams{33, 17, 15.0, 3}), 3};
+  EXPECT_EQ(feed_digest(tour), 0x88d418d4b6d649e8ULL);
+  EXPECT_EQ(feed_digest(head), 0x36dc21c59b0380e2ULL);
 }
 
 // The quantizer's inline rounding is std::lround on the ties and on the

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "media/feeds.h"
 #include "media/frame.h"
 
@@ -150,6 +152,17 @@ TEST(PaddedFeed, RejectsBadArguments) {
   EXPECT_THROW(PaddedFeed(nullptr, 4), std::invalid_argument);
   auto inner = std::make_shared<BlankFeed>(FeedParams{});
   EXPECT_THROW(PaddedFeed(inner, -1), std::invalid_argument);
+}
+
+TEST(Feeds, NonPositiveGeometryThrows) {
+  for (const auto& [w, h] : {std::pair{0, 48}, std::pair{64, 0}, std::pair{-1, 48},
+                            std::pair{64, -1}, std::pair{-(1 << 20), -(1 << 20)}}) {
+    const FeedParams p{w, h, 15.0, 1};
+    const TourGuideFeed tour{p};
+    EXPECT_THROW(tour.frame_at(0), std::invalid_argument) << w << "x" << h;
+    EXPECT_THROW(TalkingHeadFeed{p}, std::invalid_argument) << w << "x" << h;
+    EXPECT_THROW((FlashFeed{p}), std::invalid_argument) << w << "x" << h;
+  }
 }
 
 TEST(Feeds, NegativeIndexThrows) {
