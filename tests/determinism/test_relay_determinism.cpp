@@ -201,8 +201,11 @@ std::string scale_report_json(std::size_t threads) {
   cfg.platform = platform::PlatformId::kZoom;
   cfg.n_total = 6;
   cfg.duration = seconds(12);
-  runner::ExperimentRunner runner{
-      {.threads = threads, .base_seed = 71, .label = "relay-determinism"}};
+  runner::ExperimentRunner::Config rc;
+  rc.threads = threads;
+  rc.base_seed = 71;
+  rc.label = "relay-determinism";
+  runner::ExperimentRunner runner{rc};
   const runner::RunReport report = runner.run(2, [cfg](runner::SessionContext& ctx) {
     const core::ScaleSessionResult r = core::run_scale_session(cfg, ctx.seed);
     ctx.sample("s10_rate_mbps", r.s10_rate_mbps);

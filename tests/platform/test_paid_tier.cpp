@@ -21,8 +21,9 @@ struct PaidTierFixture : public ::testing::Test {
   }
 
   GeoPoint relay_location(WebexPlatform& webex, GeoPoint host_loc) {
-    const auto host = make_client("h-" + std::to_string(++counter), host_loc,
-                                  static_cast<std::uint16_t>(48000 + counter));
+    const int id = ++counter;
+    const auto host =
+        make_client("h-" + std::to_string(id), host_loc, static_cast<std::uint16_t>(48000 + id));
     RouteInfo route;
     webex.create_meeting(host, [&](RouteInfo r) { route = r; });
     return net.host(route.media_endpoint.ip)->location();
