@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <vector>
 
 namespace vc::media {
 namespace {
@@ -19,28 +20,81 @@ std::uint8_t hash_noise(std::uint64_t seed, int x, int y) {
   return static_cast<std::uint8_t>(h & 0xFF);
 }
 
-// Smooth value noise: bilinear interpolation of lattice hash noise at a
-// given cell size. Produces natural-looking low-frequency texture.
-double value_noise(std::uint64_t seed, double x, double y, double cell) {
-  const double gx = x / cell;
-  const double gy = y / cell;
-  const int x0 = static_cast<int>(std::floor(gx));
-  const int y0 = static_cast<int>(std::floor(gy));
-  const double fx = gx - x0;
-  const double fy = gy - y0;
-  const double sx = fx * fx * (3 - 2 * fx);  // smoothstep
-  const double sy = fy * fy * (3 - 2 * fy);
-  const double v00 = hash_noise(seed, x0, y0);
-  const double v10 = hash_noise(seed, x0 + 1, y0);
-  const double v01 = hash_noise(seed, x0, y0 + 1);
-  const double v11 = hash_noise(seed, x0 + 1, y0 + 1);
-  return (v00 * (1 - sx) + v10 * sx) * (1 - sy) + (v01 * (1 - sx) + v11 * sx) * sy;
-}
+// Smooth value noise over a w×h raster: bilinear interpolation of lattice
+// hash noise at a given cell size, sampled at (x + off_x, y + off_y) for
+// pixel (x, y). Produces natural-looking low-frequency texture. A lattice
+// cell spans many pixels, so the lattice values the raster touches are hashed
+// once, and a column's (row's) cell and weight are worked out once. Each
+// pixel then evaluates the bilinear blend with the same operations in the
+// same order as a pointwise evaluation would, so every value is bit-exact.
+class ValueNoise {
+ public:
+  ValueNoise(std::uint64_t seed, int w, int h, double off_x, double off_y, double cell)
+      : cols_(axis(w, off_x, cell)), rows_(axis(h, off_y, cell)) {
+    // Lattice indices grow with the coordinate, so the first and last
+    // positions bound them; the blend reads one past the last.
+    const int x_lo = cols_.front().cell;
+    const int y_lo = rows_.front().cell;
+    stride_ = cols_.back().cell - x_lo + 2;
+    const int lattice_rows = rows_.back().cell - y_lo + 2;
+    lattice_.resize(static_cast<std::size_t>(stride_) * lattice_rows);
+    for (int j = 0; j < lattice_rows; ++j) {
+      for (int i = 0; i < stride_; ++i) {
+        lattice_[static_cast<std::size_t>(j) * stride_ + i] = hash_noise(seed, x_lo + i, y_lo + j);
+      }
+    }
+    for (Weight& c : cols_) c.cell -= x_lo;
+    for (Weight& r : rows_) r.cell = (r.cell - y_lo) * stride_;
+  }
+
+  double at(int x, int y) const {
+    const double sx = cols_[x].s;
+    const double sy = rows_[y].s;
+    const std::uint8_t* v = &lattice_[static_cast<std::size_t>(rows_[y].cell + cols_[x].cell)];
+    const double v00 = v[0];
+    const double v10 = v[1];
+    const double v01 = v[stride_];
+    const double v11 = v[stride_ + 1];
+    return (v00 * (1 - sx) + v10 * sx) * (1 - sy) + (v01 * (1 - sx) + v11 * sx) * sy;
+  }
+
+ private:
+  // One column or row: its lattice cell (after construction, its offset into
+  // the lattice) and its smoothstep weight.
+  struct Weight {
+    int cell;
+    double s;
+  };
+
+  static std::vector<Weight> axis(int n, double off, double cell) {
+    std::vector<Weight> out(static_cast<std::size_t>(n));
+    for (int i = 0; i < n; ++i) {
+      const double g = (i + off) / cell;
+      const int c = static_cast<int>(std::floor(g));
+      const double f = g - c;
+      out[static_cast<std::size_t>(i)] = {c, f * f * (3 - 2 * f)};  // smoothstep
+    }
+    return out;
+  }
+
+  std::vector<Weight> cols_;
+  std::vector<Weight> rows_;
+  int stride_ = 0;
+  std::vector<std::uint8_t> lattice_;
+};
 
 // Two-octave fractal noise, range ~[0, 255].
-double fractal_noise(std::uint64_t seed, double x, double y, double cell) {
-  return 0.7 * value_noise(seed, x, y, cell) + 0.3 * value_noise(seed ^ 0xABCD, x, y, cell / 3.0);
-}
+class FractalNoise {
+ public:
+  FractalNoise(std::uint64_t seed, int w, int h, double off_x, double off_y, double cell)
+      : coarse_(seed, w, h, off_x, off_y, cell), fine_(seed ^ 0xABCD, w, h, off_x, off_y, cell / 3.0) {}
+
+  double at(int x, int y) const { return 0.7 * coarse_.at(x, y) + 0.3 * fine_.at(x, y); }
+
+ private:
+  ValueNoise coarse_;
+  ValueNoise fine_;
+};
 
 void fill_ellipse(Frame& f, double cx, double cy, double rx, double ry, std::uint8_t luma) {
   const int x_lo = std::max(0, static_cast<int>(cx - rx) - 1);
@@ -62,10 +116,13 @@ void apply_sensor_noise(Frame& f, std::uint64_t seed, std::int64_t index, double
   if (sigma <= 0.0) return;
   const double half_range = sigma * 1.7320508;  // uniform(-a, a) has sd a/sqrt(3)
   const std::uint64_t frame_seed = seed ^ (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(index + 1));
+  // The shift a hash value h adds, (h - 127.5) / 127.5 * half_range, worked
+  // out once per value rather than once per pixel.
+  double shift[256];
+  for (int h = 0; h < 256; ++h) shift[h] = (h - 127.5) / 127.5 * half_range;
   for (int y = 0; y < f.height(); ++y) {
     for (int x = 0; x < f.width(); ++x) {
-      const double u = (hash_noise(frame_seed, x, y) - 127.5) / 127.5;
-      const double v = f.at(x, y) + u * half_range;
+      const double v = f.at(x, y) + shift[hash_noise(frame_seed, x, y)];
       f.set(x, y, static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0)));
     }
   }
@@ -77,9 +134,10 @@ void apply_sensor_noise(Frame& f, std::uint64_t seed, std::int64_t index, double
 
 TalkingHeadFeed::TalkingHeadFeed(FeedParams params) : p_(params), background_(p_.width, p_.height) {
   // Indoor wall: smooth low-frequency texture plus a darker "bookshelf" band.
+  const FractalNoise wall{p_.seed, p_.width, p_.height, 0.0, 0.0, 48.0};
   for (int y = 0; y < p_.height; ++y) {
     for (int x = 0; x < p_.width; ++x) {
-      double v = 90.0 + 0.25 * fractal_noise(p_.seed, x, y, 48.0);
+      double v = 90.0 + 0.25 * wall.at(x, y);
       if (x > p_.width * 3 / 4) v *= 0.7;  // shelf on the right
       background_.set(x, y, static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0)));
     }
@@ -135,9 +193,10 @@ Frame TourGuideFeed::frame_at(std::int64_t index) const {
   // reason high-motion content is expensive per bit (Finding 3).
   const double pan_x = 85.0 * t;
   const double pan_y = 12.0 * std::sin(2.0 * std::numbers::pi * 0.3 * t);
+  const FractalNoise texture{scene_seed, p_.width, p_.height, pan_x, pan_y, 9.0};
   for (int y = 0; y < p_.height; ++y) {
     for (int x = 0; x < p_.width; ++x) {
-      const double v = fractal_noise(scene_seed, x + pan_x, y + pan_y, 9.0);
+      const double v = texture.at(x, y);
       f.set(x, y, static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0)));
     }
   }
@@ -170,10 +229,11 @@ FlashFeed::FlashFeed(FeedParams params, double period_sec, int flash_frames)
   // KB, producing the unmistakable burst of big packets on the wire that
   // the lag detector keys on (Fig 2).
   flash_ = Frame{p_.width, p_.height};
+  const ValueNoise noise{p_.seed ^ 0xF1A5, p_.width, p_.height, 0.0, 0.0, 5.0};
   for (int y = 0; y < p_.height; ++y) {
     for (int x = 0; x < p_.width; ++x) {
       const bool check = ((x / 12) + (y / 12)) % 2 == 0;
-      const double texture = 0.5 * value_noise(p_.seed ^ 0xF1A5, x, y, 5.0);
+      const double texture = 0.5 * noise.at(x, y);
       const double v = (check ? 200.0 : 60.0) + texture - 64.0;
       flash_.set(x, y, static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0)));
     }
@@ -211,9 +271,8 @@ Frame PaddedFeed::frame_at(std::int64_t index) const {
   const Frame inner = inner_->frame_at(index);
   Frame out{width(), height(), pad_luma_};
   for (int y = 0; y < inner.height(); ++y) {
-    for (int x = 0; x < inner.width(); ++x) {
-      out.set(x + pad_, y + pad_, inner.at(x, y));
-    }
+    std::copy_n(inner.data() + static_cast<std::size_t>(y) * inner.width(), inner.width(),
+                out.data() + static_cast<std::size_t>(y + pad_) * out.width() + pad_);
   }
   return out;
 }
