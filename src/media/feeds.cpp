@@ -37,11 +37,9 @@ class ValueNoise {
     const int y_lo = rows_.front().cell;
     stride_ = cols_.back().cell - x_lo + 2;
     const int lattice_rows = rows_.back().cell - y_lo + 2;
-    lattice_.resize(static_cast<std::size_t>(stride_) * lattice_rows);
+    lattice_.reserve(static_cast<std::size_t>(stride_) * lattice_rows);
     for (int j = 0; j < lattice_rows; ++j) {
-      for (int i = 0; i < stride_; ++i) {
-        lattice_[static_cast<std::size_t>(j) * stride_ + i] = hash_noise(seed, x_lo + i, y_lo + j);
-      }
+      for (int i = 0; i < stride_; ++i) lattice_.push_back(hash_noise(seed, x_lo + i, y_lo + j));
     }
     for (Weight& c : cols_) c.cell -= x_lo;
     for (Weight& r : rows_) r.cell = (r.cell - y_lo) * stride_;
@@ -87,7 +85,8 @@ class ValueNoise {
 class FractalNoise {
  public:
   FractalNoise(std::uint64_t seed, int w, int h, double off_x, double off_y, double cell)
-      : coarse_(seed, w, h, off_x, off_y, cell), fine_(seed ^ 0xABCD, w, h, off_x, off_y, cell / 3.0) {}
+      : coarse_(seed, w, h, off_x, off_y, cell),
+        fine_(seed ^ 0xABCD, w, h, off_x, off_y, cell / 3.0) {}
 
   double at(int x, int y) const { return 0.7 * coarse_.at(x, y) + 0.3 * fine_.at(x, y); }
 

@@ -3,8 +3,9 @@
 // A stream test hashes everything a stream carries — every EncodedFrame
 // field and the encoder's reconstruction after every frame — into one FNV-1a
 // digest; a pixel test hashes the frames a feed renders. Each compares its
-// digest with one recorded from the reference implementation. Any change to the codec or the feeds that moves a single
-// bit of any frame fails here, whatever it was meant to speed up.
+// digest with one recorded from the reference implementation. Any change to
+// the codec or the feeds that moves a single bit of any frame fails here,
+// whatever it was meant to speed up.
 #include <gtest/gtest.h>
 
 #include <bit>
