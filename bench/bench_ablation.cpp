@@ -111,8 +111,9 @@ void run_skip_cell(runner::SessionContext& ctx) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Ablations — methodology accuracy and parameter robustness", paper);
 
   std::vector<Cell> cells;

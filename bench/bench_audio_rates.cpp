@@ -57,8 +57,9 @@ double run_audio_session(platform::PlatformId id, std::uint64_t seed, SimDuratio
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Audio rates — audio-only streams (Section 4.4)", paper);
 
   const int sessions_per_platform = paper ? 4 : 1;

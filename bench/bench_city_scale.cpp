@@ -94,19 +94,19 @@ runner::ExperimentRunner::Task gate_task(bool fleet_on) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
-  const int rounds = vcb::int_flag(argc, argv, "--rounds", 5);
-  const std::string out_path =
-      vcb::flag_string(argc, argv, "--out", "bench_city_scale.report.json");
-  const std::string platform_name = vcb::flag_string(argc, argv, "--platform", "zoom");
-  const int cities = vcb::int_flag(argc, argv, "--cities", paper ? 8 : 4);
-  const int meetings = vcb::int_flag(argc, argv, "--meetings", paper ? 24 : 13);
-  const int participants = vcb::int_flag(argc, argv, "--participants", 7);
-  const int overflow = vcb::int_flag(argc, argv, "--overflow", 6);
-  const std::string fleets = vcb::flag_string(argc, argv, "--fleets", "1,2,4");
-  const std::string policy_names = vcb::flag_string(argc, argv, "--policies", "rr,least,locality");
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  const double gate = flags.number("--gate", 0.0);
+  const int rounds = flags.integer("--rounds", 5);
+  const std::string out_path = flags.text("--out", "bench_city_scale.report.json");
+  const std::string platform_name = flags.text("--platform", "zoom");
+  const int cities = flags.integer("--cities", paper ? 8 : 4);
+  const int meetings = flags.integer("--meetings", paper ? 24 : 13);
+  const int participants = flags.integer("--participants", 7);
+  const int overflow = flags.integer("--overflow", 6);
+  const std::string fleets = flags.text("--fleets", "1,2,4");
+  const std::string policy_names = flags.text("--policies", "rr,least,locality");
+  flags.reject_unread();
   if (gate > 0.0) {
     return vcb::invisibility_gate("city_scale_fleet_gate", gate_task, /*n=*/3, /*base_seed=*/10101,
                                   rounds, gate).finish(out_path);
@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   const platform::PlatformId plat = parse_platform(platform_name);
   std::vector<int> fleet_sizes;
   for (const auto& s : split_csv(fleets)) {
-    fleet_sizes.push_back(vcb::parse_int("--fleets", s.c_str()));
+    fleet_sizes.push_back(vc::Flags::parse_integer("--fleets", s));
   }
   std::vector<fleet::PlacementPolicy> policies;
   for (const auto& s : split_csv(policy_names)) {

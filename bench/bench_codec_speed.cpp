@@ -71,11 +71,11 @@ std::uint64_t run_trial(const std::vector<Frame>& feed_frames) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int rounds = vcb::int_flag(argc, argv, "--rounds", 7);
-  const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
-  const std::string out_path =
-      vcb::flag_string(argc, argv, "--out", "bench_codec_speed.report.json");
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const int rounds = flags.integer("--rounds", 7);
+  const double gate = flags.number("--gate", 0.0);
+  const std::string out_path = flags.text("--out", "bench_codec_speed.report.json");
+  flags.reject_unread();
 
   const DctBackend best = best_dct_backend();
   std::printf("codec transform A/B: %dx%d, %d frames/pass, %d rounds, simd backend=%s\n", kWidth,

@@ -142,8 +142,9 @@ Impair oscillating_shaper(int hi_kbps, int lo_kbps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Extension — last-mile effects (Zoom, two-party)", paper);
 
   std::vector<Condition> conditions;

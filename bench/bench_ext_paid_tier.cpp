@@ -9,35 +9,18 @@
 // must be bit-identical.
 #include <cstdio>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "core/lag_benchmark.h"
 #include "runner/experiment_runner.h"
 
-namespace {
-
 using namespace vc;
 
-/// Participant labels exactly as run_lag_benchmark derives them (site name,
-/// disambiguated with -2, -3... for repeated sites).
-std::vector<std::string> participant_labels() {
-  const auto sites = core::europe_participant_sites("CH");
-  std::unordered_map<std::string, int> site_use;
-  std::vector<std::string> labels;
-  for (const auto& site : sites) {
-    const int idx = site_use[site]++;
-    labels.push_back(idx == 0 ? site : site + "-" + std::to_string(idx + 1));
-  }
-  return labels;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Extension — Webex free vs paid tier (European sessions)", paper);
 
   const struct {
@@ -78,7 +61,7 @@ int main(int argc, char** argv) {
   const auto run = vcb::run_checked(rc, std::size(tiers), task);
   const auto& report = run.report;
 
-  const auto labels = participant_labels();
+  const auto labels = core::participant_labels(core::europe_participant_sites("CH"));
   for (const auto& t : tiers) {
     std::printf("--- Webex %s: meeting host in CH, participants across Europe ---\n", t.label);
     TextTable table{{"participant", "median lag (ms)", "median RTT (ms)"}};

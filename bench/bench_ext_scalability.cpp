@@ -95,8 +95,9 @@ struct Point {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Extension — session-size scaling (every participant streaming)", paper);
 
   const int max_n = paper ? 30 : 25;

@@ -68,10 +68,10 @@ void sample_session(runner::SessionContext& ctx, const std::string& key,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  const std::string out_path =
-      vcb::flag_string(argc, argv, "--out", "bench_fairness.report.json");
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  const std::string out_path = flags.text("--out", "bench_fairness.report.json");
+  flags.reject_unread();
 
   vcb::banner("Competing-flow fairness — shared bottleneck, client ABR vs platform policy",
               paper);

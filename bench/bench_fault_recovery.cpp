@@ -93,15 +93,15 @@ runner::ExperimentRunner::Task gate_task(bool inject) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
-  const int rounds = vcb::int_flag(argc, argv, "--rounds", 5);
-  const std::string out_path =
-      vcb::flag_string(argc, argv, "--out", "bench_fault_recovery.report.json");
-  const std::string plan_path = vcb::flag_string(argc, argv, "--plan", "");
-  const std::string timeline_dir = vcb::flag_string(argc, argv, "--timeline", "");
-  const std::string slo_path = vcb::flag_string(argc, argv, "--slo", "");
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  const double gate = flags.number("--gate", 0.0);
+  const int rounds = flags.integer("--rounds", 5);
+  const std::string out_path = flags.text("--out", "bench_fault_recovery.report.json");
+  const std::string plan_path = flags.text("--plan", "");
+  const std::string timeline_dir = flags.text("--timeline", "");
+  const std::string slo_path = flags.text("--slo", "");
+  flags.reject_unread();
   if (gate > 0.0) {
     return vcb::invisibility_gate("fault_recovery_gate", gate_task, /*n=*/3, /*base_seed=*/4242,
                                   rounds, gate).finish(out_path);

@@ -40,8 +40,9 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Figs 12 & 16 — video QoE vs session size", paper);
   const int max_n = paper ? 5 : 3;
   const int sessions_per_cell = paper ? 5 : 1;

@@ -83,8 +83,9 @@ PaddingResult run_padding_session(std::uint64_t seed, SimDuration duration) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Fig 13 — the protective-padding pipeline, and what it avoids", paper);
 
   const std::size_t reps = paper ? 4 : 1;

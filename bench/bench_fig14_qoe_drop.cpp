@@ -30,8 +30,9 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Fig 14 — QoE reduction from low-motion to high-motion feeds (US)", paper);
 
   const int max_n = paper ? 5 : 3;

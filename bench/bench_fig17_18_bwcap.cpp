@@ -33,8 +33,9 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Figs 17-18 — streaming under bandwidth constraints", paper);
 
   const std::vector<DataRate> caps = {DataRate::kbps(250),  DataRate::kbps(500),

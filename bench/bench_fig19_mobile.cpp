@@ -34,8 +34,9 @@ struct Cell {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Fig 19 — mobile CPU / data rate / battery (S10 & J3)", paper);
 
   const mobile::MobileScenario scenarios[] = {

@@ -34,8 +34,9 @@ vc::core::LagBenchmarkConfig fig2_config(bool paper, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
   using namespace vc;
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Fig 2 — video lag measurement from packet streams (Zoom, US)", paper);
 
   // Timeline illustration from one direct run.
@@ -64,9 +65,8 @@ int main(int argc, char** argv) {
 
   // Repetition sweep on the runner.
   const std::size_t reps = paper ? 4 : 2;
-  const bool paper_scale = paper;
-  const auto task = [paper_scale](runner::SessionContext& ctx) {
-    const auto r = core::run_lag_benchmark(fig2_config(paper_scale, ctx.seed));
+  const auto task = [paper](runner::SessionContext& ctx) {
+    const auto r = core::run_lag_benchmark(fig2_config(paper, ctx.seed));
     const auto& p = r.participants.front();
     ctx.sample("lag.US-West.flashes", static_cast<double>(p.lags_ms.size()));
     for (double lag : p.lags_ms) ctx.sample("lag.US-West.ms", lag);

@@ -16,8 +16,9 @@
 
 int main(int argc, char** argv) {
   using namespace vc;
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Fig 3 — videoconferencing service endpoints", paper);
 
   const auto& platforms = vcb::all_platforms();

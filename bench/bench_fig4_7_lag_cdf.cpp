@@ -13,7 +13,6 @@
 // executes at 1 thread and at 8; the aggregates must be bit-identical.
 #include <cstdio>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -46,25 +45,18 @@ struct Point {
 constexpr double kQuantiles[] = {0.1, 0.25, 0.5, 0.75, 0.9};
 constexpr const char* kQuantileNames[] = {"p10", "p25", "p50", "p75", "p90"};
 
-/// Participant labels exactly as run_lag_benchmark derives them (site name,
-/// disambiguated with -2, -3... for repeated sites).
-std::vector<std::string> participant_labels(const Scenario& sc) {
-  const auto sites = sc.europe ? core::europe_participant_sites(sc.host)
-                               : core::us_participant_sites(sc.host);
-  std::unordered_map<std::string, int> site_use;
-  std::vector<std::string> labels;
-  for (const auto& site : sites) {
-    const int idx = site_use[site]++;
-    labels.push_back(idx == 0 ? site : site + "-" + std::to_string(idx + 1));
-  }
-  return labels;
+/// The six participant sites of a scenario's lag run.
+std::vector<std::string> participant_sites(const Scenario& sc) {
+  return sc.europe ? core::europe_participant_sites(sc.host)
+                   : core::us_participant_sites(sc.host);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Figs 4-7 — CDFs of streaming lag (percentile summaries)", paper);
 
   std::vector<Point> points;
@@ -80,9 +72,7 @@ int main(int argc, char** argv) {
     core::LagBenchmarkConfig cfg;
     cfg.platform = p.id;
     cfg.host_site = p.scenario->host;
-    cfg.participant_sites = p.scenario->europe
-                                ? core::europe_participant_sites(cfg.host_site)
-                                : core::us_participant_sites(cfg.host_site);
+    cfg.participant_sites = participant_sites(*p.scenario);
     cfg.sessions = paper ? 20 : 6;
     cfg.session_duration = paper ? seconds(120) : seconds(40);
     cfg.seed = ctx.seed;
@@ -107,7 +97,7 @@ int main(int argc, char** argv) {
   for (const auto& sc : kScenarios) {
     std::printf("--- %s: meeting host in %s ---\n", sc.figure, sc.host);
     TextTable table{{"platform", "participant", "p10/p25/p50/p75/p90 lag (ms)", "samples"}};
-    const auto labels = participant_labels(sc);
+    const auto labels = core::participant_labels(participant_sites(sc));
     for (const auto id : vcb::all_platforms()) {
       for (const auto& label : labels) {
         const std::string base =

@@ -15,7 +15,6 @@
 // thread and at 8; the aggregates must be bit-identical.
 #include <cstdio>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -45,24 +44,18 @@ struct Point {
   std::string key;  // e.g. "Fig 8/Zoom"
 };
 
-/// Participant labels exactly as run_lag_benchmark derives them.
-std::vector<std::string> participant_labels(const Scenario& sc) {
-  const auto sites = sc.europe ? core::europe_participant_sites(sc.host)
-                               : core::us_participant_sites(sc.host);
-  std::unordered_map<std::string, int> site_use;
-  std::vector<std::string> labels;
-  for (const auto& site : sites) {
-    const int idx = site_use[site]++;
-    labels.push_back(idx == 0 ? site : site + "-" + std::to_string(idx + 1));
-  }
-  return labels;
+/// The six participant sites of a scenario's lag run.
+std::vector<std::string> participant_sites(const Scenario& sc) {
+  return sc.europe ? core::europe_participant_sites(sc.host)
+                   : core::us_participant_sites(sc.host);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Figs 8-11 — service proximity (RTT to discovered endpoints)", paper);
 
   std::vector<Point> points;
@@ -78,9 +71,7 @@ int main(int argc, char** argv) {
     core::LagBenchmarkConfig cfg;
     cfg.platform = p.id;
     cfg.host_site = p.scenario->host;
-    cfg.participant_sites = p.scenario->europe
-                                ? core::europe_participant_sites(cfg.host_site)
-                                : core::us_participant_sites(cfg.host_site);
+    cfg.participant_sites = participant_sites(*p.scenario);
     cfg.sessions = paper ? 20 : 6;
     cfg.session_duration = paper ? seconds(120) : seconds(40);
     cfg.seed = ctx.seed;
@@ -102,7 +93,7 @@ int main(int argc, char** argv) {
   for (const auto& sc : kScenarios) {
     std::printf("--- %s: meeting host in %s ---\n", sc.figure, sc.host);
     TextTable table{{"platform", "participant", "sessions", "mean RTT (ms)", "min/max (ms)"}};
-    const auto labels = participant_labels(sc);
+    const auto labels = core::participant_labels(participant_sites(sc));
     for (const auto id : vcb::all_platforms()) {
       for (const auto& label : labels) {
         const std::string base =

@@ -140,11 +140,11 @@ int accuracy_gate(double mae_gate, const std::string& out_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
-  const std::string out_path =
-      vcb::flag_string(argc, argv, "--out", "bench_qoe_inference.report.json");
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  const double gate = flags.number("--gate", 0.0);
+  const std::string out_path = flags.text("--out", "bench_qoe_inference.report.json");
+  flags.reject_unread();
   if (gate > 0.0) return accuracy_gate(gate, out_path);
 
   vcb::banner("Header-free QoE inference — estimate vs ground truth", paper);

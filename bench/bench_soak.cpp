@@ -483,14 +483,15 @@ void append_stats(std::string& out, const char* name, const RunningStats& s, boo
 }  // namespace
 
 int main(int argc, char** argv) {
-  const int epochs = std::max(4, vcb::int_flag(argc, argv, "--epochs", 12));
-  const int codec_frames = std::max(8, vcb::int_flag(argc, argv, "--codec-frames", 60));
-  const int audio_frames = std::max(8, vcb::int_flag(argc, argv, "--audio-frames", 200));
-  const int relay_n = std::max(8, vcb::int_flag(argc, argv, "--relay-n", 24));
-  const double gate = vcb::flag_double(argc, argv, "--gate", 0.0);
-  const std::string baseline_path = vcb::flag_string(argc, argv, "--baseline", "");
-  const std::string out_path = vcb::flag_string(argc, argv, "--out", "BENCH_SOAK.json");
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const int epochs = std::max(4, flags.integer("--epochs", 12));
+  const int codec_frames = std::max(8, flags.integer("--codec-frames", 60));
+  const int audio_frames = std::max(8, flags.integer("--audio-frames", 200));
+  const int relay_n = std::max(8, flags.integer("--relay-n", 24));
+  const double gate = flags.number("--gate", 0.0);
+  const std::string baseline_path = flags.text("--baseline", "");
+  const std::string out_path = flags.text("--out", "BENCH_SOAK.json");
+  flags.reject_unread();
 
   std::printf("soak: %d epochs (codec %d frames, audio %d frames, relay n=%d), backend=%s, "
               "gate=%.2f\n",

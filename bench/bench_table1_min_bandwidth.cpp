@@ -37,8 +37,9 @@ std::string cell_key(platform::PlatformId id, DataRate cap) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Table 1 — minimum bandwidth for one-on-one calls (measured)", paper);
 
   const std::vector<double> caps_kbps = {250, 400, 500, 600, 750, 1000, 1500, 2000, 2600, 3000};

@@ -38,8 +38,9 @@ double median_or_zero(const std::vector<double>& v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool paper = vcb::paper_scale(argc, argv);
-  vcb::reject_unread_flags(argc, argv);
+  vc::Flags flags{argc, argv};
+  const bool paper = flags.has("--paper");
+  flags.reject_unread();
   vcb::banner("Table 4 — data rate and CPU vs videoconference size (S10/J3)", paper);
 
   const int reps = paper ? 5 : 1;

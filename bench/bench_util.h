@@ -3,7 +3,8 @@
 // Each binary defaults to a reduced-scale run (enough sessions to show the
 // paper's shapes in seconds-to-minutes on a laptop); pass --paper to run at
 // the paper's full scale (20 sessions × 2 min lag runs, 10 × 5 min QoE
-// sessions, 5 repetitions per mobile scenario).
+// sessions, 5 repetitions per mobile scenario). Flags are read through one
+// vc::Flags (common/flags.h).
 //
 // The harness half of this header is what every runner bench ends with:
 // run_checked() runs the task list at 1 and at 8 threads and finish()
@@ -14,13 +15,8 @@
 #pragma once
 
 #include <algorithm>
-#include <cerrno>
-#include <climits>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <optional>
@@ -29,101 +25,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "platform/platform.h"
 #include "runner/experiment_runner.h"
 
 namespace vcb {
-
-/// Every flag name this process has looked up, and whether it takes a value:
-/// what reject_unread_flags() accepts.
-inline std::vector<std::pair<std::string, bool>>& read_flags() {
-  static std::vector<std::pair<std::string, bool>> names;
-  return names;
-}
-
-inline bool paper_scale(int argc, char** argv) {
-  read_flags().emplace_back("--paper", false);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--paper") == 0) return true;
-  }
-  return false;
-}
-
-/// Value text of `--name <value>`, or nullptr when the flag is absent. A
-/// flag given as the last argument, with no value, exits 2.
-inline const char* flag_value(int argc, char** argv, const char* name) {
-  read_flags().emplace_back(name, true);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], name) != 0) continue;
-    if (i + 1 < argc) return argv[i + 1];
-    std::fprintf(stderr, "%s: missing value\n", name);
-    std::exit(2);
-  }
-  return nullptr;
-}
-
-[[noreturn]] inline void bad_flag(const char* name, const char* text, const char* kind) {
-  std::fprintf(stderr, "%s: '%s' is not %s\n", name, text, kind);
-  std::exit(2);
-}
-
-/// `text` as an int. Exits 2 unless the whole of it is one, so a typo can
-/// never read as 0.
-inline int parse_int(const char* name, const char* text) {
-  char* end = nullptr;
-  errno = 0;
-  const long value = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno == ERANGE || value < INT_MIN || value > INT_MAX) {
-    bad_flag(name, text, "an integer");
-  }
-  return static_cast<int>(value);
-}
-
-/// `--name <int>` style flag; returns `fallback` when absent and exits 2 on
-/// a malformed value.
-inline int int_flag(int argc, char** argv, const char* name, int fallback) {
-  const char* text = flag_value(argc, argv, name);
-  return text != nullptr ? parse_int(name, text) : fallback;
-}
-
-/// `--name <number>` style flag; returns `fallback` when absent. A value
-/// that is not wholly a finite number exits 2.
-inline double flag_double(int argc, char** argv, const char* name, double fallback) {
-  const char* text = flag_value(argc, argv, name);
-  if (text == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno == ERANGE || !std::isfinite(value)) {
-    bad_flag(name, text, "a number");
-  }
-  return value;
-}
-
-/// `--name <text>` style flag; returns `fallback` when absent.
-inline std::string flag_string(int argc, char** argv, const char* name, const char* fallback) {
-  const char* text = flag_value(argc, argv, name);
-  return text != nullptr ? text : fallback;
-}
-
-/// Exits 2 on the first `--flag` in argv that no paper_scale()/flag_*() call
-/// has read, so a mistyped or removed flag can never run silently ignored.
-/// Call it after a bench's last flag read and before any work.
-inline void reject_unread_flags(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--", 2) != 0) continue;
-    const auto& names = read_flags();
-    const auto it = std::find_if(names.begin(), names.end(),
-                                 [&](const auto& n) { return n.first == argv[i]; });
-    if (it == names.end()) {
-      std::fprintf(stderr, "%s: unknown flag\n", argv[i]);
-      std::exit(2);
-    }
-    if (it->second) ++i;  // skip the flag's value
-  }
-}
 
 inline const std::vector<vc::platform::PlatformId>& all_platforms() {
   static const std::vector<vc::platform::PlatformId> kAll = {

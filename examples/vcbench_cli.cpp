@@ -13,14 +13,11 @@
 //   vcbench_cli timeline 0.timeline.json [--metric SUBSTR] [--json]
 #include <algorithm>
 #include <cctype>
-#include <charconv>
-#include <climits>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -33,6 +30,7 @@
 #include "cli/timeline_render.h"
 #include "cli/trace_profile.h"
 #include "common/csv.h"
+#include "common/flags.h"
 #include "common/json.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -42,90 +40,22 @@ namespace {
 
 using namespace vc;
 
-// The switches --paid, --json and --list stand alone and never take a
-// value; every other flag takes the next token. A flag without its value,
-// or a token that is neither a flag nor a flag's value, throws (exit 2)
-// rather than be read as "1" or skipped.
-std::map<std::string, std::string> parse_flags(int argc, char** argv, int start) {
-  static const std::set<std::string> kSwitches = {"paid", "json", "list"};
-  std::map<std::string, std::string> flags;
-  for (int i = start; i < argc; ++i) {
-    std::string key = argv[i];
-    if (key.rfind("--", 0) != 0) throw std::invalid_argument{"unexpected argument '" + key + "'"};
-    key = key.substr(2);
-    if (kSwitches.contains(key)) {
-      flags[key] = "1";
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      flags[key] = argv[++i];
-    } else {
-      throw std::invalid_argument{"--" + key + " wants a value"};
-    }
-  }
-  return flags;
-}
-
-/// The flags each subcommand reads. Any other `--key` throws (exit 2) before
-/// the subcommand runs, so a typo can never silently fall back to a default.
-void reject_unknown_flags(const std::string& command,
-                          const std::map<std::string, std::string>& flags) {
-  static const std::map<std::string, std::set<std::string>> kKnown = {
-      {"lag", {"platform", "host", "sessions", "duration", "paid", "csv"}},
-      {"qoe", {"platform", "receivers", "motion", "sessions", "duration", "csv"}},
-      {"bwcap", {"platform", "cap-kbps", "sessions", "duration"}},
-      {"mobile", {"platform", "scenario", "repetitions", "duration"}},
-      {"dump", {"trace", "max"}},
-      {"infer", {"trace", "platform", "freeze-ms", "window-ms", "min-payload", "json"}},
-      {"report", {"filter", "cdf", "list"}},
-      {"trace", {"filter"}},
-      {"profile", {"top", "chains", "filter"}},
-      {"timeline", {"metric", "width", "json"}},
-  };
-  const auto known = kKnown.find(command);
-  if (known == kKnown.end()) return;  // unknown subcommand: reported by main
-  for (const auto& [key, value] : flags) {
-    if (!known->second.contains(key)) throw std::invalid_argument{"unknown flag --" + key};
-  }
-}
-
-std::string flag_str(const std::map<std::string, std::string>& flags, const std::string& key,
-                     const std::string& fallback) {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-// A malformed value, or one below `min`, throws std::invalid_argument, which
-// main reports with exit 2.
-int flag_int(const std::map<std::string, std::string>& flags, const std::string& key,
-             int fallback, int min = INT_MIN) {
-  const auto it = flags.find(key);
-  if (it == flags.end()) return fallback;
-  const std::string& text = it->second;
-  int value = 0;
-  const auto [end, ec] = std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || end != text.data() + text.size()) {
-    throw std::invalid_argument{"--" + key + " wants an integer, got '" + text + "'"};
-  }
-  if (value < min) {
-    throw std::invalid_argument{"--" + key + " must be at least " + std::to_string(min)};
-  }
-  return value;
-}
-
-platform::PlatformId parse_platform(const std::map<std::string, std::string>& flags) {
-  const std::string name = flag_str(flags, "platform", "zoom");
+// Each run_* reads all of its flags, then rejects the rest, before any work.
+platform::PlatformId parse_platform(Flags& flags) {
+  const std::string name = flags.text("--platform", "zoom");
   if (const auto id = platform::platform_from_name(name)) return *id;
   throw std::invalid_argument{"unknown --platform '" + name + "' (zoom|webex|meet)"};
 }
 
-platform::MotionClass parse_motion(const std::map<std::string, std::string>& flags) {
-  const std::string name = flag_str(flags, "motion", "low");
+platform::MotionClass parse_motion(Flags& flags) {
+  const std::string name = flags.text("--motion", "low");
   if (name == "low") return platform::MotionClass::kLowMotion;
   if (name == "high") return platform::MotionClass::kHighMotion;
   throw std::invalid_argument{"unknown --motion '" + name + "' (low|high)"};
 }
 
-mobile::MobileScenario parse_scenario(const std::map<std::string, std::string>& flags) {
-  const std::string name = flag_str(flags, "scenario", "LM");
+mobile::MobileScenario parse_scenario(Flags& flags) {
+  const std::string name = flags.text("--scenario", "LM");
   using S = mobile::MobileScenario;
   for (const S s : {S::kLM, S::kHM, S::kLMView, S::kLMVideoView, S::kLMOff}) {
     if (scenario_name(s) == name) return s;
@@ -134,16 +64,18 @@ mobile::MobileScenario parse_scenario(const std::map<std::string, std::string>& 
                               "' (LM|HM|LM-View|LM-Video-View|LM-Off)"};
 }
 
-int run_lag(const std::map<std::string, std::string>& flags) {
+int run_lag(Flags& flags) {
   core::LagBenchmarkConfig cfg;
   cfg.platform = parse_platform(flags);
-  cfg.host_site = flag_str(flags, "host", "US-East");
+  cfg.host_site = flags.text("--host", "US-East");
   cfg.participant_sites = cfg.host_site == "CH" || cfg.host_site == "UK-West"
                               ? core::europe_participant_sites(cfg.host_site)
                               : core::us_participant_sites(cfg.host_site);
-  cfg.sessions = flag_int(flags, "sessions", 5, /*min=*/1);
-  cfg.session_duration = seconds(flag_int(flags, "duration", 40));
-  if (flags.contains("paid")) cfg.webex_tier = platform::WebexTier::kPaid;
+  cfg.sessions = flags.integer("--sessions", 5, /*min=*/1);
+  cfg.session_duration = seconds(flags.integer("--duration", 40));
+  if (flags.has("--paid")) cfg.webex_tier = platform::WebexTier::kPaid;
+  const std::string csv_path = flags.text("--csv", "");
+  flags.reject_unread();
   const auto result = core::run_lag_benchmark(cfg);
 
   TextTable table{{"participant", "p50 lag (ms)", "p90 lag (ms)", "p50 RTT (ms)", "endpoints"}};
@@ -158,27 +90,29 @@ int run_lag(const std::map<std::string, std::string>& flags) {
   }
   std::printf("%s", table.render().c_str());
 
-  if (flags.contains("csv")) {
-    std::ofstream out{flags.at("csv")};
+  if (!csv_path.empty()) {
+    std::ofstream out{csv_path};
     CsvWriter csv{out};
     csv.row({"participant", "lag_ms"});
     for (const auto& p : result.participants) {
       for (double lag : p.lags_ms) csv.row({p.label, CsvWriter::num(lag)});
     }
-    std::printf("wrote %zu CSV rows to %s\n", csv.rows_written(), flags.at("csv").c_str());
+    std::printf("wrote %zu CSV rows to %s\n", csv.rows_written(), csv_path.c_str());
   }
   return 0;
 }
 
 // qoe, bwcap and mobile run each session as its own world on a fixed
 // per-scenario seed stream, and pool the sessions here.
-int run_qoe(const std::map<std::string, std::string>& flags) {
+int run_qoe(Flags& flags) {
   core::QoeBenchmarkConfig cfg;
   cfg.platform = parse_platform(flags);
   cfg.motion = parse_motion(flags);
-  cfg.receiver_sites = core::us_qoe_receiver_sites(flag_int(flags, "receivers", 2));
-  const int sessions = flag_int(flags, "sessions", 1, /*min=*/1);
-  cfg.media_duration = seconds(flag_int(flags, "duration", 12));
+  cfg.receiver_sites = core::us_qoe_receiver_sites(flags.integer("--receivers", 2));
+  const int sessions = flags.integer("--sessions", 1, /*min=*/1);
+  cfg.media_duration = seconds(flags.integer("--duration", 12));
+  const std::string csv_path = flags.text("--csv", "");
+  flags.reject_unread();
   RunningStats psnr, ssim, vifp, delivery, upload, download;
   for (int s = 0; s < sessions; ++s) {
     const auto r = core::run_qoe_session(cfg, 1 + static_cast<std::uint64_t>(s) * 6151);
@@ -196,8 +130,8 @@ int run_qoe(const std::map<std::string, std::string>& flags) {
               vifp.mean(), delivery.mean());
   std::printf("host upload %.0f Kbps, receiver download %.0f Kbps\n", upload.mean(),
               download.mean());
-  if (flags.contains("csv")) {
-    std::ofstream out{flags.at("csv")};
+  if (!csv_path.empty()) {
+    std::ofstream out{csv_path};
     CsvWriter csv{out};
     csv.row({"metric", "mean", "stddev"});
     csv.row({"psnr", CsvWriter::num(psnr.mean()), CsvWriter::num(psnr.stddev())});
@@ -210,13 +144,14 @@ int run_qoe(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int run_bwcap(const std::map<std::string, std::string>& flags) {
+int run_bwcap(Flags& flags) {
   core::BwCapBenchmarkConfig cfg;
   cfg.platform = parse_platform(flags);
-  const int cap = flag_int(flags, "cap-kbps", 0);
+  const int cap = flags.integer("--cap-kbps", 0);
   cfg.cap = cap > 0 ? DataRate::kbps(cap) : DataRate::unlimited();
-  const int sessions = flag_int(flags, "sessions", 1, /*min=*/1);
-  cfg.media_duration = seconds(flag_int(flags, "duration", 12));
+  const int sessions = flags.integer("--sessions", 1, /*min=*/1);
+  cfg.media_duration = seconds(flags.integer("--duration", 12));
+  flags.reject_unread();
   RunningStats psnr, ssim, mos, delivery, drops;
   for (int s = 0; s < sessions; ++s) {
     const auto r = core::run_bwcap_session(cfg, 5 + static_cast<std::uint64_t>(s) * 4447);
@@ -234,12 +169,13 @@ int run_bwcap(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int run_mobile(const std::map<std::string, std::string>& flags) {
+int run_mobile(Flags& flags) {
   core::MobileBenchmarkConfig cfg;
   cfg.platform = parse_platform(flags);
   cfg.scenario = parse_scenario(flags);
-  const int repetitions = flag_int(flags, "repetitions", 2, /*min=*/1);
-  cfg.duration = seconds(flag_int(flags, "duration", 45));
+  const int repetitions = flags.integer("--repetitions", 2, /*min=*/1);
+  cfg.duration = seconds(flags.integer("--duration", 45));
+  flags.reject_unread();
   std::vector<double> s10_cpu, j3_cpu;
   RunningStats s10_download, j3_download, j3_battery;
   for (int rep = 0; rep < repetitions; ++rep) {
@@ -263,28 +199,30 @@ int run_mobile(const std::map<std::string, std::string>& flags) {
 // record timestamps/lengths. `--platform` maps per-window bitrates onto that
 // platform's tier ladder; the layering boundary stays intact because the
 // ladder is resolved HERE and handed to the capture layer as plain numbers.
-int run_infer(const std::map<std::string, std::string>& flags) {
-  const std::string path = flag_str(flags, "trace", "");
+int run_infer(Flags& flags) {
+  const std::string path = flags.text("--trace", "");
+  capture::QoeInferConfig cfg;
+  const int freeze_ms = flags.integer("--freeze-ms", 0);
+  if (freeze_ms > 0) cfg.freeze_threshold = millis(freeze_ms);
+  const int window_ms = flags.integer("--window-ms", 0);
+  if (window_ms > 0) cfg.window = millis(window_ms);
+  const int min_payload = flags.integer("--min-payload", 0);
+  if (min_payload > 0) cfg.min_video_payload = min_payload;
+  if (!flags.text("--platform", "").empty()) {
+    for (const abr::Tier& tier : platform::tier_ladder(parse_platform(flags)).tiers) {
+      cfg.tier_rates_bps.push_back(tier.rate.bits_per_second());
+    }
+  }
+  const bool json = flags.has("--json");
+  flags.reject_unread();
   if (path.empty()) {
     std::fprintf(stderr, "infer requires --trace <file.vctr>\n");
     return 2;
   }
   const capture::Trace trace = capture::read_trace_file(path);
-  capture::QoeInferConfig cfg;
-  const int freeze_ms = flag_int(flags, "freeze-ms", 0);
-  if (freeze_ms > 0) cfg.freeze_threshold = millis(freeze_ms);
-  const int window_ms = flag_int(flags, "window-ms", 0);
-  if (window_ms > 0) cfg.window = millis(window_ms);
-  const int min_payload = flag_int(flags, "min-payload", 0);
-  if (min_payload > 0) cfg.min_video_payload = min_payload;
-  if (flags.contains("platform")) {
-    for (const abr::Tier& tier : platform::tier_ladder(parse_platform(flags)).tiers) {
-      cfg.tier_rates_bps.push_back(tier.rate.bits_per_second());
-    }
-  }
   const capture::QoeInferencer inferencer{trace, cfg};
   const capture::QoeInferReport report = inferencer.analyze();
-  if (flags.contains("json")) {
+  if (json) {
     std::printf("%s", report.to_json().c_str());
     return 0;
   }
@@ -308,16 +246,17 @@ int run_infer(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int run_dump(const std::map<std::string, std::string>& flags) {
-  const std::string path = flag_str(flags, "trace", "");
+int run_dump(Flags& flags) {
+  const std::string path = flags.text("--trace", "");
+  capture::DumpOptions options;
+  options.max_records = static_cast<std::size_t>(flags.integer("--max", 50));
+  flags.reject_unread();
   if (path.empty()) {
     std::fprintf(stderr, "dump requires --trace <file.vctr>\n");
     return 2;
   }
   const auto trace = capture::read_trace_file(path);
   std::printf("%s\n", capture::summarize_trace(trace).c_str());
-  capture::DumpOptions options;
-  options.max_records = static_cast<std::size_t>(flag_int(flags, "max", 50));
   std::printf("%s", capture::dump_trace_to_string(trace, options).c_str());
   return 0;
 }
@@ -342,24 +281,26 @@ int emit(const cli::RenderResult& result) {
   return result.exit_code;
 }
 
-int run_report(const std::string& path, const std::map<std::string, std::string>& flags) {
+int run_report(const std::string& path, Flags& flags) {
+  cli::ReportOptions options;
+  options.filter = flags.text("--filter", "");
+  options.list = flags.has("--list");
+  options.cdf_base = flags.text("--cdf", "");
+  flags.reject_unread();
   std::string text;
   if (!read_whole_file(path, &text)) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return 2;
   }
-  cli::ReportOptions options;
-  options.filter = flag_str(flags, "filter", "");
-  options.list = flags.contains("list");
-  const auto cdf = flags.find("cdf");
-  if (cdf != flags.end()) {
-    options.has_cdf = true;
-    options.cdf_base = cdf->second;
-  }
   return emit(cli::render_report(path, text, options));
 }
 
-int run_profile(const std::string& path, const std::map<std::string, std::string>& flags) {
+int run_profile(const std::string& path, Flags& flags) {
+  cli::ProfileOptions options;
+  options.top = static_cast<std::size_t>(flags.integer("--top", 15));
+  options.chains = static_cast<std::size_t>(flags.integer("--chains", 3));
+  options.filter = flags.text("--filter", "");
+  flags.reject_unread();
   // A directory aggregates every <task>.trace.json in it (a runner
   // trace_dir); a file profiles just that trace.
   std::vector<std::string> paths;
@@ -389,23 +330,20 @@ int run_profile(const std::string& path, const std::map<std::string, std::string
     }
     traces.push_back(std::move(input));
   }
-  cli::ProfileOptions options;
-  options.top = static_cast<std::size_t>(flag_int(flags, "top", 15));
-  options.chains = static_cast<std::size_t>(flag_int(flags, "chains", 3));
-  options.filter = flag_str(flags, "filter", "");
   return emit(cli::render_profile(traces, options));
 }
 
-int run_timeline(const std::string& path, const std::map<std::string, std::string>& flags) {
+int run_timeline(const std::string& path, Flags& flags) {
+  cli::TimelineOptions options;
+  options.metric = flags.text("--metric", "");
+  options.width = flags.integer("--width", 60);
+  options.json = flags.has("--json");
+  flags.reject_unread();
   std::string text;
   if (!read_whole_file(path, &text)) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return 2;
   }
-  cli::TimelineOptions options;
-  options.metric = flag_str(flags, "metric", "");
-  options.width = flag_int(flags, "width", 60);
-  options.json = flags.contains("json");
   return emit(cli::render_timeline(path, text, options));
 }
 
@@ -414,7 +352,9 @@ int run_timeline(const std::string& path, const std::map<std::string, std::strin
 // written by vc::Tracer::to_chrome_json()).
 // ---------------------------------------------------------------------------
 
-int run_trace_summary(const std::string& path, const std::map<std::string, std::string>& flags) {
+int run_trace_summary(const std::string& path, Flags& flags) {
+  const std::string filter = flags.text("--filter", "");
+  flags.reject_unread();
   std::string text;
   if (!read_whole_file(path, &text)) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
@@ -439,7 +379,6 @@ int run_trace_summary(const std::string& path, const std::map<std::string, std::
   };
   // name -> per-phase aggregate, keyed "<name> <ph>"-style via nested map.
   std::map<std::string, std::map<std::string, Agg>> by_name;
-  const std::string filter = flag_str(flags, "filter", "");
   for (const auto& ev : events->array_items) {
     if (!ev.is_object()) continue;
     const json::Value* name = ev.find("name");
@@ -533,15 +472,13 @@ int main(int argc, char** argv) {
         return 2;
       }
       const std::string path = argv[2];
-      const auto flags = parse_flags(argc, argv, 3);
-      reject_unknown_flags(command, flags);
+      Flags flags{argc, argv, 3};
       if (command == "report") return run_report(path, flags);
       if (command == "trace") return run_trace_summary(path, flags);
       if (command == "profile") return run_profile(path, flags);
       return run_timeline(path, flags);
     }
-    const auto flags = parse_flags(argc, argv, 2);
-    reject_unknown_flags(command, flags);
+    Flags flags{argc, argv, 2};
     if (command == "lag") return run_lag(flags);
     if (command == "qoe") return run_qoe(flags);
     if (command == "bwcap") return run_bwcap(flags);

@@ -172,7 +172,7 @@ RenderResult render_report(const std::string& label, const std::string& json_tex
     list_section("histogram", agg->find("histograms"));
     return result;
   }
-  if (options.has_cdf) {
+  if (!options.cdf_base.empty()) {
     // A report without a samples section is old/minimal, not broken: say so
     // and exit clean (exit 2 is reserved for unusable input).
     if (samples == nullptr || !samples->is_object()) {

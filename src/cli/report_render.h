@@ -20,9 +20,8 @@ struct ReportOptions {
   std::string filter;
   /// true: list bare metric keys (one per line) instead of tables.
   bool list = false;
-  /// When set, render an ASCII CDF from quantile samples `<cdf_base>.p10`
-  /// .. `.p90` instead of the tables.
-  bool has_cdf = false;
+  /// When not empty, render an ASCII CDF from quantile samples
+  /// `<cdf_base>.p10` .. `.p90` instead of the tables.
   std::string cdf_base;
 };
 

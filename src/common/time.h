@@ -5,8 +5,10 @@
 // event-loop keys trivially comparable and serializable in trace files.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <compare>
+#include <stdexcept>
 #include <string>
 
 namespace vc {
@@ -60,6 +62,13 @@ constexpr SimDuration seconds(std::int64_t v) { return SimDuration{v * 1'000'000
 constexpr SimDuration minutes(std::int64_t v) { return SimDuration{v * 60'000'000}; }
 constexpr SimDuration millis_f(double v) {
   return SimDuration{static_cast<std::int64_t>(v * 1000.0 + (v >= 0 ? 0.5 : -0.5))};
+}
+/// millis_f for a value read from a file: beyond ±2^53 µs, where whole
+/// microseconds stop being exact doubles (and, far beyond, the cast to
+/// std::int64_t is undefined), it throws std::runtime_error("<what> out of range").
+inline SimDuration checked_millis_f(double v, const std::string& what) {
+  if (!(std::fabs(v * 1000.0) <= 0x1p53)) throw std::runtime_error{what + " out of range"};
+  return millis_f(v);
 }
 constexpr SimDuration seconds_f(double v) {
   return SimDuration{static_cast<std::int64_t>(v * 1e6 + (v >= 0 ? 0.5 : -0.5))};

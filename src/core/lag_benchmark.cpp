@@ -1,5 +1,6 @@
 #include "core/lag_benchmark.h"
 
+#include <map>
 #include <memory>
 #include <stdexcept>
 
@@ -40,6 +41,16 @@ std::vector<std::string> europe_participant_sites(const std::string& host_site) 
   }
   if (!host_removed) throw std::invalid_argument{"host site must be one of the Europe sites"};
   return sites;
+}
+
+std::vector<std::string> participant_labels(const std::vector<std::string>& sites) {
+  std::map<std::string, int> site_use;
+  std::vector<std::string> labels;
+  for (const std::string& site : sites) {
+    const int idx = site_use[site]++;
+    labels.push_back(idx == 0 ? site : site + "-" + std::to_string(idx + 1));
+  }
+  return labels;
 }
 
 LagBenchmarkResult run_lag_benchmark(const LagBenchmarkConfig& config) {

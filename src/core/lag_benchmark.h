@@ -67,5 +67,9 @@ LagBenchmarkResult run_lag_benchmark(const LagBenchmarkConfig& config);
 std::vector<std::string> us_participant_sites(const std::string& host_site);
 /// The Europe scenarios (Figs 6–7).
 std::vector<std::string> europe_participant_sites(const std::string& host_site);
+/// ParticipantLagResult::label of each of `sites`, in order: the site name,
+/// then `-2`, `-3`... for each repeat of a site, as SessionWorld::vms names
+/// the VMs.
+std::vector<std::string> participant_labels(const std::vector<std::string>& sites);
 
 }  // namespace vc::core

@@ -1,5 +1,7 @@
 #include "fault/fault_plan.h"
 
+#include <climits>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
@@ -283,7 +285,6 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
   for (const json::Value& item : list->array_items) {
     if (!item.is_object()) throw std::runtime_error{"fault plan JSON: event is not an object"};
     const std::string kind = item.at("kind").as_string();
-    const SimDuration at = millis_f(item.at("at_ms").as_number());
     auto str = [&item](const char* key) {
       const json::Value* v = item.find(key);
       return v != nullptr ? v->as_string() : std::string{};
@@ -292,21 +293,36 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
       const json::Value* v = item.find(key);
       return v != nullptr ? v->as_number(fallback) : fallback;
     };
+    // Every number below is cast to an integer; one beyond what the cast
+    // holds exactly (2^53) throws.
+    auto ms = [&item](const char* key) {
+      return checked_millis_f(item.at(key).as_number(), std::string("fault plan JSON: ") + key);
+    };
+    auto kbps = [&item](const char* key) {
+      const double v = item.at(key).as_number();
+      if (std::fabs(v * 1e3) <= 0x1p53) return DataRate::kbps(v);
+      throw std::runtime_error{std::string("fault plan JSON: ") + key + " out of range"};
+    };
+    auto whole = [&num](const char* key, double fallback, double lo, double hi) {
+      const double v = num(key, fallback);
+      if (v >= lo && v <= hi && v == std::floor(v)) return v;
+      throw std::runtime_error{std::string("fault plan JSON: ") + key + " out of range"};
+    };
+    const SimDuration at = ms("at_ms");
     if (kind == "link_rate") {
-      plan.link_rate(at, str("host"), DataRate::kbps(item.at("rate_kbps").as_number()));
+      plan.link_rate(at, str("host"), kbps("rate_kbps"));
     } else if (kind == "link_ramp") {
-      plan.link_ramp(at, str("host"), DataRate::kbps(item.at("rate_kbps").as_number()),
-                     DataRate::kbps(item.at("rate_end_kbps").as_number()),
-                     millis_f(item.at("duration_ms").as_number()),
-                     static_cast<int>(num("steps", 8)));
+      plan.link_ramp(at, str("host"), kbps("rate_kbps"), kbps("rate_end_kbps"),
+                     ms("duration_ms"), static_cast<int>(whole("steps", 8, INT_MIN, INT_MAX)));
     } else if (kind == "link_outage") {
-      plan.link_outage(at, str("host"), millis_f(item.at("duration_ms").as_number()));
+      plan.link_outage(at, str("host"), ms("duration_ms"));
     } else if (kind == "burst_loss") {
       plan.burst_loss(at, item.at("average").as_number(), num("mean_burst", 4.0), str("host"));
     } else if (kind == "relay_crash") {
-      plan.relay_crash(at, static_cast<std::size_t>(num("relay", 0)),
-                       millis_f(item.at("duration_ms").as_number()),
-                       millis_f(num("detection_ms", 250.0)));
+      plan.relay_crash(at, static_cast<std::size_t>(whole("relay", 0, 0, 0x1p53)),
+                       ms("duration_ms"),
+                       checked_millis_f(num("detection_ms", 250.0),
+                                        "fault plan JSON: detection_ms"));
     } else {
       throw std::runtime_error{"fault plan JSON: unknown kind '" + kind + "'"};
     }

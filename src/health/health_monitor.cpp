@@ -287,8 +287,9 @@ std::vector<SloRule> HealthMonitor::rules_from_json(const std::string& text) {
       else if (name == "critical") rule.severity = Severity::kCritical;
       else throw std::runtime_error{"slo rules JSON: unknown severity '" + name + "'"};
     }
-    const json::Value* min_duration = item.find("min_duration_ms");
-    if (min_duration != nullptr) rule.min_duration = millis_f(min_duration->as_number());
+    if (const json::Value* v = item.find("min_duration_ms")) {
+      rule.min_duration = checked_millis_f(v->as_number(), "slo rules JSON: min_duration_ms");
+    }
     try {
       staging.add_rule(std::move(rule));
     } catch (const std::invalid_argument& e) {

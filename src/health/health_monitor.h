@@ -14,8 +14,8 @@
 // randomness and reads only snapshot state, so a monitored run's event list
 // is byte-identical at any thread count × fleet size — and a monitor armed with
 // zero rules observes without emitting anything, leaving every exported byte
-// identical to an unmonitored run (gated in CI next to the fault plan's
-// empty-plan gate).
+// identical to an unmonitored run (checked by the test
+// HealthMonitor.ArmedEmptyMonitorLeavesTimelineBytesIdentical).
 //
 // Rules load from JSON like fault plans do:
 //   {"slo_rules": [{"rule": "reconnect-steady", "metric": "client.reconnects",

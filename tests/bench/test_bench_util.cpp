@@ -1,8 +1,8 @@
 // The shared bench harness: run_checked()/finish() must turn any 1-vs-8-thread
 // byte mismatch (aggregates or per-task trace files) or any task failure
 // into exit 1; invisibility_gate() must return 1 on a visible armed side and
-// 3 on a slow one, and run at least 3 rounds; the numeric flag parsers must
-// reject malformed values, and a flag nothing reads must exit 2.
+// 3 on a slow one, and run at least 3 rounds. The flag reader's cases are in
+// tests/common/test_flags.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -10,8 +10,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <utility>
-#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -179,88 +177,6 @@ TEST(InvisibilityGate, TooFewRoundsRunThree) {
   std::string json;
   ASSERT_TRUE(vcb::read_file(out, &json));
   EXPECT_NE(json.find("\"rounds\": 3"), std::string::npos) << json;
-}
-
-/// `fn(argc, argv)` over a bench-style argument list.
-template <typename Fn>
-auto with_args(std::vector<std::string> args, Fn fn) {
-  std::vector<char*> argv;
-  for (auto& a : args) argv.push_back(a.data());
-  return fn(static_cast<int>(argv.size()), argv.data());
-}
-
-double gate_of(std::vector<std::string> args) {
-  return with_args(std::move(args), [](int argc, char** argv) {
-    return vcb::flag_double(argc, argv, "--gate", 0.0);
-  });
-}
-
-int rounds_of(std::vector<std::string> args) {
-  return with_args(std::move(args), [](int argc, char** argv) {
-    return vcb::int_flag(argc, argv, "--rounds", 5);
-  });
-}
-
-/// A gate bench main's flag prologue (rounds, two gate ratios, an output
-/// path and --paper): read every flag, then reject whatever is left.
-int prologue_rounds(std::vector<std::string> args) {
-  return with_args(std::move(args), [](int argc, char** argv) {
-    const int rounds = vcb::int_flag(argc, argv, "--rounds", 7);
-    vcb::flag_double(argc, argv, "--trace-gate", 0.0);
-    vcb::flag_double(argc, argv, "--timeline-gate", 0.0);
-    vcb::flag_string(argc, argv, "--out", "bench.report.json");
-    vcb::paper_scale(argc, argv);
-    vcb::reject_unread_flags(argc, argv);
-    return rounds;
-  });
-}
-
-TEST(Flags, ReadFlagsPassTheUnreadCheck) {
-  EXPECT_EQ(prologue_rounds({"bench"}), 7);
-  // A value is skipped even when it starts with "--"; --paper takes none.
-  EXPECT_EQ(prologue_rounds({"bench", "--rounds", "3", "--trace-gate", "0.98", "--paper",
-                             "--out", "--odd.json", "--timeline-gate", "0.98"}),
-            3);
-}
-
-TEST(Flags, WellFormedValuesAndFallbacksParse) {
-  EXPECT_DOUBLE_EQ(gate_of({"bench", "--gate", "0.98", "--rounds", "7"}), 0.98);
-  EXPECT_EQ(rounds_of({"bench", "--gate", "0.98", "--rounds", "7"}), 7);
-  EXPECT_DOUBLE_EQ(gate_of({"bench"}), 0.0);
-  EXPECT_EQ(rounds_of({"bench", "--paper"}), 5);
-  EXPECT_DOUBLE_EQ(gate_of({"bench", "--gate", "1e-1"}), 0.1);
-  EXPECT_EQ(rounds_of({"bench", "--rounds", "-2"}), -2);
-  EXPECT_EQ(vcb::parse_int("--fleets", "4"), 4);
-  EXPECT_EQ(with_args({"bench", "--out", "g.json"},
-                      [](int argc, char** argv) {
-                        return vcb::flag_string(argc, argv, "--out", "default.json");
-                      }),
-            "g.json");
-}
-
-TEST(FlagsDeathTest, MalformedValuesExitTwo) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const auto exits_2 = ::testing::ExitedWithCode(2);
-  EXPECT_EXIT(gate_of({"bench", "--gate", "abc"}), exits_2, "--gate: 'abc' is not a number");
-  EXPECT_EXIT(gate_of({"bench", "--gate", "0.98x"}), exits_2, "is not a number");
-  EXPECT_EXIT(gate_of({"bench", "--gate", ""}), exits_2, "is not a number");
-  EXPECT_EXIT(gate_of({"bench", "--gate", "nan"}), exits_2, "is not a number");
-  EXPECT_EXIT(rounds_of({"bench", "--rounds", "five"}), exits_2,
-              "--rounds: 'five' is not an integer");
-  EXPECT_EXIT(rounds_of({"bench", "--rounds", "5.5"}), exits_2, "is not an integer");
-  EXPECT_EXIT(rounds_of({"bench", "--rounds", "99999999999"}), exits_2, "is not an integer");
-  EXPECT_EXIT(rounds_of({"bench", "--rounds"}), exits_2, "--rounds: missing value");
-  EXPECT_EXIT(vcb::parse_int("--fleets", "2x"), exits_2, "--fleets: '2x' is not an integer");
-}
-
-TEST(FlagsDeathTest, UnreadFlagsExitTwo) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const auto exits_2 = ::testing::ExitedWithCode(2);
-  // A mistyped gate must not run with the gate silently off, and the
-  // unsupported `--name=value` form must not silently fall back to defaults.
-  EXPECT_EXIT(prologue_rounds({"bench", "--rounds", "3", "--trace_gate", "0.98"}), exits_2,
-              "--trace_gate: unknown flag");
-  EXPECT_EXIT(prologue_rounds({"bench", "--rounds=3"}), exits_2, "--rounds=3: unknown flag");
 }
 
 }  // namespace

@@ -77,7 +77,6 @@ TEST(ReportRender, UnusableInputExitsTwo) {
 
 TEST(ReportRender, CdfOnSamplesFreeReportIsFriendlyNotFatal) {
   ReportOptions opts;
-  opts.has_cdf = true;
   opts.cdf_base = "lag_ms";
   const RenderResult r = render_report("r.json", R"({"label": "bare", "counters": {}})", opts);
   EXPECT_EQ(r.exit_code, 0);

@@ -38,6 +38,20 @@ TEST(LagBenchmark, SiteHelpers) {
   EXPECT_THROW(europe_participant_sites("US-East"), std::invalid_argument);
 }
 
+TEST(LagBenchmark, ParticipantLabelsMatchTheRunsLabels) {
+  // A US-West host puts two participants in US-East: the repeat is "-2".
+  auto cfg = tiny(platform::PlatformId::kZoom, "US-West");
+  cfg.sessions = 1;
+  cfg.session_duration = seconds(5);
+  const auto result = run_lag_benchmark(cfg);
+  const auto labels = participant_labels(cfg.participant_sites);
+  ASSERT_EQ(labels.size(), result.participants.size());
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(labels[i], result.participants[i].label) << i;
+  }
+  EXPECT_EQ(labels[4], "US-East-2");
+}
+
 TEST(LagBenchmark, ZoomEastHostGeographicOrdering) {
   const auto result = run_lag_benchmark(tiny(platform::PlatformId::kZoom));
   // Finding 1: lag grows with distance from the relay near the host.

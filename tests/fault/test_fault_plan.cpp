@@ -204,5 +204,45 @@ TEST(FaultPlan, FromJsonRejectsMalformedInput) {
                std::runtime_error);
 }
 
+// Each number the loader casts to an integer is range-checked first: out of
+// range it would be undefined behaviour, and a plan that "loaded" would
+// carry a garbage value.
+TEST(FaultPlan, FromJsonRejectsNegativeRelay) {
+  EXPECT_THROW(FaultPlan::from_json(R"([{"kind": "relay_crash", "at_ms": 1, "relay": -1,
+                                         "duration_ms": 5}])"),
+               std::runtime_error);
+}
+
+TEST(FaultPlan, FromJsonRejectsFractionalRelay) {
+  EXPECT_THROW(FaultPlan::from_json(R"([{"kind": "relay_crash", "at_ms": 1, "relay": 1.5,
+                                         "duration_ms": 5}])"),
+               std::runtime_error);
+}
+
+TEST(FaultPlan, FromJsonRejectsStepsOutsideInt) {
+  EXPECT_THROW(FaultPlan::from_json(R"([{"kind": "link_ramp", "at_ms": 1, "rate_kbps": 100,
+                                         "rate_end_kbps": 50, "duration_ms": 5,
+                                         "steps": 1e20}])"),
+               std::runtime_error);
+}
+
+TEST(FaultPlan, FromJsonRejectsTimeBeyondTwoToThe53Micros) {
+  EXPECT_THROW(FaultPlan::from_json(R"([{"kind": "link_outage", "at_ms": 1e300,
+                                         "duration_ms": 5}])"),
+               std::runtime_error);
+  // 2^53 µs = 9007199254740.992 ms bounds what loads.
+  EXPECT_THROW(FaultPlan::from_json(R"([{"kind": "link_outage", "at_ms": 9007199254741,
+                                         "duration_ms": 5}])"),
+               std::runtime_error);
+  const FaultPlan edge = FaultPlan::from_json(
+      R"([{"kind": "link_outage", "at_ms": 9007199254740, "duration_ms": 5}])");
+  EXPECT_EQ(edge.events()[0].at.micros(), 9007199254740000);
+}
+
+TEST(FaultPlan, FromJsonRejectsRateBeyondTwoToThe53Bps) {
+  EXPECT_THROW(FaultPlan::from_json(R"([{"kind": "link_rate", "at_ms": 1, "rate_kbps": 1e300}])"),
+               std::runtime_error);
+}
+
 }  // namespace
 }  // namespace vc::fault

@@ -221,6 +221,14 @@ TEST(HealthMonitor, RulesFromJsonRejectsMalformedInput) {
                std::runtime_error);
 }
 
+TEST(HealthMonitor, RulesFromJsonRejectsMinDurationBeyondTwoToThe53Micros) {
+  // Cast to microseconds unchecked, 1e300 ms would be undefined behaviour.
+  EXPECT_THROW(HealthMonitor::rules_from_json(
+                   R"({"slo_rules":[{"rule":"r","metric":"m","op":"<=","threshold":0,)"
+                   R"("min_duration_ms":1e300}]})"),
+               std::runtime_error);
+}
+
 TEST(HealthMonitor, ToJsonRecordsEventsAndBreaches) {
   Rig rig;
   rig.monitor.add_rule(depth_rule());

@@ -21,6 +21,15 @@ namespace {
 std::atomic<std::uint64_t> g_allocs{0};
 std::atomic<std::uint64_t> g_frees{0};
 
+// Every operator delete frees here rather than one forwarding to another:
+// after inlining, GCC sees `operator delete(void*)` called on malloc's
+// pointer and prints -Wmismatched-new-delete; malloc paired with free is not
+// flagged.
+void counted_free(void* p) noexcept {
+  if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
+
 }  // namespace
 
 void* operator new(std::size_t size) {
@@ -34,13 +43,9 @@ void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   return std::malloc(size);
 }
 
-void operator delete(void* p) noexcept {
-  if (p != nullptr) g_frees.fetch_add(1, std::memory_order_relaxed);
-  std::free(p);
-}
-
-void operator delete(void* p, std::size_t) noexcept { operator delete(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { operator delete(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { counted_free(p); }
 
 namespace vc::media {
 namespace {
