@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   std::optional<fault::FaultPlan> custom_plan;
   if (!plan_path.empty()) {
     std::string text;
-    if (!vcb::read_file(plan_path, &text)) {
+    if (!runner::read_text_file(plan_path, &text)) {
       std::fprintf(stderr, "cannot read fault plan %s\n", plan_path.c_str());
       return 2;
     }
@@ -137,7 +137,7 @@ int main(int argc, char** argv) {
   if (!timeline_dir.empty()) slo_rules = default_slo_rules();
   if (!slo_path.empty()) {
     std::string text;
-    if (!vcb::read_file(slo_path, &text)) {
+    if (!runner::read_text_file(slo_path, &text)) {
       std::fprintf(stderr, "cannot read SLO rules %s\n", slo_path.c_str());
       return 2;
     }

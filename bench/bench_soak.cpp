@@ -484,10 +484,10 @@ void append_stats(std::string& out, const char* name, const RunningStats& s, boo
 
 int main(int argc, char** argv) {
   vc::Flags flags{argc, argv};
-  const int epochs = std::max(4, flags.integer("--epochs", 12));
-  const int codec_frames = std::max(8, flags.integer("--codec-frames", 60));
-  const int audio_frames = std::max(8, flags.integer("--audio-frames", 200));
-  const int relay_n = std::max(8, flags.integer("--relay-n", 24));
+  const int epochs = flags.integer("--epochs", 12, /*min=*/4);
+  const int codec_frames = flags.integer("--codec-frames", 60, /*min=*/8);
+  const int audio_frames = flags.integer("--audio-frames", 200, /*min=*/8);
+  const int relay_n = flags.integer("--relay-n", 24, /*min=*/8);
   const double gate = flags.number("--gate", 0.0);
   const std::string baseline_path = flags.text("--baseline", "");
   const std::string out_path = flags.text("--out", "BENCH_SOAK.json");
@@ -586,7 +586,7 @@ int main(int argc, char** argv) {
   bool baseline_ok = true;
   if (!baseline_path.empty()) {
     std::string text;
-    if (!vcb::read_file(baseline_path, &text)) {
+    if (!runner::read_text_file(baseline_path, &text)) {
       std::printf("FAIL: cannot read baseline %s\n", baseline_path.c_str());
       return 4;
     }

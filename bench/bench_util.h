@@ -17,10 +17,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <functional>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,16 +74,6 @@ inline void sample_digest(vc::runner::SessionContext& ctx, const std::string& ba
                           std::uint64_t h) {
   ctx.sample(base + ".hi", static_cast<double>(h >> 32));
   ctx.sample(base + ".lo", static_cast<double>(h & 0xffffffffU));
-}
-
-/// Whole file as bytes; false when it cannot be opened.
-inline bool read_file(const std::string& path, std::string* out) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
 }
 
 /// One task list run at 1 thread and at 8 (see run_checked). `report` is the
@@ -156,7 +144,8 @@ inline CheckedRun run_checked(vc::runner::ExperimentRunner::Config rc, std::size
     for (std::size_t i = 0; i < n; ++i) {
       const std::string name = "/" + std::to_string(i) + ext;
       std::string a, b;
-      if (!read_file(dir + "/t1" + name, &a) || !read_file(dir + "/t8" + name, &b) || a != b) {
+      if (!vc::runner::read_text_file(dir + "/t1" + name, &a) ||
+          !vc::runner::read_text_file(dir + "/t8" + name, &b) || a != b) {
         ++count;
       }
     }

@@ -18,7 +18,6 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -35,6 +34,7 @@
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/vcbench.h"
+#include "runner/experiment_runner.h"
 
 namespace {
 
@@ -266,15 +266,6 @@ int run_dump(Flags& flags) {
 // text-in/text-out, unit-tested in tests_cli); this file only does the I/O.
 // ---------------------------------------------------------------------------
 
-bool read_whole_file(const std::string& path, std::string* out) {
-  std::ifstream in{path, std::ios::binary};
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
 int emit(const cli::RenderResult& result) {
   if (!result.out.empty()) std::printf("%s", result.out.c_str());
   if (!result.err.empty()) std::fprintf(stderr, "%s", result.err.c_str());
@@ -288,7 +279,7 @@ int run_report(const std::string& path, Flags& flags) {
   options.cdf_base = flags.text("--cdf", "");
   flags.reject_unread();
   std::string text;
-  if (!read_whole_file(path, &text)) {
+  if (!runner::read_text_file(path, &text)) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return 2;
   }
@@ -324,7 +315,7 @@ int run_profile(const std::string& path, Flags& flags) {
   for (const std::string& p : paths) {
     cli::TraceInput input;
     input.label = p;
-    if (!read_whole_file(p, &input.json_text)) {
+    if (!runner::read_text_file(p, &input.json_text)) {
       std::fprintf(stderr, "cannot read %s\n", p.c_str());
       return 2;
     }
@@ -340,7 +331,7 @@ int run_timeline(const std::string& path, Flags& flags) {
   options.json = flags.has("--json");
   flags.reject_unread();
   std::string text;
-  if (!read_whole_file(path, &text)) {
+  if (!runner::read_text_file(path, &text)) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return 2;
   }
@@ -356,7 +347,7 @@ int run_trace_summary(const std::string& path, Flags& flags) {
   const std::string filter = flags.text("--filter", "");
   flags.reject_unread();
   std::string text;
-  if (!read_whole_file(path, &text)) {
+  if (!runner::read_text_file(path, &text)) {
     std::fprintf(stderr, "cannot read %s\n", path.c_str());
     return 2;
   }

@@ -45,26 +45,4 @@ RateReport RateAnalyzer::average(std::optional<SimTime> from, std::optional<SimT
   return rep;
 }
 
-std::vector<double> RateAnalyzer::download_kbps_series(SimDuration window) const {
-  std::vector<double> series;
-  if (trace_->records.empty() || window.micros() <= 0) return series;
-  SimTime lo = SimTime::infinity();
-  SimTime hi = SimTime::zero();
-  for (const auto& r : trace_->records) {
-    lo = std::min(lo, r.timestamp);
-    hi = std::max(hi, r.timestamp);
-  }
-  const auto bins = static_cast<std::size_t>((hi - lo).micros() / window.micros()) + 1;
-  std::vector<std::int64_t> bytes(bins, 0);
-  for (const auto& r : trace_->records) {
-    if (r.dir != net::Direction::kIncoming) continue;
-    const auto bin = static_cast<std::size_t>((r.timestamp - lo).micros() / window.micros());
-    bytes[bin] += r.l7_len;
-  }
-  series.reserve(bins);
-  const double per_window_to_kbps = 8.0 / window.seconds() / 1000.0;
-  for (auto b : bytes) series.push_back(static_cast<double>(b) * per_window_to_kbps);
-  return series;
-}
-
 }  // namespace vc::capture

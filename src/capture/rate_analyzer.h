@@ -4,7 +4,6 @@
 #pragma once
 
 #include <optional>
-#include <vector>
 
 #include "common/units.h"
 #include "capture/trace.h"
@@ -35,10 +34,6 @@ class RateAnalyzer {
   RateReport average(std::optional<SimTime> from = std::nullopt,
                      std::optional<SimTime> to = std::nullopt,
                      std::optional<net::Endpoint> remote = std::nullopt) const;
-
-  /// Windowed download-rate series (for rate-fluctuation analysis: the paper
-  /// contrasts Webex's constant rate with Meet's dynamic one).
-  std::vector<double> download_kbps_series(SimDuration window) const;
 
  private:
   const Trace* trace_;

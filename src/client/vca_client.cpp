@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "common/log.h"
-
 namespace vc::client {
 namespace {
 

@@ -26,7 +26,6 @@ class Value {
   std::vector<std::pair<std::string, Value>> object_items;  // insertion order
 
   bool is_null() const { return type == Type::kNull; }
-  bool is_bool() const { return type == Type::kBool; }
   bool is_number() const { return type == Type::kNumber; }
   bool is_string() const { return type == Type::kString; }
   bool is_array() const { return type == Type::kArray; }

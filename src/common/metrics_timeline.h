@@ -152,8 +152,6 @@ class MetricsTimeline {
   // Name-sorted columns; the find_* lookups binary-search and never allocate
   // (HealthMonitor resolves through them on every snapshot).
   const std::vector<CounterColumn>& counter_columns() const { return counter_cols_; }
-  const std::vector<GaugeColumn>& gauge_columns() const { return gauge_cols_; }
-  const std::vector<HistogramColumn>& histogram_columns() const { return histogram_cols_; }
   const CounterColumn* find_counter(const std::string& name) const;
   const GaugeColumn* find_gauge(const std::string& name) const;
   const HistogramColumn* find_histogram(const std::string& name) const;

@@ -60,68 +60,4 @@ double quantile_sorted(const std::vector<double>& sorted_values, double q) {
 
 double median(std::vector<double> values) { return quantile(std::move(values), 0.5); }
 
-BoxplotSummary boxplot(std::vector<double> values) {
-  if (values.empty()) throw std::invalid_argument{"boxplot of empty sample"};
-  std::sort(values.begin(), values.end());
-  BoxplotSummary s;
-  s.n = values.size();
-  s.q1 = quantile_sorted(values, 0.25);
-  s.median = quantile_sorted(values, 0.5);
-  s.q3 = quantile_sorted(values, 0.75);
-  const double iqr = s.q3 - s.q1;
-  const double lo_fence = s.q1 - 1.5 * iqr;
-  const double hi_fence = s.q3 + 1.5 * iqr;
-  s.whisker_lo = values.front();
-  s.whisker_hi = values.back();
-  for (double v : values) {
-    if (v >= lo_fence) {
-      s.whisker_lo = v;
-      break;
-    }
-  }
-  for (auto it = values.rbegin(); it != values.rend(); ++it) {
-    if (*it <= hi_fence) {
-      s.whisker_hi = *it;
-      break;
-    }
-  }
-  return s;
-}
-
-EmpiricalCdf::EmpiricalCdf(std::vector<double> samples) : sorted_(std::move(samples)) {
-  if (sorted_.empty()) throw std::invalid_argument{"CDF of empty sample"};
-  std::sort(sorted_.begin(), sorted_.end());
-}
-
-double EmpiricalCdf::at(double x) const {
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) / static_cast<double>(sorted_.size());
-}
-
-double EmpiricalCdf::inverse(double q) const { return quantile_sorted(sorted_, q); }
-
-Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (bins == 0 || !(hi > lo)) throw std::invalid_argument{"bad histogram bounds"};
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  const auto i = static_cast<std::size_t>((x - lo_) / (hi_ - lo_) * static_cast<double>(counts_.size()));
-  ++counts_[std::min(i, counts_.size() - 1)];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) / static_cast<double>(counts_.size());
-}
-
-double Histogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
 }  // namespace vc

@@ -1,9 +1,10 @@
-// Descriptive statistics used across measurement reporting: running moments,
-// quantiles, empirical CDFs, histograms and boxplot summaries.
+// Descriptive statistics used across measurement reporting: running moments
+// and type-7 quantiles. The lag CDFs of Figs 4–7 are reported as percentiles
+// from these quantiles (bench_fig4_7_lag_cdf, `vcb::sample_quantiles`), and
+// `vcbench_cli report --cdf` plots such a percentile family.
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 namespace vc {
@@ -37,60 +38,11 @@ class RunningStats {
 double quantile(std::vector<double> values, double q);
 
 /// Same quantile, but `sorted_values` must already be ascending; no copy and
-/// no re-sort. Use when the caller keeps a sorted sample around (CDFs,
-/// boxplots, repeated percentile queries).
+/// no re-sort. Use when the caller keeps a sorted sample around for repeated
+/// percentile queries.
 double quantile_sorted(const std::vector<double>& sorted_values, double q);
 
 /// Median convenience wrapper.
 double median(std::vector<double> values);
-
-/// Five-number summary as drawn in the paper's boxplots (Fig 19a):
-/// whiskers at 1.5×IQR clipped to the data range.
-struct BoxplotSummary {
-  double whisker_lo = 0.0;
-  double q1 = 0.0;
-  double median = 0.0;
-  double q3 = 0.0;
-  double whisker_hi = 0.0;
-  std::size_t n = 0;
-};
-BoxplotSummary boxplot(std::vector<double> values);
-
-/// Empirical CDF over a sample; evaluate at arbitrary points or dump the
-/// sorted step function (as in the paper's lag CDFs, Figs 4–7).
-class EmpiricalCdf {
- public:
-  explicit EmpiricalCdf(std::vector<double> samples);
-
-  /// P(X <= x).
-  double at(double x) const;
-  /// Inverse CDF (quantile), q in [0, 1].
-  double inverse(double q) const;
-  std::size_t size() const { return sorted_.size(); }
-
- private:
-  std::vector<double> sorted_;
-};
-
-/// Fixed-bin histogram.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  std::size_t total() const { return total_; }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-
- private:
-  double lo_, hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-};
 
 }  // namespace vc

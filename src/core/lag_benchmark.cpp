@@ -7,6 +7,7 @@
 #include "capture/endpoint_discovery.h"
 #include "capture/lag_detector.h"
 #include "core/session_world.h"
+#include "testbed/locations.h"
 
 namespace vc::core {
 namespace {
@@ -29,17 +30,15 @@ std::vector<std::string> us_participant_sites(const std::string& host_site) {
 }
 
 std::vector<std::string> europe_participant_sites(const std::string& host_site) {
-  std::vector<std::string> all = {"CH", "DE", "IE", "NL", "FR", "UK-South", "UK-West"};
+  // Seven Europe VMs, one per site (Table 3): the host plus the other six.
+  const std::vector<testbed::VmSite> europe = testbed::europe_sites();
   std::vector<std::string> sites;
-  bool host_removed = false;
-  for (const auto& s : all) {
-    if (!host_removed && s == host_site) {
-      host_removed = true;
-      continue;
-    }
-    sites.push_back(s);
+  for (const testbed::VmSite& s : europe) {
+    if (s.name != host_site) sites.push_back(s.name);
   }
-  if (!host_removed) throw std::invalid_argument{"host site must be one of the Europe sites"};
+  if (sites.size() == europe.size()) {
+    throw std::invalid_argument{"host site must be one of the Europe sites"};
+  }
   return sites;
 }
 

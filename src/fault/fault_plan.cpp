@@ -63,6 +63,10 @@ FaultPlan& FaultPlan::link_rate(SimDuration at, std::string host, DataRate rate)
 
 FaultPlan& FaultPlan::link_ramp(SimDuration at, std::string host, DataRate from, DataRate to,
                                 SimDuration over, int steps) {
+  if (steps > kMaxRampSteps) {
+    throw std::invalid_argument{"fault plan: link_ramp steps above " +
+                                std::to_string(kMaxRampSteps)};
+  }
   FaultEvent e;
   e.kind = FaultEvent::Kind::kLinkRamp;
   e.at = at;
@@ -312,8 +316,8 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
     if (kind == "link_rate") {
       plan.link_rate(at, str("host"), kbps("rate_kbps"));
     } else if (kind == "link_ramp") {
-      plan.link_ramp(at, str("host"), kbps("rate_kbps"), kbps("rate_end_kbps"),
-                     ms("duration_ms"), static_cast<int>(whole("steps", 8, INT_MIN, INT_MAX)));
+      plan.link_ramp(at, str("host"), kbps("rate_kbps"), kbps("rate_end_kbps"), ms("duration_ms"),
+                     static_cast<int>(whole("steps", 8, INT_MIN, kMaxRampSteps)));
     } else if (kind == "link_outage") {
       plan.link_outage(at, str("host"), ms("duration_ms"));
     } else if (kind == "burst_loss") {

@@ -32,6 +32,11 @@ class BasePlatform;
 
 namespace vc::fault {
 
+/// Most steps one link ramp may take. Arming schedules steps + 1 events, and
+/// the step rate (to - from) * i / steps stays inside int64 for every rate
+/// the JSON reader accepts (|rate| <= 2^53 bps, so 2^54 * 2^8 < 2^63).
+constexpr int kMaxRampSteps = 256;
+
 /// One scripted impairment. `at` is relative to the plan's arm origin, so
 /// the same plan can be replayed against any phase of a run (benchmarks arm
 /// at media start, making "outage 5 s into the call" seed-independent).
@@ -64,7 +69,7 @@ struct FaultEvent {
   DataRate rate{};          // kLinkRate value / kLinkRamp start
   DataRate rate_end{};      // kLinkRamp end
   SimDuration duration{};   // outage length / relay downtime / ramp span
-  int steps = 8;            // kLinkRamp resolution
+  int steps = 8;            // kLinkRamp resolution, 1..kMaxRampSteps
   double loss_average = 0.0;  // kBurstLoss stationary loss rate
   double mean_burst = 4.0;    // kBurstLoss mean bad-state sojourn (packets)
   std::size_t relay_index = 0;  // kRelayCrash target
@@ -85,6 +90,8 @@ class FaultPlan {
   // ---- builders (fluent; events fire in timeline order regardless of the
   // order they were added in, because each compiles to its own schedule_at).
   FaultPlan& link_rate(SimDuration at, std::string host, DataRate rate);
+  /// `steps` below 1 ramps in one step; above kMaxRampSteps throws
+  /// std::invalid_argument.
   FaultPlan& link_ramp(SimDuration at, std::string host, DataRate from, DataRate to,
                        SimDuration over, int steps = 8);
   FaultPlan& link_outage(SimDuration at, std::string host, SimDuration duration);

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "common/log.h"
-
 namespace vc::net {
 
 Network::Network(std::unique_ptr<LatencyModel> latency, std::uint64_t seed,
@@ -50,7 +48,6 @@ void Network::send(Host& from, Packet pkt) {
   if (dst == nullptr) {
     ++stats_.packets_unroutable;
     if (m_link_unroutable_ != nullptr) m_link_unroutable_->inc();
-    VC_LOG(kDebug) << from.name() << ": no route to " << pkt.dst.to_string();
     return;
   }
   if (loss_ && loss_->should_drop(rng_)) {

@@ -69,14 +69,9 @@ class Network {
   Host* host(IpAddr ip);
   const std::vector<std::unique_ptr<Host>>& hosts() const { return hosts_; }
 
-  /// Global independent packet-loss probability (0 by default: the paper's
-  /// cloud paths are clean; loss experiments set this explicitly).
-  void set_loss_probability(double p) {
-    loss_ = p > 0.0 ? std::make_unique<BernoulliLoss>(p) : nullptr;
-  }
-  /// Arbitrary core loss model (e.g. Gilbert–Elliott bursts).
+  /// Core loss model (none by default: the paper's cloud paths are clean;
+  /// loss experiments install one, e.g. Bernoulli or Gilbert–Elliott bursts).
   void set_loss_model(std::unique_ptr<LossModel> model) { loss_ = std::move(model); }
-  double loss_probability() const { return loss_ ? loss_->average_loss() : 0.0; }
 
   /// Injects a packet from `from` into the network. Called by UdpSocket.
   void send(Host& from, Packet pkt);

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <thread>
 
 #include "common/json.h"
@@ -305,6 +306,15 @@ bool write_text_file(const std::string& path, const std::string& text) {
   if (!out) return false;
   out << text;
   return static_cast<bool>(out);
+}
+
+bool read_text_file(const std::string& path, std::string* out) {
+  std::ifstream in{path, std::ios::binary};
+  if (!in) return false;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  *out = ss.str();
+  return true;
 }
 
 }  // namespace vc::runner

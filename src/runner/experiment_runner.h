@@ -182,4 +182,8 @@ class ExperimentRunner {
 /// Writes `text` to `path`; returns false (and logs nothing) on I/O failure.
 bool write_text_file(const std::string& path, const std::string& text);
 
+/// Reads the whole file at `path` into `*out`, byte for byte; returns false
+/// (leaving `*out` untouched) when it cannot be opened.
+bool read_text_file(const std::string& path, std::string* out);
+
 }  // namespace vc::runner

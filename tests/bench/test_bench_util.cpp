@@ -53,7 +53,7 @@ TEST(RunChecked, DeterministicTasksPassAndWriteTheReport) {
   EXPECT_EQ(run.report.threads, 6u);  // 8 requested, capped at the task count
   EXPECT_EQ(run.finish(dir.file("ok.report.json")), 0);
   std::string json;
-  ASSERT_TRUE(vcb::read_file(dir.file("ok.report.json"), &json));
+  ASSERT_TRUE(vc::runner::read_text_file(dir.file("ok.report.json"), &json));
   EXPECT_EQ(json, run.report.to_json());
 }
 
@@ -128,7 +128,7 @@ TEST(InvisibilityGate, InvisibleArmedSideWritesTheSharedSchema) {
       0.0).finish(out);
   EXPECT_EQ(code, 0);
   std::string json;
-  ASSERT_TRUE(vcb::read_file(out, &json));
+  ASSERT_TRUE(vc::runner::read_text_file(out, &json));
   for (const char* key : {"\"benchmark\": \"harness_gate\"", "\"rounds\": 3",
                           "\"best_off_seconds\"", "\"best_armed_seconds\"", "\"speed_ratio\"",
                           "\"gate\": 0.00", "\"aggregates_byte_identical\": true"}) {
@@ -175,7 +175,7 @@ TEST(InvisibilityGate, TooFewRoundsRunThree) {
       1.0).finish(out);
   EXPECT_EQ(code, 0);
   std::string json;
-  ASSERT_TRUE(vcb::read_file(out, &json));
+  ASSERT_TRUE(vc::runner::read_text_file(out, &json));
   EXPECT_NE(json.find("\"rounds\": 3"), std::string::npos) << json;
 }
 

@@ -105,7 +105,6 @@ TEST(RateAnalyzer, EmptyTraceYieldsZero) {
   Trace t;
   const RateAnalyzer analyzer{t};
   EXPECT_EQ(analyzer.average().download, DataRate::zero());
-  EXPECT_TRUE(analyzer.download_kbps_series(millis(100)).empty());
 }
 
 // Regression: a window matching nothing used to compute span from the
@@ -158,19 +157,6 @@ TEST(RateAnalyzer, ReportsMatchingRecordCount) {
   const RateAnalyzer analyzer{t};
   EXPECT_EQ(analyzer.average().records, 7);
   EXPECT_EQ(analyzer.average(SimTime{2'000'000}, SimTime{4'000'000}).records, 3);
-}
-
-TEST(RateAnalyzer, SeriesCapturesVariation) {
-  Trace t;
-  // 0–1 s: heavy; 1–2 s: light.
-  for (int i = 0; i < 10; ++i) {
-    t.records.push_back(rec(SimTime{i * 100'000}, net::Direction::kIncoming, kRelay, 2000));
-  }
-  t.records.push_back(rec(SimTime{1'500'000}, net::Direction::kIncoming, kRelay, 100));
-  const RateAnalyzer analyzer{t};
-  const auto series = analyzer.download_kbps_series(millis(500));
-  ASSERT_GE(series.size(), 3u);
-  EXPECT_GT(series[0], series[2]);
 }
 
 }  // namespace

@@ -72,9 +72,8 @@ TEST(Quantile, Errors) {
   EXPECT_THROW(quantile({1.0}, 1.5), std::invalid_argument);
 }
 
-// Regression: EmpiricalCdf::inverse used to copy its (already sorted) sample
-// into quantile(), which re-sorted it on every call. quantile_sorted is the
-// no-copy path; it must agree with quantile() on arbitrary input.
+// quantile_sorted is the no-copy path for a sample the caller keeps sorted;
+// it must agree with quantile() on arbitrary input.
 TEST(QuantileSorted, MatchesGeneralQuantile) {
   std::vector<double> values = {9.5, -2.0, 4.25, 4.25, 0.0, 17.0, 3.1, -8.75, 6.0};
   std::vector<double> sorted = values;
@@ -90,71 +89,9 @@ TEST(QuantileSorted, Errors) {
   EXPECT_THROW(quantile_sorted({1.0}, 1.5), std::invalid_argument);
 }
 
-TEST(EmpiricalCdf, InverseAgreesWithQuantileOnSample) {
-  const std::vector<double> values = {3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5};
-  EmpiricalCdf cdf{values};
-  for (double q = 0.0; q <= 1.0; q += 0.05) {
-    EXPECT_DOUBLE_EQ(cdf.inverse(q), quantile(values, q)) << "q=" << q;
-  }
-}
-
 TEST(Median, OddAndEven) {
   EXPECT_DOUBLE_EQ(median({3, 1, 2}), 2.0);
   EXPECT_DOUBLE_EQ(median({4, 1, 2, 3}), 2.5);
-}
-
-TEST(Boxplot, FiveNumberSummary) {
-  std::vector<double> v;
-  for (int i = 1; i <= 100; ++i) v.push_back(i);
-  v.push_back(1000.0);  // outlier beyond the upper fence
-  const BoxplotSummary s = boxplot(v);
-  EXPECT_NEAR(s.median, 51.0, 1.0);
-  EXPECT_LT(s.q1, s.median);
-  EXPECT_GT(s.q3, s.median);
-  EXPECT_LE(s.whisker_hi, 100.0);  // outlier excluded from whisker
-  EXPECT_DOUBLE_EQ(s.whisker_lo, 1.0);
-  EXPECT_EQ(s.n, 101u);
-}
-
-TEST(EmpiricalCdf, EvaluatesAndInverts) {
-  EmpiricalCdf cdf{{10, 20, 30, 40}};
-  EXPECT_DOUBLE_EQ(cdf.at(5), 0.0);
-  EXPECT_DOUBLE_EQ(cdf.at(10), 0.25);
-  EXPECT_DOUBLE_EQ(cdf.at(25), 0.5);
-  EXPECT_DOUBLE_EQ(cdf.at(100), 1.0);
-  EXPECT_DOUBLE_EQ(cdf.inverse(0.0), 10.0);
-  EXPECT_DOUBLE_EQ(cdf.inverse(1.0), 40.0);
-}
-
-TEST(EmpiricalCdf, Monotone) {
-  EmpiricalCdf cdf{{3, 1, 4, 1, 5, 9, 2, 6}};
-  double prev = -1.0;
-  for (double x = 0; x <= 10; x += 0.25) {
-    const double p = cdf.at(x);
-    EXPECT_GE(p, prev);
-    prev = p;
-  }
-}
-
-TEST(Histogram, BinningAndOverflow) {
-  Histogram h{0.0, 10.0, 5};
-  h.add(-1);   // underflow
-  h.add(0.0);  // bin 0
-  h.add(1.9);  // bin 0
-  h.add(5.0);  // bin 2
-  h.add(10.0); // overflow (hi-exclusive)
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-}
-
-TEST(Histogram, RejectsBadBounds) {
-  EXPECT_THROW((Histogram{1.0, 1.0, 4}), std::invalid_argument);
-  EXPECT_THROW((Histogram{0.0, 1.0, 0}), std::invalid_argument);
 }
 
 }  // namespace

@@ -33,8 +33,10 @@ double site_median(const LagBenchmarkResult& r, const std::string& label) {
 TEST(LagBenchmark, SiteHelpers) {
   EXPECT_EQ(us_participant_sites("US-East").size(), 6u);
   EXPECT_EQ(us_participant_sites("US-West").size(), 6u);
-  EXPECT_EQ(europe_participant_sites("CH").size(), 6u);
-  EXPECT_EQ(europe_participant_sites("UK-West").size(), 6u);
+  EXPECT_EQ(europe_participant_sites("CH"),
+            (std::vector<std::string>{"DE", "IE", "NL", "FR", "UK-South", "UK-West"}));
+  EXPECT_EQ(europe_participant_sites("UK-West"),
+            (std::vector<std::string>{"CH", "DE", "IE", "NL", "FR", "UK-South"}));
   EXPECT_THROW(europe_participant_sites("US-East"), std::invalid_argument);
 }
 

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "core/fairness_benchmark.h"
 #include "runner/experiment_runner.h"
 
@@ -17,43 +18,37 @@ namespace {
 
 constexpr std::size_t kTasks = 2;
 
-std::string run_fairness(std::size_t threads) {
-  runner::ExperimentRunner::Config rc;
-  rc.threads = threads;
-  rc.base_seed = 929;
-  rc.label = "fairness-determinism";
-  const auto report =
-      runner::ExperimentRunner{rc}.run(kTasks, [](runner::SessionContext& ctx) {
-        core::FairnessBenchmarkConfig cfg;
-        cfg.flows = core::default_fairness_flows(3);  // one of each adapter
-        cfg.bottleneck = DataRate::kbps(1800);
-        cfg.media_duration = seconds(8);
-        const auto r = core::run_fairness_session(cfg, ctx.seed);
-        ASSERT_EQ(r.flows.size(), 3u);
-        ctx.sample("jain", r.jain_index);
-        ctx.sample("utilization", r.utilization);
-        ctx.sample("queue_ms", r.queue_delay_mean_ms);
-        ctx.sample("drop", r.drop_fraction);
-        for (std::size_t i = 0; i < r.flows.size(); ++i) {
-          const std::string fk = "flow" + std::to_string(i);
-          ctx.sample(fk + ".kbps", r.flows[i].achieved_kbps);
-          ctx.sample(fk + ".decisions", static_cast<double>(r.flows[i].abr_decisions));
-          ctx.sample(fk + ".switches", static_cast<double>(r.flows[i].abr_tier_switches));
-        }
-      });
-  EXPECT_TRUE(report.failures.empty());
-  return report.aggregate_json();
+void fairness_task(runner::SessionContext& ctx) {
+  core::FairnessBenchmarkConfig cfg;
+  cfg.flows = core::default_fairness_flows(3);  // one of each adapter
+  cfg.bottleneck = DataRate::kbps(1800);
+  cfg.media_duration = seconds(8);
+  const auto r = core::run_fairness_session(cfg, ctx.seed);
+  ASSERT_EQ(r.flows.size(), 3u);
+  ctx.sample("jain", r.jain_index);
+  ctx.sample("utilization", r.utilization);
+  ctx.sample("queue_ms", r.queue_delay_mean_ms);
+  ctx.sample("drop", r.drop_fraction);
+  for (std::size_t i = 0; i < r.flows.size(); ++i) {
+    const std::string fk = "flow" + std::to_string(i);
+    ctx.sample(fk + ".kbps", r.flows[i].achieved_kbps);
+    ctx.sample(fk + ".decisions", static_cast<double>(r.flows[i].abr_decisions));
+    ctx.sample(fk + ".switches", static_cast<double>(r.flows[i].abr_tier_switches));
+  }
 }
 
 TEST(FairnessDeterminism, AdaptingContentionSceneIdenticalAcrossThreads) {
-  const std::string base = run_fairness(1);
+  runner::ExperimentRunner::Config rc;
+  rc.base_seed = 929;
+  rc.label = "fairness-determinism";
+  const vcb::CheckedRun run = vcb::run_checked(rc, kTasks, fairness_task);
+  ASSERT_TRUE(run.ok());
   // ABR actually engaged: the adapters made decisions in every task.
+  const std::string base = run.serial.aggregate_json();
   const std::size_t key = base.find("flow0.decisions");
   ASSERT_NE(key, std::string::npos);
   EXPECT_EQ(base.substr(key, 40).find("\"mean\":0,"), std::string::npos)
       << "adapters never received feedback — the contention scene is miswired";
-
-  EXPECT_EQ(run_fairness(8), base) << "report drifted at threads=8";
 }
 
 }  // namespace

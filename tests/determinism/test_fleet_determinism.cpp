@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "core/city_benchmark.h"
 #include "runner/experiment_runner.h"
 
@@ -40,27 +41,36 @@ core::CityScaleConfig small_city(std::uint64_t seed, int fleet_size, bool crash)
   return cfg;
 }
 
-std::string run_city(std::size_t threads, int fleet_size, bool crash) {
+runner::ExperimentRunner::Config city_config() {
   runner::ExperimentRunner::Config rc;
-  rc.threads = threads;
   rc.base_seed = 31;
   rc.label = "fleet-determinism";
   rc.rate_counters = {"city.sim_events", "city.sim_bytes"};
-  const auto report = runner::ExperimentRunner{rc}.run(
-      kTasks, [fleet_size, crash](runner::SessionContext& ctx) {
-        core::CityScaleConfig cfg = small_city(ctx.seed, fleet_size, crash);
-        cfg.metrics = &ctx.metrics;
-        const auto r = core::run_city_scale_benchmark(cfg);
-        EXPECT_EQ(r.meetings_completed + r.join_timeouts, 3);
-        if (fleet_size > 1) {
-          // The overflow split actually happened and media crossed trunks.
-          EXPECT_GT(r.trunk_delivered_packets, 0);
-        }
-        ctx.sample("completed", static_cast<double>(r.meetings_completed));
-        ctx.sample("trunk_delivered", static_cast<double>(r.trunk_delivered_packets));
-        ctx.sample("relays", static_cast<double>(r.relays_created));
-        for (double lag : r.lag_ms) ctx.sample("lag_ms", lag);
-      });
+  return rc;
+}
+
+runner::ExperimentRunner::Task city_task(int fleet_size, bool crash) {
+  return [fleet_size, crash](runner::SessionContext& ctx) {
+    core::CityScaleConfig cfg = small_city(ctx.seed, fleet_size, crash);
+    cfg.metrics = &ctx.metrics;
+    const auto r = core::run_city_scale_benchmark(cfg);
+    EXPECT_EQ(r.meetings_completed + r.join_timeouts, 3);
+    if (fleet_size > 1) {
+      // The overflow split actually happened and media crossed trunks.
+      EXPECT_GT(r.trunk_delivered_packets, 0);
+    }
+    ctx.sample("completed", static_cast<double>(r.meetings_completed));
+    ctx.sample("trunk_delivered", static_cast<double>(r.trunk_delivered_packets));
+    ctx.sample("relays", static_cast<double>(r.relays_created));
+    for (double lag : r.lag_ms) ctx.sample("lag_ms", lag);
+  };
+}
+
+/// One 8-thread pass: the replica test compares two of them.
+std::string run_city(int fleet_size, bool crash) {
+  runner::ExperimentRunner::Config rc = city_config();
+  rc.threads = 8;
+  const auto report = runner::ExperimentRunner{rc}.run(kTasks, city_task(fleet_size, crash));
   EXPECT_TRUE(report.failures.empty());
   return report.aggregate_json();
 }
@@ -78,18 +88,20 @@ TEST(FleetDeterminism, CityRegistryRecordsNetworkAndCodec) {
 TEST(FleetDeterminism, IdenticalAcrossThreadsAndFleetSizes) {
   for (const int fleet_size : {1, 2, 4}) {
     SCOPED_TRACE("fleet_size=" + std::to_string(fleet_size));
-    const std::string base = run_city(1, fleet_size, false);
-    EXPECT_NE(base.find("fleet.relay0.participants"), std::string::npos)
+    const vcb::CheckedRun run =
+        vcb::run_checked(city_config(), kTasks, city_task(fleet_size, false));
+    ASSERT_TRUE(run.ok());
+    EXPECT_NE(run.serial.aggregate_json().find("fleet.relay0.participants"), std::string::npos)
         << "fleet gauges missing from the aggregate";
-    EXPECT_EQ(run_city(8, fleet_size, false), base) << "report drifted at threads=8";
   }
 }
 
 TEST(FleetDeterminism, CrashFailoverSceneIdenticalAcrossThreads) {
-  const std::string base = run_city(1, /*fleet_size=*/2, /*crash=*/true);
+  const vcb::CheckedRun run =
+      vcb::run_checked(city_config(), kTasks, city_task(/*fleet_size=*/2, /*crash=*/true));
+  ASSERT_TRUE(run.ok());
   // The outage bit and the fleet's failover machinery ran.
-  EXPECT_NE(base.find("client.reconnects"), std::string::npos);
-  EXPECT_EQ(run_city(8, 2, true), base) << "crash-failover report drifted at threads=8";
+  EXPECT_NE(run.serial.aggregate_json().find("client.reconnects"), std::string::npos);
 }
 
 // A fleet of 1 must reproduce the platform's native relay steering move for
@@ -130,8 +142,8 @@ TEST(FleetDeterminism, FleetOfOneMatchesNativeSteering) {
 TEST(FleetDeterminism, PlacementReplicaRunsAreByteIdentical) {
   // Same seed + config, fresh process state: the balancer's decisions must
   // be a pure function of its inputs, including across the failover sweep.
-  EXPECT_EQ(run_city(8, 4, false), run_city(8, 4, false));
-  EXPECT_EQ(run_city(8, 2, true), run_city(8, 2, true));
+  EXPECT_EQ(run_city(4, false), run_city(4, false));
+  EXPECT_EQ(run_city(2, true), run_city(2, true));
 }
 
 }  // namespace

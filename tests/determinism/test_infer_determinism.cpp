@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <string>
 
+#include "bench/bench_util.h"
 #include "core/qoe_infer_benchmark.h"
 #include "runner/experiment_runner.h"
 
@@ -29,39 +30,33 @@ double report_digest(const std::string& s) {
   return static_cast<double>((h >> 32) ^ (h & 0xFFFFFFFFULL));
 }
 
-std::string run_sweep(std::size_t threads) {
-  runner::ExperimentRunner::Config rc;
-  rc.threads = threads;
-  rc.base_seed = 47;
-  rc.label = "infer-determinism";
-  const auto report =
-      runner::ExperimentRunner{rc}.run(kTasks, [](runner::SessionContext& ctx) {
-        core::QoeInferBenchmarkConfig cfg;
-        cfg.platform = vc::platform::PlatformId::kZoom;
-        cfg.media_duration = seconds(14);
-        cfg.outages = {{seconds(5), seconds(2)}};  // FaultPlan active
-        cfg.shaper = core::InferShaperProfile::kDsl;
-        cfg.metrics = &ctx.metrics;
-        const auto r = core::run_qoe_inference_session(cfg, ctx.seed);
-        // The scripted outage must actually register end to end.
-        EXPECT_EQ(r.inferred_freezes, 1) << "task " << ctx.task_index;
-        EXPECT_DOUBLE_EQ(r.freeze_recall, 1.0);
-        ctx.sample("inferred_fps", r.inferred_fps);
-        ctx.sample("truth_fps", r.truth_fps);
-        ctx.sample("tier_accuracy", r.tier_accuracy);
-        ctx.sample("fps_abs_err", r.fps_abs_err);
-        // The full JSON text participates in the identity check, not just
-        // the scalars — a formatting drift is a determinism bug too.
-        ctx.sample("report_digest", report_digest(r.report_json));
-      });
-  EXPECT_TRUE(report.failures.empty());
-  return report.aggregate_json();
+void infer_task(runner::SessionContext& ctx) {
+  core::QoeInferBenchmarkConfig cfg;
+  cfg.platform = vc::platform::PlatformId::kZoom;
+  cfg.media_duration = seconds(14);
+  cfg.outages = {{seconds(5), seconds(2)}};  // FaultPlan active
+  cfg.shaper = core::InferShaperProfile::kDsl;
+  cfg.metrics = &ctx.metrics;
+  const auto r = core::run_qoe_inference_session(cfg, ctx.seed);
+  // The scripted outage must actually register end to end.
+  EXPECT_EQ(r.inferred_freezes, 1) << "task " << ctx.task_index;
+  EXPECT_DOUBLE_EQ(r.freeze_recall, 1.0);
+  ctx.sample("inferred_fps", r.inferred_fps);
+  ctx.sample("truth_fps", r.truth_fps);
+  ctx.sample("tier_accuracy", r.tier_accuracy);
+  ctx.sample("fps_abs_err", r.fps_abs_err);
+  // The full JSON text participates in the identity check, not just
+  // the scalars — a formatting drift is a determinism bug too.
+  ctx.sample("report_digest", report_digest(r.report_json));
 }
 
 TEST(InferDeterminism, IdenticalAcrossThreads) {
-  const std::string base = run_sweep(1);
-  EXPECT_NE(base.find("report_digest"), std::string::npos);
-  EXPECT_EQ(run_sweep(8), base) << "report drifted at threads=8";
+  runner::ExperimentRunner::Config rc;
+  rc.base_seed = 47;
+  rc.label = "infer-determinism";
+  const vcb::CheckedRun run = vcb::run_checked(rc, kTasks, infer_task);
+  ASSERT_TRUE(run.ok());
+  EXPECT_NE(run.serial.aggregate_json().find("report_digest"), std::string::npos);
 }
 
 }  // namespace

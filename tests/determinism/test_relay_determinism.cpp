@@ -12,12 +12,12 @@
 #include <cstdint>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "core/mobile_benchmark.h"
 #include "platform/relay.h"
 #include "runner/experiment_runner.h"
@@ -180,48 +180,37 @@ TEST(RelayDeterminism, CanonicalSessionMatchesGoldenFile) {
   const std::string serial = run_canonical_session(0.0);
 
   if (std::getenv("VC_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out{golden_path(), std::ios::binary};
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path();
-    out << serial;
+    ASSERT_TRUE(runner::write_text_file(golden_path(), serial)) << "cannot write " << golden_path();
     GTEST_SKIP() << "golden file regenerated";
   }
-  std::ifstream in{golden_path(), std::ios::binary};
-  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path();
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  EXPECT_EQ(serial, buf.str())
+  std::string golden;
+  ASSERT_TRUE(runner::read_text_file(golden_path(), &golden))
+      << "missing golden file " << golden_path();
+  EXPECT_EQ(serial, golden)
       << "canonical session drifted from the golden transcript; if the change "
          "is intentional, regenerate with VC_UPDATE_GOLDEN=1";
 }
 
 // -------------------------------------------- full platform session via runner
 
-std::string scale_report_json(std::size_t threads) {
+TEST(RelayDeterminism, PlatformSessionReportIdenticalAcrossThreads) {
+  // End-to-end: platform → RelayAllocator → relay, compared through the
+  // runner's deterministic aggregate report.
   core::ScaleBenchmarkConfig cfg;
   cfg.platform = platform::PlatformId::kZoom;
   cfg.n_total = 6;
   cfg.duration = seconds(12);
   runner::ExperimentRunner::Config rc;
-  rc.threads = threads;
   rc.base_seed = 71;
   rc.label = "relay-determinism";
-  runner::ExperimentRunner runner{rc};
-  const runner::RunReport report = runner.run(2, [cfg](runner::SessionContext& ctx) {
+  const vcb::CheckedRun run = vcb::run_checked(rc, 2, [cfg](runner::SessionContext& ctx) {
     const core::ScaleSessionResult r = core::run_scale_session(cfg, ctx.seed);
     ctx.sample("s10_rate_mbps", r.s10_rate_mbps);
     ctx.sample("j3_rate_mbps", r.j3_rate_mbps);
     for (double c : r.s10_cpu) ctx.sample("s10_cpu", c);
   });
-  EXPECT_TRUE(report.failures.empty());
-  return report.aggregate_json();
-}
-
-TEST(RelayDeterminism, PlatformSessionReportIdenticalAcrossThreads) {
-  // End-to-end: platform → RelayAllocator → relay, compared through the
-  // runner's deterministic aggregate report.
-  const std::string serial = scale_report_json(1);
-  ASSERT_FALSE(serial.empty());
-  EXPECT_EQ(scale_report_json(8), serial) << "report drifted at threads=8";
+  ASSERT_TRUE(run.ok());
+  EXPECT_FALSE(run.serial.aggregate_json().empty());
 }
 
 }  // namespace

@@ -5,11 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <vector>
 
+#include "bench/bench_util.h"
 #include "common/json.h"
 #include "core/lag_benchmark.h"
 #include "runner/experiment_runner.h"
@@ -20,74 +18,61 @@ namespace {
 constexpr std::size_t kTasks = 2;
 constexpr std::size_t kTraceCapacity = 4096;
 
-std::string slurp(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return ss.str();
+runner::ExperimentRunner::Config traced_config(const std::string& tag) {
+  runner::ExperimentRunner::Config rc;
+  rc.base_seed = 7;
+  rc.label = "trace-determinism";
+  rc.trace_dir = testing::TempDir() + "vc_trace_" + tag;
+  rc.trace_capacity = kTraceCapacity;
+  return rc;
 }
-
-struct TracedRun {
-  std::string aggregate_json;
-  std::vector<std::string> trace_files;  // one per task, bytes
-};
 
 // A short two-participant lag run per task, flight-recorded end to end
 // (event loop, links/shapers, relays, codecs, RTT probers).
-TracedRun run_traced(std::size_t threads, const std::string& tag) {
-  const std::string dir = testing::TempDir() + "vc_trace_" + tag;
-  runner::ExperimentRunner::Config rc;
-  rc.threads = threads;
-  rc.base_seed = 7;
-  rc.label = "trace-determinism";
-  rc.trace_dir = dir;
-  rc.trace_capacity = kTraceCapacity;
-  const auto report =
-      runner::ExperimentRunner{rc}.run(kTasks, [](runner::SessionContext& ctx) {
-        core::LagBenchmarkConfig cfg;
-        cfg.platform = platform::PlatformId::kZoom;
-        cfg.host_site = "US-East";
-        cfg.participant_sites = {"US-West", "US-Central"};
-        cfg.sessions = 1;
-        cfg.session_duration = seconds(24);
-        cfg.seed = ctx.seed;
-        cfg.metrics = &ctx.metrics;
-        cfg.tracer = ctx.tracer;
-        const auto r = core::run_lag_benchmark(cfg);
-        ctx.sample("mean_distinct_endpoints", r.mean_distinct_endpoints);
-      });
-  EXPECT_TRUE(report.failures.empty());
-  EXPECT_TRUE(report.trace.enabled);
-  EXPECT_GT(report.trace.records, 0u);
-  EXPECT_EQ(report.trace.write_failures, 0u);
-  TracedRun out;
-  out.aggregate_json = report.aggregate_json();
-  for (std::size_t i = 0; i < kTasks; ++i) {
-    out.trace_files.push_back(slurp(dir + "/" + std::to_string(i) + ".trace.json"));
-    EXPECT_FALSE(out.trace_files.back().empty()) << "missing trace file for task " << i;
-  }
-  return out;
+void lag_task(runner::SessionContext& ctx) {
+  core::LagBenchmarkConfig cfg;
+  cfg.platform = platform::PlatformId::kZoom;
+  cfg.host_site = "US-East";
+  cfg.participant_sites = {"US-West", "US-Central"};
+  cfg.sessions = 1;
+  cfg.session_duration = seconds(24);
+  cfg.seed = ctx.seed;
+  cfg.metrics = &ctx.metrics;
+  cfg.tracer = ctx.tracer;
+  const auto r = core::run_lag_benchmark(cfg);
+  ctx.sample("mean_distinct_endpoints", r.mean_distinct_endpoints);
 }
 
 TEST(TraceDeterminism, TraceFilesAndReportsIdenticalAcrossThreads) {
-  const TracedRun base = run_traced(1, "t1");
-  ASSERT_EQ(base.trace_files.size(), kTasks);
-
-  const TracedRun other = run_traced(8, "t8");
-  EXPECT_EQ(other.aggregate_json, base.aggregate_json) << "report drifted at threads=8";
+  const runner::ExperimentRunner::Config rc = traced_config("identity");
+  const vcb::CheckedRun run = vcb::run_checked(rc, kTasks, lag_task);
+  // Aggregates and every per-task trace file byte-identical, no task failed.
+  ASSERT_TRUE(run.ok());
+  for (const runner::RunReport* report : {&run.serial, &run.report}) {
+    EXPECT_TRUE(report->trace.enabled);
+    EXPECT_GT(report->trace.records, 0u);
+    EXPECT_EQ(report->trace.write_failures, 0u);
+  }
   for (std::size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(other.trace_files[i], base.trace_files[i])
-        << "trace file " << i << " drifted at threads=8";
+    std::string trace;
+    ASSERT_TRUE(
+        runner::read_text_file(rc.trace_dir + "/t1/" + std::to_string(i) + ".trace.json", &trace));
+    EXPECT_FALSE(trace.empty()) << "empty trace file for task " << i;
   }
 
   // The report's trace summary block participates in aggregate_json (and thus
-  // in the identity assertions above); spot-check it is actually there.
-  EXPECT_NE(base.aggregate_json.find("\"trace\":{\"records\":"), std::string::npos);
+  // in the identity check above); spot-check it is actually there.
+  EXPECT_NE(run.serial.aggregate_json().find("\"trace\":{\"records\":"), std::string::npos);
 }
 
 TEST(TraceDeterminism, EmittedTraceIsValidChromeTraceEventJson) {
-  const TracedRun run = run_traced(1, "schema");
-  const json::Value root = json::parse(run.trace_files.front());
+  runner::ExperimentRunner::Config rc = traced_config("schema");
+  rc.threads = 1;
+  const auto report = runner::ExperimentRunner{rc}.run(1, lag_task);
+  ASSERT_TRUE(report.failures.empty());
+  std::string trace;
+  ASSERT_TRUE(runner::read_text_file(rc.trace_dir + "/0.trace.json", &trace));
+  const json::Value root = json::parse(trace);
 
   const json::Value* events = root.find("traceEvents");
   ASSERT_NE(events, nullptr);

@@ -3,8 +3,10 @@
 // crash/restart, and the JSON exchange format.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "fault/fault_plan.h"
 #include "net/loss.h"
@@ -224,6 +226,27 @@ TEST(FaultPlan, FromJsonRejectsStepsOutsideInt) {
                                          "rate_end_kbps": 50, "duration_ms": 5,
                                          "steps": 1e20}])"),
                std::runtime_error);
+}
+
+// Arming schedules steps + 1 events, so a ramp's steps are bounded where the
+// plan is built; the bound is checked without arming anything.
+TEST(FaultPlan, RampStepsAboveTheBoundAreRejected) {
+  const auto ramp_json = [](long long steps) {
+    return R"([{"kind": "link_ramp", "at_ms": 1, "rate_kbps": 100, "rate_end_kbps": 50,
+                "duration_ms": 5, "steps": )" +
+           std::to_string(steps) + "}]";
+  };
+  for (const long long steps : {static_cast<long long>(kMaxRampSteps) + 1,
+                                static_cast<long long>(INT_MAX)}) {
+    SCOPED_TRACE(steps);
+    EXPECT_THROW(FaultPlan::from_json(ramp_json(steps)), std::runtime_error);
+    EXPECT_THROW(FaultPlan{}.link_ramp(millis(1), "a", DataRate::kbps(100), DataRate::kbps(50),
+                                       millis(5), static_cast<int>(steps)),
+                 std::invalid_argument);
+  }
+  for (const int steps : {4, 5, 8, kMaxRampSteps}) {
+    EXPECT_EQ(FaultPlan::from_json(ramp_json(steps)).events()[0].steps, steps);
+  }
 }
 
 TEST(FaultPlan, FromJsonRejectsTimeBeyondTwoToThe53Micros) {

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/rng.h"
 #include "core/fault_recovery_benchmark.h"
 #include "runner/experiment_runner.h"
@@ -47,30 +48,40 @@ FaultPlan random_plan(std::uint64_t seed) {
   return plan;
 }
 
-std::string faulted_report_json(std::size_t threads, const FaultPlan& plan, bool inject) {
+runner::ExperimentRunner::Config faulted_config() {
   runner::ExperimentRunner::Config rc;
-  rc.threads = threads;
   rc.base_seed = 137;
   rc.label = "fault-properties";
-  const auto report = runner::ExperimentRunner{rc}.run(
-      2, [&plan, inject](runner::SessionContext& ctx) {
-        core::FaultRecoveryConfig cfg;
-        cfg.session_duration = seconds(16);
-        cfg.outage_start = seconds(5);
-        cfg.outage_duration = seconds(2);
-        cfg.seed = ctx.seed;
-        cfg.custom_plan = plan;
-        cfg.inject = inject;
-        cfg.metrics = &ctx.metrics;
-        const auto r = core::run_fault_recovery_benchmark(cfg);
-        ctx.sample("disconnects", static_cast<double>(r.disconnects));
-        ctx.sample("reconnects", static_cast<double>(r.reconnects));
-        ctx.sample("packets_lost", static_cast<double>(r.packets_lost_in_outage));
-        ctx.sample("lag_spike_hwm_ms", r.lag_spike_hwm_ms);
-        for (double lag : r.lags_before_ms) ctx.sample("lag_before", lag);
-        for (double lag : r.lags_during_ms) ctx.sample("lag_during", lag);
-        for (double lag : r.lags_after_ms) ctx.sample("lag_after", lag);
-      });
+  return rc;
+}
+
+/// The faulted session task; `plan` must outlive every run of it.
+runner::ExperimentRunner::Task faulted_task(const FaultPlan& plan, bool inject) {
+  return [&plan, inject](runner::SessionContext& ctx) {
+    core::FaultRecoveryConfig cfg;
+    cfg.session_duration = seconds(16);
+    cfg.outage_start = seconds(5);
+    cfg.outage_duration = seconds(2);
+    cfg.seed = ctx.seed;
+    cfg.custom_plan = plan;
+    cfg.inject = inject;
+    cfg.metrics = &ctx.metrics;
+    const auto r = core::run_fault_recovery_benchmark(cfg);
+    ctx.sample("disconnects", static_cast<double>(r.disconnects));
+    ctx.sample("reconnects", static_cast<double>(r.reconnects));
+    ctx.sample("packets_lost", static_cast<double>(r.packets_lost_in_outage));
+    ctx.sample("lag_spike_hwm_ms", r.lag_spike_hwm_ms);
+    for (double lag : r.lags_before_ms) ctx.sample("lag_before", lag);
+    for (double lag : r.lags_during_ms) ctx.sample("lag_during", lag);
+    for (double lag : r.lags_after_ms) ctx.sample("lag_after", lag);
+  };
+}
+
+/// One single-thread pass over two sessions.
+std::string faulted_report_json(const FaultPlan& plan, bool inject) {
+  runner::ExperimentRunner::Config rc = faulted_config();
+  rc.threads = 1;
+  const auto report = runner::ExperimentRunner{rc}.run(2, faulted_task(plan, inject));
   EXPECT_TRUE(report.failures.empty());
   return report.aggregate_json();
 }
@@ -79,16 +90,16 @@ TEST(FaultProperties, RandomPlansAreThreadInvariant) {
   for (const std::uint64_t plan_seed : {1ULL, 2ULL, 3ULL}) {
     const FaultPlan plan = random_plan(plan_seed);
     ASSERT_FALSE(plan.empty());
-    const std::string base = faulted_report_json(1, plan, true);
-    EXPECT_EQ(faulted_report_json(8, plan, true), base)
-        << "threads=8 drifted, plan seed " << plan_seed << "\n" << plan.to_json();
+    const vcb::CheckedRun run = vcb::run_checked(faulted_config(), 2, faulted_task(plan, true));
+    EXPECT_TRUE(run.ok()) << "threads=8 drifted or a task failed, plan seed " << plan_seed
+                          << "\n" << plan.to_json();
   }
 }
 
 TEST(FaultProperties, EmptyPlanReportMatchesNoPlanReport) {
   const FaultPlan empty;
-  const std::string no_plan = faulted_report_json(1, empty, false);
-  const std::string armed_empty = faulted_report_json(1, empty, true);
+  const std::string no_plan = faulted_report_json(empty, false);
+  const std::string armed_empty = faulted_report_json(empty, true);
   EXPECT_EQ(armed_empty, no_plan);
 }
 

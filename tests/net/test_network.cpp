@@ -77,7 +77,7 @@ TEST(Network, PortWithoutSocketCounted) {
 
 TEST(Network, LossDropsApproximatelyP) {
   auto net = fixed_net();
-  net->set_loss_probability(0.5);
+  net->set_loss_model(std::make_unique<BernoulliLoss>(0.5));
   Host& a = net->add_host("a", kEast);
   Host& b = net->add_host("b", kWest);
   auto& tx = a.udp_bind(1000);

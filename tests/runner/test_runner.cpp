@@ -181,5 +181,20 @@ TEST(RunReport, JsonEscapesErrorsAndRateKeys) {
   EXPECT_NE(doc.at("rates").find("odd\"name_per_sec"), nullptr);
 }
 
+TEST(TextFile, MissingFileReadsFalse) {
+  std::string text = "untouched";
+  EXPECT_FALSE(read_text_file(testing::TempDir() + "vc_no_such_dir/none.json", &text));
+  EXPECT_EQ(text, "untouched");
+}
+
+TEST(TextFile, RoundTripsEveryByte) {
+  const std::string path = testing::TempDir() + "vc_text_file_roundtrip.bin";
+  const std::string bytes("a\0b\r\nc\n\xff", 8);
+  ASSERT_TRUE(write_text_file(path, bytes));
+  std::string back;
+  ASSERT_TRUE(read_text_file(path, &back));
+  EXPECT_EQ(back, bytes);
+}
+
 }  // namespace
 }  // namespace vc::runner
