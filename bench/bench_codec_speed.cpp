@@ -1,13 +1,15 @@
-// Codec transform A/B gate: scalar DCT reference vs best SIMD backend.
+// Codec block-pipeline A/B gate: scalar kernels vs the best SIMD backend.
 //
 // Runs the same encode+decode workload (120 frames of a 128x96 tour-guide
 // feed at 800 kbps) as one vcb::invisibility_gate: off is the retained
-// scalar DCT reference, armed is the best vectorized backend this CPU
-// supports. Every pass's full output — encoded sizes, quantized
-// coefficients, block modes, and decoded pixels — is FNV-hashed into its
-// aggregate and must match scalar's byte-for-byte (exit 1): the dct8.h
-// determinism contract enforced with a whole-pipeline workload rather than
-// single blocks (tests/media/test_dct8.cpp covers those exhaustively).
+// scalar reference for every block step (SADs, residual, DCT, quantize,
+// dequantize, IDCT, reconstruct), armed is the best vectorized backend this
+// CPU supports; one set_dct_backend switches them all. Every pass's full
+// output — encoded sizes, quantized coefficients, block modes, and decoded
+// pixels — is FNV-hashed into its aggregate and must match scalar's
+// byte-for-byte (exit 1): the dct8.h determinism contract enforced with a
+// whole-pipeline workload rather than single blocks
+// (tests/media/test_dct8.cpp covers each kernel).
 //
 // `--gate <ratio>` exits 2 when best(scalar) / best(simd) encode+decode wall
 // clock falls below the ratio: CI runs --gate 1.20, "the vectorized path must
@@ -78,8 +80,8 @@ int main(int argc, char** argv) {
   flags.reject_unread();
 
   const DctBackend best = best_dct_backend();
-  std::printf("codec transform A/B: %dx%d, %d frames/pass, %d rounds, simd backend=%s\n", kWidth,
-              kHeight, kFrames, rounds, dct_backend_name(best));
+  std::printf("codec block-pipeline A/B: %dx%d, %d frames/pass, %d rounds, simd backend=%s\n",
+              kWidth, kHeight, kFrames, rounds, dct_backend_name(best));
 
   // Feed rendering is outside the timed region: the gate measures the codec,
   // and both sides must see bit-identical input pixels.

@@ -1,6 +1,5 @@
 #include "fault/fault_plan.h"
 
-#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <memory>
@@ -63,8 +62,8 @@ FaultPlan& FaultPlan::link_rate(SimDuration at, std::string host, DataRate rate)
 
 FaultPlan& FaultPlan::link_ramp(SimDuration at, std::string host, DataRate from, DataRate to,
                                 SimDuration over, int steps) {
-  if (steps > kMaxRampSteps) {
-    throw std::invalid_argument{"fault plan: link_ramp steps above " +
+  if (steps < 1 || steps > kMaxRampSteps) {
+    throw std::invalid_argument{"fault plan: link_ramp steps outside 1.." +
                                 std::to_string(kMaxRampSteps)};
   }
   FaultEvent e;
@@ -74,7 +73,7 @@ FaultPlan& FaultPlan::link_ramp(SimDuration at, std::string host, DataRate from,
   e.rate = from;
   e.rate_end = to;
   e.duration = over;
-  e.steps = steps < 1 ? 1 : steps;
+  e.steps = steps;
   events_.push_back(std::move(e));
   return *this;
 }
@@ -317,7 +316,7 @@ FaultPlan FaultPlan::from_json(const std::string& text) {
       plan.link_rate(at, str("host"), kbps("rate_kbps"));
     } else if (kind == "link_ramp") {
       plan.link_ramp(at, str("host"), kbps("rate_kbps"), kbps("rate_end_kbps"), ms("duration_ms"),
-                     static_cast<int>(whole("steps", 8, INT_MIN, kMaxRampSteps)));
+                     static_cast<int>(whole("steps", 8, 1, kMaxRampSteps)));
     } else if (kind == "link_outage") {
       plan.link_outage(at, str("host"), ms("duration_ms"));
     } else if (kind == "burst_loss") {

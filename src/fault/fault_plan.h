@@ -90,8 +90,7 @@ class FaultPlan {
   // ---- builders (fluent; events fire in timeline order regardless of the
   // order they were added in, because each compiles to its own schedule_at).
   FaultPlan& link_rate(SimDuration at, std::string host, DataRate rate);
-  /// `steps` below 1 ramps in one step; above kMaxRampSteps throws
-  /// std::invalid_argument.
+  /// `steps` outside 1..kMaxRampSteps throws std::invalid_argument.
   FaultPlan& link_ramp(SimDuration at, std::string host, DataRate from, DataRate to,
                        SimDuration over, int steps = 8);
   FaultPlan& link_outage(SimDuration at, std::string host, SimDuration duration);

@@ -67,6 +67,7 @@ VideoEncoder::VideoEncoder(int width, int height, Config cfg)
 void VideoEncoder::set_target_bitrate(DataRate rate) { cfg_.target_bitrate = rate; }
 
 bool VideoEncoder::analyze(const Frame& frame, bool keyframe, double* dct) {
+  const BlockKernels& kern = block_kernels();
   const int bx = width_ / kBlock;
   const int by = height_ / kBlock;
   alignas(32) Block residual;
@@ -83,27 +84,14 @@ bool VideoEncoder::analyze(const Frame& frame, bool keyframe, double* dct) {
       const std::uint8_t* rblock = rdata + static_cast<std::size_t>(y0) * stride + x0;
       // Mode decision by SAD against each predictor. On keyframes the mode
       // is forced intra, so neither SAD is needed at all; otherwise the
-      // inter SAD exits early once it exceeds the (complete) intra SAD —
+      // inter SAD may stop once it exceeds the (complete) intra SAD —
       // SADs are monotone in pixels covered, so a partial sum past the
       // intra SAD already decides the comparison and no quantity derived
       // from the exact inter total is ever used on that path.
       bool inter = false;
       if (!keyframe) {
-        std::int32_t sad_intra = 0;
-        for (int y = 0; y < kBlock; ++y) {
-          const std::uint8_t* frow = fblock + static_cast<std::size_t>(y) * stride;
-          for (int x = 0; x < kBlock; ++x) {
-            sad_intra += std::abs(static_cast<int>(frow[x]) - 128);
-          }
-        }
-        std::int32_t sad_inter = 0;
-        for (int y = 0; y < kBlock && sad_inter <= sad_intra; ++y) {
-          const std::uint8_t* frow = fblock + static_cast<std::size_t>(y) * stride;
-          const std::uint8_t* rrow = rblock + static_cast<std::size_t>(y) * stride;
-          for (int x = 0; x < kBlock; ++x) {
-            sad_inter += std::abs(static_cast<int>(frow[x]) - static_cast<int>(rrow[x]));
-          }
-        }
+        const std::int32_t sad_intra = kern.sad_flat(fblock, stride);
+        const std::int32_t sad_inter = kern.sad(fblock, rblock, stride, sad_intra);
         inter = sad_inter <= sad_intra;
         // SKIP decision before the transform: when the block barely differs
         // from the reference, copy it (real codecs' SKIP mode). Without
@@ -118,15 +106,8 @@ bool VideoEncoder::analyze(const Frame& frame, bool keyframe, double* dct) {
       }
       all_skip = false;
       plan_[k] = inter ? BlockPlan::kInter : BlockPlan::kIntra;
-      for (int y = 0; y < kBlock; ++y) {
-        const std::uint8_t* frow = fblock + static_cast<std::size_t>(y) * stride;
-        const std::uint8_t* rrow = rblock + static_cast<std::size_t>(y) * stride;
-        for (int x = 0; x < kBlock; ++x) {
-          const double pred = inter ? static_cast<double>(rrow[x]) : 128.0;
-          residual[y * kBlock + x] = static_cast<double>(frow[x]) - pred;
-        }
-      }
-      dct2d_8x8(residual.data(), dct + k * kBlock * kBlock);
+      kern.residual(fblock, inter ? rblock : nullptr, stride, residual.data());
+      kern.dct(residual.data(), dct + k * kBlock * kBlock);
     }
   }
   return all_skip;
@@ -134,6 +115,7 @@ bool VideoEncoder::analyze(const Frame& frame, bool keyframe, double* dct) {
 
 VideoEncoder::PassResult VideoEncoder::quantize(const double* dct, double qstep,
                                                 EncodedFrame* out) {
+  const BlockKernels& kern = block_kernels();
   const int bx = width_ / kBlock;
   const int by = height_ / kBlock;
   PassResult res;
@@ -159,44 +141,30 @@ VideoEncoder::PassResult VideoEncoder::quantize(const double* dct, double qstep,
         continue;
       }
       const bool inter = plan_[k] == BlockPlan::kInter;
-      const double* coeffs = dct + k * kBlock * kBlock;
       std::int16_t trial_q[kBlock * kBlock];
       std::int16_t* q = out != nullptr ? out->coeffs.data() + k * kBlock * kBlock : trial_q;
-      for (int i = 0; i < kBlock * kBlock; ++i) {
-        // Clamping c first keeps the conversion defined; every value past
-        // the clamp rounds outside int16 and saturates all the same.
-        const double c = std::clamp(coeffs[i] / step[i], -32769.0, 32768.0);
-        q[i] = static_cast<std::int16_t>(std::clamp(round_half_away(c), static_cast<long>(INT16_MIN),
-                                                     static_cast<long>(INT16_MAX)));
-      }
+      const bool nonzero = kern.quantize(dct + k * kBlock * kBlock, step.data(), q);
       std::int64_t block_bits = 10;  // mode + qdelta + EOB overhead
-      bool all_zero = true;
-      for (int i = 0; i < kBlock * kBlock; ++i) {
-        block_bits += kQuant.bits[q[i] < 0 ? -static_cast<int>(q[i]) : static_cast<int>(q[i])];
-        all_zero = all_zero && q[i] == 0;
-      }
-      // Skip-block coding: an inter block with an all-zero residual costs a
-      // fraction of a bit (run-length coded), like real codecs' SKIP mode —
-      // this is what makes a static scene nearly free (Finding 3) and keeps
-      // the blank frames of the lag feed under the big-packet threshold.
-      if (inter && all_zero) {
+      if (nonzero) {
+        for (int i = 0; i < kBlock * kBlock; ++i) {
+          block_bits += kQuant.bits[q[i] < 0 ? -static_cast<int>(q[i]) : static_cast<int>(q[i])];
+        }
+      } else if (inter) {
+        // Skip-block coding: an inter block with an all-zero residual costs
+        // a fraction of a bit (run-length coded), like real codecs' SKIP
+        // mode — this is what makes a static scene nearly free (Finding 3)
+        // and keeps the blank frames of the lag feed under the big-packet
+        // threshold.
         block_bits = 1;
         ++res.skip_blocks;
       }
       res.bits += block_bits;
       if (out != nullptr) {
         out->modes[k] = inter ? BlockMode::kInter : BlockMode::kIntra;
-        for (int i = 0; i < kBlock * kBlock; ++i) deq[i] = static_cast<double>(q[i]) * step[i];
-        idct2d_8x8(deq.data(), rec.data());
+        kern.dequantize(q, step.data(), deq.data());
+        kern.idct(deq.data(), rec.data());
         std::uint8_t* rblock = recon_.data() + static_cast<std::size_t>(y0) * stride + x0;
-        for (int y = 0; y < kBlock; ++y) {
-          std::uint8_t* rrow = rblock + static_cast<std::size_t>(y) * stride;
-          for (int x = 0; x < kBlock; ++x) {
-            const double pred = inter ? static_cast<double>(rrow[x]) : 128.0;
-            const double v = pred + rec[y * kBlock + x];
-            rrow[x] = static_cast<std::uint8_t>(std::clamp(v + 0.5, 0.0, 255.0));
-          }
-        }
+        kern.reconstruct(rec.data(), inter ? rblock : nullptr, rblock, stride);
       }
     }
   }
@@ -279,28 +247,21 @@ const Frame& VideoDecoder::decode(const EncodedFrame& frame) {
   if (frame.width != width_ || frame.height != height_) {
     throw std::invalid_argument{"encoded frame size does not match decoder"};
   }
+  const BlockKernels& kern = block_kernels();
   const int bx = width_ / kBlock;
   const int by = height_ / kBlock;
-  alignas(32) Block deq, rec;
+  alignas(32) Block step, deq, rec;
+  for (int i = 0; i < kBlock * kBlock; ++i) step[i] = frame.qstep * kQuant.weight[i];
+  const int stride = width_;
   for (int byi = 0; byi < by; ++byi) {
     for (int bxi = 0; bxi < bx; ++bxi) {
-      const int x0 = bxi * kBlock;
-      const int y0 = byi * kBlock;
-      const bool inter = frame.modes[static_cast<std::size_t>(byi) * bx + bxi] == BlockMode::kInter;
-      const std::int16_t* cblock =
-          frame.coeffs.data() + (static_cast<std::size_t>(byi) * bx + bxi) * kBlock * kBlock;
-      for (int i = 0; i < kBlock * kBlock; ++i) {
-        const double step = frame.qstep * kQuant.weight[i];
-        deq[i] = static_cast<double>(cblock[i]) * step;
-      }
-      idct2d_8x8(deq.data(), rec.data());
-      for (int y = 0; y < kBlock; ++y) {
-        for (int x = 0; x < kBlock; ++x) {
-          const double pred = inter ? static_cast<double>(current_.at(x0 + x, y0 + y)) : 128.0;
-          scratch_.set(x0 + x, y0 + y,
-                       static_cast<std::uint8_t>(std::clamp(pred + rec[y * kBlock + x] + 0.5, 0.0, 255.0)));
-        }
-      }
+      const std::size_t k = static_cast<std::size_t>(byi) * bx + bxi;
+      const std::size_t offset = static_cast<std::size_t>(byi * kBlock) * stride + bxi * kBlock;
+      kern.dequantize(frame.coeffs.data() + k * kBlock * kBlock, step.data(), deq.data());
+      kern.idct(deq.data(), rec.data());
+      const bool inter = frame.modes[k] == BlockMode::kInter;
+      kern.reconstruct(rec.data(), inter ? current_.data() + offset : nullptr,
+                       scratch_.data() + offset, stride);
     }
   }
   // Every pixel of scratch_ was just written; swap it in (the previous

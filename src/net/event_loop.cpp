@@ -14,6 +14,13 @@ bool fires_before(const auto& a, const auto& b) {
   return a.id < b.id;
 }
 
+// The same order as one 128-bit key, for a comparison without a branch.
+// at_us is never negative (schedule_at clamps to now, which starts at
+// zero), so its bits as unsigned order the same way.
+unsigned __int128 order_key(const auto& e) {
+  return static_cast<unsigned __int128>(static_cast<std::uint64_t>(e.at_us)) << 64 | e.id;
+}
+
 }  // namespace
 
 EventLoop::EventLoop(const Instruments& instruments) : tracer_(instruments.tracer) {
@@ -44,7 +51,9 @@ void EventLoop::pop_heap_entry() {
   // displaced tail element, then bubble that element up from the leaf. In
   // the loop's steady state the tail is the most recently scheduled (thus
   // max-seq) entry, so the bubble-up almost always terminates immediately —
-  // saving the per-level "done yet?" comparison a top-down sift pays.
+  // saving the per-level "done yet?" comparison a top-down sift pays. The
+  // min child is picked arithmetically: which child fires first is a coin
+  // flip the branch predictor loses at every level.
   const std::size_t n = heap_.size() - 1;
   const HeapEntry top = heap_[0];
   if (n > 0) {
@@ -53,8 +62,7 @@ void EventLoop::pop_heap_entry() {
     for (;;) {
       std::size_t child = (i << 1) + 1;
       if (child >= n) break;
-      const std::size_t right = child + 1;
-      if (right < n && fires_before(heap_[right], heap_[child])) child = right;
+      if (child + 1 < n) child += order_key(heap_[child + 1]) < order_key(heap_[child]);
       heap_[i] = heap_[child];
       i = child;
     }

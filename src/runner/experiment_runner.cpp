@@ -309,6 +309,9 @@ bool write_text_file(const std::string& path, const std::string& text) {
 }
 
 bool read_text_file(const std::string& path, std::string* out) {
+  // An ifstream opens a directory and reads it as empty.
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) return false;
   std::ifstream in{path, std::ios::binary};
   if (!in) return false;
   std::ostringstream ss;

@@ -183,7 +183,7 @@ class ExperimentRunner {
 bool write_text_file(const std::string& path, const std::string& text);
 
 /// Reads the whole file at `path` into `*out`, byte for byte; returns false
-/// (leaving `*out` untouched) when it cannot be opened.
+/// (leaving `*out` untouched) when it cannot be opened or is a directory.
 bool read_text_file(const std::string& path, std::string* out);
 
 }  // namespace vc::runner

@@ -249,6 +249,29 @@ TEST(FaultPlan, RampStepsAboveTheBoundAreRejected) {
   }
 }
 
+// A ramp needs at least one step. Below that, the builder and the reader
+// both refuse the plan rather than ramp in one step.
+TEST(FaultPlan, RampStepsBelowOneAreRejected) {
+  const auto ramp_json = [](long long steps) {
+    return R"([{"kind": "link_ramp", "at_ms": 1, "rate_kbps": 100, "rate_end_kbps": 50,
+                "duration_ms": 5, "steps": )" +
+           std::to_string(steps) + "}]";
+  };
+  for (const long long steps : {0LL, -1LL, -5LL, static_cast<long long>(INT_MIN)}) {
+    SCOPED_TRACE(steps);
+    EXPECT_THROW(FaultPlan::from_json(ramp_json(steps)), std::runtime_error);
+    EXPECT_THROW(FaultPlan{}.link_ramp(millis(1), "a", DataRate::kbps(100), DataRate::kbps(50),
+                                       millis(5), static_cast<int>(steps)),
+                 std::invalid_argument);
+  }
+  EXPECT_EQ(FaultPlan::from_json(ramp_json(1)).events()[0].steps, 1);
+  EXPECT_EQ(FaultPlan{}
+                .link_ramp(millis(1), "a", DataRate::kbps(100), DataRate::kbps(50), millis(5), 1)
+                .events()[0]
+                .steps,
+            1);
+}
+
 TEST(FaultPlan, FromJsonRejectsTimeBeyondTwoToThe53Micros) {
   EXPECT_THROW(FaultPlan::from_json(R"([{"kind": "link_outage", "at_ms": 1e300,
                                          "duration_ms": 5}])"),

@@ -187,6 +187,12 @@ TEST(TextFile, MissingFileReadsFalse) {
   EXPECT_EQ(text, "untouched");
 }
 
+TEST(TextFile, DirectoryReadsFalse) {
+  std::string text = "untouched";
+  EXPECT_FALSE(read_text_file(testing::TempDir(), &text));
+  EXPECT_EQ(text, "untouched");
+}
+
 TEST(TextFile, RoundTripsEveryByte) {
   const std::string path = testing::TempDir() + "vc_text_file_roundtrip.bin";
   const std::string bytes("a\0b\r\nc\n\xff", 8);
