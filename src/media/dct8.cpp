@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <numbers>
 
 #include "media/video_codec.h"
@@ -141,9 +142,24 @@ void reconstruct_scalar(const double* rec, const std::uint8_t* pred, std::uint8_
   }
 }
 
+// One texture pixel; `cw` and `fw` are 1 − coarse.s and 1 − fine.s.
+inline std::uint8_t texture_px(const NoiseRow& coarse, double cw, const NoiseRow& fine, double fw,
+                               int x) {
+  const double c = coarse.top[x] * cw + coarse.bottom[x] * coarse.s;
+  const double f = fine.top[x] * fw + fine.bottom[x] * fine.s;
+  return static_cast<std::uint8_t>(std::clamp(0.7 * c + 0.3 * f, 0.0, 255.0));
+}
+
+void texture_row_scalar(NoiseRow coarse, NoiseRow fine, std::uint8_t* dst, int n) {
+  const double cw = 1 - coarse.s;
+  const double fw = 1 - fine.s;
+  for (int x = 0; x < n; ++x) dst[x] = texture_px(coarse, cw, fine, fw, x);
+}
+
 constexpr BlockKernels kScalarKernels{
     &dct2d_scalar,       &idct2d_scalar,   &sad_flat_scalar,   &sad_scalar,
     &residual_scalar,    &quantize_scalar, &dequantize_scalar, &reconstruct_scalar,
+    &texture_row_scalar,
 };
 
 #ifdef VC_DCT8_X86
@@ -298,9 +314,47 @@ VC_AVX void reconstruct_avx(const double* rec, const std::uint8_t* pred, std::ui
   }
 }
 
+// Four texture pixels from x, as int32 lanes already clamped to [0, 255].
+VC_AVX inline __m128i texture4_avx(const NoiseRow& coarse, __m256d cw, const NoiseRow& fine,
+                                   __m256d fw, int x) {
+  const __m256d c = _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(coarse.top + x), cw),
+                                  _mm256_mul_pd(_mm256_loadu_pd(coarse.bottom + x),
+                                                _mm256_set1_pd(coarse.s)));
+  const __m256d f = _mm256_add_pd(_mm256_mul_pd(_mm256_loadu_pd(fine.top + x), fw),
+                                  _mm256_mul_pd(_mm256_loadu_pd(fine.bottom + x),
+                                                _mm256_set1_pd(fine.s)));
+  const __m256d v = _mm256_add_pd(_mm256_mul_pd(_mm256_set1_pd(0.7), c),
+                                  _mm256_mul_pd(_mm256_set1_pd(0.3), f));
+  return _mm256_cvttpd_epi32(
+      _mm256_min_pd(_mm256_max_pd(v, _mm256_setzero_pd()), _mm256_set1_pd(255.0)));
+}
+
+// Eight pixels a step, then four, then the scalar pixel for the last 0-3.
+VC_AVX void texture_row_avx(NoiseRow coarse, NoiseRow fine, std::uint8_t* dst, int n) {
+  const double cw = 1 - coarse.s;
+  const double fw = 1 - fine.s;
+  const __m256d cw4 = _mm256_set1_pd(cw);
+  const __m256d fw4 = _mm256_set1_pd(fw);
+  int x = 0;
+  for (; x + 8 <= n; x += 8) {
+    const __m128i words = _mm_packs_epi32(texture4_avx(coarse, cw4, fine, fw4, x),
+                                          texture4_avx(coarse, cw4, fine, fw4, x + 4));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(dst + x), _mm_packus_epi16(words, words));
+  }
+  if (x + 4 <= n) {
+    const __m128i lanes = texture4_avx(coarse, cw4, fine, fw4, x);
+    const __m128i words = _mm_packs_epi32(lanes, lanes);
+    const std::int32_t bytes = _mm_cvtsi128_si32(_mm_packus_epi16(words, words));
+    std::memcpy(dst + x, &bytes, 4);
+    x += 4;
+  }
+  for (; x < n; ++x) dst[x] = texture_px(coarse, cw, fine, fw, x);
+}
+
 constexpr BlockKernels kAvxKernels{
     &dct2d_avx,    &idct2d_avx,   &sad_flat_avx,   &sad_avx,
     &residual_avx, &quantize_avx, &dequantize_avx, &reconstruct_avx,
+    &texture_row_avx,
 };
 
 bool cpu_has_avx() {

@@ -1,5 +1,6 @@
 // The codec's 8×8 block kernels — DCT-II / IDCT, SAD, residual, quantize,
-// dequantize and reconstruct — with a bit-identical determinism contract.
+// dequantize and reconstruct — and the feeds' texture row kernel, with a
+// bit-identical determinism contract.
 //
 // Every pass of both separable transforms reduces to one primitive: eight
 // output lanes l, out[l] = Σ_k s[k] · t[k·8 + l], accumulated in k order.
@@ -28,6 +29,14 @@ enum class DctBackend {
   kAvx,         // x86, runtime-detected: 4 double lanes per vector
 };
 
+/// One raster row of value noise: pixel x blends the lattice rows above and
+/// below it, already blended across x, as top[x]·(1 − s) + bottom[x]·s.
+struct NoiseRow {
+  const double* top;
+  const double* bottom;
+  double s;
+};
+
 /// One backend's block kernels. A block is 8×8; pixel blocks are rows
 /// `stride` bytes apart, coefficient blocks are 64 row-major values. A null
 /// `pred` stands for the flat intra predictor 128.
@@ -54,6 +63,10 @@ struct BlockKernels {
   /// `dst` share `stride` and may be the same block.
   void (*reconstruct)(const double* rec, const std::uint8_t* pred, std::uint8_t* dst,
                       int stride);
+  /// The feeds' fractal texture, one row of `n` pixels:
+  /// dst = uint8(clamp(0.7·c + 0.3·f, 0, 255)), truncated, where c and f are
+  /// the coarse and fine octaves' blends.
+  void (*texture_row)(NoiseRow coarse, NoiseRow fine, std::uint8_t* dst, int n);
 };
 
 /// The backend the dispatch currently points at.

@@ -6,59 +6,76 @@
 #include <stdexcept>
 #include <vector>
 
+#include "media/dct8.h"
+
 namespace vc::media {
 namespace {
 
-// Deterministic 2D hash noise in [0, 255].
-std::uint8_t hash_noise(std::uint64_t seed, int x, int y) {
-  std::uint64_t h = seed;
-  h ^= static_cast<std::uint64_t>(x) * 0x9E3779B97F4A7C15ULL;
-  h ^= static_cast<std::uint64_t>(y) * 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kHashX = 0x9E3779B97F4A7C15ULL;
+constexpr std::uint64_t kHashY = 0xC2B2AE3D27D4EB4FULL;
+
+// The last mixing steps of the 2D hash, down to a value in [0, 255].
+std::uint8_t finish_hash(std::uint64_t h) {
   h ^= h >> 29;
   h *= 0xBF58476D1CE4E5B9ULL;
   h ^= h >> 32;
   return static_cast<std::uint8_t>(h & 0xFF);
 }
 
+// Deterministic 2D hash noise in [0, 255]. The key is seed ^ x·kHashX ^
+// y·kHashY, so a caller may XOR the terms in any order.
+std::uint8_t hash_noise(std::uint64_t seed, int x, int y) {
+  return finish_hash(seed ^ static_cast<std::uint64_t>(x) * kHashX ^
+                     static_cast<std::uint64_t>(y) * kHashY);
+}
+
 // Smooth value noise over a w×h raster: bilinear interpolation of lattice
 // hash noise at a given cell size, sampled at (x + off_x, y + off_y) for
 // pixel (x, y). Produces natural-looking low-frequency texture. A lattice
-// cell spans many pixels, so the lattice values the raster touches are hashed
-// once, and a column's (row's) cell and weight are worked out once. Each
-// pixel then evaluates the bilinear blend with the same operations in the
-// same order as a pointwise evaluation would, so every value is bit-exact.
+// cell spans many pixels, so each lattice row the raster touches is hashed
+// once and blended across x once per column; a pixel then does only the
+// y-blend of the lattice rows above and below it. Every blend is the
+// pointwise formula's operations in the same order, so every value is
+// bit-exact.
 class ValueNoise {
  public:
   ValueNoise(std::uint64_t seed, int w, int h, double off_x, double off_y, double cell)
-      : cols_(axis(w, off_x, cell)), rows_(axis(h, off_y, cell)) {
+      : width_(w), rows_(axis(h, off_y, cell)) {
     // Lattice indices grow with the coordinate, so the first and last
     // positions bound them; the blend reads one past the last.
-    const int x_lo = cols_.front().cell;
+    const std::vector<Weight> cols = axis(w, off_x, cell);
+    const int x_lo = cols.front().cell;
     const int y_lo = rows_.front().cell;
-    stride_ = cols_.back().cell - x_lo + 2;
+    const int lattice_cols = cols.back().cell - x_lo + 2;
     const int lattice_rows = rows_.back().cell - y_lo + 2;
-    lattice_.reserve(static_cast<std::size_t>(stride_) * lattice_rows);
+    std::vector<std::uint8_t> lattice(static_cast<std::size_t>(lattice_cols));
+    blends_.resize(static_cast<std::size_t>(lattice_rows) * w);
     for (int j = 0; j < lattice_rows; ++j) {
-      for (int i = 0; i < stride_; ++i) lattice_.push_back(hash_noise(seed, x_lo + i, y_lo + j));
+      for (int i = 0; i < lattice_cols; ++i) lattice[i] = hash_noise(seed, x_lo + i, y_lo + j);
+      double* out = &blends_[static_cast<std::size_t>(j) * w];
+      for (int x = 0; x < w; ++x) {
+        const std::uint8_t* v = &lattice[static_cast<std::size_t>(cols[x].cell - x_lo)];
+        const double sx = cols[x].s;
+        out[x] = static_cast<double>(v[0]) * (1 - sx) + static_cast<double>(v[1]) * sx;
+      }
     }
-    for (Weight& c : cols_) c.cell -= x_lo;
-    for (Weight& r : rows_) r.cell = (r.cell - y_lo) * stride_;
+    for (Weight& r : rows_) r.cell = (r.cell - y_lo) * w;
+  }
+
+  NoiseRow row(int y) const {
+    const Weight& r = rows_[y];
+    return {&blends_[static_cast<std::size_t>(r.cell)],
+            &blends_[static_cast<std::size_t>(r.cell + width_)], r.s};
   }
 
   double at(int x, int y) const {
-    const double sx = cols_[x].s;
-    const double sy = rows_[y].s;
-    const std::uint8_t* v = &lattice_[static_cast<std::size_t>(rows_[y].cell + cols_[x].cell)];
-    const double v00 = v[0];
-    const double v10 = v[1];
-    const double v01 = v[stride_];
-    const double v11 = v[stride_ + 1];
-    return (v00 * (1 - sx) + v10 * sx) * (1 - sy) + (v01 * (1 - sx) + v11 * sx) * sy;
+    const NoiseRow r = row(y);
+    return r.top[x] * (1 - r.s) + r.bottom[x] * r.s;
   }
 
  private:
-  // One column or row: its lattice cell (after construction, its offset into
-  // the lattice) and its smoothstep weight.
+  // One column or row: its lattice cell (for a row, after construction, the
+  // offset of its upper lattice row in blends_) and its smoothstep weight.
   struct Weight {
     int cell;
     double s;
@@ -75,10 +92,10 @@ class ValueNoise {
     return out;
   }
 
-  std::vector<Weight> cols_;
+  int width_;
   std::vector<Weight> rows_;
-  int stride_ = 0;
-  std::vector<std::uint8_t> lattice_;
+  // blends_[j·w + x]: lattice row j blended across x at column x.
+  std::vector<double> blends_;
 };
 
 // Two-octave fractal noise, range ~[0, 255].
@@ -90,21 +107,35 @@ class FractalNoise {
 
   double at(int x, int y) const { return 0.7 * coarse_.at(x, y) + 0.3 * fine_.at(x, y); }
 
+  /// Row y, clamped to [0, 255] and truncated, into `dst` (w pixels).
+  void render_row(const BlockKernels& k, int y, std::uint8_t* dst, int w) const {
+    k.texture_row(coarse_.row(y), fine_.row(y), dst, w);
+  }
+
  private:
   ValueNoise coarse_;
   ValueNoise fine_;
 };
 
+// dx² is worked out once per column and dy² once per row; the test is the
+// pointwise dx·dx + dy·dy <= 1 on the same values.
 void fill_ellipse(Frame& f, double cx, double cy, double rx, double ry, std::uint8_t luma) {
   const int x_lo = std::max(0, static_cast<int>(cx - rx) - 1);
   const int x_hi = std::min(f.width() - 1, static_cast<int>(cx + rx) + 1);
   const int y_lo = std::max(0, static_cast<int>(cy - ry) - 1);
   const int y_hi = std::min(f.height() - 1, static_cast<int>(cy + ry) + 1);
+  if (x_lo > x_hi) return;
+  std::vector<double> dx2(static_cast<std::size_t>(x_hi - x_lo + 1));
+  for (int x = x_lo; x <= x_hi; ++x) {
+    const double dx = (x - cx) / rx;
+    dx2[static_cast<std::size_t>(x - x_lo)] = dx * dx;
+  }
   for (int y = y_lo; y <= y_hi; ++y) {
+    const double dy = (y - cy) / ry;
+    const double dy2 = dy * dy;
+    std::uint8_t* row = f.data() + static_cast<std::size_t>(y) * f.width();
     for (int x = x_lo; x <= x_hi; ++x) {
-      const double dx = (x - cx) / rx;
-      const double dy = (y - cy) / ry;
-      if (dx * dx + dy * dy <= 1.0) f.set(x, y, luma);
+      if (dx2[static_cast<std::size_t>(x - x_lo)] + dy2 <= 1.0) row[x] = luma;
     }
   }
 }
@@ -114,15 +145,21 @@ void fill_ellipse(Frame& f, double cx, double cy, double rx, double ry, std::uin
 void apply_sensor_noise(Frame& f, std::uint64_t seed, std::int64_t index, double sigma) {
   if (sigma <= 0.0) return;
   const double half_range = sigma * 1.7320508;  // uniform(-a, a) has sd a/sqrt(3)
-  const std::uint64_t frame_seed = seed ^ (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(index + 1));
+  const std::uint64_t frame_seed = seed ^ (kHashX * static_cast<std::uint64_t>(index + 1));
   // The shift a hash value h adds, (h - 127.5) / 127.5 * half_range, worked
   // out once per value rather than once per pixel.
   double shift[256];
   for (int h = 0; h < 256; ++h) shift[h] = (h - 127.5) / 127.5 * half_range;
+  // The hash key's column terms once per column, its row term once per row.
+  const int w = f.width();
+  std::vector<std::uint64_t> col_keys(static_cast<std::size_t>(w));
+  for (std::size_t x = 0; x < col_keys.size(); ++x) col_keys[x] = x * kHashX;
   for (int y = 0; y < f.height(); ++y) {
-    for (int x = 0; x < f.width(); ++x) {
-      const double v = f.at(x, y) + shift[hash_noise(frame_seed, x, y)];
-      f.set(x, y, static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0)));
+    const std::uint64_t row_key = frame_seed ^ static_cast<std::uint64_t>(y) * kHashY;
+    std::uint8_t* row = f.data() + static_cast<std::size_t>(y) * w;
+    for (int x = 0; x < w; ++x) {
+      const double v = row[x] + shift[finish_hash(row_key ^ col_keys[static_cast<std::size_t>(x)])];
+      row[x] = static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0));
     }
   }
 }
@@ -193,11 +230,9 @@ Frame TourGuideFeed::frame_at(std::int64_t index) const {
   const double pan_x = 85.0 * t;
   const double pan_y = 12.0 * std::sin(2.0 * std::numbers::pi * 0.3 * t);
   const FractalNoise texture{scene_seed, p_.width, p_.height, pan_x, pan_y, 9.0};
+  const BlockKernels& kernels = block_kernels();
   for (int y = 0; y < p_.height; ++y) {
-    for (int x = 0; x < p_.width; ++x) {
-      const double v = texture.at(x, y);
-      f.set(x, y, static_cast<std::uint8_t>(std::clamp(v, 0.0, 255.0)));
-    }
+    texture.render_row(kernels, y, f.data() + static_cast<std::size_t>(y) * p_.width, p_.width);
   }
   // Moving foreground objects (pedestrians/vehicles) crossing the view.
   Rng obj_rng{scene_seed ^ 0x5151};

@@ -142,6 +142,15 @@ TEST(CodecIdentity, TourGuideFeedPixelsArePinned) {
   EXPECT_EQ(feed_digest(TourGuideFeed{{33, 17, 15.0, 11}}), 0xfb225a94f5a84660ULL);
 }
 
+// The texture row kernel runs 4 and 8 pixels per step with a scalar tail:
+// rows of exactly one and two vectors, and one pixel past each.
+TEST(CodecIdentity, TourGuideFeedPixelsArePinnedAtVectorWidths) {
+  EXPECT_EQ(feed_digest(TourGuideFeed{{4, 3, 15.0, 5}}), 0xb851b40646a7fb04ULL);
+  EXPECT_EQ(feed_digest(TourGuideFeed{{5, 9, 15.0, 5}}), 0xbc624339072017d8ULL);
+  EXPECT_EQ(feed_digest(TourGuideFeed{{8, 8, 15.0, 11}}), 0xd9095109c7e23a06ULL);
+  EXPECT_EQ(feed_digest(TourGuideFeed{{9, 4, 15.0, 7}}), 0x98aaeddb036cdb97ULL);
+}
+
 TEST(CodecIdentity, TourGuideFeedPixelsArePinnedAtEachSensorNoise) {
   EXPECT_EQ(feed_digest(TourGuideFeed{{64, 48, 15.0, 5, 0.0}}), 0x99c1b8c6e133ae58ULL);
   EXPECT_EQ(feed_digest(TourGuideFeed{{64, 48, 15.0, 5, 9.0}}), 0xe1206c5749ebfbddULL);
@@ -167,6 +176,17 @@ TEST(CodecIdentity, PaddedFeedPixelsArePinned) {
   const PaddedFeed head{std::make_shared<TalkingHeadFeed>(FeedParams{33, 17, 15.0, 3}), 3};
   EXPECT_EQ(feed_digest(tour), 0x88d418d4b6d649e8ULL);
   EXPECT_EQ(feed_digest(head), 0x36dc21c59b0380e2ULL);
+}
+
+// The congested cell's exact feed: flow 0's padded 64x48 tour guide at
+// 10 fps (seed 1 ^ 0xFEED), every frame of its 20 s of media. Frames 17-33
+// pan upwards and frame 50 starts the second scene.
+TEST(CodecIdentity, CongestedFeedPixelsArePinned) {
+  const PaddedFeed feed{
+      std::make_shared<TourGuideFeed>(FeedParams{64, 48, 10.0, 1 ^ 0xFEED}), 8};
+  std::uint64_t h = kFnvBasis;
+  for (std::int64_t i = 0; i < 200; ++i) mix(h, frame_digest(feed.frame_at(i)));
+  EXPECT_EQ(h, 0xbbe4d05afdbecc94ULL);
 }
 
 // The quantizer's inline rounding is std::lround on the ties and on the

@@ -404,6 +404,136 @@ TEST(Dct8, ReconstructSumsInScalarOrder) {
   }
 }
 
+// One texture pixel's four inputs (coarse top, bottom; fine top, bottom).
+using TexelInputs = std::array<double, 4>;
+
+// Inputs that land the blend in every region the kernel must match: past
+// both clamps and on both edges (one edge value for all four), anywhere
+// (random reals, integers and edges), and within a few ulps of an integer,
+// where truncation shows any change in the order of operations: one integer
+// for all four, as in a flat patch of lattice values; equal integers above
+// and below; or one octave flat at an integer t and the other's bottom
+// solved from its weight so that its blend lands on t, then nudged by up to
+// two ulps.
+TexelInputs texel_inputs(Rng& rng, const std::vector<double>& edges, double cs, double fs) {
+  const auto any = [&] {
+    switch (rng.index(3)) {
+      case 0: return rng.uniform(-50.0, 305.0);
+      case 1: return static_cast<double>(rng.uniform_int(0, 255));
+      default: return edges[rng.index(edges.size())];
+    }
+  };
+  const auto level = [&] { return static_cast<double>(rng.uniform_int(0, 255)); };
+  // {top, bottom} whose blend at weight s (> 0) lands within two ulps of t.
+  const auto solved = [&](double t, double s) {
+    const double top = rng.uniform(0.0, 255.0);
+    double bottom = (t - top * (1 - s)) / s;
+    for (std::int64_t i = rng.uniform_int(-2, 2); i != 0; i += i < 0 ? 1 : -1) {
+      bottom = std::nextafter(bottom, i < 0 ? -1e9 : 1e9);
+    }
+    return std::array<double, 2>{top, bottom};
+  };
+  const double t = level();
+  switch (rng.index(6)) {
+    case 0: {
+      const double e = edges[rng.index(edges.size())];
+      return {e, e, e, e};
+    }
+    case 1: return {any(), any(), any(), any()};
+    case 2: return {t, t, t, t};
+    case 3: {
+      const double f = level();
+      return {t, t, f, f};
+    }
+    case 4:
+      if (cs > 0.0) {
+        const auto c = solved(t, cs);
+        return {c[0], c[1], t, t};
+      }
+      return {t, t, t, t};
+    default:
+      if (fs > 0.0) {
+        const auto f = solved(t, fs);
+        return {t, t, f[0], f[1]};
+      }
+      return {t, t, t, t};
+  }
+}
+
+// The texture row kernel on rows 1-9 pixels wide: one and two 4- and
+// 8-pixel steps, and every scalar tail, at weights 0, 1 and between (random,
+// since whether a blend lands an ulp off depends on the weight). Bytes past
+// the row stay untouched.
+TEST(Dct8, TextureRowMatchesScalar) {
+  constexpr int kMaxN = 9;
+  constexpr int kSlack = 7;
+  const std::vector<double> edges{-300.0, -1.0, -1e-9, 0.0, 1e-9, 0.5,   254.5,
+                                  254.999, 255.0, 255.0 + 1e-9, 256.0, 1000.0};
+  Rng rng{4242};
+  const auto weight = [&] {
+    switch (rng.index(3)) {
+      case 0: return 0.0;
+      case 1: return 1.0;
+      default: return rng.uniform(0.0, 1.0);
+    }
+  };
+  bool saw_floor = false;
+  bool saw_ceiling = false;
+  for (DctBackend backend : simd_backends()) {
+    const BlockKernels& k = *block_kernels(backend);
+    for (int n = 1; n <= kMaxN; ++n) {
+      for (int trial = 0; trial < 2000; ++trial) {
+        const double cs = weight();
+        const double fs = weight();
+        std::array<std::array<double, kMaxN>, 4> v{};
+        for (int x = 0; x < n; ++x) {
+          const TexelInputs in = texel_inputs(rng, edges, cs, fs);
+          for (std::size_t r = 0; r < v.size(); ++r) v[r][x] = in[r];
+        }
+        const NoiseRow coarse{v[0].data(), v[1].data(), cs};
+        const NoiseRow fine{v[2].data(), v[3].data(), fs};
+        std::array<std::uint8_t, kMaxN + kSlack> ref{};
+        std::array<std::uint8_t, kMaxN + kSlack> got{};
+        ref.fill(0xA5);
+        got.fill(0xA5);
+        scalar().texture_row(coarse, fine, ref.data(), n);
+        k.texture_row(coarse, fine, got.data(), n);
+        EXPECT_EQ(std::memcmp(ref.data(), got.data(), ref.size()), 0)
+            << dct_backend_name(backend) << " n=" << n << " cs=" << cs << " fs=" << fs
+            << " trial " << trial;
+        for (int x = 0; x < n; ++x) {
+          saw_floor = saw_floor || ref[x] == 0;
+          saw_ceiling = saw_ceiling || ref[x] == 255;
+        }
+      }
+    }
+  }
+  if (!simd_backends().empty()) {
+    EXPECT_TRUE(saw_floor);
+    EXPECT_TRUE(saw_ceiling);
+  }
+}
+
+// Whole feeds, not just rows: a tour guide rendered through each backend's
+// row kernel is the scalar backend's frame, at the vector widths, one past
+// them, and the congested cell's 64x48.
+TEST(Dct8, TourGuideFramesBitIdenticalOnEveryBackend) {
+  BackendGuard guard;
+  for (const int w : {1, 3, 4, 5, 8, 9, 64}) {
+    const TourGuideFeed feed{{w, w == 64 ? 48 : 6, 15.0, 5}};
+    ASSERT_TRUE(set_dct_backend(DctBackend::kScalar));
+    std::vector<Frame> ref;
+    for (std::int64_t i = 0; i < 80; i += 7) ref.push_back(feed.frame_at(i));
+    for (DctBackend backend : simd_backends()) {
+      ASSERT_TRUE(set_dct_backend(backend));
+      for (std::size_t j = 0; j < ref.size(); ++j) {
+        EXPECT_EQ(feed.frame_at(static_cast<std::int64_t>(j) * 7), ref[j])
+            << dct_backend_name(backend) << " w=" << w << " frame " << j * 7;
+      }
+    }
+  }
+}
+
 // Whole-encoder equality across the quantizer range the platforms actually
 // use: pinning min_qstep == max_qstep forces every pass to run at that
 // step, and the encoded stream (sizes, coefficients, modes, recon) must be

@@ -18,7 +18,8 @@
 #     One line per bench saved in A:
 #       identical                   same bytes
 #       adds-keys <families>        every key of A keeps its value; B has more
-#       changed <first key>         first key of A whose value differs in B
+#       changed <keys>              every key of A whose value differs in B,
+#                                   sorted
 #       missing                     B has no aggregate for this bench
 #     Exits 1 if any bench is missing or changed.
 set -euo pipefail
@@ -114,9 +115,9 @@ for a_path in sorted(glob.glob(os.path.join(a_dir, "*.aggregate.json"))):
         print(f"{name}: identical")
         continue
     a, b = entries(a_path), entries(b_path)
-    changed = next((k for k in a if b.get(k, object()) != a[k]), None)
-    if changed is not None:
-        print(f"{name}: changed {changed}")
+    changed = sorted(k for k in a if b.get(k, object()) != a[k])
+    if changed:
+        print(f"{name}: changed " + " ".join(changed))
         bad = True
         continue
     families = {}
