@@ -7,16 +7,17 @@
 // 45 Kbps rate — deteriorates at ≤500 Kbps, while Zoom/Meet audio stays flat.
 //
 // The sweep runs on runner::ExperimentRunner: every (platform, cap, session)
-// cell is an independent capped session (core::run_bwcap_session), executed
-// once on one thread and once on eight. The two aggregate reports must be
-// bit-identical (the runner's determinism contract); the wall-clock ratio is
-// the measured parallel speedup on this machine.
+// cell is an independent capped session (core::run_qoe_session on a
+// core::bwcap_config), executed once on one thread and once on eight. The
+// two aggregate reports must be bit-identical (the runner's determinism
+// contract); the wall-clock ratio is the measured parallel speedup on this
+// machine.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/bwcap_benchmark.h"
+#include "core/qoe_benchmark.h"
 #include "runner/experiment_runner.h"
 
 namespace {
@@ -59,16 +60,15 @@ int main(int argc, char** argv) {
 
   const auto task = [&cells, media_duration](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index];
-    core::BwCapBenchmarkConfig cfg;
+    core::QoeBenchmarkConfig cfg = core::bwcap_config(c.cap);
     cfg.platform = c.id;
-    cfg.cap = c.cap;
     cfg.media_duration = media_duration;
     cfg.content_width = 160;
     cfg.content_height = 112;
     cfg.padding = 16;
     cfg.fps = 10.0;
     cfg.metric_stride = 5;
-    const auto r = core::run_bwcap_session(cfg, ctx.seed ^ c.platform_seed);
+    const auto r = core::run_qoe_session(cfg, ctx.seed ^ c.platform_seed).receivers.front();
     if (r.has_video_qoe) {
       ctx.sample(c.key + ".psnr", r.psnr);
       ctx.sample(c.key + ".ssim", r.ssim);

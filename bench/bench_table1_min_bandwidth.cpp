@@ -8,15 +8,16 @@
 // audio intact) and the smallest cap at which it still runs at full quality.
 //
 // Every (platform, cap) cell — including the uncapped baseline — is an
-// independent session (core::run_bwcap_session) on runner::ExperimentRunner,
-// executed once on one thread and once on eight; the floors are computed
-// from the aggregate report, which must be bit-identical across the two.
+// independent session (core::run_qoe_session on a core::bwcap_config) on
+// runner::ExperimentRunner, executed once on one thread and once on eight;
+// the floors are computed from the aggregate report, which must be
+// bit-identical across the two.
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/bwcap_benchmark.h"
+#include "core/qoe_benchmark.h"
 #include "runner/experiment_runner.h"
 
 namespace {
@@ -63,16 +64,15 @@ int main(int argc, char** argv) {
   const SimDuration media_duration = paper ? seconds(45) : seconds(10);
   const auto task = [&cells, media_duration](runner::SessionContext& ctx) {
     const Cell& c = cells[ctx.task_index];
-    core::BwCapBenchmarkConfig cfg;
+    core::QoeBenchmarkConfig cfg = core::bwcap_config(c.cap);
     cfg.platform = c.id;
-    cfg.cap = c.cap;
     cfg.media_duration = media_duration;
     cfg.content_width = 160;
     cfg.content_height = 112;
     cfg.padding = 16;
     cfg.fps = 10.0;
     cfg.metric_stride = 5;
-    const auto r = core::run_bwcap_session(cfg, ctx.seed ^ c.platform_seed);
+    const auto r = core::run_qoe_session(cfg, ctx.seed ^ c.platform_seed).receivers.front();
     if (r.has_video_qoe) ctx.sample(c.key + ".ssim", r.ssim);
     if (r.has_audio_qoe) ctx.sample(c.key + ".mos_lqo", r.mos_lqo);
     if (r.has_delivery_ratio) ctx.sample(c.key + ".delivery_ratio", r.delivery_ratio);

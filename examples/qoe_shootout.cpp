@@ -1,6 +1,6 @@
 // QoE shootout: compare the three platforms side by side on one scenario —
 // a host broadcasting a feed to N receivers — reporting video QoE, audio
-// MOS, and data rates. Demonstrates the QoE and bandwidth-cap APIs.
+// MOS, and data rates. Demonstrates the QoE API, uncapped and capped.
 //
 //   ./qoe_shootout [N] [low|high] [cap_kbps]
 //
@@ -50,12 +50,11 @@ int main(int argc, char** argv) {
     TextTable table{{"platform", "PSNR", "SSIM", "VIFp", "MOS-LQO", "delivered", "down Kbps"}};
     for (const auto id :
          {platform::PlatformId::kZoom, platform::PlatformId::kWebex, platform::PlatformId::kMeet}) {
-      core::BwCapBenchmarkConfig cfg;
+      core::QoeBenchmarkConfig cfg = core::bwcap_config(DataRate::kbps(cap_kbps));
       cfg.platform = id;
       cfg.motion = motion;
-      cfg.cap = DataRate::kbps(cap_kbps);
       cfg.media_duration = seconds(12);
-      const auto r = core::run_bwcap_session(cfg, 5);
+      const auto r = core::run_qoe_session(cfg, 5).receivers.front();
       // A score the session could not measure stays 0.
       table.add_row({std::string(platform_name(id)), TextTable::num(r.psnr, 1),
                      TextTable::num(r.ssim, 3), TextTable::num(r.vifp, 3),

@@ -72,7 +72,7 @@ int run_lag(Flags& flags) {
                               ? core::europe_participant_sites(cfg.host_site)
                               : core::us_participant_sites(cfg.host_site);
   cfg.sessions = flags.integer("--sessions", 5, /*min=*/1);
-  cfg.session_duration = seconds(flags.integer("--duration", 40));
+  cfg.session_duration = seconds(flags.integer("--duration", 40, /*min=*/1));
   if (flags.has("--paid")) cfg.webex_tier = platform::WebexTier::kPaid;
   const std::string csv_path = flags.text("--csv", "");
   flags.reject_unread();
@@ -110,7 +110,7 @@ int run_qoe(Flags& flags) {
   cfg.motion = parse_motion(flags);
   cfg.receiver_sites = core::us_qoe_receiver_sites(flags.integer("--receivers", 2));
   const int sessions = flags.integer("--sessions", 1, /*min=*/1);
-  cfg.media_duration = seconds(flags.integer("--duration", 12));
+  cfg.media_duration = seconds(flags.integer("--duration", 12, /*min=*/1));
   const std::string csv_path = flags.text("--csv", "");
   flags.reject_unread();
   RunningStats psnr, ssim, vifp, delivery, upload, download;
@@ -145,16 +145,17 @@ int run_qoe(Flags& flags) {
 }
 
 int run_bwcap(Flags& flags) {
-  core::BwCapBenchmarkConfig cfg;
+  core::QoeBenchmarkConfig cfg = core::bwcap_config(DataRate::unlimited());
   cfg.platform = parse_platform(flags);
-  const int cap = flags.integer("--cap-kbps", 0);
-  cfg.cap = cap > 0 ? DataRate::kbps(cap) : DataRate::unlimited();
+  const int cap = flags.integer("--cap-kbps", 0, /*min=*/0);
+  if (cap > 0) cfg.cap = DataRate::kbps(cap);
   const int sessions = flags.integer("--sessions", 1, /*min=*/1);
-  cfg.media_duration = seconds(flags.integer("--duration", 12));
+  cfg.media_duration = seconds(flags.integer("--duration", 12, /*min=*/1));
   flags.reject_unread();
   RunningStats psnr, ssim, mos, delivery, drops;
   for (int s = 0; s < sessions; ++s) {
-    const auto r = core::run_bwcap_session(cfg, 5 + static_cast<std::uint64_t>(s) * 4447);
+    const auto r =
+        core::run_qoe_session(cfg, 5 + static_cast<std::uint64_t>(s) * 4447).receivers.front();
     if (r.has_video_qoe) {
       psnr.add(r.psnr);
       ssim.add(r.ssim);
@@ -174,7 +175,7 @@ int run_mobile(Flags& flags) {
   cfg.platform = parse_platform(flags);
   cfg.scenario = parse_scenario(flags);
   const int repetitions = flags.integer("--repetitions", 2, /*min=*/1);
-  cfg.duration = seconds(flags.integer("--duration", 45));
+  cfg.duration = seconds(flags.integer("--duration", 45, /*min=*/1));
   flags.reject_unread();
   std::vector<double> s10_cpu, j3_cpu;
   RunningStats s10_download, j3_download, j3_battery;

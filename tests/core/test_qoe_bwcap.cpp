@@ -1,5 +1,5 @@
-// Integration: QoE benchmark (Section 4.3) and bandwidth-cap benchmark
-// (Section 4.4) on miniature configs.
+// Integration: QoE benchmark (Section 4.3) and its bandwidth-cap
+// configuration (Section 4.4) on miniature configs.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/stats.h"
-#include "core/bwcap_benchmark.h"
 #include "core/qoe_benchmark.h"
 
 namespace vc::core {
@@ -28,6 +27,23 @@ QoeBenchmarkConfig tiny_qoe(platform::PlatformId id, platform::MotionClass motio
   cfg.fps = 10.0;
   cfg.metric_stride = 5;
   return cfg;
+}
+
+/// A miniature two-party call under `cap`; tests read its one receiver.
+QoeBenchmarkConfig tiny_bwcap(platform::PlatformId id, DataRate cap) {
+  QoeBenchmarkConfig cfg = bwcap_config(cap);
+  cfg.platform = id;
+  cfg.media_duration = seconds(10);
+  cfg.content_width = 128;
+  cfg.content_height = 96;
+  cfg.padding = 16;
+  cfg.fps = 10.0;
+  cfg.metric_stride = 5;
+  return cfg;
+}
+
+QoeReceiverResult run_tiny_bwcap(const QoeBenchmarkConfig& cfg) {
+  return run_qoe_session(cfg, kBwCapSeed).receivers.front();
 }
 
 /// One session with its receivers pooled: scores over the receivers that
@@ -86,17 +102,25 @@ TEST(QoeBenchmark, NonPositiveMetricStrideThrowsBeforeSimulating) {
   EXPECT_THROW(run_qoe_session(cfg, 3), std::invalid_argument);
 }
 
-// The geometry checks run before the world is built, so the throw names the
-// broken rule; without them a bad feed would only fail mid-session, in the
-// codec ("frame dimensions must be multiples of 8").
+// The geometry and duration checks run before the world is built, so the
+// throw names the broken rule; without them a bad feed would only fail
+// mid-session, in the codec ("frame dimensions must be multiples of 8"), and
+// a negative duration in a std::length_error.
 TEST(QoeBenchmark, BadGeometryThrowsBeforeSimulating) {
   const QoeBenchmarkConfig base =
       tiny_qoe(platform::PlatformId::kZoom, platform::MotionClass::kLowMotion, 1);
-  std::vector<std::pair<QoeBenchmarkConfig, std::string>> cases(3, {base, "padded feed"});
+  std::vector<std::pair<QoeBenchmarkConfig, std::string>> cases(6, {base, "padded feed"});
   cases[0].first.receiver_sites.clear();
   cases[0].second = "receiver";
   cases[1].first.padding = 3;           // 134 x 102: neither side a multiple of 8
   cases[2].first.content_height = 100;  // 160 x 132: only the height is off
+  // A capped, audio-scored call at 134 x 102.
+  cases[3].first = tiny_bwcap(platform::PlatformId::kZoom, DataRate::kbps(500));
+  cases[3].first.padding = 3;
+  cases[4] = {base, "media_duration"};
+  cases[4].first.media_duration = SimDuration::zero();
+  cases[5] = {base, "media_duration"};
+  cases[5].first.media_duration = seconds(-3);
   for (const auto& [cfg, what] : cases) {
     try {
       run_qoe_session(cfg, kQoeSeed);
@@ -122,15 +146,7 @@ TEST(QoeBenchmark, MeetTwoPartyBurstsAboveMultiParty) {
 }
 
 TEST(BwCapBenchmark, UnlimitedBaselineHealthy) {
-  BwCapBenchmarkConfig cfg;
-  cfg.platform = platform::PlatformId::kZoom;
-  cfg.media_duration = seconds(10);
-  cfg.content_width = 128;
-  cfg.content_height = 96;
-  cfg.padding = 16;
-  cfg.fps = 10.0;
-  cfg.metric_stride = 5;
-  const auto r = run_bwcap_session(cfg, kBwCapSeed);
+  const auto r = run_tiny_bwcap(tiny_bwcap(platform::PlatformId::kZoom, DataRate::unlimited()));
   ASSERT_TRUE(r.has_video_qoe);
   EXPECT_GT(r.psnr, 24.0);
   EXPECT_GT(r.mos_lqo, 3.8);
@@ -138,24 +154,16 @@ TEST(BwCapBenchmark, UnlimitedBaselineHealthy) {
 }
 
 TEST(BwCapBenchmark, NonPositiveMetricStrideThrowsBeforeSimulating) {
-  BwCapBenchmarkConfig cfg;
+  // A capped, audio-scored session takes the same stride check.
+  QoeBenchmarkConfig cfg = bwcap_config(DataRate::kbps(500));
   cfg.metric_stride = -1;
-  EXPECT_THROW(run_bwcap_session(cfg, 3), std::invalid_argument);
+  EXPECT_THROW(run_qoe_session(cfg, 3), std::invalid_argument);
 }
 
 TEST(BwCapBenchmark, TightCapDegradesVideo) {
-  BwCapBenchmarkConfig cfg;
-  cfg.platform = platform::PlatformId::kWebex;
-  cfg.media_duration = seconds(10);
-  cfg.content_width = 128;
-  cfg.content_height = 96;
-  cfg.padding = 16;
-  cfg.fps = 10.0;
-  cfg.metric_stride = 5;
-  BwCapBenchmarkConfig capped = cfg;
-  capped.cap = DataRate::kbps(500);
-  const auto base = run_bwcap_session(cfg, kBwCapSeed);
-  const auto tight = run_bwcap_session(capped, kBwCapSeed);
+  const auto base =
+      run_tiny_bwcap(tiny_bwcap(platform::PlatformId::kWebex, DataRate::unlimited()));
+  const auto tight = run_tiny_bwcap(tiny_bwcap(platform::PlatformId::kWebex, DataRate::kbps(500)));
   // Webex barely adapts: under a 500 Kbps cap its ~2 Mbps stream starves.
   // (A score a session could not measure stays 0.)
   EXPECT_GT(tight.drop_fraction, 0.3);
@@ -166,16 +174,9 @@ TEST(BwCapBenchmark, TightCapDegradesVideo) {
 }
 
 TEST(BwCapBenchmark, ZoomAdaptsAndProtectsAudioAt500k) {
-  BwCapBenchmarkConfig cfg;
-  cfg.platform = platform::PlatformId::kZoom;
-  cfg.cap = DataRate::kbps(500);
+  QoeBenchmarkConfig cfg = tiny_bwcap(platform::PlatformId::kZoom, DataRate::kbps(500));
   cfg.media_duration = seconds(12);
-  cfg.content_width = 128;
-  cfg.content_height = 96;
-  cfg.padding = 16;
-  cfg.fps = 10.0;
-  cfg.metric_stride = 5;
-  const auto r = run_bwcap_session(cfg, kBwCapSeed);
+  const auto r = run_tiny_bwcap(cfg);
   // Fig 18: Zoom audio stays near-perfect at 500 Kbps.
   EXPECT_GT(r.mos_lqo, 3.5);
   // Realized download respects the cap.
