@@ -27,6 +27,7 @@
 // --gate 0.98 = "the armed balancer costs <= 2%", exit 3).
 #include <algorithm>
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -97,13 +98,13 @@ int main(int argc, char** argv) {
   vc::Flags flags{argc, argv};
   const bool paper = flags.has("--paper");
   const double gate = flags.number("--gate", 0.0);
-  const int rounds = flags.integer("--rounds", 5);
+  const int rounds = flags.integer("--rounds", 5, /*min=*/3);
   const std::string out_path = flags.text("--out", "bench_city_scale.report.json");
   const std::string platform_name = flags.text("--platform", "zoom");
-  const int cities = flags.integer("--cities", paper ? 8 : 4);
-  const int meetings = flags.integer("--meetings", paper ? 24 : 13);
-  const int participants = flags.integer("--participants", 7);
-  const int overflow = flags.integer("--overflow", 6);
+  const int cities = flags.integer("--cities", paper ? 8 : 4, /*min=*/1);
+  const int meetings = flags.integer("--meetings", paper ? 24 : 13, /*min=*/1);
+  const int participants = flags.integer("--participants", 7, /*min=*/1);
+  const int overflow = flags.integer("--overflow", 6, /*min=*/0);
   const std::string fleets = flags.text("--fleets", "1,2,4");
   const std::string policy_names = flags.text("--policies", "rr,least,locality");
   flags.reject_unread();
@@ -117,11 +118,20 @@ int main(int argc, char** argv) {
   const platform::PlatformId plat = parse_platform(platform_name);
   std::vector<int> fleet_sizes;
   for (const auto& s : split_csv(fleets)) {
-    fleet_sizes.push_back(vc::Flags::parse_integer("--fleets", s));
+    fleet_sizes.push_back(vc::Flags::parse_integer("--fleets", s, /*min=*/1));
   }
   std::vector<fleet::PlacementPolicy> policies;
   for (const auto& s : split_csv(policy_names)) {
-    policies.push_back(fleet::parse_policy(s));
+    try {
+      policies.push_back(fleet::parse_policy(s));
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "--policies: %s\n", e.what());
+      return 2;
+    }
+  }
+  if (fleet_sizes.empty() || policies.empty()) {
+    std::fprintf(stderr, "--fleets and --policies each need at least one entry\n");
+    return 2;
   }
 
   // Sweep cells: every fleet size × policy, `cities` tasks each, plus a

@@ -74,7 +74,7 @@ std::uint64_t run_trial(const std::vector<Frame>& feed_frames) {
 
 int main(int argc, char** argv) {
   vc::Flags flags{argc, argv};
-  const int rounds = flags.integer("--rounds", 7);
+  const int rounds = flags.integer("--rounds", 7, /*min=*/3);
   const double gate = flags.number("--gate", 0.0);
   const std::string out_path = flags.text("--out", "bench_codec_speed.report.json");
   flags.reject_unread();

@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   vc::Flags flags{argc, argv};
   const bool paper = flags.has("--paper");
   const double gate = flags.number("--gate", 0.0);
-  const int rounds = flags.integer("--rounds", 5);
+  const int rounds = flags.integer("--rounds", 5, /*min=*/3);
   const std::string out_path = flags.text("--out", "bench_fault_recovery.report.json");
   const std::string plan_path = flags.text("--plan", "");
   const std::string timeline_dir = flags.text("--timeline", "");

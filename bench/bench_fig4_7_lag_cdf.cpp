@@ -42,7 +42,7 @@ struct Point {
   std::string key;  // e.g. "Fig 4/Zoom"
 };
 
-constexpr double kQuantiles[] = {0.1, 0.25, 0.5, 0.75, 0.9};
+/// The suffixes vcb::sample_quantiles writes, in its order.
 constexpr const char* kQuantileNames[] = {"p10", "p25", "p50", "p75", "p90"};
 
 /// The six participant sites of a scenario's lag run.
@@ -80,10 +80,7 @@ int main(int argc, char** argv) {
     const auto result = core::run_lag_benchmark(cfg);
     for (const auto& part : result.participants) {
       const std::string base = p.key + "/" + part.label;
-      for (std::size_t q = 0; q < std::size(kQuantiles); ++q) {
-        ctx.sample(base + "." + kQuantileNames[q],
-                   quantile(std::vector<double>(part.lags_ms), kQuantiles[q]));
-      }
+      vcb::sample_quantiles(ctx, base, part.lags_ms);
       ctx.sample(base + ".lag_samples", static_cast<double>(part.lags_ms.size()));
     }
   };

@@ -14,7 +14,6 @@
 // wall-clock ratio") behind every wall-clock perf-smoke CI step.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -175,7 +174,7 @@ struct GateRun {
   }
 };
 
-/// Interleaved A/B invisibility gate: `rounds` rounds (at least 3) of `n`
+/// Interleaved A/B invisibility gate: `rounds` rounds of `n`
 /// sessions on one thread, alternating make_task(false) and make_task(true).
 /// Every pass's aggregate must equal the first one and no task may throw
 /// (code 1); the best-of-rounds wall-clock ratio off/armed must reach `ratio`
@@ -185,7 +184,6 @@ struct GateRun {
 inline GateRun invisibility_gate(const std::string& label, const TaskFactory& make_task,
                                  std::size_t n, std::uint64_t base_seed, int rounds,
                                  double ratio) {
-  rounds = std::max(3, rounds);
   vc::runner::ExperimentRunner::Config rc;
   rc.base_seed = base_seed;
   rc.label = label;

@@ -8,16 +8,13 @@
 //   vcbench_cli dump   --trace file.vctr [--max 50]
 //   vcbench_cli infer  --trace file.vctr [--platform zoom] [--json]
 //   vcbench_cli report run.json [--filter SUBSTR] [--cdf BASE]
-//   vcbench_cli trace  0.trace.json [--filter SUBSTR]
-//   vcbench_cli profile <trace.json | trace_dir> [--top N] [--chains N]
+//   vcbench_cli profile <trace.json | trace_dir> [--top N] [--chains N] [--filter SUBSTR]
 //   vcbench_cli timeline 0.timeline.json [--metric SUBSTR] [--json]
 #include <algorithm>
-#include <cctype>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -30,7 +27,6 @@
 #include "cli/trace_profile.h"
 #include "common/csv.h"
 #include "common/flags.h"
-#include "common/json.h"
 #include "common/stats.h"
 #include "common/table.h"
 #include "core/vcbench.h"
@@ -339,91 +335,9 @@ int run_timeline(const std::string& path, Flags& flags) {
   return emit(cli::render_timeline(path, text, options));
 }
 
-// ---------------------------------------------------------------------------
-// trace: per-span-name duration summaries over a Chrome trace-event file (as
-// written by vc::Tracer::to_chrome_json()).
-// ---------------------------------------------------------------------------
-
-int run_trace_summary(const std::string& path, Flags& flags) {
-  const std::string filter = flags.text("--filter", "");
-  flags.reject_unread();
-  std::string text;
-  if (!runner::read_text_file(path, &text)) {
-    std::fprintf(stderr, "cannot read %s\n", path.c_str());
-    return 2;
-  }
-  json::Value root;
-  try {
-    root = json::parse(text);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), e.what());
-    return 2;
-  }
-  const json::Value* events = root.find("traceEvents");
-  if (events == nullptr || !events->is_array()) {
-    std::fprintf(stderr, "%s: no traceEvents array\n", path.c_str());
-    return 2;
-  }
-  struct Agg {
-    std::size_t count = 0;
-    RunningStats dur_us;    // spans only
-    RunningStats value;     // args.value of every phase
-  };
-  // name -> per-phase aggregate, keyed "<name> <ph>"-style via nested map.
-  std::map<std::string, std::map<std::string, Agg>> by_name;
-  for (const auto& ev : events->array_items) {
-    if (!ev.is_object()) continue;
-    const json::Value* name = ev.find("name");
-    const json::Value* ph = ev.find("ph");
-    if (name == nullptr || !name->is_string() || ph == nullptr || !ph->is_string()) continue;
-    if (!cli::name_matches(name->string_value, filter)) continue;
-    Agg& agg = by_name[name->string_value][ph->string_value];
-    ++agg.count;
-    const json::Value* dur = ev.find("dur");
-    if (ph->string_value == "X") {
-      agg.dur_us.add(dur != nullptr && dur->is_number() ? dur->number_value : 0.0);
-    }
-    const json::Value* args = ev.find("args");
-    if (args != nullptr && args->is_object()) {
-      const json::Value* value = args->find("value");
-      if (value != nullptr && value->is_number()) agg.value.add(value->number_value);
-    }
-  }
-  TextTable table{{"name", "ph", "count", "dur mean (us)", "dur min", "dur max", "value mean"}};
-  for (const auto& [name, phases] : by_name) {
-    for (const auto& [ph, agg] : phases) {
-      const bool span = ph == "X";
-      table.add_row({name, ph, std::to_string(agg.count),
-                     span ? TextTable::num(agg.dur_us.mean(), 1) : "-",
-                     span ? TextTable::num(agg.dur_us.min(), 1) : "-",
-                     span ? TextTable::num(agg.dur_us.max(), 1) : "-",
-                     agg.value.count() > 0 ? TextTable::num(agg.value.mean(), 3) : "-"});
-    }
-  }
-  std::printf("%s", table.render().c_str());
-  const json::Value* other = root.find("otherData");
-  if (other != nullptr && other->is_object()) {
-    const json::Value* dropped = other->find("dropped_records");
-    const json::Value* recorded = other->find("recorded");
-    if (dropped != nullptr && dropped->is_number()) {
-      std::printf("recorded %lld, dropped %lld (ring wrap)\n",
-                  recorded != nullptr && recorded->is_number()
-                      ? static_cast<long long>(recorded->number_value)
-                      : -1,
-                  static_cast<long long>(dropped->number_value));
-      if (dropped->number_value > 0) {
-        std::printf("WARNING: trace ring wrapped — the %lld oldest record(s) are gone; the\n"
-                    "         summary above undercounts early-session activity.\n",
-                    static_cast<long long>(dropped->number_value));
-      }
-    }
-  }
-  return 0;
-}
-
 void usage() {
   std::fprintf(stderr,
-               "usage: vcbench_cli <lag|qoe|bwcap|mobile|dump|infer|report|trace|profile|timeline>\n"
+               "usage: vcbench_cli <lag|qoe|bwcap|mobile|dump|infer|report|profile|timeline>\n"
                "  lag    [--platform P] [--host SITE] [--sessions N] [--duration S] [--paid]\n"
                "         [--csv FILE]\n"
                "  qoe    [--platform P] [--receivers N] [--motion low|high] [--sessions N]\n"
@@ -437,9 +351,9 @@ void usage() {
                "         [--min-payload B] [--json]   header-free QoE estimate from a capture\n"
                "  report RUN.json [--filter SUBSTR] [--cdf BASE] [--list]\n"
                "         render run-report tables/CDFs; --list enumerates metric keys\n"
-               "  trace  FILE.trace.json [--filter SUBSTR]         per-span duration summaries\n"
                "  profile FILE.trace.json|TRACE_DIR [--top N] [--chains N] [--filter SUBSTR]\n"
-               "         self/total time per span + busiest event-loop chains\n"
+               "         self/total time per span, per-record counts and durations,\n"
+               "         busiest event-loop chains\n"
                "  timeline FILE.timeline.json [--metric SUBSTR] [--width N] [--json]\n"
                "         decoded metric series, sparklines, and SLO breach events\n");
 }
@@ -456,8 +370,7 @@ int main(int argc, char** argv) {
   // JSON, bad flag values that make a benchmark throw — reports to stderr
   // and exits non-zero instead of aborting on an uncaught exception.
   try {
-    if (command == "report" || command == "trace" || command == "profile" ||
-        command == "timeline") {
+    if (command == "report" || command == "profile" || command == "timeline") {
       // These take a positional input file (or directory) before the flags.
       if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0) {
         usage();
@@ -466,7 +379,6 @@ int main(int argc, char** argv) {
       const std::string path = argv[2];
       Flags flags{argc, argv, 3};
       if (command == "report") return run_report(path, flags);
-      if (command == "trace") return run_trace_summary(path, flags);
       if (command == "profile") return run_profile(path, flags);
       return run_timeline(path, flags);
     }

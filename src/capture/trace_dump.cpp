@@ -9,8 +9,6 @@ namespace vc::capture {
 void dump_trace(std::ostream& out, const Trace& trace, const DumpOptions& options) {
   std::size_t printed = 0;
   for (const auto& r : trace.records) {
-    if (r.timestamp < options.from) continue;
-    if (options.direction && r.dir != *options.direction) continue;
     if (options.max_records > 0 && printed >= options.max_records) break;
     char line[192];
     std::snprintf(line, sizeof line, "%.6f %s %s > %s %s wire=%lld l7=%lld",

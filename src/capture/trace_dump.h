@@ -1,8 +1,9 @@
-// Human-readable trace dumps (the `tcpdump -r` analog for .vctr files).
+// Human-readable trace dumps (the `tcpdump -r` analog for .vctr files): one
+// line per record, in capture order, optionally cut after the first N.
 #pragma once
 
+#include <cstddef>
 #include <iosfwd>
-#include <optional>
 #include <string>
 
 #include "capture/trace.h"
@@ -12,10 +13,6 @@ namespace vc::capture {
 struct DumpOptions {
   /// Print at most this many records (0 = all).
   std::size_t max_records = 0;
-  /// Only records at or after this timestamp.
-  SimTime from{};
-  /// Restrict to one direction; unset prints both.
-  std::optional<net::Direction> direction;
 };
 
 /// Writes one line per record: "12.345678 OUT 10.0.0.1:47000 > 10.0.0.4:8801

@@ -1,6 +1,6 @@
 // Shared types for the CLI rendering library.
 //
-// vcbench_cli's analysis subcommands (report / trace / profile / timeline)
+// vcbench_cli's analysis subcommands (report / profile / timeline)
 // render through these pure functions: file contents in, formatted text out,
 // no I/O. That keeps every renderer unit-testable against canned inputs —
 // including old-format run reports from earlier PRs, which must keep

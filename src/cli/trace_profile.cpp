@@ -5,9 +5,11 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/json.h"
+#include "common/stats.h"
 #include "common/table.h"
 
 namespace vc::cli {
@@ -23,6 +25,13 @@ struct NameAgg {
   std::size_t count = 0;
   std::int64_t total_us = 0;
   std::int64_t self_us = 0;
+};
+
+/// One (name, ph) row of the record table.
+struct RecordAgg {
+  std::size_t count = 0;
+  RunningStats dur_us;  // spans only
+  RunningStats value;   // args.value, any phase
 };
 
 struct Chain {
@@ -76,6 +85,14 @@ void accumulate_self_times(std::vector<Span>& spans, std::map<std::string, NameA
   }
 }
 
+/// The record's numeric args.value, or nullptr.
+const json::Value* arg_value(const json::Value& ev) {
+  const json::Value* args = ev.find("args");
+  if (args == nullptr || !args->is_object()) return nullptr;
+  const json::Value* value = args->find("value");
+  return value != nullptr && value->is_number() ? value : nullptr;
+}
+
 }  // namespace
 
 RenderResult render_profile(const std::vector<TraceInput>& traces, const ProfileOptions& options) {
@@ -87,8 +104,11 @@ RenderResult render_profile(const std::vector<TraceInput>& traces, const Profile
   }
 
   std::map<std::string, NameAgg> by_name;
+  std::map<std::pair<std::string, std::string>, RecordAgg> by_record;
   std::vector<Chain> chains;
   long long dropped_total = 0;
+  long long recorded_total = 0;
+  bool has_totals = false;
   std::size_t parsed = 0;
 
   // Interned span names must outlive the Span/Chain pointers into them.
@@ -134,25 +154,25 @@ RenderResult render_profile(const std::vector<TraceInput>& traces, const Profile
       const json::Value* ts = ev.find("ts");
       const std::int64_t ts_us =
           ts != nullptr && ts->is_number() ? static_cast<std::int64_t>(ts->number_value) : 0;
-      if (ph->string_value == "X" && name_matches(name->string_value, options.filter)) {
+      const json::Value* value = arg_value(ev);
+      const bool span = ph->string_value == "X";
+      if (name_matches(name->string_value, options.filter)) {
         const json::Value* dur = ev.find("dur");
-        Span span;
-        span.ts_us = ts_us;
-        span.dur_us =
-            dur != nullptr && dur->is_number() ? static_cast<std::int64_t>(dur->number_value) : 0;
-        span.name = intern(name->string_value);
-        spans.push_back(span);
+        const double dur_us = dur != nullptr && dur->is_number() ? dur->number_value : 0.0;
+        RecordAgg& agg = by_record[{name->string_value, ph->string_value}];
+        ++agg.count;
+        if (value != nullptr) agg.value.add(value->number_value);
+        if (span) {
+          agg.dur_us.add(dur_us);
+          spans.push_back(
+              Span{ts_us, static_cast<std::int64_t>(dur_us), intern(name->string_value)});
+        }
       }
       // Busy chains: consecutive loop.exec records (file order == execution
       // order) whose post-dequeue depth stays > 0. Depth 0 means the loop
       // drained — the burst is over.
       if (name->string_value == "loop.exec") {
-        double depth = 0.0;
-        const json::Value* args = ev.find("args");
-        if (args != nullptr && args->is_object()) {
-          const json::Value* value = args->find("value");
-          if (value != nullptr && value->is_number()) depth = value->number_value;
-        }
+        const double depth = value != nullptr ? value->number_value : 0.0;
         if (depth > 0.0) {
           if (!in_chain) {
             current = Chain{};
@@ -179,8 +199,13 @@ RenderResult render_profile(const std::vector<TraceInput>& traces, const Profile
     const json::Value* other = root.find("otherData");
     if (other != nullptr && other->is_object()) {
       const json::Value* dropped = other->find("dropped_records");
+      const json::Value* recorded = other->find("recorded");
       if (dropped != nullptr && dropped->is_number()) {
         dropped_total += static_cast<long long>(dropped->number_value);
+        has_totals = true;
+      }
+      if (recorded != nullptr && recorded->is_number()) {
+        recorded_total += static_cast<long long>(recorded->number_value);
       }
     }
   }
@@ -195,6 +220,10 @@ RenderResult render_profile(const std::vector<TraceInput>& traces, const Profile
                   "         Re-run with a larger Tracer capacity for a complete profile.\n";
   }
   result.out += "profile over " + std::to_string(parsed) + " trace(s)\n";
+  if (has_totals) {
+    result.out += "recorded " + std::to_string(recorded_total) + ", dropped " +
+                  std::to_string(dropped_total) + " (ring wrap)\n";
+  }
 
   // Hot spans by self time.
   std::vector<std::pair<const std::string*, const NameAgg*>> ranked;
@@ -226,6 +255,21 @@ RenderResult render_profile(const std::vector<TraceInput>& traces, const Profile
     }
   } else {
     result.out += "no spans matched\n";
+  }
+
+  // Every record by (name, phase): spans with their duration spread, and the
+  // mean args.value of whatever carries one.
+  if (!by_record.empty()) {
+    TextTable records{{"name", "ph", "count", "dur mean (us)", "dur min", "dur max", "value mean"}};
+    for (const auto& [key, agg] : by_record) {
+      const bool span = key.second == "X";
+      records.add_row({key.first, key.second, std::to_string(agg.count),
+                       span ? TextTable::num(agg.dur_us.mean(), 1) : "-",
+                       span ? TextTable::num(agg.dur_us.min(), 1) : "-",
+                       span ? TextTable::num(agg.dur_us.max(), 1) : "-",
+                       agg.value.count() > 0 ? TextTable::num(agg.value.mean(), 3) : "-"});
+    }
+    result.out += "records by name and phase (durations in sim-time us)\n" + records.render();
   }
 
   // Longest busy chains.

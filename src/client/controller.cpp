@@ -101,7 +101,6 @@ void ClientController::on_connection_lost() {
   state_ = State::kReconnecting;
   lost_at_ = loop().now();
   attempt_ = 0;
-  ++reconnect_epoch_;
   if (metrics_) metrics_->counter("client.disconnects").inc();
   if (tracer_) tracer_->instant("client.connection_lost", loop().now(), 0.0);
   schedule_reconnect_attempt();
@@ -114,9 +113,11 @@ void ClientController::schedule_reconnect_attempt() {
   double ms = kInitialBackoff.millis();
   for (int i = 0; i < attempt_; ++i) ms = std::min(ms * kBackoffMultiplier, kMaxBackoff.millis());
   ms *= 1.0 + kBackoffJitter * (2.0 * reconnect_rng_.next_double() - 1.0);
-  const std::uint64_t epoch = reconnect_epoch_;
-  loop().schedule_after(millis_f(ms), [this, epoch] {
-    if (epoch != reconnect_epoch_ || state_ != State::kReconnecting) return;
+  // One attempt is pending per lost route: every way out of kReconnecting
+  // (rejoined, gave up, left, aborted) ends the chain, so a firing attempt
+  // that finds another state is the aborted one.
+  loop().schedule_after(millis_f(ms), [this] {
+    if (state_ != State::kReconnecting) return;
     if (!client_.in_meeting()) {
       // Torn down externally (e.g. orchestrator session end) mid-backoff.
       state_ = State::kLeft;
@@ -144,22 +145,6 @@ void ClientController::schedule_reconnect_attempt() {
       return;
     }
     schedule_reconnect_attempt();
-  });
-}
-
-void ClientController::change_layout_after(SimDuration delay, platform::ViewMode view) {
-  loop().schedule_after(delay, [this, view] {
-    if (state_ == State::kInMeeting) client_.set_view_mode(view);
-  });
-}
-
-void ClientController::leave_after(SimDuration delay) {
-  loop().schedule_after(delay, [this] {
-    if (state_ == State::kInMeeting || state_ == State::kReconnecting) {
-      ++reconnect_epoch_;  // cancels any pending backoff attempt
-      client_.leave();
-      state_ = State::kLeft;
-    }
   });
 }
 

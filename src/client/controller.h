@@ -1,7 +1,9 @@
 // Client controller (Fig 1): replays a platform-specific UI workflow script
-// — launch, login, meeting create/join, layout changes, leave — by
-// scheduling the corresponding client actions, as xdotool/adb scripts do in
-// the real testbed.
+// — launch, login, meeting create/join — by scheduling the corresponding
+// client actions, as xdotool/adb scripts do in the real testbed, and drives
+// reconnection after a lost route. The layout is the client config's view,
+// fixed at join; leaving is the session orchestrator's call
+// (VcaClient::leave).
 #pragma once
 
 #include <functional>
@@ -60,10 +62,6 @@ class ClientController {
   void start_host(std::function<void(platform::MeetingId)> on_created);
   /// Launch → login → join; invokes `on_joined` when in-meeting.
   void start_join(platform::MeetingId meeting, std::function<void()> on_joined);
-  /// Schedules a layout change (only valid once in meeting).
-  void change_layout_after(SimDuration delay, platform::ViewMode view);
-  /// Schedules leaving the meeting.
-  void leave_after(SimDuration delay);
 
  private:
   net::EventLoop& loop();
@@ -80,9 +78,6 @@ class ClientController {
   Rng reconnect_rng_{0};
   SimTime lost_at_{};
   int attempt_ = 0;
-  /// Bumped on every disconnect and on leave: a pending backoff attempt from
-  /// a stale cycle sees a different epoch and becomes a no-op.
-  std::uint64_t reconnect_epoch_ = 0;
 };
 
 /// Platform-default workflow timings.

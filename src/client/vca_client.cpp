@@ -99,11 +99,6 @@ void VcaClient::leave() {
   ++epoch_;  // cancels pending ticks logically
 }
 
-void VcaClient::set_view_mode(platform::ViewMode view) {
-  config_.view = view;
-  if (in_meeting_) platform_.set_view_mode(meeting_, participant_id_, view);
-}
-
 bool VcaClient::rejoin() {
   if (!in_meeting_) return false;
   if (has_route_) return true;

@@ -148,8 +148,7 @@ class VcaClient {
   /// true once routed again; false while the infrastructure is still down.
   bool rejoin();
 
-  /// Switches the UI layout (full screen / gallery / screen-off).
-  void set_view_mode(platform::ViewMode view);
+  /// The UI layout (full screen / gallery / screen-off), fixed at join.
   platform::ViewMode view_mode() const { return config_.view; }
 
   /// Renders the current screen content (what simplescreenrecorder grabs).

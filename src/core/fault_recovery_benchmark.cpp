@@ -1,8 +1,8 @@
 #include "core/fault_recovery_benchmark.h"
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
-#include <stdexcept>
 
 #include "capture/lag_detector.h"
 #include "core/session_world.h"
@@ -10,14 +10,17 @@
 namespace vc::core {
 namespace {
 
-/// Flash-feed geometry, as in the lag benchmark.
+/// Flash-feed geometry and rate, as in the lag benchmark.
 constexpr int kFeedWidth = 128;
 constexpr int kFeedHeight = 96;
+constexpr double kFps = 10.0;
+/// The host VM and its two passive participants.
+constexpr const char* kHostSite = "US-East";
+constexpr const char* kParticipantSites[] = {"US-West", "US-Central"};
 
 }  // namespace
 
 FaultRecoveryResult run_fault_recovery_benchmark(const FaultRecoveryConfig& config) {
-  if (config.participant_sites.empty()) throw std::invalid_argument{"no participants"};
   // Reconnect instruments (client.disconnects / client.reconnects /
   // client.time_to_reconnect_ms) are harvested from a registry; when the
   // caller brings none, a local one keeps the result self-contained. Callers
@@ -28,14 +31,15 @@ FaultRecoveryResult run_fault_recovery_benchmark(const FaultRecoveryConfig& conf
   SessionWorld world{config.seed, {&reg, config.tracer, config.timeline}};
   world.add_platform(config.platform, config.seed ^ 0xABC);
 
-  net::Host& host_vm = world.vm(config.host_site, 8);
-  const std::vector<net::Host*> part_vms = world.vms(config.participant_sites);
+  net::Host& host_vm = world.vm(kHostSite, 8);
+  const std::vector<net::Host*> part_vms =
+      world.vms({std::begin(kParticipantSites), std::end(kParticipantSites)});
 
   const auto feed = std::make_shared<media::FlashFeed>(
-      media::FeedParams{kFeedWidth, kFeedHeight, config.fps, config.seed ^ 0xF1A5});
+      media::FeedParams{kFeedWidth, kFeedHeight, kFps, config.seed ^ 0xF1A5});
 
   client::VcaClient& host_client = world.client(
-      host_vm, video_config(kFeedWidth, kFeedHeight, config.fps, config.seed));
+      host_vm, video_config(kFeedWidth, kFeedHeight, kFps, config.seed));
   client::MediaFeeder& feeder = world.feeder(host_client);
   capture::PacketCapture host_capture{host_vm, world.clock_offset(host_vm)};
 

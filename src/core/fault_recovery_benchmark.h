@@ -1,4 +1,5 @@
-// Fault-recovery benchmark: one flash-feed session per run with a scripted
+// Fault-recovery benchmark: one 10 fps flash-feed session per run (a US-East
+// host, passive participants in US-West and US-Central) with a scripted
 // mid-call fault (default: the session relay crashes and restarts), measuring
 // how the platform's clients ride it out — time to reconnect, packets lost in
 // the outage, and the streaming-lag distribution before / during / after the
@@ -8,7 +9,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "common/metrics.h"
@@ -21,8 +21,6 @@ namespace vc::core {
 
 struct FaultRecoveryConfig {
   platform::PlatformId platform = platform::PlatformId::kZoom;
-  std::string host_site = "US-East";
-  std::vector<std::string> participant_sites = {"US-West", "US-Central"};
   SimDuration session_duration = seconds(40);
   /// Fault window, relative to media start (the plan's arm origin) — the
   /// same plan shape at every seed, which is what makes the outage sweep a
@@ -34,7 +32,6 @@ struct FaultRecoveryConfig {
   /// re-join, re-subscription — is attributed to the fault, not to steady
   /// state).
   SimDuration recovery_grace = seconds(5);
-  double fps = 10.0;
   std::uint64_t seed = 1;
   /// Set: replaces the default timeline (crash relay 0 at outage_start for
   /// outage_duration) with an arbitrary plan, empty included.

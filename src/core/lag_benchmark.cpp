@@ -16,6 +16,7 @@ namespace {
 /// wire is what matters).
 constexpr int kFeedWidth = 128;
 constexpr int kFeedHeight = 96;
+constexpr double kFps = 10.0;
 
 }  // namespace
 
@@ -81,13 +82,13 @@ LagBenchmarkResult run_lag_benchmark(const LagBenchmarkConfig& config) {
   std::vector<capture::Trace> all_traces;
 
   const auto feed = std::make_shared<media::FlashFeed>(
-      media::FeedParams{kFeedWidth, kFeedHeight, config.fps, config.seed ^ 0xF1A5});
+      media::FeedParams{kFeedWidth, kFeedHeight, kFps, config.seed ^ 0xF1A5});
 
   for (int s = 0; s < config.sessions; ++s) {
     // Fresh clients per session (the controller relaunches the app), same VMs.
     // The lag feed is a one-way video signal.
     client::VcaClient& host_client = world.client(
-        host_vm, video_config(kFeedWidth, kFeedHeight, config.fps,
+        host_vm, video_config(kFeedWidth, kFeedHeight, kFps,
                               config.seed + static_cast<std::uint64_t>(s) * 7919));
     client::MediaFeeder& feeder = world.feeder(host_client);
     capture::PacketCapture host_capture{host_vm, world.clock_offset(host_vm)};

@@ -30,7 +30,6 @@ struct LagBenchmarkConfig {
   /// Webex subscription tier (Section 6: the paid tier provisions relays
   /// near the meeting, collapsing the detour lags of the free tier).
   platform::WebexTier webex_tier = platform::WebexTier::kFree;
-  double fps = 10.0;
   std::uint64_t seed = 1;
   /// Optional sink for instrumentation: the network/event core, platform,
   /// session orchestrator and client monitors attach here, so runner-based

@@ -11,7 +11,16 @@
 namespace vc::core {
 namespace {
 
+constexpr const char* kHostSite = "US-East";
 constexpr const char* kReceiverSite = "US-West";
+
+/// The host's low-motion content and the padding around it.
+constexpr int kContentWidth = 96;
+constexpr int kContentHeight = 72;
+constexpr int kPadding = 8;
+constexpr double kFps = 10.0;
+static_assert((kContentWidth + 2 * kPadding) % 8 == 0 && (kContentHeight + 2 * kPadding) % 8 == 0,
+              "padded feed dimensions must be multiples of 8");
 
 /// Windows intersecting an outage (plus this grace for backlog drain) are
 /// excluded from the tier-accuracy join — delivery there reflects the outage,
@@ -54,11 +63,6 @@ const char* infer_shaper_profile_name(InferShaperProfile profile) {
 
 QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& config,
                                                 std::uint64_t seed) {
-  const int padded_w = config.content_width + 2 * config.padding;
-  const int padded_h = config.content_height + 2 * config.padding;
-  if (padded_w % 8 != 0 || padded_h % 8 != 0) {
-    throw std::invalid_argument{"padded feed dimensions must be multiples of 8"};
-  }
   for (const auto& [start, duration] : config.outages) {
     if (duration <= SimDuration::zero() || start < SimDuration::zero() ||
         start + duration > config.media_duration) {
@@ -68,7 +72,7 @@ QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& c
 
   SessionWorld world{seed, {config.metrics, config.tracer}};
   world.add_platform(config.platform, seed ^ 0x1FE2);
-  net::Host& host_vm = world.vm(config.host_site, 8);
+  net::Host& host_vm = world.vm(kHostSite, 8);
   net::Host& rx_vm = world.vm(kReceiverSite, 9);
 
   // Last-mile profile on the receiver's ingress (the tc/ifb analog).
@@ -85,11 +89,11 @@ QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& c
   }
 
   const auto content = std::make_shared<media::TalkingHeadFeed>(
-      media::FeedParams{config.content_width, config.content_height, config.fps, seed ^ 0xFACE});
-  const auto padded = std::make_shared<media::PaddedFeed>(content, config.padding);
+      media::FeedParams{kContentWidth, kContentHeight, kFps, seed ^ 0xFACE});
+  const auto padded = std::make_shared<media::PaddedFeed>(content, kPadding);
 
   client::VcaClient::Config host_cfg = padded_config(
-      config.content_width, config.content_height, config.padding, config.fps, seed);
+      kContentWidth, kContentHeight, kPadding, kFps, seed);
   host_cfg.send_audio = true;  // audio interleaves on the wire: the
                                // classifier must reject it by size alone
   host_cfg.motion = platform::MotionClass::kLowMotion;
@@ -104,7 +108,7 @@ QoeInferSessionResult run_qoe_inference_session(const QoeInferBenchmarkConfig& c
 
   // Completed-frame accounting needs no decoded pixels.
   client::VcaClient::Config rx_cfg = padded_config(
-      config.content_width, config.content_height, config.padding, config.fps, seed + 53);
+      kContentWidth, kContentHeight, kPadding, kFps, seed + 53);
   rx_cfg.send_video = false;
   client::VcaClient& receiver = world.client(rx_vm, rx_cfg);
   capture::PacketCapture rx_capture{rx_vm, world.clock_offset(rx_vm)};

@@ -1,7 +1,8 @@
 // Header-free QoE inference, scored against ground truth.
 //
-// One broadcast session per run: a host VM streams a low-motion feed to one
-// receiver whose last-mile link follows a shaper profile and a scripted
+// One broadcast session per run: a US-East host VM streams a low-motion
+// 96x72 feed (8 px padding, 10 fps) to one US-West receiver whose last-mile
+// link follows a shaper profile and a scripted
 // fault::FaultPlan (link outages — the freeze ground truth). The receiver's
 // packet capture is handed to capture::QoeInferencer, which sees nothing but
 // record timestamps/lengths; the session separately keeps the codec-side
@@ -40,12 +41,7 @@ struct QoeInferBenchmarkConfig {
   /// start — compiled into a FaultPlan armed at media start. These windows
   /// ARE the freeze ground truth the inferred freezes are scored against.
   std::vector<std::pair<SimDuration, SimDuration>> outages;
-  std::string host_site = "US-East";
   SimDuration media_duration = seconds(20);
-  int content_width = 96;
-  int content_height = 72;
-  int padding = 8;  // padded dims must be multiples of 8
-  double fps = 10.0;
   MetricsRegistry* metrics = nullptr;
   Tracer* tracer = nullptr;
 };

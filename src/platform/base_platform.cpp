@@ -63,15 +63,6 @@ void BasePlatform::end_meeting(MeetingId meeting) {
   meetings_.erase(it);
 }
 
-void BasePlatform::set_view_mode(MeetingId meeting, ParticipantId participant, ViewMode view) {
-  auto it = meetings_.find(meeting);
-  if (it == meetings_.end()) return;
-  for (auto& m : it->second.members) {
-    if (m.id == participant) m.ref.view = view;
-  }
-  refresh_subscriptions(it->second);
-}
-
 int BasePlatform::participant_count(MeetingId meeting) const {
   auto it = meetings_.find(meeting);
   return it == meetings_.end() ? 0 : static_cast<int>(it->second.members.size());

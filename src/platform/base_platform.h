@@ -65,9 +65,6 @@ class BasePlatform {
   void leave(MeetingId meeting, ParticipantId participant);
   void end_meeting(MeetingId meeting);
 
-  /// Updates a participant's view mode (drives subscription changes).
-  void set_view_mode(MeetingId meeting, ParticipantId participant, ViewMode view);
-
   /// Current roster size (what the client's UI shows — used by clients for
   /// N-dependent rate policy). 0 for unknown meetings.
   int participant_count(MeetingId meeting) const;

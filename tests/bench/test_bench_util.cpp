@@ -1,8 +1,8 @@
 // The shared bench harness: run_checked()/finish() must turn any 1-vs-8-thread
 // byte mismatch (aggregates or per-task trace files) or any task failure
 // into exit 1; invisibility_gate() must return 1 on a visible armed side and
-// 3 on a slow one, and run at least 3 rounds. The flag reader's cases are in
-// tests/common/test_flags.cpp.
+// 3 on a slow one, and run the rounds it is given. The flag reader's cases
+// are in tests/common/test_flags.cpp.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -165,18 +165,26 @@ TEST(InvisibilityGate, SlowArmedSideExitsThree) {
   EXPECT_TRUE(std::filesystem::exists(dir.file("gate.json")));
 }
 
-TEST(InvisibilityGate, TooFewRoundsRunThree) {
+TEST(InvisibilityGate, RunsExactlyTheRoundsGiven) {
+  // The count a gate reports is the count it runs: one off and one armed
+  // pass per round, never silently raised (the benches' --rounds flags
+  // carry the minimum).
   ScratchDir dir{"vcb_gate_rounds"};
   const std::string out = dir.file("gate.json");
-  // The off side sleeps, so a real ratio clears the gate by far; a ratio
-  // from zero rounds would not.
+  int off_passes = 0, armed_passes = 0;
   const int code = vcb::invisibility_gate(
-      "harness_gate", [](bool armed) { return gate_task(!armed, false, true); }, 2, 9, 0,
-      1.0).finish(out);
+      "harness_gate",
+      [&](bool armed) {
+        ++(armed ? armed_passes : off_passes);
+        return gate_task(armed, false, false);
+      },
+      2, 9, 1, 0.0).finish(out);
   EXPECT_EQ(code, 0);
+  EXPECT_EQ(off_passes, 1);
+  EXPECT_EQ(armed_passes, 1);
   std::string json;
   ASSERT_TRUE(vc::runner::read_text_file(out, &json));
-  EXPECT_NE(json.find("\"rounds\": 3"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"rounds\": 1"), std::string::npos) << json;
 }
 
 }  // namespace

@@ -37,21 +37,6 @@ TEST(TraceDump, MaxRecordsLimit) {
   EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
 }
 
-TEST(TraceDump, DirectionFilter) {
-  DumpOptions opt;
-  opt.direction = net::Direction::kOutgoing;
-  const auto text = dump_trace_to_string(sample(), opt);
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
-  EXPECT_EQ(text.find("IN "), std::string::npos);
-}
-
-TEST(TraceDump, FromTimestamp) {
-  DumpOptions opt;
-  opt.from = SimTime{2'000'000};
-  const auto text = dump_trace_to_string(sample(), opt);
-  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);  // records at 2.0, 2.25 s
-}
-
 TEST(TraceDump, Summary) {
   const auto s = summarize_trace(sample());
   EXPECT_NE(s.find("US-West"), std::string::npos);

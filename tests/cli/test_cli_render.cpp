@@ -182,6 +182,72 @@ TEST(TraceProfile, RingWrapSurfacesAsWarning) {
   EXPECT_LT(r.out.find("WARNING"), r.out.find("profile over"));
 }
 
+TEST(TraceProfile, RecordTableCountsEveryNameAndPhase) {
+  // Two relay.fwd spans (10 and 30 us, values 2 and 4), two instants with a
+  // value, one counter sample, and one span whose name the filter below
+  // drops.
+  const std::string trace = trace_with(
+      R"({"name":"relay.fwd","ph":"X","ts":0,"dur":10,"args":{"value":2}},)"
+      R"({"name":"relay.fwd","ph":"X","ts":100,"dur":30,"args":{"value":4}},)"
+      R"({"name":"client.reconnected","ph":"i","ts":50,"s":"t","args":{"value":1.5}},)"
+      R"({"name":"client.reconnected","ph":"i","ts":60,"s":"t","args":{"value":2.5}},)"
+      R"({"name":"loop.depth","ph":"C","ts":70,"args":{"value":7}},)"
+      R"({"name":"codec.encode","ph":"X","ts":200,"dur":5})",
+      R"("dropped_records": 0, "recorded": 6)");
+  const RenderResult r = render_profile({{"t.json", trace}}, ProfileOptions{});
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.out.find("recorded 6, dropped 0 (ring wrap)"), std::string::npos);
+  EXPECT_EQ(r.out.find("WARNING"), std::string::npos);
+  ASSERT_NE(r.out.find("records by name and phase"), std::string::npos);
+  const std::string table = r.out.substr(r.out.find("records by name and phase"));
+  auto row = [&table](const std::string& lead) {
+    const std::size_t at = table.find(lead);
+    return at == std::string::npos ? std::string{} : table.substr(at, table.find('\n', at) - at);
+  };
+  // Span: count, mean/min/max duration, mean value.
+  const std::string fwd = row("relay.fwd");
+  EXPECT_NE(fwd.find(" X "), std::string::npos) << fwd;
+  EXPECT_NE(fwd.find(" 2 "), std::string::npos) << fwd;
+  EXPECT_NE(fwd.find("20.0"), std::string::npos) << fwd;
+  EXPECT_NE(fwd.find("10.0"), std::string::npos) << fwd;
+  EXPECT_NE(fwd.find("30.0"), std::string::npos) << fwd;
+  EXPECT_NE(fwd.find("3.000"), std::string::npos) << fwd;
+  // Instant and counter: no durations, the mean value.
+  const std::string instant = row("client.reconnected");
+  EXPECT_NE(instant.find(" i "), std::string::npos) << instant;
+  EXPECT_NE(instant.find("2.000"), std::string::npos) << instant;
+  EXPECT_NE(instant.find(" - "), std::string::npos) << instant;
+  const std::string counter = row("loop.depth");
+  EXPECT_NE(counter.find(" C "), std::string::npos) << counter;
+  EXPECT_NE(counter.find("7.000"), std::string::npos) << counter;
+  // A span with no args.value has no value mean.
+  const std::string encode = row("codec.encode");
+  EXPECT_NE(encode.find("5.0"), std::string::npos) << encode;
+  EXPECT_EQ(encode.find(".000"), std::string::npos) << encode;
+
+  // The name filter applies to the record table too.
+  ProfileOptions only_relay;
+  only_relay.filter = "RELAY";
+  const RenderResult filtered = render_profile({{"t.json", trace}}, only_relay);
+  const std::string kept = filtered.out.substr(filtered.out.find("records by name and phase"));
+  EXPECT_NE(kept.find("relay.fwd"), std::string::npos);
+  EXPECT_EQ(kept.find("client.reconnected"), std::string::npos);
+  EXPECT_EQ(kept.find("loop.depth"), std::string::npos);
+}
+
+TEST(TraceProfile, RecordedAndDroppedTotalsSumOverTraces) {
+  const std::string a = trace_with(R"({"name":"a","ph":"X","ts":0,"dur":10})",
+                                   R"("dropped_records": 3, "recorded": 10)");
+  const std::string b = trace_with(R"({"name":"a","ph":"X","ts":0,"dur":30})",
+                                   R"("dropped_records": 0, "recorded": 4)");
+  const RenderResult r = render_profile({{"a.json", a}, {"b.json", b}}, ProfileOptions{});
+  ASSERT_EQ(r.exit_code, 0) << r.err;
+  EXPECT_NE(r.out.find("recorded 14, dropped 3 (ring wrap)"), std::string::npos) << r.out;
+  // One row pools both traces' spans of a name.
+  const std::string table = r.out.substr(r.out.find("records by name and phase"));
+  EXPECT_NE(table.find("20.0"), std::string::npos) << table;
+}
+
 TEST(TraceProfile, NoParsableInputExitsTwo) {
   EXPECT_EQ(render_profile({}, ProfileOptions{}).exit_code, 2);
   EXPECT_EQ(render_profile({{"bad.json", "{nope"}}, ProfileOptions{}).exit_code, 2);

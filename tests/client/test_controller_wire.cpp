@@ -63,26 +63,14 @@ TEST_F(ControllerFixture, JoinWorkflowAndLeaveAfter) {
   ClientController controller{participant};
   bool joined = false;
   controller.start_join(meeting, [&] { joined = true; });
-  controller.leave_after(seconds(20));
   net.loop().run_until(SimTime::zero() + seconds(10));
   EXPECT_TRUE(joined);
   EXPECT_EQ(controller.state(), ClientController::State::kInMeeting);
-  net.loop().run_until(SimTime::zero() + seconds(30));
-  EXPECT_EQ(controller.state(), ClientController::State::kLeft);
+  EXPECT_TRUE(participant.in_meeting());
+  // Leaving is the client's own call (the orchestrator makes it at session
+  // end); the scripted workflow is over once in meeting.
+  participant.leave();
   EXPECT_FALSE(participant.in_meeting());
-  host.leave();
-  net.loop().run();
-}
-
-TEST_F(ControllerFixture, LayoutChangeAppliesOnceInMeeting) {
-  platform::ZoomPlatform zoom{net};
-  net::Host& host_vm = net.add_host("host", kVirginia);
-  VcaClient host{host_vm, zoom, cfg(true)};
-  ClientController controller{host};
-  controller.start_host(nullptr);
-  controller.change_layout_after(seconds(10), platform::ViewMode::kGallery);
-  net.loop().run_until(SimTime::zero() + seconds(15));
-  EXPECT_EQ(host.view_mode(), platform::ViewMode::kGallery);
   host.leave();
   net.loop().run();
 }

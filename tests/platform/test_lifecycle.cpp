@@ -1,5 +1,6 @@
 // Relay and meeting lifecycle edge cases: teardown, re-registration,
-// peer unlinking, view churn, and membership churn mid-session.
+// peer unlinking, view churn across re-joins, and membership churn
+// mid-session.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -76,15 +77,24 @@ TEST_F(LifecycleFixture, LeaveStopsDeliveryToLeaver) {
 }
 
 TEST_F(LifecycleFixture, ViewChurnUpdatesSubscriptionsRepeatedly) {
+  // A view is fixed at join: the receiver churns through the layouts by
+  // leaving and re-joining with each one, and every join re-derives what the
+  // relay forwards to it. p3 stays in throughout, so the meeting keeps its
+  // relay.
   ZoomPlatform zoom{net};
   std::vector<net::Packet> rx;
   const auto host = make_client("h", kVirginia, 47000);
-  const auto p2 = make_client("p2", kCalifornia, 47001, &rx);
+  auto p2 = make_client("p2", kCalifornia, 47001, &rx);
   const auto p3 = make_client("p3", kCalifornia, 47002);
   RouteInfo route;
   const auto meeting = zoom.create_meeting(host, [&](RouteInfo r) { route = r; });
-  const auto id2 = zoom.join(meeting, p2, [](RouteInfo) {});
+  auto id2 = zoom.join(meeting, p2, [](RouteInfo) {});
   zoom.join(meeting, p3, [](RouteInfo) {});
+  auto rejoin_as = [&](ViewMode view) {
+    zoom.leave(meeting, id2);
+    p2.view = view;
+    id2 = zoom.join(meeting, p2, [](RouteInfo) {});
+  };
 
   // Full screen: full-rate main stream.
   send_video(host, route.media_endpoint, 1);
@@ -93,20 +103,20 @@ TEST_F(LifecycleFixture, ViewChurnUpdatesSubscriptionsRepeatedly) {
   EXPECT_EQ(rx[0].l7_len, 900);
 
   // Gallery: thinned tiles.
-  zoom.set_view_mode(meeting, id2, ViewMode::kGallery);
+  rejoin_as(ViewMode::kGallery);
   send_video(host, route.media_endpoint, 1);
   net.loop().run();
   ASSERT_EQ(rx.size(), 2u);
   EXPECT_LT(rx[1].l7_len, 900);
 
   // Audio-only: nothing.
-  zoom.set_view_mode(meeting, id2, ViewMode::kAudioOnly);
+  rejoin_as(ViewMode::kAudioOnly);
   send_video(host, route.media_endpoint, 1);
   net.loop().run();
   EXPECT_EQ(rx.size(), 2u);
 
   // And back to full screen.
-  zoom.set_view_mode(meeting, id2, ViewMode::kFullScreen);
+  rejoin_as(ViewMode::kFullScreen);
   send_video(host, route.media_endpoint, 1);
   net.loop().run();
   ASSERT_EQ(rx.size(), 3u);

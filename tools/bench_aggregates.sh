@@ -11,7 +11,11 @@
 #   tools/bench_aggregates.sh examples BUILD OUT
 #     Runs the examples and the CLI's experiment subcommands at default flags
 #     and saves each stdout as OUT/examples/<name>.txt, so example output can
-#     be diffed between two builds like the aggregates. Exits non-zero if one
+#     be diffed between two builds like the aggregates. When a prior `run`
+#     into the same OUT left bench_table4_scale's OUT/table4_traces/t1, it
+#     also saves `vcbench_cli profile` over those traces (run from OUT, so the
+#     trace paths it prints are the same for every OUT) as
+#     OUT/examples/vcbench_cli_profile_table4.txt. Exits non-zero if one
 #     fails.
 #
 #   tools/bench_aggregates.sh compare A B
@@ -71,8 +75,10 @@ cmd_run() {
 }
 
 cmd_examples() {
-  local bin=$1/examples out=$2/examples cmd
-  mkdir -p "$out"
+  local bin out cmd
+  bin=$(cd "$1" && pwd)/examples
+  mkdir -p "$2/examples"
+  out=$(cd "$2" && pwd)/examples
   "$bin/quickstart" > "$out/quickstart.txt"
   "$bin/qoe_shootout" 1 low > "$out/qoe_shootout_1_low.txt"
   "$bin/qoe_shootout" 1 low 500 > "$out/qoe_shootout_1_low_500.txt"
@@ -83,6 +89,10 @@ cmd_examples() {
   for cmd in qoe bwcap mobile; do
     "$bin/vcbench_cli" "$cmd" > "$out/vcbench_cli_$cmd.txt"
   done
+  if [[ -d $2/table4_traces/t1 ]]; then
+    (cd "$2" && "$bin/vcbench_cli" profile table4_traces/t1) \
+      > "$out/vcbench_cli_profile_table4.txt"
+  fi
 }
 
 cmd_compare() {
